@@ -36,6 +36,7 @@ from .metrics import (
     bleu4,
     classification_metrics,
     has_aggregate,
+    has_score,
     multilabel_metrics,
     rouge_l,
     spearman,
@@ -231,11 +232,7 @@ def _eval_has_section(report: MetricReport, records: list[StrategyEvalRecord]) -
     if len(rated) < 2:
         report.set_na("ecpo_has_spearman", DEGENERATE)
         return
-    weights = (0.5, 0.3, 0.2)
-    scores = []
-    for record in rated:
-        items = [all(vote[i] for vote in record.ratings) for i in range(3)]
-        scores.append(sum(w * float(flag) for w, flag in zip(weights, items)))
+    scores = [has_score(record.ratings) for record in rated]
     correlation = spearman([r.report.ecpo for r in rated], scores)
     if correlation is None:
         report.set_na("ecpo_has_spearman", DEGENERATE)
@@ -307,6 +304,7 @@ def cmd_retrieve(args, config: RunConfig) -> list[str]:
             raise InputError("BAD_RECORD", f"{args.store}: snippet records must be objects")
         snippets.append(snippet_from_dict(record))
     store = load_store(snippets)
+    by_id = {snippet.snippet_id: snippet for snippet in store.snapshot()}
     scorer = LexicalScorer()
     lines = []
     for record in _read_jsonl(args.prompt):
@@ -315,7 +313,6 @@ def cmd_retrieve(args, config: RunConfig) -> list[str]:
         prompt = prompt_from_dict(record if isinstance(record, dict) else {})
         query = build_query(prompt.z, prompt.driver, prompt.vehicle)
         result = retrieve(store, query, config.top_k, scorer=scorer)
-        by_id = {snippet.snippet_id: snippet for snippet in store.snapshot()}
         ranked_snippets = [by_id[entry.snippet_id] for entry in result.ranked]
         compressed = compress(ranked_snippets, config.token_budget)
         lines.append(
@@ -472,6 +469,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except InvariantError as error:
         _log(f"error: {error}")
+        return 3
+    except Exception as error:  # the error contract: no traceback escapes
+        _log(f"error: INTERNAL: {type(error).__name__}: {error}")
         return 3
     return 0
 

@@ -8,23 +8,35 @@ so retrieval pinned to a version is reproducible forever.
 
 Scoring is lexical by default (cosine over term-frequency vectors of
 normalized content tokens of the snippet text; provenance fields do not enter
-the vector). An embedding scorer over externally supplied unit-norm vectors
-is available for callers with a precomputed encoder.
+the vector). Lexical queries run through a postings index of each version's
+snippet texts, built on the first lexical query against that version and
+kept on the store, so a query scores only the snippets sharing one of its
+tokens. An embedding scorer over externally supplied unit-norm vectors is
+available for callers with a precomputed encoder.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, InputError
 from .policy import ActionType, parse_action_type
-from .textnorm import content_tokens, dedup_preserve_order, lexical_cosine
+from .textnorm import (
+    content_tokens,
+    cosine_from_counts,
+    dedup_preserve_order,
+    squared_norm,
+    term_frequencies,
+)
 
 if TYPE_CHECKING:
     from .context import DriverProfile, PerceptionSummary, VehicleProfile
@@ -140,21 +152,68 @@ class SummaryEntry:
 
 
 @dataclass(frozen=True)
+class LexicalIndex:
+    """Postings of one store version's snippet texts.
+
+    Positions number the snippets in snippet_id order, so ranking ties and the
+    zero-score fill both follow position order. ``postings`` maps each content
+    token to the positions of the snippets holding it (ascending) and its term
+    frequency in each; ``squared_norms`` holds each snippet's integer squared
+    term-frequency norm.
+    """
+
+    snippet_ids: tuple[str, ...]
+    squared_norms: array
+    postings: dict[str, tuple[array, array]]
+
+
+def _build_lexical_index(snippets: Sequence[ConstraintSnippet]) -> LexicalIndex:
+    ordered = sorted(snippets, key=lambda snippet: snippet.snippet_id)
+    squared_norms = array("q")
+    postings: dict[str, tuple[array, array]] = {}
+    for position, snippet in enumerate(ordered):
+        frequencies = term_frequencies(content_tokens(snippet.text))
+        squared_norms.append(squared_norm(frequencies))
+        for token, count in frequencies.items():
+            entry = postings.get(token)
+            if entry is None:
+                entry = postings[token] = (array("i"), array("i"))
+            entry[0].append(position)
+            entry[1].append(count)
+    return LexicalIndex(tuple(snippet.snippet_id for snippet in ordered), squared_norms, postings)
+
+
+@dataclass(frozen=True)
 class ConstraintStore:
     """Append-only snapshots; versions[n] is the full content of version n."""
 
     versions: tuple[tuple[ConstraintSnippet, ...], ...] = ((),)
+    # version -> LexicalIndex, filled by lexical_index(); derived state only.
+    _lexical_indexes: dict[int, LexicalIndex] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def version(self) -> int:
         return len(self.versions) - 1
 
-    def snapshot(self, version: int | None = None) -> tuple[ConstraintSnippet, ...]:
+    def _resolve(self, version: int | None) -> int:
         if version is None:
-            version = self.version
+            return self.version
         if not 0 <= version <= self.version:
             raise InputError("UNKNOWN_VERSION", f"store has no version {version}")
-        return self.versions[version]
+        return version
+
+    def snapshot(self, version: int | None = None) -> tuple[ConstraintSnippet, ...]:
+        return self.versions[self._resolve(version)]
+
+    def lexical_index(self, version: int | None = None) -> LexicalIndex:
+        """The postings index of a version, built on first use and kept."""
+        version = self._resolve(version)
+        index = self._lexical_indexes.get(version)
+        if index is None:
+            index = self._lexical_indexes[version] = _build_lexical_index(self.versions[version])
+        return index
 
 
 def empty_store() -> ConstraintStore:
@@ -227,9 +286,46 @@ class LexicalScorer:
 
     kind = "lexical"
 
-    def scores(self, snippets: Sequence[ConstraintSnippet], query: RetrievalQuery) -> list[float]:
-        query_tokens = query.tokens()
-        return [lexical_cosine(content_tokens(s.text), query_tokens) for s in snippets]
+    def scores(self, index: LexicalIndex, query: RetrievalQuery) -> dict[int, float]:
+        """Cosine of each snippet sharing a query token, keyed by index position.
+
+        Every other snippet scores 0.0 and is left out.
+        """
+        query_frequencies = term_frequencies(query.tokens())
+        query_sq = squared_norm(query_frequencies)
+        # One slot per snippet: a pass over the version per query, repaid by
+        # list indexing when a query's tokens reach most snippets.
+        dots = [0] * len(index.snippet_ids)
+        for token, multiplicity in query_frequencies.items():
+            entry = index.postings.get(token)
+            if entry is not None:
+                for position, count in zip(*entry):
+                    dots[position] += multiplicity * count
+        norms = index.squared_norms
+        return {
+            position: cosine_from_counts(dot, norms[position], query_sq)
+            for position, dot in enumerate(dots)
+            if dot
+        }
+
+    def rank(
+        self, store: ConstraintStore, version: int | None, query: RetrievalQuery, top_k: int
+    ) -> tuple[RankedSnippet, ...]:
+        """The k best hits by (-score, snippet_id), found without sorting every
+        hit, then zero-score snippets in snippet_id order up to ``top_k``."""
+        index = store.lexical_index(version)
+        hits = self.scores(index, query)
+        best = list(hits)
+        if len(best) > top_k:
+            floor = heapq.nlargest(top_k, hits.values())[-1]
+            best = [position for position in best if hits[position] >= floor]
+        best.sort(key=lambda position: (-hits[position], position))
+        ids = index.snippet_ids
+        ranked = [RankedSnippet(ids[position], hits[position]) for position in best[:top_k]]
+        zero_scored = (position for position in range(len(ids)) if position not in hits)
+        for position in islice(zero_scored, top_k - len(ranked)):
+            ranked.append(RankedSnippet(ids[position], 0.0))
+        return tuple(ranked)
 
 
 def _check_unit_norm(name: str, vector: Sequence[float]) -> tuple[float, ...]:
@@ -263,6 +359,14 @@ class EmbeddingScorer:
             out.append(sum(q * s for q, s in zip(self.query_vector, vector)))
         return out
 
+    def rank(
+        self, store: ConstraintStore, version: int | None, query: RetrievalQuery, top_k: int
+    ) -> tuple[RankedSnippet, ...]:
+        snippets = store.snapshot(version)
+        scores = self.scores(snippets, query)
+        order = sorted(zip(snippets, scores), key=lambda pair: (-pair[1], pair[0].snippet_id))
+        return tuple(RankedSnippet(s.snippet_id, score) for s, score in order[:top_k])
+
 
 def load_embeddings(path: str | Path) -> dict[str, tuple[float, ...]]:
     """Sidecar file: JSON object snippet_id -> vector; unit norm enforced."""
@@ -282,18 +386,19 @@ def retrieve(
     scorer=None,
     version: int | None = None,
 ) -> RetrievalResult:
-    """Top-k snippets by cosine; ties broken by snippet_id ascending."""
+    """Top-k snippets by score; ties broken by snippet_id ascending.
+
+    When fewer than ``top_k`` snippets share a query token, the lexical
+    scorer fills the rest with zero-score snippets in snippet_id order.
+    """
     if top_k < 1:
         raise ConfigError("BAD_TOP_K", f"top_k must be >= 1, got {top_k}")
-    snippets = store.snapshot(version)
-    if not snippets:
+    if not store.snapshot(version):
         raise InputError("EMPTY_STORE", "no snippets in the selected store version")
     if scorer is None:
         scorer = LexicalScorer()
-    scores = scorer.scores(snippets, query)
-    order = sorted(zip(snippets, scores), key=lambda pair: (-pair[1], pair[0].snippet_id))
+    ranked = scorer.rank(store, version, query, top_k)
     resolved = store.version if version is None else version
-    ranked = tuple(RankedSnippet(s.snippet_id, score) for s, score in order[:top_k])
     return RetrievalResult(ranked, scorer.kind, resolved)
 
 
@@ -330,28 +435,65 @@ def assertions_to_dict(assertions: Assertions) -> dict:
     }
 
 
+# Typed field decoders for snippet records: a value of the wrong JSON type is
+# rejected as BAD_SNIPPET, never converted.
+
+
+def _string(value: object, what: str) -> str:
+    if not isinstance(value, str):
+        raise InputError("BAD_SNIPPET", f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _list(raw: dict, key: str) -> list | tuple:
+    value = raw.get(key, ())
+    if not isinstance(value, (list, tuple)):
+        raise InputError("BAD_SNIPPET", f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _finite_number(value: object, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError("BAD_SNIPPET", f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise InputError("BAD_SNIPPET", f"{what} must be finite, got {value!r}")
+    return number
+
+
 def assertions_from_dict(raw: dict) -> Assertions:
     if not isinstance(raw, dict):
         raise InputError("BAD_SNIPPET", "assertions must be an object")
     types = []
-    for name in raw.get("forbidden_action_types", ()):
+    for name in _list(raw, "forbidden_action_types"):
         parsed = parse_action_type(name) if isinstance(name, str) else None
         if parsed is None:
             raise InputError("BAD_SNIPPET", f"unmappable forbidden action type {name!r}")
         types.append(parsed)
     bounds = []
-    for entry in raw.get("parameter_bounds", ()):
+    for entry in _list(raw, "parameter_bounds"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
             raise InputError("BAD_SNIPPET", f"parameter bound {entry!r} is not a 4-item list")
         parsed = parse_action_type(entry[0]) if isinstance(entry[0], str) else None
         if parsed is None:
             raise InputError("BAD_SNIPPET", f"unmappable bound action type {entry[0]!r}")
-        bounds.append(ParameterBound(parsed, str(entry[1]), float(entry[2]), float(entry[3])))
+        parameter = _string(entry[1], "bound parameter")
+        bounds.append(
+            ParameterBound(
+                parsed,
+                parameter,
+                _finite_number(entry[2], f"minimum of bound {parameter!r}"),
+                _finite_number(entry[3], f"maximum of bound {parameter!r}"),
+            )
+        )
     return Assertions(
         forbidden_action_types=frozenset(types),
         parameter_bounds=tuple(bounds),
-        required_modalities=frozenset(str(m) for m in raw.get("required_modalities", ())),
-        forbidden_keywords=tuple(str(k) for k in raw.get("forbidden_keywords", ())),
+        required_modalities=frozenset(_string(m, "required modality") for m in _list(raw, "required_modalities")),
+        forbidden_keywords=tuple(_string(k, "forbidden keyword") for k in _list(raw, "forbidden_keywords")),
     )
 
 
@@ -371,23 +513,24 @@ def snippet_to_dict(snippet: ConstraintSnippet) -> dict:
 def snippet_from_dict(raw: dict) -> ConstraintSnippet:
     if not isinstance(raw, dict):
         raise InputError("BAD_SNIPPET", "snippet record must be an object")
-    try:
-        snippet_id = raw["snippet_id"]
-        layer = raw["layer"]
-        clause_id = raw["clause_id"]
-        text = raw["text"]
-    except KeyError as exc:
-        raise InputError("BAD_SNIPPET", f"snippet record missing field {exc.args[0]!r}")
+    for key in ("snippet_id", "layer", "clause_id", "text"):
+        if key not in raw:
+            raise InputError("BAD_SNIPPET", f"snippet record missing field {key!r}")
+    jurisdiction = raw.get("jurisdiction")
+    vehicle_config = raw.get("vehicle_config")
+    version = raw.get("version", 0)
+    if isinstance(version, bool) or not isinstance(version, int) or version < 0:
+        raise InputError("BAD_SNIPPET", f"version must be a non-negative integer, got {version!r}")
     assertions = raw.get("assertions")
     return ConstraintSnippet(
-        snippet_id=str(snippet_id),
-        layer=str(layer),
-        clause_id=str(clause_id),
-        text=str(text),
-        jurisdiction=raw.get("jurisdiction"),
-        vehicle_config=raw.get("vehicle_config"),
+        snippet_id=_string(raw["snippet_id"], "snippet_id"),
+        layer=_string(raw["layer"], "layer"),
+        clause_id=_string(raw["clause_id"], "clause_id"),
+        text=_string(raw["text"], "text"),
+        jurisdiction=None if jurisdiction is None else _string(jurisdiction, "jurisdiction"),
+        vehicle_config=None if vehicle_config is None else _string(vehicle_config, "vehicle_config"),
         assertions=assertions_from_dict(assertions) if assertions else None,
-        version=int(raw.get("version", 0)),
+        version=version,
     )
 
 

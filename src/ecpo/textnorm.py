@@ -56,13 +56,23 @@ def term_frequencies(tokens: list[str]) -> Counter:
     return Counter(tokens)
 
 
-def lexical_cosine(left: list[str], right: list[str]) -> float:
-    """Cosine similarity of raw term-frequency vectors.
+def squared_norm(frequencies: Counter) -> int:
+    return sum(c * c for c in frequencies.values())
 
-    Either side empty scores 0.0. Identical token multisets score exactly
-    1.0: the squared norms are exact integers, so one square root of their
-    product divides out the integer dot product without rounding drift.
+
+def cosine_from_counts(dot: int, lsq: int, rsq: int) -> float:
+    """Cosine from an integer dot product and the two integer squared norms.
+
+    Identical token multisets score exactly 1.0: the squared norms are exact
+    integers, so one square root of their product divides out the integer dot
+    product without rounding drift. Every lexical score goes through here, so
+    the retrieval index and ``lexical_cosine`` agree to the last bit.
     """
+    return dot / math.sqrt(lsq * rsq)
+
+
+def lexical_cosine(left: list[str], right: list[str]) -> float:
+    """Cosine similarity of raw term-frequency vectors; either side empty scores 0.0."""
     if not left or not right:
         return 0.0
     lf = term_frequencies(left)
@@ -70,9 +80,7 @@ def lexical_cosine(left: list[str], right: list[str]) -> float:
     dot = sum(count * rf[token] for token, count in lf.items())
     if dot == 0:
         return 0.0
-    lsq = sum(c * c for c in lf.values())
-    rsq = sum(c * c for c in rf.values())
-    return dot / math.sqrt(lsq * rsq)
+    return cosine_from_counts(dot, squared_norm(lf), squared_norm(rf))
 
 
 def jaccard(left: set[str], right: set[str]) -> float:

@@ -379,15 +379,24 @@ def run_layered_checks(
     prompt: StrategyPrompt,
     rules: Sequence[HazardRule] | None = None,
     maneuvers: Mapping[str, tuple[str, ...]] | None = None,
+    *,
+    hazards_truth: frozenset[str] | None = None,
+    hazards_addressed: frozenset[str] | None = None,
 ) -> list[CheckResult]:
-    """Run the full check inventory once, in layer order, without early exit."""
+    """Run the full check inventory once, in layer order, without early exit.
+
+    Hazard sets the caller already derived with the same rules are passed in
+    rather than derived again.
+    """
     rules = DEFAULT_HAZARD_RULES if rules is None else tuple(rules)
     maneuvers = DEFAULT_MANEUVERS if maneuvers is None else maneuvers
     legal = _layer_snippets(prompt, "legal")
     vehicle_snips = _layer_snippets(prompt, "vehicle")
     driver_snips = _layer_snippets(prompt, "driver")
-    hazards_truth = derive_hazards(prompt.z, prompt.constraints, rules)
-    hazards_addressed = extract_addressed_hazards(policy, rules)
+    if hazards_truth is None:
+        hazards_truth = derive_hazards(prompt.z, prompt.constraints, rules)
+    if hazards_addressed is None:
+        hazards_addressed = extract_addressed_hazards(policy, rules)
     return [
         _check_forbidden_action_types(policy, legal, "legal.forbidden_action_type", "legal"),
         _check_forbidden_keywords(policy, legal, "legal.forbidden_keyword", "legal"),
@@ -556,7 +565,10 @@ def validate(document: str | bytes, prompt: StrategyPrompt, config: RunConfig | 
             hazards_addressed=frozenset(),
         )
     policy = outcome.policy
-    checks = run_layered_checks(policy, prompt, rules=rules)
+    hazards_addressed = extract_addressed_hazards(policy, rules)
+    checks = run_layered_checks(
+        policy, prompt, rules=rules, hazards_truth=hazards_truth, hazards_addressed=hazards_addressed
+    )
     summary = violation_summary(checks)
     s_core = core_score(summary)
     s_evd = evidence_coverage(policy, prompt.z, prompt.constraints, MatchConfig(cfg.match_threshold))
@@ -573,7 +585,7 @@ def validate(document: str | bytes, prompt: StrategyPrompt, config: RunConfig | 
         schema_valid=True,
         defects=outcome.defects,
         hazards_truth=hazards_truth,
-        hazards_addressed=extract_addressed_hazards(policy, rules),
+        hazards_addressed=hazards_addressed,
     )
 
 

@@ -20,7 +20,8 @@ from ecpo.context import (
     VehicleProfile,
 )
 from ecpo.policy import ActionType
-from ecpo.store import Assertions, ConstraintSnippet, ParameterBound
+from ecpo.store import Assertions, ConstraintSnippet, ParameterBound, RetrievalQuery
+from ecpo.textnorm import content_tokens, lexical_cosine
 from ecpo.validator import CheckResult, EcpoReport, ViolationSummary
 
 MASK64 = (1 << 64) - 1
@@ -173,6 +174,17 @@ def spearman_reference(x, y) -> float | None:
         return None
     cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
     return float(cov) / math.sqrt(float(vx) * float(vy))
+
+
+def lexical_ranking_reference(
+    snippets, query: RetrievalQuery, top_k: int
+) -> tuple[tuple[str, float], ...]:
+    """Brute-force lexical retrieval: the cosine of every snippet against the
+    query, sorted by (-score, snippet_id), as (snippet_id, score) pairs."""
+    query_tokens = query.tokens()
+    scored = [(lexical_cosine(content_tokens(s.text), query_tokens), s.snippet_id) for s in snippets]
+    scored.sort(key=lambda pair: (-pair[0], pair[1]))
+    return tuple((snippet_id, score) for score, snippet_id in scored[:top_k])
 
 
 def fake_report(ecpo: float, schema_valid: bool = True, severity: int = 0, count: int = 0) -> EcpoReport:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ecpo import cli
 from ecpo.cli import main
 from ecpo.context import prompt_to_dict, sample_to_dict
 from ecpo.store import snippet_to_dict
@@ -331,6 +332,33 @@ def test_retrieve_empty_store_exits_1(tmp_path, comfort_prompt, capsys):
     code, _, err = run_cli(["retrieve", "--store", store, "--prompt", prompts], capsys)
     assert code == 1
     assert "EMPTY_STORE" in err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"version": "x"}, {"assertions": {"parameter_bounds": [["Hvac", "temp", "a", "1"]]}}],
+)
+def test_retrieve_mistyped_snippet_exits_1(tmp_path, comfort_prompt, change, capsys):
+    record = {"snippet_id": "a", "layer": "legal", "clause_id": "c", "text": "keep right", **change}
+    store = write_jsonl(tmp_path / "s.jsonl", [record])
+    prompts = write_jsonl(tmp_path / "p.jsonl", [prompt_to_dict(comfort_prompt)])
+    code, lines, err = run_cli(["retrieve", "--store", store, "--prompt", prompts], capsys)
+    assert code == 1
+    assert lines == []
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: BAD_SNIPPET: ")
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
+    def broken(args, config):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setitem(cli.HANDLERS, "stratify", broken)
+    code, lines, err = run_cli(["stratify", "--records", tmp_path / "r.jsonl"], capsys)
+    assert code == 3
+    assert lines == []
+    assert err == "error: INTERNAL: ZeroDivisionError: division by zero\n"
 
 
 # --- mixpair ----------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ecpo.store
 from ecpo.context import DriverProfile, PerceptionSummary, VehicleProfile
 from ecpo.errors import ConfigError, InputError
 from ecpo.policy import ActionType
@@ -22,6 +24,7 @@ from ecpo.store import (
     snippet_to_dict,
     update_store,
 )
+from oracles import lexical_ranking_reference
 
 
 def snippet(snippet_id: str, text: str, layer: str = "legal", **kwargs) -> ConstraintSnippet:
@@ -141,7 +144,7 @@ def test_duplicate_text_ranks_first_with_full_score():
     )
     result = retrieve(store, query_for("slow in dense traffic"), top_k=2)
     assert result.ranked[0].snippet_id == "dup"
-    assert math.isclose(result.ranked[0].score, 1.0, abs_tol=1e-12)
+    assert result.ranked[0].score == 1.0
 
 
 def test_disjoint_vocabulary_scores_zero():
@@ -174,6 +177,74 @@ def test_pinned_version_retrieval_unchanged_after_update():
     after = retrieve(grown, query_for("rain distance"), top_k=2, version=1)
     assert before == after
     assert retrieve(grown, query_for("rain distance"), top_k=1).store_version == 2
+
+
+# Words drawn for random stores: content words, stopwords, and words that never
+# occur in a snippet (so some queries overlap nothing).
+SNIPPET_WORDS = ("rain", "fog", "lane", "merge", "yield", "speed", "cabin", "the", "and", "of")
+QUERY_WORDS = SNIPPET_WORDS + ("zebra", "quartz")
+
+texts = st.lists(st.sampled_from(SNIPPET_WORDS), min_size=1, max_size=8).map(" ".join)
+
+
+@st.composite
+def stores_and_queries(draw):
+    # A small pool of texts makes duplicate texts common.
+    pool = draw(st.lists(texts, min_size=1, max_size=4))
+    ids = draw(st.lists(st.integers(0, 30), min_size=1, max_size=12, unique=True))
+    first = [snippet(f"s{i}", draw(st.sampled_from(pool) | texts)) for i in ids]
+    later_ids = draw(st.lists(st.integers(31, 40), max_size=4, unique=True))
+    later = [snippet(f"s{i}", draw(st.sampled_from(pool) | texts)) for i in later_ids]
+    removals = draw(st.lists(st.sampled_from([s.snippet_id for s in first]), unique=True))
+    words = draw(st.lists(st.sampled_from(QUERY_WORDS), min_size=1, max_size=6))
+    top_k = draw(st.integers(1, len(ids) + len(later_ids) + 3))
+    return first, later, removals, query_for(" ".join(words)), top_k
+
+
+def ranking(result):
+    return tuple((entry.snippet_id, entry.score) for entry in result.ranked)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stores_and_queries())
+def test_lexical_retrieval_equals_brute_force(case):
+    first, later, removals, query, top_k = case
+    store = load_store(first)
+    expected_v1 = lexical_ranking_reference(store.snapshot(1), query, top_k)
+    assert ranking(retrieve(store, query, top_k)) == expected_v1
+    grown = update_store(store, additions=later, removals=removals)
+    if grown.snapshot():
+        expected_v2 = lexical_ranking_reference(grown.snapshot(), query, top_k)
+        assert ranking(retrieve(grown, query, top_k)) == expected_v2
+    # pinned to the older version, on the old store object and on the grown one
+    assert ranking(retrieve(grown, query, top_k, version=1)) == expected_v1
+    assert ranking(retrieve(store, query, top_k, version=1)) == expected_v1
+
+
+def test_load_store_builds_no_index():
+    store = load_store([snippet("a", "keep right"), snippet("b", "yield at merge")])
+    assert store._lexical_indexes == {}
+    retrieve(store, query_for("merge"), top_k=1)
+    assert list(store._lexical_indexes) == [1]
+
+
+def test_repeat_query_does_not_retokenize_snippets(monkeypatch):
+    store = load_store([snippet(f"s{i}", f"clause {i} about lane merge") for i in range(20)])
+    tokenized = []
+    real = ecpo.store.content_tokens
+
+    def counting(text):
+        tokenized.append(text)
+        return real(text)
+
+    monkeypatch.setattr(ecpo.store, "content_tokens", counting)
+    query = query_for("lane merge")
+    snippet_texts = {s.text for s in store.snapshot()}
+    first = retrieve(store, query, top_k=3)
+    assert snippet_texts <= set(tokenized)
+    tokenized.clear()
+    assert retrieve(store, query, top_k=3) == first
+    assert tokenized and not snippet_texts & set(tokenized)
 
 
 def test_embedding_scorer():
@@ -257,3 +328,29 @@ def test_snippet_round_trip(layered_snippets):
 def test_snippet_from_dict_rejects_garbage():
     with pytest.raises(InputError):
         snippet_from_dict({"snippet_id": "a"})
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"version": "x"},
+        {"version": 1.5},
+        {"version": True},
+        {"version": -1},
+        {"snippet_id": 7},
+        {"text": ["keep", "right"]},
+        {"jurisdiction": 3},
+        {"assertions": {"parameter_bounds": [["Hvac", "temp", "a", "1"]]}},
+        {"assertions": {"parameter_bounds": [["Hvac", "temp", 1, float("nan")]]}},
+        {"assertions": {"parameter_bounds": [["Hvac", "temp", False, 1]]}},
+        {"assertions": {"parameter_bounds": [["Hvac", 5, 1, 2]]}},
+        {"assertions": {"parameter_bounds": 5}},
+        {"assertions": {"forbidden_keywords": [3]}},
+        {"assertions": {"required_modalities": "visual"}},
+    ],
+)
+def test_snippet_decoders_reject_mistyped_fields(change):
+    raw = {"snippet_id": "a", "layer": "legal", "clause_id": "c", "text": "keep right", **change}
+    with pytest.raises(InputError) as err:
+        snippet_from_dict(raw)
+    assert err.value.code == "BAD_SNIPPET"
