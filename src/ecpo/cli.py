@@ -90,6 +90,13 @@ def _record_field(record: object, key: str, path: str) -> object:
     return record[key]
 
 
+def _label_list(record: object, key: str, path: str) -> list[str]:
+    value = _record_field(record, key, path)
+    if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
+        raise InputError("BAD_RECORD", f"{path}: labels {key} must be a list of strings, got {value!r}")
+    return value
+
+
 def _document_text(raw: object) -> str:
     """Policy payloads may be raw text or an already-parsed object."""
     if isinstance(raw, str):
@@ -116,11 +123,14 @@ def _load_samples(path: str) -> list[SampleRecord]:
 
 def cmd_validate(args, config: RunConfig) -> list[str]:
     prompts = _load_prompts(args.prompts)
+    echo = config.echo()
     lines = []
     valid_count = 0
     records = _read_jsonl(args.policies)
     for index, record in enumerate(records):
         prompt_id = _record_field(record, "prompt_id", args.policies)
+        if not isinstance(prompt_id, str):
+            raise InputError("BAD_RECORD", f"{args.policies}: prompt_id must be a string, got {prompt_id!r}")
         document = _record_field(record, "document", args.policies)
         prompt = prompts.get(prompt_id)
         if prompt is None:
@@ -134,7 +144,7 @@ def cmd_validate(args, config: RunConfig) -> list[str]:
                     "prompt_id": prompt_id,
                     "candidate_id": record.get("candidate_id", str(index)),
                     "report": report_to_dict(report),
-                    "config": config.echo(),
+                    "config": echo,
                 }
             )
         )
@@ -255,7 +265,7 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
     if "labels" in by_kind:
         samples = [
             LabelSetSample.from_lists(
-                _record_field(r, "truth", args.records), _record_field(r, "prediction", args.records)
+                _label_list(r, "truth", args.records), _label_list(r, "prediction", args.records)
             )
             for r in by_kind["labels"]
         ]
@@ -306,6 +316,7 @@ def cmd_retrieve(args, config: RunConfig) -> list[str]:
     store = load_store(snippets)
     by_id = {snippet.snippet_id: snippet for snippet in store.snapshot()}
     scorer = LexicalScorer()
+    echo = config.echo()
     lines = []
     for record in _read_jsonl(args.prompt):
         if isinstance(record, dict) and isinstance(record.get("prompt"), dict):
@@ -347,7 +358,7 @@ def cmd_retrieve(args, config: RunConfig) -> list[str]:
                         }
                         for entry in compressed
                     ],
-                    "config": config.echo(),
+                    "config": echo,
                 }
             )
         )

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .errors import ConfigError, InputError
 from .policy import PolicyAction, parse_action_type, parse_policy, serialize_policy
-from .store import ConstraintSnippet, snippet_from_dict, snippet_to_dict
+from .store import ConstraintSnippet, is_finite_number, snippet_from_dict, snippet_to_dict
 from .textnorm import dedup_preserve_order, normalize_text
 
 SPLITS = ("train", "val", "test")
@@ -107,7 +107,12 @@ class VehicleProfile:
                 raise InputError("BAD_PROFILE", f"capability bound names unavailable actuator {name!r}")
             checked = {}
             for parameter, bound in bounds.items():
-                if not isinstance(bound, (list, tuple)) or len(bound) != 2 or bound[0] > bound[1]:
+                if (
+                    not isinstance(bound, (list, tuple))
+                    or len(bound) != 2
+                    or not all(is_finite_number(v) for v in bound)
+                    or bound[0] > bound[1]
+                ):
                     raise InputError("BAD_PROFILE", f"capability bound {name}.{parameter} is not [min, max]")
                 checked[parameter] = (float(bound[0]), float(bound[1]))
             limits[parsed.value] = checked
@@ -121,6 +126,11 @@ class StrategyPrompt:
     driver: DriverProfile = field(default_factory=DriverProfile)
     vehicle: VehicleProfile = field(default_factory=VehicleProfile)
     constraints: tuple[ConstraintSnippet, ...] = ()
+    # (hazard rules, maneuver table) -> validator.PromptContext, filled on the
+    # first validate of this prompt; derived state only.
+    _validation_contexts: dict[tuple, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import enum
 import json
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -288,7 +289,7 @@ def _parse_action(entry: object, path: str, defect) -> Action | None:
                 defect("BAD_PARAMETER_VALUE", ppath, "boolean parameter dropped")
             elif isinstance(value, str):
                 parameters[name] = value.strip()
-            elif isinstance(value, int):
+            elif isinstance(value, int) and abs(value) <= sys.float_info.max:
                 parameters[name] = value
             elif isinstance(value, float) and math.isfinite(value):
                 parameters[name] = value

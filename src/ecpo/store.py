@@ -64,6 +64,11 @@ class ParameterBound:
             )
 
 
+def keyword_pattern(keyword: str) -> re.Pattern:
+    """A forbidden keyword as the checks match it: a whole-word, case-blind pattern."""
+    return re.compile(rf"\b(?:{keyword})\b", re.IGNORECASE)
+
+
 @dataclass(frozen=True)
 class Assertions:
     forbidden_action_types: frozenset[ActionType] = frozenset()
@@ -74,7 +79,7 @@ class Assertions:
     def __post_init__(self):
         for keyword in self.forbidden_keywords:
             try:
-                re.compile(keyword)
+                keyword_pattern(keyword)
             except re.error as exc:
                 raise InputError("BAD_KEYWORD", f"keyword pattern {keyword!r}: {exc}")
 
@@ -452,16 +457,22 @@ def _list(raw: dict, key: str) -> list | tuple:
     return value
 
 
+def is_finite_number(value: object) -> bool:
+    """A JSON number, not a bool, whose float value is finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def _finite_number(value: object, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError("BAD_SNIPPET", f"{what} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
+    if not is_finite_number(value):
         raise InputError("BAD_SNIPPET", f"{what} must be finite, got {value!r}")
-    return number
+    return float(value)
 
 
 def assertions_from_dict(raw: dict) -> Assertions:

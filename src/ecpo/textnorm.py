@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -83,20 +83,17 @@ def lexical_cosine(left: list[str], right: list[str]) -> float:
     return cosine_from_counts(dot, squared_norm(lf), squared_norm(rf))
 
 
-def jaccard(left: set[str], right: set[str]) -> float:
-    """Token-set Jaccard; both sides empty scores 0.0 (nothing to ground)."""
-    if not left or not right:
-        return 0.0
-    union = left | right
-    return len(left & right) / len(union)
+def token_ngrams(token_lists: Iterable[Sequence[str]], longest: int) -> set[tuple[str, ...]]:
+    """Every run of 1..``longest`` adjacent tokens inside one of the lists.
 
-
-def contains_phrase(tokens: list[str], phrase_tokens: list[str]) -> bool:
-    """True when ``phrase_tokens`` occurs contiguously inside ``tokens``."""
-    if not phrase_tokens or len(phrase_tokens) > len(tokens):
-        return False
-    width = len(phrase_tokens)
-    for start in range(len(tokens) - width + 1):
-        if tokens[start:start + width] == phrase_tokens:
-            return True
-    return False
+    A phrase of at most ``longest`` tokens occurs contiguously in some list
+    exactly when its token tuple is in the result, so phrase matching is one
+    set lookup. Runs never cross from one list into the next: two texts whose
+    concatenation spells a phrase do not match it. The empty phrase never
+    matches.
+    """
+    grams: set[tuple[str, ...]] = set()
+    for tokens in token_lists:
+        for width in range(1, min(longest, len(tokens)) + 1):
+            grams.update(zip(*[tokens[offset:] for offset in range(width)]))
+    return grams

@@ -13,20 +13,24 @@ Severity maps the highest-priority violated layer (legal=4, vehicle=3,
 driver=2, contextual=1, none=0) and the violation count is the number of
 distinct failed checks. The core score is max(0, 1 - L/4 - 0.1*min(C, 10));
 the aggregate is the convex combination of core, evidence, and structure.
+
+What the checks need from the prompt alone is built once per prompt and rule
+set (``PromptContext``); each candidate pays only for its own document.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import RunConfig
 from .context import PerceptionSummary, StrategyPrompt
 from .errors import ConfigError, InputError, InvariantError
 from .policy import (
-    Action,
     ActionType,
     LowLevelMatch,
     ParseOutcome,
@@ -35,11 +39,10 @@ from .policy import (
     action_text,
     detect_low_level_control,
     parse_policy,
-    policy_text,
     structural_score,
 )
-from .store import ConstraintSnippet
-from .textnorm import contains_phrase, content_tokens, jaccard, normalize_text, tokenize
+from .store import ConstraintSnippet, keyword_pattern
+from .textnorm import content_tokens, normalize_text, token_ngrams, tokenize
 
 LAYER_SEVERITY = {"legal": 4, "vehicle": 3, "driver": 2, "contextual": 1}
 
@@ -101,11 +104,20 @@ class MatchConfig:
             raise ConfigError("BAD_THRESHOLD", f"match threshold must be in (0, 1], got {self.threshold}")
 
 
+Phrases = tuple[tuple[str, ...], ...]
+
+
+def _phrases(triggers: Iterable[str]) -> Phrases:
+    return tuple(tuple(tokenize(trigger)) for trigger in triggers)
+
+
 @dataclass(frozen=True)
 class HazardRule:
     hazard_id: str
     triggers: tuple[str, ...]
     scopes: frozenset[str]
+    # Each trigger as a token tuple, tokenized once when the rule is built.
+    phrases: Phrases = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.hazard_id or not self.triggers:
@@ -113,9 +125,7 @@ class HazardRule:
         unknown = self.scopes - set(RULE_SCOPES)
         if unknown or not self.scopes:
             raise ConfigError("BAD_RULE", f"rule {self.hazard_id}: bad scopes {sorted(unknown)}")
-
-    def trigger_token_lists(self) -> list[list[str]]:
-        return [tokenize(trigger) for trigger in self.triggers]
+        object.__setattr__(self, "phrases", _phrases(self.triggers))
 
 
 _DERIVE_SCOPES = frozenset({"labels", "summaries", "snippets"})
@@ -184,26 +194,171 @@ def load_hazard_rules(path: str | Path) -> tuple[HazardRule, ...]:
     return tuple(rules)
 
 
-def _numeric_parameters(action: Action) -> dict[str, float]:
-    out = {}
-    for key, value in action.parameters.items():
-        if isinstance(value, bool):
-            continue
-        if isinstance(value, (int, float)):
-            out[key] = float(value)
-    return out
+_DEFAULT_MANEUVER_PHRASES = tuple((name, _phrases(t)) for name, t in DEFAULT_MANEUVERS.items())
 
 
+def _longest(groups: Iterable[Phrases]) -> int:
+    return max((len(phrase) for phrases in groups for phrase in phrases), default=0)
+
+
+def _matches(grams: set[tuple[str, ...]], phrases: Phrases) -> bool:
+    return any(phrase in grams for phrase in phrases)
+
+
+_PARAM_SPLIT = re.compile(r"[^0-9a-z]+")
+
+
+@lru_cache(maxsize=1024)
 def _norm_param(name: str) -> str:
-    return "_".join(re.split(r"[^0-9a-z]+", name.casefold())).strip("_")
+    return "_".join(_PARAM_SPLIT.split(name.casefold())).strip("_")
 
 
-def _layer_snippets(prompt: StrategyPrompt, layer: str) -> list[ConstraintSnippet]:
-    return [s for s in prompt.constraints if s.layer == layer]
+class ActionFacts(NamedTuple):
+    """What the checks read from one action, computed once per action."""
+
+    text: str
+    tokens: list[str]
+    # (parameter, normalized parameter, value) for each numeric parameter
+    numeric: tuple[tuple[str, str, float], ...]
+    # normalized parameter -> value; a later spelling of a name wins
+    by_param: dict[str, float]
 
 
-def _keyword_regex(keyword: str) -> re.Pattern:
-    return re.compile(rf"\b(?:{keyword})\b", re.IGNORECASE)
+def _action_facts(policy: PolicyAction) -> tuple[ActionFacts, ...]:
+    out = []
+    for action in policy.actions:
+        text = action_text(action)
+        numeric = tuple(
+            (key, _norm_param(key), float(value))
+            for key, value in action.parameters.items()
+            if isinstance(value, (int, float)) and not isinstance(value, bool)
+        )
+        out.append(ActionFacts(text, tokenize(text), numeric, {norm: value for _, norm, value in numeric}))
+    return tuple(out)
+
+
+KeywordCarriers = tuple[tuple[ConstraintSnippet, str, re.Pattern], ...]
+
+
+def _keyword_carriers(snippets: Sequence[ConstraintSnippet]) -> KeywordCarriers:
+    """(snippet, keyword, compiled pattern) per forbidden keyword, in snippet order."""
+    return tuple(
+        (snippet, keyword, keyword_pattern(keyword))
+        for snippet in snippets
+        if snippet.assertions
+        for keyword in snippet.assertions.forbidden_keywords
+    )
+
+
+class Grounding(NamedTuple):
+    """Evidence targets: exact normalized strings, and content-token sets by postings.
+
+    ``postings`` maps a content token to the positions of the distinct
+    non-empty candidate token sets holding it; ``sizes`` holds each set's size.
+    """
+
+    exact: frozenset[str]
+    postings: dict[str, tuple[int, ...]]
+    sizes: tuple[int, ...]
+
+
+def _grounding_targets(z: PerceptionSummary, snippets: Sequence[ConstraintSnippet] = ()) -> Grounding:
+    exact = {normalize_text(label) for label in z.all_labels()}
+    exact.update(normalize_text(obj) for obj in z.objects)
+    exact.discard("")
+    texts = [*z.summary_stages(), *z.all_labels(), *z.objects, *(snippet.text for snippet in snippets)]
+    candidates = dict.fromkeys(frozenset(content_tokens(text)) for text in texts)
+    candidates.pop(frozenset(), None)
+    postings: dict[str, list[int]] = {}
+    for position, tokens in enumerate(candidates):
+        for token in tokens:
+            # interned: prompts drawn from one vocabulary share their keys
+            postings.setdefault(sys.intern(token), []).append(position)
+    return Grounding(
+        frozenset(exact),
+        {token: tuple(positions) for token, positions in postings.items()},
+        tuple(len(tokens) for tokens in candidates),
+    )
+
+
+def _grounded(entry: str, targets: Grounding, threshold: float) -> bool:
+    """Exact normalized match, or token-set Jaccard >= threshold with a candidate.
+
+    Only candidates sharing a token can reach a threshold above 0. With k
+    shared tokens, k / (|E| + |C| - k) is the same integer ratio as
+    |E & C| / |E | C|, so the comparison is bit-identical to brute force.
+    """
+    if normalize_text(entry) in targets.exact:
+        return True
+    tokens = set(content_tokens(entry))
+    shared: dict[int, int] = {}
+    for token in tokens:
+        for position in targets.postings.get(token, ()):
+            shared[position] = shared.get(position, 0) + 1
+    size = len(tokens)
+    sizes = targets.sizes
+    return any(k / (size + sizes[position] - k) >= threshold for position, k in shared.items())
+
+
+class PromptContext(NamedTuple):
+    """Everything validation derives from the prompt alone.
+
+    Built by ``prompt_context`` on the first validation of a prompt under a
+    rule set and maneuver table, then reused for every candidate.
+    """
+
+    hazards_truth: frozenset[str]
+    legal: tuple[ConstraintSnippet, ...]
+    vehicle: tuple[ConstraintSnippet, ...]
+    driver: tuple[ConstraintSnippet, ...]
+    legal_keywords: KeywordCarriers
+    driver_keywords: KeywordCarriers
+    grounding: Grounding
+    maneuvers: tuple[tuple[str, Phrases], ...]
+    maneuver_longest: int
+    # maneuvers whose trigger occurs in a scene label or summary stage
+    scene_maneuvers: frozenset[str]
+
+
+def prompt_context(
+    prompt: StrategyPrompt,
+    rules: Sequence[HazardRule] | None = None,
+    maneuvers: Mapping[str, Sequence[str]] | None = None,
+) -> PromptContext:
+    """The prompt's validation context, built once per (rules, maneuvers) and kept on the prompt."""
+    rules = DEFAULT_HAZARD_RULES if rules is None else tuple(rules)
+    if maneuvers is None:
+        table = _DEFAULT_MANEUVER_PHRASES
+    else:
+        table = tuple((name, _phrases(triggers)) for name, triggers in maneuvers.items())
+    key = (rules, table)
+    context = prompt._validation_contexts.get(key)
+    if context is None:
+        context = prompt._validation_contexts[key] = _build_context(prompt, rules, table)
+    return context
+
+
+def _build_context(
+    prompt: StrategyPrompt, rules: tuple[HazardRule, ...], maneuvers: tuple[tuple[str, Phrases], ...]
+) -> PromptContext:
+    z = prompt.z
+    legal, vehicle, driver = (
+        tuple(s for s in prompt.constraints if s.layer == layer) for layer in ("legal", "vehicle", "driver")
+    )
+    longest = _longest(phrases for _, phrases in maneuvers)
+    scene = token_ngrams([tokenize(text) for text in (*z.scene_labels, *z.summary_stages())], longest)
+    return PromptContext(
+        hazards_truth=derive_hazards(z, prompt.constraints, rules),
+        legal=legal,
+        vehicle=vehicle,
+        driver=driver,
+        legal_keywords=_keyword_carriers(legal),
+        driver_keywords=_keyword_carriers(driver),
+        grounding=_grounding_targets(z, prompt.constraints),
+        maneuvers=maneuvers,
+        maneuver_longest=longest,
+        scene_maneuvers=frozenset(name for name, phrases in maneuvers if _matches(scene, phrases)),
+    )
 
 
 def _na(check_id: str, layer: str, why: str) -> CheckResult:
@@ -226,37 +381,33 @@ def _check_forbidden_action_types(policy, snippets, check_id, layer) -> CheckRes
     return CheckResult(check_id, layer, True, "no forbidden action types used")
 
 
-def _check_forbidden_keywords(policy, snippets, check_id, layer) -> CheckResult:
-    carriers = [s for s in snippets if s.assertions and s.assertions.forbidden_keywords]
+def _check_forbidden_keywords(actions, carriers, check_id, layer) -> CheckResult:
     if not carriers:
         return _na(check_id, layer, "no keyword assertions")
     hits = []
     clause = None
-    for index, action in enumerate(policy.actions):
-        text = action_text(action)
-        for snippet in carriers:
-            for keyword in snippet.assertions.forbidden_keywords:
-                if _keyword_regex(keyword).search(text):
-                    hits.append(f"action {index} matches {keyword!r} (clause {snippet.clause_id})")
-                    clause = clause or snippet.clause_id
+    for index, facts in enumerate(actions):
+        for snippet, keyword, pattern in carriers:
+            if pattern.search(facts.text):
+                hits.append(f"action {index} matches {keyword!r} (clause {snippet.clause_id})")
+                clause = clause or snippet.clause_id
     if hits:
         return CheckResult(check_id, layer, False, "; ".join(hits), clause)
     return CheckResult(check_id, layer, True, "no forbidden keyword present")
 
 
-def _check_snippet_bounds(policy, snippets, check_id, layer) -> CheckResult:
+def _check_snippet_bounds(policy, actions, snippets, check_id, layer) -> CheckResult:
     carriers = [s for s in snippets if s.assertions and s.assertions.parameter_bounds]
     if not carriers:
         return _na(check_id, layer, "no parameter-bound assertions")
     hits = []
     clause = None
-    for index, action in enumerate(policy.actions):
-        numeric = {_norm_param(k): v for k, v in _numeric_parameters(action).items()}
+    for index, (action, facts) in enumerate(zip(policy.actions, actions)):
         for snippet in carriers:
             for bound in snippet.assertions.parameter_bounds:
                 if bound.action_type is not action.action_type:
                     continue
-                value = numeric.get(_norm_param(bound.parameter))
+                value = facts.by_param.get(_norm_param(bound.parameter))
                 if value is None:
                     continue
                 if not bound.minimum <= value <= bound.maximum:
@@ -283,17 +434,16 @@ def _check_actuators(policy, vehicle, check_id) -> CheckResult:
     return CheckResult(check_id, "vehicle", True, "all action channels available")
 
 
-def _check_capability_limits(policy, vehicle, check_id) -> CheckResult:
+def _check_capability_limits(policy, actions, vehicle, check_id) -> CheckResult:
     if not vehicle.capability_limits:
         return _na(check_id, "vehicle", "no capability limits declared")
     hits = []
-    for index, action in enumerate(policy.actions):
+    for index, (action, facts) in enumerate(zip(policy.actions, actions)):
         bounds = vehicle.capability_limits.get(action.action_type.value)
         if not bounds:
             continue
-        numeric = {_norm_param(k): v for k, v in _numeric_parameters(action).items()}
         for parameter, (low, high) in bounds.items():
-            value = numeric.get(_norm_param(parameter))
+            value = facts.by_param.get(_norm_param(parameter))
             if value is not None and not low <= value <= high:
                 hits.append(f"action {index} {parameter}={value:g} outside [{low:g}, {high:g}]")
     if hits:
@@ -322,17 +472,17 @@ def _check_modality_binding(policy, driver, snippets, check_id) -> CheckResult:
     return CheckResult(check_id, "driver", True, "modalities match the bound preference", clause)
 
 
-def _check_cabin_band(policy, driver, check_id) -> CheckResult:
+def _check_cabin_band(policy, actions, driver, check_id) -> CheckResult:
     band = driver.temperature_band()
     if band is None:
         return _na(check_id, "driver", "no temperature band declared")
     low, high = band
     hits = []
-    for index, action in enumerate(policy.actions):
+    for index, (action, facts) in enumerate(zip(policy.actions, actions)):
         if action.action_type is not ActionType.HVAC:
             continue
-        for key, value in _numeric_parameters(action).items():
-            if "temperature" not in _norm_param(key):
+        for key, norm, value in facts.numeric:
+            if "temperature" not in norm:
                 continue
             if not low <= value <= high:
                 hits.append(f"action {index} {key}={value:g} outside band [{low:g}, {high:g}]")
@@ -350,24 +500,16 @@ def _check_hazard_conservatism(hazards_truth, hazards_addressed, check_id) -> Ch
     return CheckResult(check_id, "contextual", True, "every derived hazard is addressed")
 
 
-def _check_maneuver_consistency(policy, z, maneuvers, check_id) -> CheckResult:
-    scene_token_lists = [tokenize(label) for label in z.scene_labels]
-    scene_token_lists.extend(tokenize(stage) for stage in z.summary_stages())
-    action_token_lists = [tokenize(action_text(action)) for action in policy.actions]
+def _check_maneuver_consistency(actions, context: PromptContext, check_id) -> CheckResult:
     hits = []
-    for maneuver, triggers in maneuvers.items():
-        trigger_tokens = [tokenize(trigger) for trigger in triggers]
-        mentioned = [
-            index
-            for index, tokens in enumerate(action_token_lists)
-            if any(contains_phrase(tokens, trig) for trig in trigger_tokens)
-        ]
-        if not mentioned:
+    action_grams = None
+    for maneuver, phrases in context.maneuvers:
+        if maneuver in context.scene_maneuvers:
             continue
-        in_scene = any(
-            contains_phrase(tokens, trig) for tokens in scene_token_lists for trig in trigger_tokens
-        )
-        if not in_scene:
+        if action_grams is None:
+            action_grams = [token_ngrams([facts.tokens], context.maneuver_longest) for facts in actions]
+        mentioned = [index for index, grams in enumerate(action_grams) if _matches(grams, phrases)]
+        if mentioned:
             hits.append(f"actions {mentioned} reference {maneuver} absent from the scene")
     if hits:
         return CheckResult(check_id, "contextual", False, "; ".join(hits))
@@ -380,35 +522,34 @@ def run_layered_checks(
     rules: Sequence[HazardRule] | None = None,
     maneuvers: Mapping[str, tuple[str, ...]] | None = None,
     *,
-    hazards_truth: frozenset[str] | None = None,
     hazards_addressed: frozenset[str] | None = None,
+    actions: Sequence[ActionFacts] | None = None,
 ) -> list[CheckResult]:
     """Run the full check inventory once, in layer order, without early exit.
 
-    Hazard sets the caller already derived with the same rules are passed in
-    rather than derived again.
+    Prompt-only state comes from the prompt's memoized ``PromptContext``. A
+    caller that already holds the policy's addressed hazards (same rules) or
+    its per-action facts passes them in rather than having them recomputed.
     """
-    rules = DEFAULT_HAZARD_RULES if rules is None else tuple(rules)
-    maneuvers = DEFAULT_MANEUVERS if maneuvers is None else maneuvers
-    legal = _layer_snippets(prompt, "legal")
-    vehicle_snips = _layer_snippets(prompt, "vehicle")
-    driver_snips = _layer_snippets(prompt, "driver")
-    if hazards_truth is None:
-        hazards_truth = derive_hazards(prompt.z, prompt.constraints, rules)
+    context = prompt_context(prompt, rules, maneuvers)
+    if actions is None:
+        actions = _action_facts(policy)
     if hazards_addressed is None:
-        hazards_addressed = extract_addressed_hazards(policy, rules)
+        hazards_addressed = extract_addressed_hazards(policy, rules, actions=actions)
     return [
-        _check_forbidden_action_types(policy, legal, "legal.forbidden_action_type", "legal"),
-        _check_forbidden_keywords(policy, legal, "legal.forbidden_keyword", "legal"),
-        _check_snippet_bounds(policy, legal, "legal.parameter_bounds", "legal"),
+        _check_forbidden_action_types(policy, context.legal, "legal.forbidden_action_type", "legal"),
+        _check_forbidden_keywords(actions, context.legal_keywords, "legal.forbidden_keyword", "legal"),
+        _check_snippet_bounds(policy, actions, context.legal, "legal.parameter_bounds", "legal"),
         _check_actuators(policy, prompt.vehicle, "vehicle.actuator_available"),
-        _check_capability_limits(policy, prompt.vehicle, "vehicle.capability_limits"),
-        _check_snippet_bounds(policy, vehicle_snips, "vehicle.snippet_bounds", "vehicle"),
-        _check_modality_binding(policy, prompt.driver, driver_snips, "driver.modality_binding"),
-        _check_cabin_band(policy, prompt.driver, "driver.cabin_band"),
-        _check_forbidden_keywords(policy, driver_snips, "driver.sensitivity_trigger", "driver"),
-        _check_hazard_conservatism(hazards_truth, hazards_addressed, "contextual.hazard_conservatism"),
-        _check_maneuver_consistency(policy, prompt.z, maneuvers, "contextual.maneuver_consistency"),
+        _check_capability_limits(policy, actions, prompt.vehicle, "vehicle.capability_limits"),
+        _check_snippet_bounds(policy, actions, context.vehicle, "vehicle.snippet_bounds", "vehicle"),
+        _check_modality_binding(policy, prompt.driver, context.driver, "driver.modality_binding"),
+        _check_cabin_band(policy, actions, prompt.driver, "driver.cabin_band"),
+        _check_forbidden_keywords(actions, context.driver_keywords, "driver.sensitivity_trigger", "driver"),
+        _check_hazard_conservatism(
+            context.hazards_truth, hazards_addressed, "contextual.hazard_conservatism"
+        ),
+        _check_maneuver_consistency(actions, context, "contextual.maneuver_consistency"),
     ]
 
 
@@ -440,43 +581,50 @@ def derive_hazards(
     snippets: Sequence[ConstraintSnippet] = (),
     rules: Sequence[HazardRule] | None = None,
 ) -> frozenset[str]:
-    """Hazards H whose rule fires on labels, summary stages, or snippet text."""
+    """Hazards H whose rule fires on labels, summary stages, or snippet text.
+
+    A trigger fires when its tokens occur contiguously inside one label, one
+    stage, or one snippet text of a scope the rule covers.
+    """
     rules = DEFAULT_HAZARD_RULES if rules is None else tuple(rules)
+    longest = _longest(rule.phrases for rule in rules)
     sources = {
         "labels": [tokenize(label) for label in z.all_labels()],
         "summaries": [tokenize(stage) for stage in z.summary_stages()],
         "snippets": [tokenize(snippet.text) for snippet in snippets],
     }
-    hazards = set()
-    for rule in rules:
-        trigger_lists = rule.trigger_token_lists()
-        for scope in rule.scopes & _DERIVE_SCOPES:
-            if any(
-                contains_phrase(tokens, trig)
-                for tokens in sources[scope]
-                for trig in trigger_lists
-            ):
-                hazards.add(rule.hazard_id)
-                break
-    return frozenset(hazards)
+    grams = {scope: token_ngrams(token_lists, longest) for scope, token_lists in sources.items()}
+    return frozenset(
+        rule.hazard_id
+        for rule in rules
+        if any(_matches(grams[scope], rule.phrases) for scope in rule.scopes & _DERIVE_SCOPES)
+    )
 
 
 def extract_addressed_hazards(
-    policy: PolicyAction, rules: Sequence[HazardRule] | None = None
+    policy: PolicyAction,
+    rules: Sequence[HazardRule] | None = None,
+    *,
+    actions: Sequence[ActionFacts] | None = None,
 ) -> frozenset[str]:
     """Hazards the policy mentions in objectives, ledger, rationale, or params.
 
     Evidence entries are out of scope: quoting a hazard is not addressing it.
     Rule scopes do not apply here, so a policy that quotes every trigger of a
-    derived hazard always covers it.
+    derived hazard always covers it. The scanned text is ``policy_text``, one
+    token run, so a trigger may span two of its parts.
     """
     rules = DEFAULT_HAZARD_RULES if rules is None else tuple(rules)
-    tokens = tokenize(policy_text(policy))
-    hazards = set()
-    for rule in rules:
-        if any(contains_phrase(tokens, trig) for trig in rule.trigger_token_lists()):
-            hazards.add(rule.hazard_id)
-    return frozenset(hazards)
+    if actions is None:
+        actions = _action_facts(policy)
+    # tokenize(policy_text(policy)), reusing each action's tokens
+    tokens = tokenize(policy.objectives)
+    for entry in policy.constraints.populated().values():
+        tokens.extend(tokenize(entry))
+    for facts in actions:
+        tokens.extend(facts.tokens)
+    grams = token_ngrams([tokens], _longest(rule.phrases for rule in rules))
+    return frozenset(rule.hazard_id for rule in rules if _matches(grams, rule.phrases))
 
 
 def evidence_coverage(
@@ -484,37 +632,26 @@ def evidence_coverage(
     z: PerceptionSummary,
     snippets: Sequence[ConstraintSnippet] = (),
     match_cfg: MatchConfig | None = None,
+    *,
+    targets: Grounding | None = None,
 ) -> float:
     """Mean per-action fraction of evidence entries grounded in the context.
 
     An entry is grounded when it equals a label or object id (normalized) or
     its content-token Jaccard overlap with any summary stage, label, object,
     or snippet text reaches the threshold. Zero-evidence actions contribute 0.
+    ``targets`` is the prompt context's grounding, when the caller holds it.
     """
     cfg = match_cfg or MatchConfig()
-    exact = {normalize_text(label) for label in z.all_labels()}
-    exact.update(normalize_text(obj) for obj in z.objects)
-    exact.discard("")
-    candidates = [set(content_tokens(stage)) for stage in z.summary_stages()]
-    candidates.extend(set(content_tokens(label)) for label in z.all_labels())
-    candidates.extend(set(content_tokens(obj)) for obj in z.objects)
-    candidates.extend(set(content_tokens(snippet.text)) for snippet in snippets)
-    candidates = [c for c in candidates if c]
-
+    if targets is None:
+        targets = _grounding_targets(z, snippets)
     fractions = []
     for action in policy.actions:
         entries = action.evidence.all_entries()
         if not entries:
             fractions.append(0.0)
             continue
-        matched = 0
-        for entry in entries:
-            if normalize_text(entry) in exact:
-                matched += 1
-                continue
-            entry_tokens = set(content_tokens(entry))
-            if any(jaccard(entry_tokens, candidate) >= cfg.threshold for candidate in candidates):
-                matched += 1
+        matched = sum(_grounded(entry, targets, cfg.threshold) for entry in entries)
         fractions.append(matched / len(entries))
     if not fractions:
         return 0.0
@@ -548,7 +685,7 @@ def validate(document: str | bytes, prompt: StrategyPrompt, config: RunConfig | 
     weights = check_weights(cfg.ecpo_weights)
     rules = cfg.hazard_rules()
     outcome = parse_policy(document, j_max=cfg.j_max)
-    hazards_truth = derive_hazards(prompt.z, prompt.constraints, rules)
+    context = prompt_context(prompt, rules)
     if not outcome.valid:
         return EcpoReport(
             checks=(),
@@ -561,17 +698,20 @@ def validate(document: str | bytes, prompt: StrategyPrompt, config: RunConfig | 
             low_level_matches=(),
             schema_valid=False,
             defects=outcome.defects,
-            hazards_truth=hazards_truth,
+            hazards_truth=context.hazards_truth,
             hazards_addressed=frozenset(),
         )
     policy = outcome.policy
-    hazards_addressed = extract_addressed_hazards(policy, rules)
+    actions = _action_facts(policy)
+    hazards_addressed = extract_addressed_hazards(policy, rules, actions=actions)
     checks = run_layered_checks(
-        policy, prompt, rules=rules, hazards_truth=hazards_truth, hazards_addressed=hazards_addressed
+        policy, prompt, rules=rules, hazards_addressed=hazards_addressed, actions=actions
     )
     summary = violation_summary(checks)
     s_core = core_score(summary)
-    s_evd = evidence_coverage(policy, prompt.z, prompt.constraints, MatchConfig(cfg.match_threshold))
+    s_evd = evidence_coverage(
+        policy, prompt.z, prompt.constraints, MatchConfig(cfg.match_threshold), targets=context.grounding
+    )
     s_str = structural_score(outcome, cfg.penalty_table)
     return EcpoReport(
         checks=tuple(checks),
@@ -584,7 +724,7 @@ def validate(document: str | bytes, prompt: StrategyPrompt, config: RunConfig | 
         low_level_matches=tuple(detect_low_level_control(policy, cfg.lexicon())),
         schema_valid=True,
         defects=outcome.defects,
-        hazards_truth=hazards_truth,
+        hazards_truth=context.hazards_truth,
         hazards_addressed=hazards_addressed,
     )
 

@@ -21,7 +21,7 @@ from ecpo.context import (
 )
 from ecpo.policy import ActionType
 from ecpo.store import Assertions, ConstraintSnippet, ParameterBound, RetrievalQuery
-from ecpo.textnorm import content_tokens, lexical_cosine
+from ecpo.textnorm import content_tokens, lexical_cosine, normalize_text, tokenize
 from ecpo.validator import CheckResult, EcpoReport, ViolationSummary
 
 MASK64 = (1 << 64) - 1
@@ -185,6 +185,54 @@ def lexical_ranking_reference(
     scored = [(lexical_cosine(content_tokens(s.text), query_tokens), s.snippet_id) for s in snippets]
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     return tuple((snippet_id, score) for score, snippet_id in scored[:top_k])
+
+
+def contains_phrase(tokens: list[str], phrase_tokens: list[str]) -> bool:
+    """Sliding-window reference: ``phrase_tokens`` occurs contiguously in ``tokens``."""
+    if not phrase_tokens or len(phrase_tokens) > len(tokens):
+        return False
+    width = len(phrase_tokens)
+    for start in range(len(tokens) - width + 1):
+        if tokens[start:start + width] == phrase_tokens:
+            return True
+    return False
+
+
+def jaccard(left: set[str], right: set[str]) -> float:
+    """Token-set Jaccard; either side empty scores 0.0 (nothing to ground)."""
+    if not left or not right:
+        return 0.0
+    union = left | right
+    return len(left & right) / len(union)
+
+
+def derive_hazards_reference(z, snippets, rules) -> frozenset[str]:
+    """Hazards whose trigger occurs, by sliding window, in one text of a covered scope."""
+    sources = {
+        "labels": list(z.driver_labels) + list(z.scene_labels),
+        "summaries": [z.summary_initial, z.summary_transition, z.summary_final],
+        "snippets": [snippet.text for snippet in snippets],
+    }
+    fired = set()
+    for rule in rules:
+        for scope in ("labels", "summaries", "snippets"):
+            if scope not in rule.scopes:
+                continue
+            for text in sources[scope]:
+                if any(contains_phrase(tokenize(text), tokenize(trigger)) for trigger in rule.triggers):
+                    fired.add(rule.hazard_id)
+    return frozenset(fired)
+
+
+def grounded_reference(entry: str, z, snippets, threshold: float) -> bool:
+    """Exact label/object match, or Jaccard >= threshold against every candidate text."""
+    exact = {normalize_text(text) for text in z.driver_labels + z.scene_labels + z.objects} - {""}
+    if normalize_text(entry) in exact:
+        return True
+    texts = [z.summary_initial, z.summary_transition, z.summary_final]
+    texts += list(z.driver_labels + z.scene_labels + z.objects) + [s.text for s in snippets]
+    entry_tokens = set(content_tokens(entry))
+    return any(jaccard(entry_tokens, set(content_tokens(text))) >= threshold for text in texts)
 
 
 def fake_report(ecpo: float, schema_valid: bool = True, severity: int = 0, count: int = 0) -> EcpoReport:

@@ -93,6 +93,61 @@ def test_validate_missing_file_exits_1(tmp_path, rain_prompt, capsys):
     assert "MISSING_FILE" in err
 
 
+def assert_one_error(err: str, code: str) -> None:
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {code}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bound", [["a", 1], [True, 5], [0, float("nan")], [float("-inf"), 1], [0, 10**400]])
+@pytest.mark.parametrize("command", ["validate", "retrieve"])
+def test_mistyped_capability_bound_exits_1(tmp_path, rain_prompt, rain_policy_dict, bound, command, capsys):
+    prompt = prompt_to_dict(rain_prompt)
+    prompt["vehicle"] = {"available_actuators": ["Hvac"], "capability_limits": {"Hvac": {"temp": bound}}}
+    prompts = write_jsonl(tmp_path / "p.jsonl", [prompt])
+    if command == "validate":
+        policies = write_jsonl(tmp_path / "d.jsonl", [{"prompt_id": "rain-01", "document": rain_policy_dict}])
+        argv = ["validate", "--policies", policies, "--prompts", prompts]
+    else:
+        store = write_jsonl(tmp_path / "s.jsonl", [{"snippet_id": "a", "layer": "legal", "clause_id": "c",
+                                                   "text": "keep right"}])
+        argv = ["retrieve", "--store", store, "--prompt", prompts]
+    code, lines, err = run_cli(argv, capsys)
+    assert code == 1
+    assert lines == []
+    assert_one_error(err, "BAD_PROFILE")
+
+
+@pytest.mark.parametrize("prompt_id", [["rain-01"], {"id": "rain-01"}, 7, None])
+def test_validate_non_string_prompt_id_exits_1(tmp_path, rain_prompt, rain_policy_dict, prompt_id, capsys):
+    prompts = write_jsonl(tmp_path / "p.jsonl", [prompt_to_dict(rain_prompt)])
+    policies = write_jsonl(tmp_path / "d.jsonl", [{"prompt_id": prompt_id, "document": rain_policy_dict}])
+    code, lines, err = run_cli(["validate", "--policies", policies, "--prompts", prompts], capsys)
+    assert code == 1
+    assert lines == []
+    assert_one_error(err, "BAD_RECORD")
+
+
+@pytest.mark.parametrize("command", ["validate", "retrieve"])
+def test_config_echoed_once_per_run(tmp_path, rain_prompt, command, monkeypatch, capsys):
+    if command == "validate":
+        prompts = write_jsonl(tmp_path / "p.jsonl", [prompt_to_dict(rain_prompt)])
+        policies = write_jsonl(tmp_path / "d.jsonl", [{"prompt_id": "rain-01", "document": "{broken"}] * 3)
+        argv = ["validate", "--policies", policies, "--prompts", prompts]
+    else:
+        prompts = write_jsonl(tmp_path / "p.jsonl", [prompt_to_dict(rain_prompt)] * 3)
+        store = write_jsonl(tmp_path / "s.jsonl", [{"snippet_id": "a", "layer": "legal", "clause_id": "c",
+                                                   "text": "slow down in rain"}])
+        argv = ["retrieve", "--store", store, "--prompt", prompts]
+    calls = []
+    echo = cli.RunConfig.echo
+    monkeypatch.setattr(cli.RunConfig, "echo", lambda self: calls.append(self) or echo(self))
+    code, lines, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(calls) == 1
+    assert [line["config"] for line in lines] == [echo(cli.RunConfig())] * 3
+
+
 def test_weights_flag_overrides_config(rain_files, capsys):
     prompts, policies = rain_files
     code, lines, _ = run_cli(
@@ -285,6 +340,23 @@ def test_eval_without_ratings_reports_no_ratings(tmp_path, rain_policy_dict, cap
     code, lines, _ = run_cli(["eval", "--records", records], capsys)
     assert code == 0
     assert lines[0]["reasons"]["has_mean"] == "NO_RATINGS"
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"truth": "abc", "prediction": ["a"]},
+        {"truth": ["a"], "prediction": 5},
+        {"truth": ["a", 1], "prediction": []},
+        {"truth": {"a": 1}, "prediction": []},
+    ],
+)
+def test_eval_mistyped_label_record_exits_1(tmp_path, record, capsys):
+    records = write_jsonl(tmp_path / "r.jsonl", [{"kind": "labels", **record}])
+    code, lines, err = run_cli(["eval", "--records", records], capsys)
+    assert code == 1
+    assert lines == []
+    assert_one_error(err, "BAD_RECORD")
 
 
 def test_eval_unknown_kind_exits_1(tmp_path, capsys):

@@ -161,6 +161,15 @@ def test_parameter_coercions():
     assert outcome.defect_codes().count("BAD_PARAMETER_VALUE") == 4
 
 
+def test_integer_past_float_range_dropped():
+    # the checks compare parameters as floats; this one would overflow
+    doc = minimal_doc()
+    doc["actions"][0]["parameters"] = {"temperature": 10**400, "level": -(10**300)}
+    outcome = parse(doc)
+    assert outcome.policy.actions[0].parameters == {"level": -(10**300)}
+    assert outcome.defect_codes().count("BAD_PARAMETER_VALUE") == 1
+
+
 def test_bad_evidence_entries_dropped():
     doc = minimal_doc()
     doc["actions"][0]["evidence"] = {"labels": ["ok", 7, " "], "objects": "not a list"}

@@ -50,6 +50,9 @@ def test_parameter_bound_and_keyword_validation():
         ParameterBound(ActionType.HVAC, "fan", 5.0, 1.0)
     with pytest.raises(InputError):
         Assertions(forbidden_keywords=("ok", "broken(",))
+    # compiles alone, but not inside the whole-word group the checks wrap it in
+    with pytest.raises(InputError):
+        Assertions(forbidden_keywords=("(?i)horn",))
 
 
 def test_query_requires_terms():

@@ -3,14 +3,14 @@ import math
 from hypothesis import given, strategies as st
 
 from ecpo.textnorm import (
-    contains_phrase,
     content_tokens,
     dedup_preserve_order,
-    jaccard,
     lexical_cosine,
     normalize_text,
+    token_ngrams,
     tokenize,
 )
+from oracles import contains_phrase, jaccard
 
 words = st.lists(st.sampled_from("alpha beta gamma delta rain fog lane".split()), max_size=8)
 
@@ -49,12 +49,17 @@ def test_cosine_known_value():
     assert math.isclose(lexical_cosine(["a", "b"], ["a"]), 1 / math.sqrt(2), rel_tol=1e-12)
 
 
+def phrase_in(tokens: list[str], phrase: list[str]) -> bool:
+    """Phrase matching as the validator does it: one n-gram set lookup."""
+    return tuple(phrase) in token_ngrams([tokens], len(phrase))
+
+
 def test_contains_phrase_requires_contiguous_match():
     haystack = tokenize("dense traffic builds up ahead")
-    assert contains_phrase(haystack, tokenize("dense traffic"))
-    assert contains_phrase(haystack, tokenize("traffic builds up"))
-    assert not contains_phrase(haystack, tokenize("dense ahead"))
-    assert not contains_phrase(haystack, [])
+    assert phrase_in(haystack, tokenize("dense traffic"))
+    assert phrase_in(haystack, tokenize("traffic builds up"))
+    assert not phrase_in(haystack, tokenize("dense ahead"))
+    assert not phrase_in(haystack, [])
 
 
 @given(words, words)
@@ -74,3 +79,22 @@ def test_jaccard_symmetric_and_bounded(a, b):
 @given(st.text())
 def test_tokenize_stable_under_normalization(text):
     assert tokenize(normalize_text(text)) == tokenize(text)
+
+
+# A three-letter alphabet forces repeated tokens and overlapping partial matches.
+letters = st.lists(st.sampled_from("abc"), max_size=6)
+
+
+@given(st.lists(letters, max_size=4), st.lists(letters, min_size=1, max_size=4))
+def test_ngram_matching_equals_sliding_window(texts, phrases):
+    # phrases include the empty phrase and phrases longer than every text
+    grams = token_ngrams(texts, max(len(phrase) for phrase in phrases))
+    for phrase in phrases:
+        assert (tuple(phrase) in grams) == any(contains_phrase(tokens, phrase) for tokens in texts)
+
+
+def test_ngrams_never_span_two_texts():
+    texts = [tokenize("heavy"), tokenize("rain")]
+    assert ("heavy", "rain") not in token_ngrams(texts, 2)
+    assert ("heavy", "rain") in token_ngrams([tokenize("heavy rain")], 2)
+    assert token_ngrams(texts, 0) == set()

@@ -4,13 +4,23 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ecpo import validator
 from ecpo.config import RunConfig
-from ecpo.context import DriverProfile, PerceptionSummary, StrategyPrompt, VehicleProfile
+from ecpo.context import (
+    DriverProfile,
+    PerceptionSummary,
+    StrategyPrompt,
+    VehicleProfile,
+    prompt_from_dict,
+    prompt_to_dict,
+)
 from ecpo.errors import ConfigError, InputError, InvariantError
 from ecpo.policy import parse_policy
+from ecpo.store import ConstraintSnippet
 from ecpo.validator import (
     DEFAULT_HAZARD_RULES,
     LAYER_SEVERITY,
+    HazardRule,
     MatchConfig,
     ViolationSummary,
     check_weights,
@@ -21,13 +31,21 @@ from ecpo.validator import (
     evidence_coverage,
     extract_addressed_hazards,
     load_hazard_rules,
+    prompt_context,
     report_from_dict,
     report_to_dict,
     run_layered_checks,
     validate,
     violation_summary,
 )
-from oracles import PLANT_LAYERS, build_planted_case, core_reference, ecpo_reference
+from oracles import (
+    PLANT_LAYERS,
+    build_planted_case,
+    core_reference,
+    derive_hazards_reference,
+    ecpo_reference,
+    grounded_reference,
+)
 
 
 def run_checks(plants: set[str]):
@@ -343,3 +361,111 @@ def test_validate_flags_low_level_language(rain_prompt):
 def test_report_round_trip(hot_cabin_policy_dict, comfort_prompt):
     report = validate(json.dumps(hot_cabin_policy_dict), comfort_prompt)
     assert report_from_dict(report_to_dict(report)) == report
+
+
+# --- phrase matching and grounding against brute force -------------------------------
+
+# Trigger words and their pieces, so labels and stages often hold, split, or
+# repeat a trigger.
+VOCAB = "heavy rain fog traffic jam dense backing up reverse the of wet road".split()
+texts = st.lists(st.sampled_from(VOCAB), max_size=5).map(" ".join)
+text_lists = st.lists(texts, max_size=3).map(tuple)
+rule_sets = st.lists(
+    st.builds(
+        HazardRule,
+        st.sampled_from(["h1", "h2", "h3"]),
+        # "!!" tokenizes to the empty phrase, which never matches
+        st.lists(st.one_of(texts, st.just("!!")), min_size=1, max_size=3).map(tuple),
+        st.frozensets(st.sampled_from(["labels", "summaries", "snippets", "policy_text"]), min_size=1),
+    ),
+    max_size=4,
+).map(tuple)
+
+
+def perception(labels, stages) -> PerceptionSummary:
+    return PerceptionSummary(
+        driver_labels=labels[:1], scene_labels=labels[1:], summary_initial=stages[0], summary_final=stages[1]
+    )
+
+
+def snippets_of(bodies) -> tuple:
+    return tuple(ConstraintSnippet(f"s{i}", "legal", f"c{i}", body) for i, body in enumerate(bodies) if body)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(texts, max_size=4).map(tuple), st.tuples(texts, texts), text_lists,
+       st.one_of(st.just(DEFAULT_HAZARD_RULES), rule_sets))
+def test_derive_hazards_equals_sliding_window_reference(labels, stages, bodies, rules):
+    z = perception(labels, stages)
+    snippets = snippets_of(bodies)
+    assert derive_hazards(z, snippets, rules) == derive_hazards_reference(z, snippets, rules)
+
+
+def test_trigger_split_across_two_labels_does_not_fire():
+    rules = (HazardRule("wet", ("heavy rain",), frozenset({"labels"})),)
+    assert derive_hazards(PerceptionSummary(scene_labels=("heavy", "rain")), (), rules) == frozenset()
+    assert derive_hazards(PerceptionSummary(scene_labels=("heavy rain",)), (), rules) == frozenset({"wet"})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(texts, min_size=1, max_size=4), st.lists(texts, max_size=4).map(tuple),
+       st.tuples(texts, texts), text_lists, st.floats(0.01, 1.0))
+def test_postings_grounding_equals_brute_force_jaccard(entries, labels, stages, bodies, threshold):
+    z = perception(labels, stages)
+    z = PerceptionSummary(z.driver_labels, z.scene_labels, z.summary_initial, "", z.summary_final, labels[:2])
+    snippets = snippets_of(bodies)
+    policy = coverage_doc({"in_cabin_text": entries})
+    kept = policy.actions[0].evidence.all_entries()  # the parser drops empty entries
+    matched = sum(grounded_reference(entry, z, snippets, threshold) for entry in kept)
+    coverage = evidence_coverage(policy, z, snippets, MatchConfig(threshold))
+    assert coverage == (matched / len(kept) if kept else 0.0)
+
+
+# --- the per-prompt validation context -----------------------------------------------
+
+
+def test_prompt_context_built_once_per_prompt(rain_policy_dict, rain_prompt, monkeypatch):
+    calls = []
+    original = validator.derive_hazards
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(validator, "derive_hazards", counting)
+    document = json.dumps(rain_policy_dict)
+    reports = [validate(document if i % 4 else "{broken", rain_prompt) for i in range(8)]
+    assert len(calls) == 1
+    assert all(report.hazards_truth == reports[0].hazards_truth for report in reports)
+
+
+def test_prompt_context_kept_apart_per_rule_set(rain_policy_dict, rain_prompt, tmp_path):
+    fog = tmp_path / "fog.tsv"
+    fog.write_text("fog|rain\t*\tpoor_sight\n", encoding="utf-8")
+    jam = tmp_path / "jam.tsv"
+    jam.write_text("dense traffic\t*\tcongested\n", encoding="utf-8")
+    document = json.dumps(rain_policy_dict)
+    fog_config, jam_config = RunConfig(hazard_rules_path=str(fog)), RunConfig(hazard_rules_path=str(jam))
+    for _ in range(2):
+        assert validate(document, rain_prompt, fog_config).hazards_truth == {"poor_sight"}
+        assert validate(document, rain_prompt, jam_config).hazards_truth == {"congested"}
+        assert validate(document, rain_prompt).hazards_truth == derive_hazards(rain_prompt.z)
+    assert len(rain_prompt._validation_contexts) == 3
+    assert prompt_context(rain_prompt) is prompt_context(rain_prompt, DEFAULT_HAZARD_RULES)
+
+
+def test_reused_prompt_reports_equal_fresh_prompt_reports(hot_cabin_policy_dict, comfort_prompt):
+    document = json.dumps(hot_cabin_policy_dict)
+    for _ in range(3):
+        reused = validate(document, comfort_prompt)
+    fresh = validate(document, prompt_from_dict(prompt_to_dict(comfort_prompt)))
+    assert reused == fresh
+    assert report_to_dict(reused) == report_to_dict(fresh)
+
+
+def test_prompt_context_is_not_part_of_prompt_equality(rain_prompt):
+    copy = prompt_from_dict(prompt_to_dict(rain_prompt))
+    prompt_context(rain_prompt)
+    assert rain_prompt == copy
+    assert "_validation_contexts" not in repr(rain_prompt)
+
