@@ -6,7 +6,7 @@ the preference pair, prints the pairwise loss at a few temperatures, and
 finishes with the offline metric report. Everything is seeded and
 stdlib-only; run it directly:
 
-    python3 scripts/run_pipeline_demo.py [--beta 2.0] [--lambda-ecpo 0.1]
+    python3 scripts/run_pipeline_demo.py [--beta 2.0] [--token-budget 40]
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from ecpo.store import (
     load_store,
     retrieve,
 )
-from ecpo.validator import report_to_dict, validate
+from ecpo.validator import validate
 
 RAIN_SUMMARY = "heavy rain with limited visibility and dense traffic ahead"
 
@@ -117,12 +117,10 @@ def build_prompt(constraints: tuple[ConstraintSnippet, ...]) -> StrategyPrompt:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--beta", type=float, default=2.0, help="loss temperature (mandatory downstream)")
-    parser.add_argument("--lambda-ecpo", type=float, default=0.1, dest="lambda_ecpo",
-                        help="weight of the pairwise term in the combined objective")
     parser.add_argument("--token-budget", type=int, default=40, help="compression budget in tokens")
     args = parser.parse_args()
 
-    config = RunConfig(beta=args.beta, lambda_ecpo=args.lambda_ecpo, token_budget=args.token_budget)
+    config = RunConfig(beta=args.beta, token_budget=args.token_budget)
 
     print("== retrieval ==")
     store = load_store(SNIPPETS)
@@ -150,13 +148,12 @@ def main() -> int:
         )
 
     print("\n== preference pair ==")
-    pair = select_pair(CandidateSet(prompt.prompt_id, tuple(candidates)), gap_min=config.gap_min)
+    pair = select_pair(CandidateSet(prompt.prompt_id, tuple(candidates)), config)
     if pair is None:
         print("  no pair: score gap too small")
         return 0
     print(f"  plus={pair.plus_id} minus={pair.minus_id} gap={pair.gap:.4f} weight={pair.weight:.4f}")
-    training = config.training()
-    for beta in (0.5, training.beta, 8.0):
+    for beta in (0.5, config.beta, 8.0):
         reports = {c.candidate_id: c.report for c in candidates}
         loss = pairwise_loss(reports[pair.plus_id].ecpo, reports[pair.minus_id].ecpo, beta=beta, w=pair.weight)
         print(f"  pairwise loss at beta={beta:<4} -> {loss:.6f}")

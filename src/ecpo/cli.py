@@ -42,7 +42,7 @@ from .metrics import (
     spearman,
     strategy_metrics,
 )
-from .preference import Candidate, CandidateSet, PsiConfig, select_pair, export_preference_dataset
+from .preference import Candidate, CandidateSet, select_pair, export_preference_dataset
 from .store import LexicalScorer, build_query, compress, load_store, retrieve, snippet_from_dict
 from .validator import report_to_dict, validate
 
@@ -90,6 +90,13 @@ def _record_field(record: object, key: str, path: str) -> object:
     return record[key]
 
 
+def _prompt_id(record: object, path: str) -> str:
+    prompt_id = _record_field(record, "prompt_id", path)
+    if not isinstance(prompt_id, str):
+        raise InputError("BAD_RECORD", f"{path}: prompt_id must be a string, got {prompt_id!r}")
+    return prompt_id
+
+
 def _label_list(record: object, key: str, path: str) -> list[str]:
     value = _record_field(record, key, path)
     if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
@@ -128,9 +135,7 @@ def cmd_validate(args, config: RunConfig) -> list[str]:
     valid_count = 0
     records = _read_jsonl(args.policies)
     for index, record in enumerate(records):
-        prompt_id = _record_field(record, "prompt_id", args.policies)
-        if not isinstance(prompt_id, str):
-            raise InputError("BAD_RECORD", f"{args.policies}: prompt_id must be a string, got {prompt_id!r}")
+        prompt_id = _prompt_id(record, args.policies)
         document = _record_field(record, "document", args.policies)
         prompt = prompts.get(prompt_id)
         if prompt is None:
@@ -156,12 +161,11 @@ def cmd_validate(args, config: RunConfig) -> list[str]:
 
 
 def cmd_pairs(args, config: RunConfig) -> list[str]:
-    psi = PsiConfig(config.psi_floor, config.psi_ceiling)
     pairs = []
     sets: dict[str, CandidateSet] = {}
     prompt_payloads: dict[str, object] = {}
     for record in _read_jsonl(args.candidates):
-        prompt_id = _record_field(record, "prompt_id", args.candidates)
+        prompt_id = _prompt_id(record, args.candidates)
         raw_candidates = _record_field(record, "candidates", args.candidates)
         if not isinstance(raw_candidates, list) or not raw_candidates:
             raise InputError("BAD_RECORD", f"{args.candidates}: candidates must be a non-empty list")
@@ -172,6 +176,10 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
         candidates = []
         for index, entry in enumerate(raw_candidates):
             candidate_id = entry.get("candidate_id", str(index)) if isinstance(entry, dict) else str(index)
+            if not isinstance(candidate_id, str):
+                raise InputError(
+                    "BAD_RECORD", f"{args.candidates}: candidate_id must be a string, got {candidate_id!r}"
+                )
             document = _document_text(_record_field(entry, "document", args.candidates))
             candidates.append(
                 Candidate(
@@ -183,7 +191,7 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
         candidate_set = CandidateSet(prompt_id=prompt_id, candidates=tuple(candidates))
         sets[prompt_id] = candidate_set
         prompt_payloads[prompt_id] = raw_prompt
-        pair = select_pair(candidate_set, psi=psi, gap_min=config.gap_min)
+        pair = select_pair(candidate_set, config)
         if pair is None:
             _log(f"pairs: skip prompt {prompt_id!r} (score gap <= {config.gap_min})")
         else:
@@ -196,7 +204,7 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
 def _eval_strategy_records(records: list[dict], config: RunConfig, path: str) -> list[StrategyEvalRecord]:
     out = []
     for record in records:
-        prompt_id = _record_field(record, "prompt_id", path)
+        prompt_id = _prompt_id(record, path)
         document = _document_text(_record_field(record, "document", path))
         raw_prompt = record.get("prompt")
         prompt = prompt_from_dict(raw_prompt if isinstance(raw_prompt, dict) else {"prompt_id": prompt_id})

@@ -1,8 +1,10 @@
 """Run configuration: one frozen value governing every tunable.
 
-Defaults reproduce the documented module-level defaults exactly. beta and
-lambda_ecpo have no blessed defaults on purpose; operations that need them
-fail with MISSING_BETA / MISSING_LAMBDA until the caller sets them.
+Every tunable is validated here and only here; library functions take a
+``RunConfig`` (or build the default one) instead of loose values. beta and
+lambda_ecpo have no blessed defaults on purpose: ``pairwise_loss`` raises
+MISSING_BETA until the caller sets beta, and lambda_ecpo is only validated
+and echoed, since the combined objective belongs to the external trainer.
 
 Referenced files (lexicon, hazard rules, label vocabulary) must exist when
 the config is built; relative paths in a config file resolve against the
@@ -16,13 +18,29 @@ import json
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
+from typing import Sequence
 
 from .errors import ConfigError
 from .policy import DEFAULT_J_MAX, PenaltyTable
+from .store import is_finite_number
 
 DEFAULT_WEIGHTS = (0.5, 0.3, 0.2)
 
 _WEIGHT_TOLERANCE = 1e-9
+
+
+def check_weights(weights: Sequence[float]) -> tuple[float, float, float]:
+    """The weight-row rule: three finite non-negative numbers summing to 1 within 1e-9."""
+    if (
+        not isinstance(weights, (list, tuple))
+        or len(weights) != 3
+        or not all(is_finite_number(w) and w >= 0 for w in weights)
+    ):
+        raise ConfigError("BAD_WEIGHTS", f"need three finite non-negative weights, got {weights!r}")
+    values = tuple(float(w) for w in weights)
+    if abs(sum(values) - 1.0) > _WEIGHT_TOLERANCE:
+        raise ConfigError("BAD_WEIGHTS", f"weights {values} do not sum to 1")
+    return values
 
 
 @dataclass(frozen=True)
@@ -47,12 +65,7 @@ class RunConfig:
     prng: str = "splitmix64"
 
     def __post_init__(self):
-        weights = tuple(float(w) for w in self.ecpo_weights)
-        if len(weights) != 3 or any(w < 0 for w in weights):
-            raise ConfigError("BAD_WEIGHTS", f"need three non-negative weights, got {self.ecpo_weights!r}")
-        if abs(sum(weights) - 1.0) > _WEIGHT_TOLERANCE:
-            raise ConfigError("BAD_WEIGHTS", f"weights {weights} do not sum to 1")
-        object.__setattr__(self, "ecpo_weights", weights)
+        object.__setattr__(self, "ecpo_weights", check_weights(self.ecpo_weights))
         if not 0.0 < self.match_threshold <= 1.0:
             raise ConfigError("BAD_THRESHOLD", f"match_threshold must be in (0, 1], got {self.match_threshold}")
         if self.epsilon <= 0:
@@ -103,20 +116,6 @@ class RunConfig:
         if self.label_vocab_path is None:
             return DEFAULT_LABEL_VOCAB
         return _vocab_cached(self.label_vocab_path)
-
-    def training(self):
-        from .preference import PsiConfig, TrainingConfig
-
-        if self.beta is None:
-            raise ConfigError("MISSING_BETA", "beta is mandatory for loss computation; no default exists")
-        if self.lambda_ecpo is None:
-            raise ConfigError("MISSING_LAMBDA", "lambda_ecpo is mandatory here; no default exists")
-        return TrainingConfig(
-            beta=self.beta,
-            lambda_ecpo=self.lambda_ecpo,
-            psi=PsiConfig(self.psi_floor, self.psi_ceiling),
-            gap_min=self.gap_min,
-        )
 
     def echo(self) -> dict:
         """Resolved configuration embedded in every report."""
@@ -189,8 +188,6 @@ def load_config(path: str | Path) -> RunConfig:
         if bad:
             raise ConfigError("UNKNOWN_CONFIG_KEY", f"unknown penalty_table keys: {sorted(bad)}")
         values["penalty_table"] = PenaltyTable(**table)
-    if "ecpo_weights" in values:
-        values["ecpo_weights"] = tuple(values["ecpo_weights"])
     if "seeds" in values:
         values["seeds"] = tuple(values["seeds"])
     for name in ("lexicon_path", "hazard_rules_path", "label_vocab_path"):

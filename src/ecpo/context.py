@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConfigError, InputError
 from .policy import PolicyAction, parse_action_type, parse_policy, serialize_policy
@@ -30,6 +30,18 @@ SENSITIVITY_LEVELS = ("none", "low", "medium", "high")
 STRATIFY_HEADS = ("emotion", "behavior", "traffic_scene", "vehicle_motion")
 
 STRATIFY_GROUPS = ("driver_critical", "env_critical", "interaction_critical", "nominal")
+
+
+def _finite_pair(value: object) -> tuple[float, float] | None:
+    """``value`` as a [low, high] pair of finite numbers with low <= high, else None."""
+    if (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(is_finite_number(v) for v in value)
+        and value[0] <= value[1]
+    ):
+        return (float(value[0]), float(value[1]))
+    return None
 
 
 def sensitivity_rank(level: str) -> int:
@@ -68,18 +80,10 @@ class DriverProfile:
                 raise InputError("BAD_PROFILE", f"sensitivity {key!r} has unknown level {level!r}")
         band = self.cabin_preferences.get("temperature_band")
         if band is not None:
-            if (
-                not isinstance(band, (list, tuple))
-                or len(band) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in band)
-                or band[0] > band[1]
-            ):
+            pair = _finite_pair(band)
+            if pair is None:
                 raise InputError("BAD_PROFILE", f"temperature_band {band!r} is not a [low, high] pair")
-            object.__setattr__(
-                self,
-                "cabin_preferences",
-                {**self.cabin_preferences, "temperature_band": (float(band[0]), float(band[1]))},
-            )
+            object.__setattr__(self, "cabin_preferences", {**self.cabin_preferences, "temperature_band": pair})
 
     def temperature_band(self) -> tuple[float, float] | None:
         return self.cabin_preferences.get("temperature_band")
@@ -105,16 +109,14 @@ class VehicleProfile:
             parsed = parse_action_type(name)
             if parsed is None or parsed.value not in canonical:
                 raise InputError("BAD_PROFILE", f"capability bound names unavailable actuator {name!r}")
+            if not isinstance(bounds, dict):
+                raise InputError("BAD_PROFILE", f"capability limits of {name!r} must be an object, got {bounds!r}")
             checked = {}
             for parameter, bound in bounds.items():
-                if (
-                    not isinstance(bound, (list, tuple))
-                    or len(bound) != 2
-                    or not all(is_finite_number(v) for v in bound)
-                    or bound[0] > bound[1]
-                ):
+                pair = _finite_pair(bound)
+                if pair is None:
                     raise InputError("BAD_PROFILE", f"capability bound {name}.{parameter} is not [min, max]")
-                checked[parameter] = (float(bound[0]), float(bound[1]))
+                checked[parameter] = pair
             limits[parsed.value] = checked
         object.__setattr__(self, "capability_limits", limits)
 
@@ -213,12 +215,6 @@ def load_label_vocab(path: str | Path) -> LabelVocabulary:
         if "nominal" in entry:
             nominal[head] = str(entry["nominal"])
     return LabelVocabulary(heads=heads, nominal=nominal)
-
-
-def flag_unknown_labels(z: PerceptionSummary, vocab: LabelVocabulary) -> list[str]:
-    """Labels outside every head's declared set; retained, caller logs them."""
-    known = {normalize_text(label) for labels in vocab.heads.values() for label in labels}
-    return [label for label in z.all_labels() if normalize_text(label) not in known]
 
 
 _MASK64 = (1 << 64) - 1
@@ -459,11 +455,7 @@ def vehicle_from_dict(raw: dict) -> VehicleProfile:
         jurisdiction=str(raw.get("jurisdiction", "")),
         operating_mode=str(raw.get("operating_mode", "")),
         available_actuators=frozenset(str(name) for name in actuators),
-        capability_limits={
-            str(name): {str(p): bound for p, bound in bounds.items()}
-            for name, bounds in limits.items()
-            if isinstance(bounds, dict)
-        },
+        capability_limits=dict(limits),
     )
 
 

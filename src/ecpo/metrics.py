@@ -290,28 +290,23 @@ def strategy_metrics(
     return report
 
 
-def has_score(ratings: Sequence[Sequence[bool]], weights: Sequence[float] = HAS_WEIGHTS) -> float:
-    """Weighted HAS score of one record.
+def has_score(ratings: Sequence[Sequence[bool]]) -> float:
+    """HAS score of one record under ``HAS_WEIGHTS``.
 
     Each of the three items counts only when every rater voted positive;
     disagreement is negative by construction.
     """
     items = [all(vote[i] for vote in ratings) for i in range(3)]
-    return sum(w * float(flag) for w, flag in zip(weights, items))
+    return sum(w * float(flag) for w, flag in zip(HAS_WEIGHTS, items))
 
 
-def has_aggregate(
-    records: Sequence[StrategyEvalRecord], weights: Sequence[float] = HAS_WEIGHTS
-) -> tuple[float, float]:
+def has_aggregate(records: Sequence[StrategyEvalRecord]) -> tuple[float, float]:
     """(mean, population std) across seeds of the per-seed mean ``has_score`` x100."""
-    values = tuple(float(w) for w in weights)
-    if len(values) != 3 or any(w < 0 for w in values) or abs(sum(values) - 1.0) > 1e-9:
-        raise ConfigError("BAD_WEIGHTS", f"need three non-negative weights summing to 1, got {weights!r}")
     by_seed: dict[int, list[float]] = {}
     for record in records:
         if not record.ratings:
             continue
-        by_seed.setdefault(record.seed, []).append(has_score(record.ratings, values))
+        by_seed.setdefault(record.seed, []).append(has_score(record.ratings))
     if not by_seed:
         raise InputError(NO_RATINGS, "no rated records")
     per_seed = [100.0 * statistics.fmean(scores) for _, scores in sorted(by_seed.items())]

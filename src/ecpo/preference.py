@@ -3,21 +3,24 @@
 The pair for a prompt is (argmax aggregate score, argmin aggregate score)
 with ties broken by candidate_id ascending; sets whose score gap does not
 exceed gap_min yield no pair, since a zero-gap pair carries no training
-signal. The gap maps to a clipped-linear weight, and the loss value is
--w * log(sigmoid(beta * (f_plus - f_minus))) computed through a stable
-softplus so magnitudes up to |beta * diff| = 1e4 neither overflow nor lose
-the asymptote. Loss values only: gradients belong to the external trainer.
+signal. The gap maps to a weight clipped to the [psi_floor, psi_ceiling]
+band, and the loss value is -w * log(sigmoid(beta * (f_plus - f_minus)))
+computed through a stable softplus so magnitudes up to |beta * diff| = 1e4
+neither overflow nor lose the asymptote. Loss values only: gradients and the
+combined objective belong to the external trainer.
 
-beta and lambda_ecpo are deliberately mandatory wherever they are used;
-there is no defensible default for either.
+gap_min and the psi band come from ``RunConfig``, which validates them. beta
+has no defensible default: ``pairwise_loss`` raises MISSING_BETA when it is
+None, as it is in the default ``RunConfig``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .config import RunConfig
 from .errors import ConfigError, InputError
 from .validator import EcpoReport
 
@@ -58,60 +61,34 @@ class PreferencePair:
             raise InputError("BAD_PAIR", "plus and minus must be distinct candidates")
 
 
-@dataclass(frozen=True)
-class PsiConfig:
-    """Clipped-linear gap-to-weight mapping: identity between floor and ceiling."""
-
-    floor: float = 0.05
-    ceiling: float = 1.0
-
-    def __post_init__(self):
-        if not 0 <= self.floor <= self.ceiling:
-            raise ConfigError("BAD_PSI", f"need 0 <= floor <= ceiling, got ({self.floor}, {self.ceiling})")
+def weight(gap: float, config: RunConfig | None = None) -> float:
+    """The gap clipped to the config's [psi_floor, psi_ceiling] band."""
+    cfg = config or RunConfig()
+    return min(cfg.psi_ceiling, max(cfg.psi_floor, gap))
 
 
-@dataclass(frozen=True)
-class TrainingConfig:
-    beta: float
-    lambda_ecpo: float
-    psi: PsiConfig = field(default_factory=PsiConfig)
-    gap_min: float = 0.0
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ConfigError("BAD_BETA", f"beta must be > 0, got {self.beta}")
-        if self.lambda_ecpo < 0:
-            raise ConfigError("BAD_LAMBDA", f"lambda_ecpo must be >= 0, got {self.lambda_ecpo}")
-        if self.gap_min < 0:
-            raise ConfigError("BAD_GAP_MIN", f"gap_min must be >= 0, got {self.gap_min}")
-
-
-def weight(gap: float, psi: PsiConfig | None = None) -> float:
-    cfg = psi or PsiConfig()
-    return min(cfg.ceiling, max(cfg.floor, gap))
-
-
-def select_pair(
-    candidate_set: CandidateSet, psi: PsiConfig | None = None, gap_min: float = 0.0
-) -> PreferencePair | None:
-    """Extremes of the set by aggregate score; None when the gap is too small."""
+def select_pair(candidate_set: CandidateSet, config: RunConfig | None = None) -> PreferencePair | None:
+    """Extremes of the set by aggregate score; None when the gap is at most gap_min."""
+    cfg = config or RunConfig()
     candidates = candidate_set.candidates
     plus = min(candidates, key=lambda c: (-c.report.ecpo, c.candidate_id))
     minus = min(candidates, key=lambda c: (c.report.ecpo, c.candidate_id))
     gap = plus.report.ecpo - minus.report.ecpo
-    if gap <= gap_min:
+    if gap <= cfg.gap_min:
         return None
     return PreferencePair(
         prompt_id=candidate_set.prompt_id,
         plus_id=plus.candidate_id,
         minus_id=minus.candidate_id,
         gap=gap,
-        weight=weight(gap, psi),
+        weight=weight(gap, cfg),
     )
 
 
-def pairwise_loss(f_plus: float, f_minus: float, beta: float, w: float = 1.0) -> float:
+def pairwise_loss(f_plus: float, f_minus: float, beta: float | None, w: float = 1.0) -> float:
     """-w * log(sigmoid(beta * (f_plus - f_minus))), numerically stable."""
+    if beta is None:
+        raise ConfigError("MISSING_BETA", "beta is mandatory for loss computation; no default exists")
     if beta <= 0:
         raise ConfigError("BAD_BETA", f"beta must be > 0, got {beta}")
     if w < 0:
@@ -122,12 +99,6 @@ def pairwise_loss(f_plus: float, f_minus: float, beta: float, w: float = 1.0) ->
     else:
         softplus = -x + math.log1p(math.exp(x))
     return w * softplus
-
-
-def combined_objective(l_sft: float, l_ecpo: float, lambda_ecpo: float) -> float:
-    if lambda_ecpo < 0:
-        raise ConfigError("BAD_LAMBDA", f"lambda_ecpo must be >= 0, got {lambda_ecpo}")
-    return l_sft + lambda_ecpo * l_ecpo
 
 
 def export_preference_dataset(

@@ -6,27 +6,25 @@ evaluate deterministically. The store is append-only: version 0 is empty and
 every update produces version N+1 while all earlier versions stay readable,
 so retrieval pinned to a version is reproducible forever.
 
-Scoring is lexical by default (cosine over term-frequency vectors of
-normalized content tokens of the snippet text; provenance fields do not enter
-the vector). Lexical queries run through a postings index of each version's
-snippet texts, built on the first lexical query against that version and
-kept on the store, so a query scores only the snippets sharing one of its
-tokens. An embedding scorer over externally supplied unit-norm vectors is
-available for callers with a precomputed encoder.
+Scoring is lexical: cosine over term-frequency vectors of normalized content
+tokens of the snippet text; provenance fields do not enter the vector.
+Queries run through a postings index of each version's snippet texts, built
+on the first query against that version and kept on the store, so a query
+scores only the snippets sharing one of its tokens. ``retrieve`` takes any
+scorer with a ``kind`` and a ``rank(store, version, query, top_k)`` method;
+the toolkit ships only ``LexicalScorer``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
-import json
 import math
 import re
 from array import array
 from dataclasses import dataclass, field
 from itertools import islice
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigError, InputError
 from .policy import ActionType, parse_action_type
@@ -45,8 +43,6 @@ SNIPPET_LAYERS = ("legal", "vehicle", "driver")
 
 # Compression order: legal clauses outrank vehicle, vehicle outranks driver.
 LAYER_PRIORITY = {"legal": 0, "vehicle": 1, "driver": 2}
-
-UNIT_NORM_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -82,14 +78,6 @@ class Assertions:
                 keyword_pattern(keyword)
             except re.error as exc:
                 raise InputError("BAD_KEYWORD", f"keyword pattern {keyword!r}: {exc}")
-
-    def is_empty(self) -> bool:
-        return not (
-            self.forbidden_action_types
-            or self.parameter_bounds
-            or self.required_modalities
-            or self.forbidden_keywords
-        )
 
 
 @dataclass(frozen=True)
@@ -331,57 +319,6 @@ class LexicalScorer:
         for position in islice(zero_scored, top_k - len(ranked)):
             ranked.append(RankedSnippet(ids[position], 0.0))
         return tuple(ranked)
-
-
-def _check_unit_norm(name: str, vector: Sequence[float]) -> tuple[float, ...]:
-    values = tuple(float(v) for v in vector)
-    norm = math.sqrt(sum(v * v for v in values))
-    if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
-        raise InputError("BAD_EMBEDDING", f"vector for {name} has norm {norm:.8f}, expected 1.0")
-    return values
-
-
-class EmbeddingScorer:
-    """Dot product of externally supplied unit-norm vectors."""
-
-    kind = "embedding"
-
-    def __init__(self, query_vector: Sequence[float], snippet_vectors: Mapping[str, Sequence[float]]):
-        self.query_vector = _check_unit_norm("query", query_vector)
-        self.snippet_vectors = {
-            snippet_id: _check_unit_norm(snippet_id, vector)
-            for snippet_id, vector in snippet_vectors.items()
-        }
-
-    def scores(self, snippets: Sequence[ConstraintSnippet], query: RetrievalQuery) -> list[float]:
-        out = []
-        for snippet in snippets:
-            vector = self.snippet_vectors.get(snippet.snippet_id)
-            if vector is None:
-                raise InputError("MISSING_EMBEDDING", f"no vector for snippet {snippet.snippet_id!r}")
-            if len(vector) != len(self.query_vector):
-                raise InputError("BAD_EMBEDDING", f"vector length mismatch for {snippet.snippet_id!r}")
-            out.append(sum(q * s for q, s in zip(self.query_vector, vector)))
-        return out
-
-    def rank(
-        self, store: ConstraintStore, version: int | None, query: RetrievalQuery, top_k: int
-    ) -> tuple[RankedSnippet, ...]:
-        snippets = store.snapshot(version)
-        scores = self.scores(snippets, query)
-        order = sorted(zip(snippets, scores), key=lambda pair: (-pair[1], pair[0].snippet_id))
-        return tuple(RankedSnippet(s.snippet_id, score) for s, score in order[:top_k])
-
-
-def load_embeddings(path: str | Path) -> dict[str, tuple[float, ...]]:
-    """Sidecar file: JSON object snippet_id -> vector; unit norm enforced."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise InputError("BAD_EMBEDDING", f"cannot load embeddings from {path}: {exc}")
-    if not isinstance(raw, dict):
-        raise InputError("BAD_EMBEDDING", "embedding sidecar must be an object")
-    return {name: _check_unit_norm(name, vector) for name, vector in raw.items()}
 
 
 def retrieve(

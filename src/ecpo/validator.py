@@ -27,13 +27,12 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .config import RunConfig
+from .config import DEFAULT_WEIGHTS, RunConfig, check_weights
 from .context import PerceptionSummary, StrategyPrompt
 from .errors import ConfigError, InputError, InvariantError
 from .policy import (
     ActionType,
     LowLevelMatch,
-    ParseOutcome,
     PolicyAction,
     StructuralDefect,
     action_text,
@@ -45,10 +44,6 @@ from .store import ConstraintSnippet, keyword_pattern
 from .textnorm import content_tokens, normalize_text, token_ngrams, tokenize
 
 LAYER_SEVERITY = {"legal": 4, "vehicle": 3, "driver": 2, "contextual": 1}
-
-DEFAULT_ECPO_WEIGHTS = (0.5, 0.3, 0.2)
-
-WEIGHT_SUM_TOLERANCE = 1e-9
 
 RULE_SCOPES = ("labels", "summaries", "snippets", "policy_text")
 
@@ -91,17 +86,6 @@ class EcpoReport:
     defects: tuple[StructuralDefect, ...]
     hazards_truth: frozenset[str]
     hazards_addressed: frozenset[str]
-
-
-@dataclass(frozen=True)
-class MatchConfig:
-    """Evidence grounding: token-set Jaccard threshold with exact shortcuts."""
-
-    threshold: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold <= 1.0:
-            raise ConfigError("BAD_THRESHOLD", f"match threshold must be in (0, 1], got {self.threshold}")
 
 
 Phrases = tuple[tuple[str, ...], ...]
@@ -631,7 +615,7 @@ def evidence_coverage(
     policy: PolicyAction,
     z: PerceptionSummary,
     snippets: Sequence[ConstraintSnippet] = (),
-    match_cfg: MatchConfig | None = None,
+    config: RunConfig | None = None,
     *,
     targets: Grounding | None = None,
 ) -> float:
@@ -639,10 +623,11 @@ def evidence_coverage(
 
     An entry is grounded when it equals a label or object id (normalized) or
     its content-token Jaccard overlap with any summary stage, label, object,
-    or snippet text reaches the threshold. Zero-evidence actions contribute 0.
-    ``targets`` is the prompt context's grounding, when the caller holds it.
+    or snippet text reaches ``config.match_threshold``. Zero-evidence actions
+    contribute 0. ``targets`` is the prompt context's grounding, when the
+    caller holds it.
     """
-    cfg = match_cfg or MatchConfig()
+    threshold = (config or RunConfig()).match_threshold
     if targets is None:
         targets = _grounding_targets(z, snippets)
     fractions = []
@@ -651,24 +636,15 @@ def evidence_coverage(
         if not entries:
             fractions.append(0.0)
             continue
-        matched = sum(_grounded(entry, targets, cfg.threshold) for entry in entries)
+        matched = sum(_grounded(entry, targets, threshold) for entry in entries)
         fractions.append(matched / len(entries))
     if not fractions:
         return 0.0
     return sum(fractions) / len(fractions)
 
 
-def check_weights(weights: Sequence[float]) -> tuple[float, float, float]:
-    values = tuple(float(w) for w in weights)
-    if len(values) != 3 or any(w < 0 for w in values):
-        raise ConfigError("BAD_WEIGHTS", f"need three non-negative weights, got {weights!r}")
-    if abs(sum(values) - 1.0) > WEIGHT_SUM_TOLERANCE:
-        raise ConfigError("BAD_WEIGHTS", f"weights {values} do not sum to 1")
-    return values
-
-
 def ecpo_score(
-    s_core: float, s_evd: float, s_str: float, weights: Sequence[float] = DEFAULT_ECPO_WEIGHTS
+    s_core: float, s_evd: float, s_str: float, weights: Sequence[float] = DEFAULT_WEIGHTS
 ) -> float:
     w_core, w_evd, w_str = check_weights(weights)
     value = w_core * s_core + w_evd * s_evd + w_str * s_str
@@ -682,7 +658,7 @@ def validate(document: str | bytes, prompt: StrategyPrompt, config: RunConfig | 
     applicable, every component 0, aggregate 0) rather than an error.
     """
     cfg = config or RunConfig()
-    weights = check_weights(cfg.ecpo_weights)
+    weights = cfg.ecpo_weights
     rules = cfg.hazard_rules()
     outcome = parse_policy(document, j_max=cfg.j_max)
     context = prompt_context(prompt, rules)
@@ -709,9 +685,7 @@ def validate(document: str | bytes, prompt: StrategyPrompt, config: RunConfig | 
     )
     summary = violation_summary(checks)
     s_core = core_score(summary)
-    s_evd = evidence_coverage(
-        policy, prompt.z, prompt.constraints, MatchConfig(cfg.match_threshold), targets=context.grounding
-    )
+    s_evd = evidence_coverage(policy, prompt.z, prompt.constraints, cfg, targets=context.grounding)
     s_str = structural_score(outcome, cfg.penalty_table)
     return EcpoReport(
         checks=tuple(checks),
@@ -760,38 +734,3 @@ def report_to_dict(report: EcpoReport) -> dict:
         "hazards_truth": sorted(report.hazards_truth),
         "hazards_addressed": sorted(report.hazards_addressed),
     }
-
-
-def report_from_dict(raw: dict) -> EcpoReport:
-    if not isinstance(raw, dict):
-        raise InputError("BAD_RECORD", "report must be an object")
-    violation = raw.get("violation", {})
-    return EcpoReport(
-        checks=tuple(
-            CheckResult(
-                check_id=str(c.get("check_id", "")),
-                layer=str(c.get("layer", "")),
-                passed=bool(c.get("passed", False)),
-                detail=str(c.get("detail", "")),
-                clause_ref=c.get("clause_ref"),
-            )
-            for c in raw.get("checks", [])
-        ),
-        violation=ViolationSummary(int(violation.get("severity", 0)), int(violation.get("count", 0))),
-        s_core=float(raw.get("s_core", 0.0)),
-        s_evd=float(raw.get("s_evd", 0.0)),
-        s_str=float(raw.get("s_str", 0.0)),
-        ecpo=float(raw.get("ecpo", 0.0)),
-        weights_used=tuple(float(w) for w in raw.get("weights_used", DEFAULT_ECPO_WEIGHTS)),
-        low_level_matches=tuple(
-            LowLevelMatch(int(m["action_index"]), str(m["matched_pattern"]), str(m["matched_text"]))
-            for m in raw.get("low_level_matches", [])
-        ),
-        schema_valid=bool(raw.get("schema_valid", False)),
-        defects=tuple(
-            StructuralDefect(str(d.get("code", "")), str(d.get("path", "")), str(d.get("message", "")))
-            for d in raw.get("defects", [])
-        ),
-        hazards_truth=frozenset(str(h) for h in raw.get("hazards_truth", [])),
-        hazards_addressed=frozenset(str(h) for h in raw.get("hazards_addressed", [])),
-    )

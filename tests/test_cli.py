@@ -99,20 +99,40 @@ def assert_one_error(err: str, code: str) -> None:
     assert "Traceback" not in err
 
 
+def prompt_argv(tmp_path, command, prompt, document):
+    """argv running ``validate`` or ``retrieve`` on one prompt record."""
+    prompts = write_jsonl(tmp_path / "p.jsonl", [prompt])
+    if command == "validate":
+        policies = write_jsonl(tmp_path / "d.jsonl", [{"prompt_id": prompt["prompt_id"], "document": document}])
+        return ["validate", "--policies", policies, "--prompts", prompts]
+    store = write_jsonl(tmp_path / "s.jsonl", [{"snippet_id": "a", "layer": "legal", "clause_id": "c",
+                                               "text": "keep right"}])
+    return ["retrieve", "--store", store, "--prompt", prompts]
+
+
 @pytest.mark.parametrize("bound", [["a", 1], [True, 5], [0, float("nan")], [float("-inf"), 1], [0, 10**400]])
 @pytest.mark.parametrize("command", ["validate", "retrieve"])
 def test_mistyped_capability_bound_exits_1(tmp_path, rain_prompt, rain_policy_dict, bound, command, capsys):
     prompt = prompt_to_dict(rain_prompt)
     prompt["vehicle"] = {"available_actuators": ["Hvac"], "capability_limits": {"Hvac": {"temp": bound}}}
-    prompts = write_jsonl(tmp_path / "p.jsonl", [prompt])
-    if command == "validate":
-        policies = write_jsonl(tmp_path / "d.jsonl", [{"prompt_id": "rain-01", "document": rain_policy_dict}])
-        argv = ["validate", "--policies", policies, "--prompts", prompts]
-    else:
-        store = write_jsonl(tmp_path / "s.jsonl", [{"snippet_id": "a", "layer": "legal", "clause_id": "c",
-                                                   "text": "keep right"}])
-        argv = ["retrieve", "--store", store, "--prompt", prompts]
-    code, lines, err = run_cli(argv, capsys)
+    code, lines, err = run_cli(prompt_argv(tmp_path, command, prompt, rain_policy_dict), capsys)
+    assert code == 1
+    assert lines == []
+    assert_one_error(err, "BAD_PROFILE")
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [
+        ("driver", {"cabin_preferences": {"temperature_band": [0, float("nan")]}}),
+        ("vehicle", {"available_actuators": ["Hvac"], "capability_limits": {"Hvac": [14, 30]}}),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "retrieve"])
+def test_malformed_profile_exits_1(tmp_path, rain_prompt, rain_policy_dict, section, value, command, capsys):
+    prompt = prompt_to_dict(rain_prompt)
+    prompt[section] = value
+    code, lines, err = run_cli(prompt_argv(tmp_path, command, prompt, rain_policy_dict), capsys)
     assert code == 1
     assert lines == []
     assert_one_error(err, "BAD_PROFILE")
@@ -123,6 +143,33 @@ def test_validate_non_string_prompt_id_exits_1(tmp_path, rain_prompt, rain_polic
     prompts = write_jsonl(tmp_path / "p.jsonl", [prompt_to_dict(rain_prompt)])
     policies = write_jsonl(tmp_path / "d.jsonl", [{"prompt_id": prompt_id, "document": rain_policy_dict}])
     code, lines, err = run_cli(["validate", "--policies", policies, "--prompts", prompts], capsys)
+    assert code == 1
+    assert lines == []
+    assert_one_error(err, "BAD_RECORD")
+
+
+@pytest.mark.parametrize("prompt_id", [["rain-01"], {"id": "rain-01"}, 7, None])
+@pytest.mark.parametrize("command", ["pairs", "eval"])
+def test_pairs_and_eval_non_string_prompt_id_exits_1(tmp_path, rain_prompt, rain_policy_dict, prompt_id, command,
+                                                     capsys):
+    prompt = prompt_to_dict(rain_prompt)
+    if command == "pairs":
+        row = {"prompt_id": prompt_id, "prompt": prompt, "candidates": [{"document": rain_policy_dict}]}
+        argv = ["pairs", "--candidates", write_jsonl(tmp_path / "c.jsonl", [row])]
+    else:
+        row = {"kind": "strategy", "prompt_id": prompt_id, "prompt": prompt, "document": rain_policy_dict}
+        argv = ["eval", "--records", write_jsonl(tmp_path / "r.jsonl", [row])]
+    code, lines, err = run_cli(argv, capsys)
+    assert code == 1
+    assert lines == []
+    assert_one_error(err, "BAD_RECORD")
+
+
+@pytest.mark.parametrize("ids", [[1, "b"], ["a", 2], [1, 2]])
+def test_pairs_non_string_candidate_id_exits_1(tmp_path, rain_policy_dict, ids, capsys):
+    # equal documents score equal, so the tie-break compares the ids
+    row = {"prompt_id": "p1", "candidates": [{"candidate_id": i, "document": rain_policy_dict} for i in ids]}
+    code, lines, err = run_cli(["pairs", "--candidates", write_jsonl(tmp_path / "c.jsonl", [row])], capsys)
     assert code == 1
     assert lines == []
     assert_one_error(err, "BAD_RECORD")
@@ -160,7 +207,7 @@ def test_weights_flag_overrides_config(rain_files, capsys):
 
 def test_bad_weights_flag_exits_2(rain_files, capsys):
     prompts, policies = rain_files
-    for raw in ("0.5,0.5", "a,b,c", "0.6,0.3,0.3"):
+    for raw in ("0.5,0.5", "a,b,c", "0.6,0.3,0.3", "nan,0.5,0.5"):
         code, lines, err = run_cli(
             ["--weights", raw, "validate", "--policies", policies, "--prompts", prompts], capsys
         )
@@ -190,6 +237,19 @@ def test_bad_config_file_exits_2(rain_files, tmp_path, capsys):
     )
     assert code == 2
     assert "BAD_WEIGHTS" in err
+
+
+@pytest.mark.parametrize("weights", [["a", 0.3, 0.2], ["0.5", "0.3", "0.2"], 1.0, [1e400, 0, 0]])
+def test_mistyped_config_weights_exit_2(rain_files, tmp_path, weights, capsys):
+    prompts, policies = rain_files
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps({"ecpo_weights": weights}), encoding="utf-8")
+    code, lines, err = run_cli(
+        ["--config", config_path, "validate", "--policies", policies, "--prompts", prompts], capsys
+    )
+    assert code == 2
+    assert lines == []
+    assert_one_error(err, "BAD_WEIGHTS")
 
 
 # --- pairs ------------------------------------------------------------------------------

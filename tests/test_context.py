@@ -13,7 +13,6 @@ from ecpo.context import (
     SplitMix64,
     StrategyPrompt,
     VehicleProfile,
-    flag_unknown_labels,
     fnv1a64,
     load_label_vocab,
     pair_mixed,
@@ -23,6 +22,7 @@ from ecpo.context import (
     sample_to_dict,
     seeded_shuffle,
     sensitivity_rank,
+    vehicle_from_dict,
     stratify,
     stream_seed,
 )
@@ -50,8 +50,10 @@ def test_driver_profile_validation():
     assert DriverProfile().temperature_band() is None
     with pytest.raises(InputError):
         DriverProfile(sensitivities={"noise": "sometimes"})
-    with pytest.raises(InputError):
-        DriverProfile(cabin_preferences={"temperature_band": [25, 21]})
+    for band in ([25, 21], [0, float("nan")], [float("-inf"), 30], [True, 30]):
+        with pytest.raises(InputError) as err:
+            DriverProfile(cabin_preferences={"temperature_band": band})
+        assert err.value.code == "BAD_PROFILE"
 
 
 def test_vehicle_profile_canonicalizes_actuators():
@@ -65,6 +67,9 @@ def test_vehicle_profile_canonicalizes_actuators():
         VehicleProfile(available_actuators=("winch",))
     with pytest.raises(InputError):
         VehicleProfile(available_actuators=("Hvac",), capability_limits={"AmbientLight": {"x": (0, 1)}})
+    with pytest.raises(InputError) as err:
+        vehicle_from_dict({"available_actuators": ["Hvac"], "capability_limits": {"Hvac": [14, 30]}})
+    assert err.value.code == "BAD_PROFILE"
 
 
 def test_sample_record_split_validated():
@@ -95,11 +100,6 @@ def test_load_label_vocab(tmp_path):
     )
     vocab = load_label_vocab(path)
     assert vocab.nominal_for("emotion") == "calm"
-
-
-def test_flag_unknown_labels():
-    z = PerceptionSummary(driver_labels=("neutral", "panic"), scene_labels=("smooth_traffic",))
-    assert flag_unknown_labels(z, DEFAULT_LABEL_VOCAB) == ["panic"]
 
 
 # --- deterministic randomness ---------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ecpo.config import check_weights
 from ecpo.errors import ConfigError, InputError
 from ecpo.metrics import (
     DEFAULT_EPSILON,
@@ -311,12 +312,9 @@ def test_has_requires_ratings():
 
 
 def test_has_weight_validation():
-    record = strategy_record("a", ratings=agree(True, True, True))
-    with pytest.raises(ConfigError):
-        has_aggregate([record], weights=(0.5, 0.3))
-    with pytest.raises(ConfigError):
-        has_aggregate([record], weights=(0.5, 0.3, 0.3))
+    # the fixed HAS row passes the one weight-row rule
     assert HAS_WEIGHTS == (0.5, 0.3, 0.2)
+    assert check_weights(HAS_WEIGHTS) == HAS_WEIGHTS
 
 
 # --- rank correlation --------------------------------------------------------------------

@@ -10,9 +10,6 @@ from ecpo.preference import (
     Candidate,
     CandidateSet,
     PreferencePair,
-    PsiConfig,
-    TrainingConfig,
-    combined_objective,
     export_preference_dataset,
     pairwise_loss,
     select_pair,
@@ -49,8 +46,9 @@ def test_select_pair_all_equal_returns_none():
 
 def test_select_pair_gap_at_threshold_returns_none():
     # dyadic scores keep the gap exact: a gap equal to gap_min yields no pair
-    assert select_pair(make_set("p", [0.5, 0.5625]), gap_min=0.0625) is None
-    assert select_pair(make_set("p", [0.5, 0.625]), gap_min=0.0625) is not None
+    config = RunConfig(gap_min=0.0625)
+    assert select_pair(make_set("p", [0.5, 0.5625]), config) is None
+    assert select_pair(make_set("p", [0.5, 0.625]), config) is not None
 
 
 def test_candidate_set_validation():
@@ -78,15 +76,9 @@ def test_weight_clips_to_band():
 def test_selected_pair_carries_weight():
     pair = select_pair(make_set("p", [0.95, 0.05]))
     assert math.isclose(pair.weight, 0.9, abs_tol=1e-12)
-    wide = select_pair(make_set("p", [0.95, 0.05]), psi=PsiConfig(floor=0.92, ceiling=1.0))
+    wide = select_pair(make_set("p", [0.95, 0.05]), RunConfig(psi_floor=0.92))
     assert wide.weight == 0.92
-
-
-def test_psi_config_validation():
-    with pytest.raises(ConfigError):
-        PsiConfig(floor=-0.1)
-    with pytest.raises(ConfigError):
-        PsiConfig(floor=0.9, ceiling=0.5)
+    assert weight(0.3, RunConfig(psi_ceiling=0.25)) == 0.25
 
 
 # --- loss -----------------------------------------------------------------------------
@@ -138,32 +130,11 @@ def test_pairwise_loss_monotone_in_margin(plus, minus, beta):
     assert better <= base + 1e-12
 
 
-def test_combined_objective():
-    assert math.isclose(combined_objective(1.25, 0.3, lambda_ecpo=0.5), 1.4, abs_tol=1e-12)
-    assert combined_objective(1.25, 0.3, lambda_ecpo=0.0) == 1.25
-    with pytest.raises(ConfigError):
-        combined_objective(1.0, 0.5, lambda_ecpo=-0.1)
-
-
-def test_training_config_validation():
-    with pytest.raises(ConfigError):
-        TrainingConfig(beta=-1.0, lambda_ecpo=0.5)
-    with pytest.raises(ConfigError):
-        TrainingConfig(beta=1.0, lambda_ecpo=-0.5)
-    with pytest.raises(ConfigError):
-        TrainingConfig(beta=1.0, lambda_ecpo=0.5, gap_min=-0.01)
-
-
 def test_run_config_requires_training_fields():
+    # beta has no default: the loss refuses the default config's None
     with pytest.raises(ConfigError) as err:
-        RunConfig().training()
+        pairwise_loss(0.5, 0.4, beta=RunConfig().beta)
     assert err.value.code == "MISSING_BETA"
-    with pytest.raises(ConfigError) as err:
-        RunConfig(beta=2.0).training()
-    assert err.value.code == "MISSING_LAMBDA"
-    training = RunConfig(beta=2.0, lambda_ecpo=0.1).training()
-    assert (training.beta, training.lambda_ecpo) == (2.0, 0.1)
-    assert training.psi == PsiConfig(0.05, 1.0)
 
 
 # --- dataset export ---------------------------------------------------------------------

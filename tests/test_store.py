@@ -1,4 +1,3 @@
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,14 +9,12 @@ from ecpo.policy import ActionType
 from ecpo.store import (
     Assertions,
     ConstraintSnippet,
-    EmbeddingScorer,
     LexicalScorer,
     ParameterBound,
     RetrievalQuery,
     build_query,
     compress,
     empty_store,
-    load_embeddings,
     load_store,
     retrieve,
     snippet_from_dict,
@@ -248,37 +245,6 @@ def test_repeat_query_does_not_retokenize_snippets(monkeypatch):
     tokenized.clear()
     assert retrieve(store, query, top_k=3) == first
     assert tokenized and not snippet_texts & set(tokenized)
-
-
-def test_embedding_scorer():
-    store = load_store([snippet("a", "alpha"), snippet("b", "beta")])
-    scorer = EmbeddingScorer(
-        query_vector=(1.0, 0.0),
-        snippet_vectors={"a": (1.0, 0.0), "b": (0.0, 1.0)},
-    )
-    result = retrieve(store, query_for("anything"), top_k=2, scorer=scorer)
-    assert result.scorer_kind == "embedding"
-    assert result.ranked[0].snippet_id == "a"
-    assert math.isclose(result.ranked[0].score, 1.0, abs_tol=1e-9)
-    assert math.isclose(result.ranked[1].score, 0.0, abs_tol=1e-9)
-
-
-def test_embedding_scorer_errors():
-    with pytest.raises(InputError) as err:
-        EmbeddingScorer(query_vector=(3.0, 0.0), snippet_vectors={})
-    assert err.value.code == "BAD_EMBEDDING"
-    scorer = EmbeddingScorer(query_vector=(1.0, 0.0), snippet_vectors={"a": (1.0, 0.0)})
-    store = load_store([snippet("zz", "uncovered snippet")])
-    with pytest.raises(InputError) as err:
-        retrieve(store, query_for("x"), top_k=1, scorer=scorer)
-    assert err.value.code == "MISSING_EMBEDDING"
-
-
-def test_load_embeddings(tmp_path):
-    path = tmp_path / "vecs.json"
-    path.write_text('{"a": [1.0, 0.0], "b": [0.0, 1.0]}', encoding="utf-8")
-    vectors = load_embeddings(path)
-    assert vectors["a"] == (1.0, 0.0)
 
 
 # --- compression ----------------------------------------------------------------------

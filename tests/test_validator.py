@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -20,10 +21,9 @@ from ecpo.store import ConstraintSnippet
 from ecpo.validator import (
     DEFAULT_HAZARD_RULES,
     LAYER_SEVERITY,
+    EcpoReport,
     HazardRule,
-    MatchConfig,
     ViolationSummary,
-    check_weights,
     core_score,
     core_score_from_counts,
     derive_hazards,
@@ -32,7 +32,6 @@ from ecpo.validator import (
     extract_addressed_hazards,
     load_hazard_rules,
     prompt_context,
-    report_from_dict,
     report_to_dict,
     run_layered_checks,
     validate,
@@ -245,8 +244,7 @@ def test_evidence_jaccard_threshold_is_inclusive():
     policy = coverage_doc({"in_cabin_text": ["warm quiet cabin comfort"]})
     # {warm, quiet, cabin, comfort} vs {cabin, stays, warm, quiet}: 3/5 overlap
     assert evidence_coverage(policy, z) == 1.0
-    strict = MatchConfig(threshold=0.7)
-    assert evidence_coverage(policy, z, match_cfg=strict) == 0.0
+    assert evidence_coverage(policy, z, config=RunConfig(match_threshold=0.7)) == 0.0
 
 
 def test_evidence_zero_entries_score_zero():
@@ -278,24 +276,16 @@ def test_evidence_matches_snippet_text(layered_snippets):
     assert evidence_coverage(policy, z) == 0.0
 
 
-def test_match_config_threshold_validated():
-    with pytest.raises(ConfigError):
-        MatchConfig(threshold=0.0)
-    with pytest.raises(ConfigError):
-        MatchConfig(threshold=1.5)
-
-
 # --- weights and aggregate score -------------------------------------------------------
 
 
 def test_check_weights():
-    assert check_weights((0.5, 0.3, 0.2)) == (0.5, 0.3, 0.2)
-    with pytest.raises(ConfigError):
-        check_weights((0.5, 0.3))
-    with pytest.raises(ConfigError):
-        check_weights((0.5, 0.3, 0.3))
-    with pytest.raises(ConfigError):
-        check_weights((-0.1, 0.6, 0.5))
+    # ecpo_score applies config.check_weights to a row passed outside RunConfig
+    assert ecpo_score(1.0, 1.0, 1.0, (0.5, 0.3, 0.2)) == 1.0
+    for row in ((0.5, 0.3), (0.5, 0.3, 0.3), (-0.1, 0.6, 0.5)):
+        with pytest.raises(ConfigError) as err:
+            ecpo_score(1.0, 1.0, 1.0, row)
+        assert err.value.code == "BAD_WEIGHTS"
 
 
 @settings(max_examples=100, deadline=None)
@@ -360,7 +350,9 @@ def test_validate_flags_low_level_language(rain_prompt):
 
 def test_report_round_trip(hot_cabin_policy_dict, comfort_prompt):
     report = validate(json.dumps(hot_cabin_policy_dict), comfort_prompt)
-    assert report_from_dict(report_to_dict(report)) == report
+    record = report_to_dict(report)
+    assert set(record) == {f.name for f in dataclasses.fields(EcpoReport)}
+    assert json.loads(json.dumps(record)) == record
 
 
 # --- phrase matching and grounding against brute force -------------------------------
@@ -417,7 +409,7 @@ def test_postings_grounding_equals_brute_force_jaccard(entries, labels, stages, 
     policy = coverage_doc({"in_cabin_text": entries})
     kept = policy.actions[0].evidence.all_entries()  # the parser drops empty entries
     matched = sum(grounded_reference(entry, z, snippets, threshold) for entry in kept)
-    coverage = evidence_coverage(policy, z, snippets, MatchConfig(threshold))
+    coverage = evidence_coverage(policy, z, snippets, RunConfig(match_threshold=threshold))
     assert coverage == (matched / len(kept) if kept else 0.0)
 
 
