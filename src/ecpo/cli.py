@@ -26,7 +26,7 @@ from .context import (
     sample_to_dict,
     stratify,
 )
-from .errors import ConfigError, InputError, InvariantError
+from .errors import ConfigError, InputError, InvariantError, read_field, read_int, read_string, read_strings
 from .metrics import (
     DEGENERATE,
     LabelSetSample,
@@ -59,7 +59,9 @@ def _read_jsonl(path: str) -> list[object]:
     except OSError as error:
         raise InputError("BAD_FILE", f"cannot read {path}: {error}")
     records = []
-    for number, line in enumerate(text.splitlines(), start=1):
+    # LF only: str.splitlines() would also break at U+2028, U+2029 and U+0085,
+    # which _dumps writes raw inside strings.
+    for number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -84,26 +86,6 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _record_field(record: object, key: str, path: str) -> object:
-    if not isinstance(record, dict) or key not in record:
-        raise InputError("BAD_RECORD", f"{path}: record needs a {key!r} field")
-    return record[key]
-
-
-def _prompt_id(record: object, path: str) -> str:
-    prompt_id = _record_field(record, "prompt_id", path)
-    if not isinstance(prompt_id, str):
-        raise InputError("BAD_RECORD", f"{path}: prompt_id must be a string, got {prompt_id!r}")
-    return prompt_id
-
-
-def _label_list(record: object, key: str, path: str) -> list[str]:
-    value = _record_field(record, key, path)
-    if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
-        raise InputError("BAD_RECORD", f"{path}: labels {key} must be a list of strings, got {value!r}")
-    return value
-
-
 def _document_text(raw: object) -> str:
     """Policy payloads may be raw text or an already-parsed object."""
     if isinstance(raw, str):
@@ -111,13 +93,23 @@ def _document_text(raw: object) -> str:
     return json.dumps(raw)
 
 
+def _prompt_of(record: object) -> StrategyPrompt:
+    """A bare prompt record, or the prompt of a sample record (keyed 'prompt')."""
+    if isinstance(record, dict) and "prompt" in record:
+        record = record["prompt"]
+    return prompt_from_dict(record)
+
+
+def _strategy_prompt(record: dict, prompt_id: str) -> StrategyPrompt:
+    """The prompt a strategy record carries, or an empty prompt under its prompt_id."""
+    raw_prompt = record.get("prompt")
+    return prompt_from_dict({"prompt_id": prompt_id} if raw_prompt is None else raw_prompt)
+
+
 def _load_prompts(path: str) -> dict[str, StrategyPrompt]:
-    """Accept bare prompt records or full sample records (keyed 'prompt')."""
     prompts: dict[str, StrategyPrompt] = {}
     for record in _read_jsonl(path):
-        if isinstance(record, dict) and isinstance(record.get("prompt"), dict):
-            record = record["prompt"]
-        prompt = prompt_from_dict(record if isinstance(record, dict) else {})
+        prompt = _prompt_of(record)
         if prompt.prompt_id in prompts:
             raise InputError("DUPLICATE_ID", f"{path}: prompt {prompt.prompt_id!r} appears twice")
         prompts[prompt.prompt_id] = prompt
@@ -134,9 +126,11 @@ def cmd_validate(args, config: RunConfig) -> list[str]:
     lines = []
     valid_count = 0
     records = _read_jsonl(args.policies)
+    where = f"{args.policies}: record"
     for index, record in enumerate(records):
-        prompt_id = _prompt_id(record, args.policies)
-        document = _record_field(record, "document", args.policies)
+        prompt_id = read_field(record, "prompt_id", "BAD_RECORD", where, read_string)
+        document = read_field(record, "document", "BAD_RECORD", where)
+        candidate_id = read_string(record.get("candidate_id", str(index)), "BAD_RECORD", "candidate_id")
         prompt = prompts.get(prompt_id)
         if prompt is None:
             raise InputError("UNKNOWN_PROMPT", f"{args.policies}: no prompt {prompt_id!r}")
@@ -147,7 +141,7 @@ def cmd_validate(args, config: RunConfig) -> list[str]:
                 {
                     "kind": "report",
                     "prompt_id": prompt_id,
-                    "candidate_id": record.get("candidate_id", str(index)),
+                    "candidate_id": candidate_id,
                     "report": report_to_dict(report),
                     "config": echo,
                 }
@@ -164,23 +158,19 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
     pairs = []
     sets: dict[str, CandidateSet] = {}
     prompt_payloads: dict[str, object] = {}
+    where = f"{args.candidates}: record"
     for record in _read_jsonl(args.candidates):
-        prompt_id = _prompt_id(record, args.candidates)
-        raw_candidates = _record_field(record, "candidates", args.candidates)
+        prompt_id = read_field(record, "prompt_id", "BAD_RECORD", where, read_string)
+        raw_candidates = read_field(record, "candidates", "BAD_RECORD", where)
         if not isinstance(raw_candidates, list) or not raw_candidates:
             raise InputError("BAD_RECORD", f"{args.candidates}: candidates must be a non-empty list")
         if prompt_id in sets:
             raise InputError("DUPLICATE_ID", f"{args.candidates}: prompt {prompt_id!r} appears twice")
-        raw_prompt = record.get("prompt")
-        prompt = prompt_from_dict(raw_prompt if isinstance(raw_prompt, dict) else {"prompt_id": prompt_id})
+        prompt = _strategy_prompt(record, prompt_id)
         candidates = []
         for index, entry in enumerate(raw_candidates):
-            candidate_id = entry.get("candidate_id", str(index)) if isinstance(entry, dict) else str(index)
-            if not isinstance(candidate_id, str):
-                raise InputError(
-                    "BAD_RECORD", f"{args.candidates}: candidate_id must be a string, got {candidate_id!r}"
-                )
-            document = _document_text(_record_field(entry, "document", args.candidates))
+            document = _document_text(read_field(entry, "document", "BAD_RECORD", f"{where} candidate"))
+            candidate_id = read_string(entry.get("candidate_id", str(index)), "BAD_RECORD", "candidate_id")
             candidates.append(
                 Candidate(
                     candidate_id=candidate_id,
@@ -190,7 +180,7 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
             )
         candidate_set = CandidateSet(prompt_id=prompt_id, candidates=tuple(candidates))
         sets[prompt_id] = candidate_set
-        prompt_payloads[prompt_id] = raw_prompt
+        prompt_payloads[prompt_id] = record.get("prompt")
         pair = select_pair(candidate_set, config)
         if pair is None:
             _log(f"pairs: skip prompt {prompt_id!r} (score gap <= {config.gap_min})")
@@ -203,22 +193,21 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
 
 def _eval_strategy_records(records: list[dict], config: RunConfig, path: str) -> list[StrategyEvalRecord]:
     out = []
+    where = f"{path}: record"
     for record in records:
-        prompt_id = _prompt_id(record, path)
-        document = _document_text(_record_field(record, "document", path))
-        raw_prompt = record.get("prompt")
-        prompt = prompt_from_dict(raw_prompt if isinstance(raw_prompt, dict) else {"prompt_id": prompt_id})
+        prompt_id = read_field(record, "prompt_id", "BAD_RECORD", where, read_string)
+        document = _document_text(read_field(record, "document", "BAD_RECORD", where))
+        prompt = _strategy_prompt(record, prompt_id)
         raw_ratings = record.get("ratings")
         ratings = None
         if raw_ratings is not None:
-            if not isinstance(raw_ratings, list) or any(
-                not isinstance(vote, list) or len(vote) != 3 for vote in raw_ratings
+            if not isinstance(raw_ratings, list) or not all(
+                isinstance(vote, list) and len(vote) == 3 and all(isinstance(flag, bool) for flag in vote)
+                for vote in raw_ratings
             ):
                 raise InputError("BAD_RECORD", f"{path}: ratings must be a list of [bool, bool, bool]")
-            ratings = tuple(tuple(bool(flag) for flag in vote) for vote in raw_ratings)
-        seed = record.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise InputError("BAD_RECORD", f"{path}: seed must be an integer")
+            ratings = tuple(tuple(vote) for vote in raw_ratings)
+        seed = read_int(record.get("seed", 0), "BAD_RECORD", "seed")
         out.append(
             StrategyEvalRecord.from_report(
                 prompt_id, validate(document, prompt, config), ratings=ratings, seed=seed
@@ -261,8 +250,9 @@ def _eval_has_section(report: MetricReport, records: list[StrategyEvalRecord]) -
 def cmd_eval(args, config: RunConfig) -> list[str]:
     records = _read_jsonl(args.records)
     by_kind: dict[str, list[dict]] = {}
+    where = f"{args.records}: record"
     for record in records:
-        kind = _record_field(record, "kind", args.records)
+        kind = read_field(record, "kind", "BAD_RECORD", where)
         if kind not in ("strategy", "labels", "classification", "text"):
             raise InputError("BAD_RECORD", f"{args.records}: unknown record kind {kind!r}")
         by_kind.setdefault(kind, []).append(record)
@@ -273,7 +263,8 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
     if "labels" in by_kind:
         samples = [
             LabelSetSample.from_lists(
-                _label_list(r, "truth", args.records), _label_list(r, "prediction", args.records)
+                read_field(r, "truth", "BAD_RECORD", where, read_strings),
+                read_field(r, "prediction", "BAD_RECORD", where, read_strings),
             )
             for r in by_kind["labels"]
         ]
@@ -289,16 +280,17 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
             report.set("labels_f1", f1)
 
     if "classification" in by_kind:
-        truth = [str(_record_field(r, "truth", args.records)) for r in by_kind["classification"]]
-        prediction = [str(_record_field(r, "prediction", args.records)) for r in by_kind["classification"]]
+        rows = by_kind["classification"]
+        truth = [read_field(r, "truth", "BAD_RECORD", where, read_string) for r in rows]
+        prediction = [read_field(r, "prediction", "BAD_RECORD", where, read_string) for r in rows]
         report.counts["classification"] = len(truth)
         accuracy, macro_f1 = classification_metrics(truth, prediction)
         report.set("cls_accuracy", accuracy)
         report.set("cls_macro_f1", macro_f1)
 
     if "text" in by_kind:
-        references = [str(_record_field(r, "reference", args.records)) for r in by_kind["text"]]
-        hypotheses = [str(_record_field(r, "hypothesis", args.records)) for r in by_kind["text"]]
+        references = [read_field(r, "reference", "BAD_RECORD", where, read_string) for r in by_kind["text"]]
+        hypotheses = [read_field(r, "hypothesis", "BAD_RECORD", where, read_string) for r in by_kind["text"]]
         report.counts["text"] = len(references)
         report.set("text_bleu4", bleu4(references, hypotheses, epsilon=config.epsilon))
         report.set("text_rouge_l", rouge_l(references, hypotheses))
@@ -316,20 +308,13 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
 
 
 def cmd_retrieve(args, config: RunConfig) -> list[str]:
-    snippets = []
-    for record in _read_jsonl(args.store):
-        if not isinstance(record, dict):
-            raise InputError("BAD_RECORD", f"{args.store}: snippet records must be objects")
-        snippets.append(snippet_from_dict(record))
-    store = load_store(snippets)
+    store = load_store(snippet_from_dict(record) for record in _read_jsonl(args.store))
     by_id = {snippet.snippet_id: snippet for snippet in store.snapshot()}
     scorer = LexicalScorer()
     echo = config.echo()
     lines = []
     for record in _read_jsonl(args.prompt):
-        if isinstance(record, dict) and isinstance(record.get("prompt"), dict):
-            record = record["prompt"]
-        prompt = prompt_from_dict(record if isinstance(record, dict) else {})
+        prompt = _prompt_of(record)
         query = build_query(prompt.z, prompt.driver, prompt.vehicle)
         result = retrieve(store, query, config.top_k, scorer=scorer)
         ranked_snippets = [by_id[entry.snippet_id] for entry in result.ranked]

@@ -20,9 +20,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, is_finite_number, read_int, read_number, read_object, read_string
 from .policy import DEFAULT_J_MAX, PenaltyTable
-from .store import is_finite_number
 
 DEFAULT_WEIGHTS = (0.5, 0.3, 0.2)
 
@@ -66,34 +65,36 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ecpo_weights", check_weights(self.ecpo_weights))
-        if not 0.0 < self.match_threshold <= 1.0:
+        if not 0.0 < read_number(self.match_threshold, "BAD_THRESHOLD", "match_threshold", ConfigError) <= 1.0:
             raise ConfigError("BAD_THRESHOLD", f"match_threshold must be in (0, 1], got {self.match_threshold}")
-        if self.epsilon <= 0:
+        if read_number(self.epsilon, "BAD_EPSILON", "epsilon", ConfigError) <= 0:
             raise ConfigError("BAD_EPSILON", f"epsilon must be > 0, got {self.epsilon}")
-        if self.j_max < 1:
+        if read_int(self.j_max, "BAD_J_MAX", "j_max", ConfigError) < 1:
             raise ConfigError("BAD_J_MAX", f"j_max must be >= 1, got {self.j_max}")
-        if self.beta is not None and self.beta <= 0:
+        if self.beta is not None and read_number(self.beta, "BAD_BETA", "beta", ConfigError) <= 0:
             raise ConfigError("BAD_BETA", f"beta must be > 0, got {self.beta}")
-        if self.lambda_ecpo is not None and self.lambda_ecpo < 0:
+        lambda_ecpo = self.lambda_ecpo
+        if lambda_ecpo is not None and read_number(lambda_ecpo, "BAD_LAMBDA", "lambda_ecpo", ConfigError) < 0:
             raise ConfigError("BAD_LAMBDA", f"lambda_ecpo must be >= 0, got {self.lambda_ecpo}")
-        if not 0 <= self.psi_floor <= self.psi_ceiling:
+        floor = read_number(self.psi_floor, "BAD_PSI", "psi_floor", ConfigError)
+        if not 0 <= floor <= read_number(self.psi_ceiling, "BAD_PSI", "psi_ceiling", ConfigError):
             raise ConfigError("BAD_PSI", f"need 0 <= floor <= ceiling, got ({self.psi_floor}, {self.psi_ceiling})")
-        if self.gap_min < 0:
+        if read_number(self.gap_min, "BAD_GAP_MIN", "gap_min", ConfigError) < 0:
             raise ConfigError("BAD_GAP_MIN", f"gap_min must be >= 0, got {self.gap_min}")
-        if self.top_k < 1:
+        if read_int(self.top_k, "BAD_TOP_K", "top_k", ConfigError) < 1:
             raise ConfigError("BAD_TOP_K", f"top_k must be >= 1, got {self.top_k}")
-        if self.token_budget < 1:
+        if read_int(self.token_budget, "BAD_BUDGET", "token_budget", ConfigError) < 1:
             raise ConfigError("BAD_BUDGET", f"token_budget must be >= 1, got {self.token_budget}")
-        if not self.seeds:
-            raise ConfigError("BAD_SEEDS", "seeds must be a non-empty integer list")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if self.block_size < 1:
+        if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
+            raise ConfigError("BAD_SEEDS", f"seeds must be a non-empty integer list, got {self.seeds!r}")
+        object.__setattr__(self, "seeds", tuple(read_int(s, "BAD_SEEDS", "seed", ConfigError) for s in self.seeds))
+        if read_int(self.block_size, "BAD_BLOCK_SIZE", "block_size", ConfigError) < 1:
             raise ConfigError("BAD_BLOCK_SIZE", f"block_size must be >= 1, got {self.block_size}")
         if self.prng != "splitmix64":
             raise ConfigError("BAD_PRNG", f"the only declared PRNG is splitmix64, got {self.prng!r}")
         for name in ("lexicon_path", "hazard_rules_path", "label_vocab_path"):
             path = getattr(self, name)
-            if path is not None and not Path(path).is_file():
+            if path is not None and not Path(read_string(path, "MISSING_PATH", name, ConfigError)).is_file():
                 raise ConfigError("MISSING_PATH", f"{name} {path!r} does not exist")
 
     def lexicon(self):
@@ -118,26 +119,10 @@ class RunConfig:
         return _vocab_cached(self.label_vocab_path)
 
     def echo(self) -> dict:
-        """Resolved configuration embedded in every report."""
+        """Resolved configuration embedded in every report, as JSON-native values."""
         return {
-            "ecpo_weights": list(self.ecpo_weights),
-            "penalty_table": dataclasses.asdict(self.penalty_table),
-            "lexicon_path": self.lexicon_path,
-            "hazard_rules_path": self.hazard_rules_path,
-            "label_vocab_path": self.label_vocab_path,
-            "match_threshold": self.match_threshold,
-            "epsilon": self.epsilon,
-            "j_max": self.j_max,
-            "beta": self.beta,
-            "lambda_ecpo": self.lambda_ecpo,
-            "psi_floor": self.psi_floor,
-            "psi_ceiling": self.psi_ceiling,
-            "gap_min": self.gap_min,
-            "top_k": self.top_k,
-            "token_budget": self.token_budget,
-            "seeds": list(self.seeds),
-            "block_size": self.block_size,
-            "prng": self.prng,
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in dataclasses.asdict(self).items()
         }
 
 
@@ -173,28 +158,19 @@ def load_config(path: str | Path) -> RunConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError("BAD_CONFIG", f"cannot read config {path}: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("BAD_CONFIG", "config file must hold a JSON object")
-    unknown = set(raw) - _FIELD_NAMES
+    unknown = set(read_object(raw, "BAD_CONFIG", "config file", ConfigError)) - _FIELD_NAMES
     if unknown:
         raise ConfigError("UNKNOWN_CONFIG_KEY", f"unknown config keys: {sorted(unknown)}")
     values: dict = dict(raw)
     if "penalty_table" in values:
-        table = values["penalty_table"]
-        if not isinstance(table, dict):
-            raise ConfigError("BAD_CONFIG", "penalty_table must be an object")
+        table = read_object(values["penalty_table"], "BAD_PENALTY", "penalty_table", ConfigError)
         known = set(PenaltyTable.__dataclass_fields__)
         bad = set(table) - known
         if bad:
             raise ConfigError("UNKNOWN_CONFIG_KEY", f"unknown penalty_table keys: {sorted(bad)}")
         values["penalty_table"] = PenaltyTable(**table)
-    if "seeds" in values:
-        values["seeds"] = tuple(values["seeds"])
     for name in ("lexicon_path", "hazard_rules_path", "label_vocab_path"):
         value = values.get(name)
         if isinstance(value, str) and not Path(value).is_absolute():
             values[name] = str((path.parent / value).resolve())
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError("BAD_CONFIG", f"malformed config: {exc}")
+    return RunConfig(**values)

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, read_field, read_object, read_pair, read_string, read_strings
 from .policy import PolicyAction, parse_action_type, parse_policy, serialize_policy
-from .store import ConstraintSnippet, is_finite_number, snippet_from_dict, snippet_to_dict
+from .store import ConstraintSnippet, snippet_from_dict, snippet_to_dict
 from .textnorm import dedup_preserve_order, normalize_text
 
 SPLITS = ("train", "val", "test")
@@ -30,18 +30,6 @@ SENSITIVITY_LEVELS = ("none", "low", "medium", "high")
 STRATIFY_HEADS = ("emotion", "behavior", "traffic_scene", "vehicle_motion")
 
 STRATIFY_GROUPS = ("driver_critical", "env_critical", "interaction_critical", "nominal")
-
-
-def _finite_pair(value: object) -> tuple[float, float] | None:
-    """``value`` as a [low, high] pair of finite numbers with low <= high, else None."""
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(is_finite_number(v) for v in value)
-        and value[0] <= value[1]
-    ):
-        return (float(value[0]), float(value[1]))
-    return None
 
 
 def sensitivity_rank(level: str) -> int:
@@ -80,9 +68,7 @@ class DriverProfile:
                 raise InputError("BAD_PROFILE", f"sensitivity {key!r} has unknown level {level!r}")
         band = self.cabin_preferences.get("temperature_band")
         if band is not None:
-            pair = _finite_pair(band)
-            if pair is None:
-                raise InputError("BAD_PROFILE", f"temperature_band {band!r} is not a [low, high] pair")
+            pair = read_pair(band, "BAD_PROFILE", "temperature_band")
             object.__setattr__(self, "cabin_preferences", {**self.cabin_preferences, "temperature_band": pair})
 
     def temperature_band(self) -> tuple[float, float] | None:
@@ -109,15 +95,10 @@ class VehicleProfile:
             parsed = parse_action_type(name)
             if parsed is None or parsed.value not in canonical:
                 raise InputError("BAD_PROFILE", f"capability bound names unavailable actuator {name!r}")
-            if not isinstance(bounds, dict):
-                raise InputError("BAD_PROFILE", f"capability limits of {name!r} must be an object, got {bounds!r}")
-            checked = {}
-            for parameter, bound in bounds.items():
-                pair = _finite_pair(bound)
-                if pair is None:
-                    raise InputError("BAD_PROFILE", f"capability bound {name}.{parameter} is not [min, max]")
-                checked[parameter] = pair
-            limits[parsed.value] = checked
+            limits[parsed.value] = {
+                parameter: read_pair(bound, "BAD_PROFILE", f"capability bound {name}.{parameter}")
+                for parameter, bound in read_object(bounds, "BAD_PROFILE", f"capability limits of {name!r}").items()
+            }
         object.__setattr__(self, "capability_limits", limits)
 
 
@@ -128,8 +109,8 @@ class StrategyPrompt:
     driver: DriverProfile = field(default_factory=DriverProfile)
     vehicle: VehicleProfile = field(default_factory=VehicleProfile)
     constraints: tuple[ConstraintSnippet, ...] = ()
-    # (hazard rules, maneuver table) -> validator.PromptContext, filled on the
-    # first validate of this prompt; derived state only.
+    # hazard rules -> validator.PromptContext, filled on the first validate of
+    # this prompt; derived state only.
     _validation_contexts: dict[tuple, object] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -203,17 +184,14 @@ def load_label_vocab(path: str | Path) -> LabelVocabulary:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError("BAD_VOCAB", f"cannot load vocabulary from {path}: {exc}")
-    heads_raw = raw.get("heads") if isinstance(raw, dict) else None
-    if not isinstance(heads_raw, dict):
-        raise ConfigError("BAD_VOCAB", "vocabulary file must hold a 'heads' object")
     heads = {}
     nominal = {}
-    for head, entry in heads_raw.items():
-        if not isinstance(entry, dict) or not isinstance(entry.get("labels"), list):
-            raise ConfigError("BAD_VOCAB", f"head {head!r} must declare a labels list")
-        heads[head] = tuple(str(label) for label in entry["labels"])
+    heads_raw = read_object(raw, "BAD_VOCAB", "vocabulary file", ConfigError).get("heads")
+    for head, entry in read_object(heads_raw, "BAD_VOCAB", "heads", ConfigError).items():
+        entry = read_object(entry, "BAD_VOCAB", f"head {head!r}", ConfigError)
+        heads[head] = tuple(read_strings(entry.get("labels"), "BAD_VOCAB", f"labels of head {head!r}", ConfigError))
         if "nominal" in entry:
-            nominal[head] = str(entry["nominal"])
+            nominal[head] = read_string(entry["nominal"], "BAD_VOCAB", f"nominal of head {head!r}", ConfigError)
     return LabelVocabulary(heads=heads, nominal=nominal)
 
 
@@ -379,24 +357,15 @@ def perception_to_dict(z: PerceptionSummary) -> dict:
     }
 
 
-def _string_tuple(raw: object, path: str) -> tuple[str, ...]:
-    if raw is None:
-        return ()
-    if not isinstance(raw, list) or not all(isinstance(item, str) for item in raw):
-        raise InputError("BAD_RECORD", f"{path} must be a list of strings")
-    return tuple(raw)
-
-
 def perception_from_dict(raw: dict) -> PerceptionSummary:
-    if not isinstance(raw, dict):
-        raise InputError("BAD_RECORD", "perception summary must be an object")
+    read_object(raw, "BAD_RECORD", "perception summary")
     return PerceptionSummary(
-        driver_labels=_string_tuple(raw.get("driver_labels"), "driver_labels"),
-        scene_labels=_string_tuple(raw.get("scene_labels"), "scene_labels"),
-        summary_initial=str(raw.get("summary_initial", "")),
-        summary_transition=str(raw.get("summary_transition", "")),
-        summary_final=str(raw.get("summary_final", "")),
-        objects=_string_tuple(raw.get("objects"), "objects"),
+        driver_labels=tuple(read_strings(raw.get("driver_labels", []), "BAD_RECORD", "driver_labels")),
+        scene_labels=tuple(read_strings(raw.get("scene_labels", []), "BAD_RECORD", "scene_labels")),
+        summary_initial=read_string(raw.get("summary_initial", ""), "BAD_RECORD", "summary_initial"),
+        summary_transition=read_string(raw.get("summary_transition", ""), "BAD_RECORD", "summary_transition"),
+        summary_final=read_string(raw.get("summary_final", ""), "BAD_RECORD", "summary_final"),
+        objects=tuple(read_strings(raw.get("objects", []), "BAD_RECORD", "objects")),
     )
 
 
@@ -415,19 +384,16 @@ def driver_to_dict(driver: DriverProfile) -> dict:
 
 
 def driver_from_dict(raw: dict) -> DriverProfile:
-    if not isinstance(raw, dict):
-        raise InputError("BAD_RECORD", "driver profile must be an object")
-    sensitivities = raw.get("sensitivities", {})
-    if not isinstance(sensitivities, dict):
-        raise InputError("BAD_PROFILE", "sensitivities must be an object")
-    prefs = raw.get("cabin_preferences", {})
-    if not isinstance(prefs, dict):
-        raise InputError("BAD_PROFILE", "cabin_preferences must be an object")
+    read_object(raw, "BAD_RECORD", "driver profile")
+    sensitivities = read_object(raw.get("sensitivities", {}), "BAD_PROFILE", "sensitivities")
+    prefs = read_object(raw.get("cabin_preferences", {}), "BAD_PROFILE", "cabin_preferences")
     return DriverProfile(
-        alert_modality_preference=str(raw.get("alert_modality_preference", "")),
-        alert_frequency=str(raw.get("alert_frequency", "")),
-        sensitivities={str(k): str(v) for k, v in sensitivities.items()},
-        style_preference=str(raw.get("style_preference", "")),
+        alert_modality_preference=read_string(
+            raw.get("alert_modality_preference", ""), "BAD_PROFILE", "alert_modality_preference"
+        ),
+        alert_frequency=read_string(raw.get("alert_frequency", ""), "BAD_PROFILE", "alert_frequency"),
+        sensitivities=dict(sensitivities),
+        style_preference=read_string(raw.get("style_preference", ""), "BAD_PROFILE", "style_preference"),
         cabin_preferences=dict(prefs),
     )
 
@@ -445,16 +411,14 @@ def vehicle_to_dict(vehicle: VehicleProfile) -> dict:
 
 
 def vehicle_from_dict(raw: dict) -> VehicleProfile:
-    if not isinstance(raw, dict):
-        raise InputError("BAD_RECORD", "vehicle profile must be an object")
-    actuators = raw.get("available_actuators", [])
-    limits = raw.get("capability_limits", {})
-    if not isinstance(actuators, list) or not isinstance(limits, dict):
-        raise InputError("BAD_PROFILE", "malformed vehicle profile")
+    read_object(raw, "BAD_RECORD", "vehicle profile")
+    limits = read_object(raw.get("capability_limits", {}), "BAD_PROFILE", "capability_limits")
     return VehicleProfile(
-        jurisdiction=str(raw.get("jurisdiction", "")),
-        operating_mode=str(raw.get("operating_mode", "")),
-        available_actuators=frozenset(str(name) for name in actuators),
+        jurisdiction=read_string(raw.get("jurisdiction", ""), "BAD_PROFILE", "jurisdiction"),
+        operating_mode=read_string(raw.get("operating_mode", ""), "BAD_PROFILE", "operating_mode"),
+        available_actuators=frozenset(
+            read_strings(raw.get("available_actuators", []), "BAD_PROFILE", "available_actuators")
+        ),
         capability_limits=dict(limits),
     )
 
@@ -470,13 +434,12 @@ def prompt_to_dict(prompt: StrategyPrompt) -> dict:
 
 
 def prompt_from_dict(raw: dict) -> StrategyPrompt:
-    if not isinstance(raw, dict) or not isinstance(raw.get("prompt_id"), str):
-        raise InputError("BAD_RECORD", "prompt record needs a string prompt_id")
+    prompt_id = read_field(raw, "prompt_id", "BAD_RECORD", "prompt record", read_string)
     constraints = raw.get("constraints", [])
     if not isinstance(constraints, list):
         raise InputError("BAD_RECORD", "constraints must be a list")
     return StrategyPrompt(
-        prompt_id=raw["prompt_id"],
+        prompt_id=prompt_id,
         z=perception_from_dict(raw.get("z", {})),
         driver=driver_from_dict(raw.get("driver", {})),
         vehicle=vehicle_from_dict(raw.get("vehicle", {})),
@@ -500,8 +463,7 @@ def sample_to_dict(record: SampleRecord) -> dict:
 
 
 def sample_from_dict(raw: dict) -> SampleRecord:
-    if not isinstance(raw, dict):
-        raise InputError("BAD_RECORD", "sample record must be an object")
+    read_object(raw, "BAD_RECORD", "sample record")
     reference = None
     raw_reference = raw.get("reference_policy")
     if raw_reference is not None:
@@ -510,15 +472,14 @@ def sample_from_dict(raw: dict) -> SampleRecord:
         if not outcome.valid:
             raise InputError("BAD_RECORD", "reference_policy is not schema-valid")
         reference = outcome.policy
-    labels_raw = raw.get("ground_truth_labels", {})
-    if not isinstance(labels_raw, dict):
-        raise InputError("BAD_RECORD", "ground_truth_labels must be an object")
-    labels: dict[str, object] = {}
-    for task, value in labels_raw.items():
-        labels[str(task)] = tuple(str(v) for v in value) if isinstance(value, list) else value
+    labels_raw = read_object(raw.get("ground_truth_labels", {}), "BAD_RECORD", "ground_truth_labels")
+    labels: dict[str, object] = {
+        task: value if isinstance(value, str) else tuple(read_strings(value, "BAD_RECORD", f"label {task!r}"))
+        for task, value in labels_raw.items()
+    }
     return SampleRecord(
         prompt=prompt_from_dict(raw.get("prompt", {})),
-        split=str(raw.get("split", "")),
+        split=raw.get("split", ""),
         reference_policy=reference,
         ground_truth_labels=labels,
     )

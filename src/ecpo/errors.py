@@ -6,6 +6,9 @@ CLI can report machine-readable failures without parsing prose.
 
 from __future__ import annotations
 
+import math
+from typing import Callable
+
 
 class ToolkitError(Exception):
     """Base error with a stable machine-readable code."""
@@ -26,3 +29,73 @@ class ConfigError(ToolkitError):
 
 class InvariantError(ToolkitError):
     """Raised when an internal invariant breaks (CLI exit code 3)."""
+
+
+# Typed readers for values decoded from outside JSON (records, config and
+# vocabulary files). A value of the wrong JSON type fails with the caller's
+# code and is never converted; a well-formed value comes back unchanged. The
+# message is built only on failure, since records decode on the hot path.
+
+
+def is_finite_number(value: object) -> bool:
+    """A JSON number, not a bool, whose float value is finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def read_field(record: object, key: str, code: str, what: str = "record", reader: Callable | None = None) -> object:
+    """``record[key]``, passed through ``reader`` when given; a record that is
+    not an object or lacks the key fails."""
+    if isinstance(record, dict) and key in record:
+        return record[key] if reader is None else reader(record[key], code, key)
+    raise InputError(code, f"{what} needs a {key!r} field")
+
+
+def read_object(value: object, code: str, what: str, error: type[ToolkitError] = InputError) -> dict:
+    if not isinstance(value, dict):
+        raise error(code, f"{what} must be an object, got {value!r}")
+    return value
+
+
+def read_string(value: object, code: str, what: str, error: type[ToolkitError] = InputError) -> str:
+    if not isinstance(value, str):
+        raise error(code, f"{what} must be a string, got {value!r}")
+    return value
+
+
+def read_strings(value: object, code: str, what: str, error: type[ToolkitError] = InputError) -> list[str]:
+    if isinstance(value, list):
+        for item in value:  # a loop, not all(...): no generator on the hot path
+            if not isinstance(item, str):
+                break
+        else:
+            return value
+    raise error(code, f"{what} must be a list of strings, got {value!r}")
+
+
+def read_number(value: object, code: str, what: str, error: type[ToolkitError] = InputError) -> float:
+    if not is_finite_number(value):
+        raise error(code, f"{what} must be a finite number, got {value!r}")
+    return value
+
+
+def read_int(value: object, code: str, what: str, error: type[ToolkitError] = InputError) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(code, f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def read_pair(value: object, code: str, what: str, error: type[ToolkitError] = InputError) -> tuple[float, float]:
+    """A [low, high] pair of finite numbers with low <= high, as floats."""
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not (is_finite_number(value[0]) and is_finite_number(value[1]))
+        or value[0] > value[1]
+    ):
+        raise error(code, f"{what} must be a finite [low, high] pair, got {value!r}")
+    return (float(value[0]), float(value[1]))

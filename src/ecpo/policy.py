@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, read_number
 
 Scalar = str | int | float
 
@@ -361,7 +361,7 @@ class PenaltyTable:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0:
+            if read_number(getattr(self, name), "BAD_PENALTY", f"penalty {name}", ConfigError) < 0:
                 raise ConfigError("BAD_PENALTY", f"penalty {name} must be non-negative")
 
 

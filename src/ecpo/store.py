@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import math
 import re
 from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, read_int, read_number, read_object, read_string, read_strings
 from .policy import ActionType, parse_action_type
 from .textnorm import (
     content_tokens,
@@ -377,71 +376,42 @@ def assertions_to_dict(assertions: Assertions) -> dict:
     }
 
 
-# Typed field decoders for snippet records: a value of the wrong JSON type is
-# rejected as BAD_SNIPPET, never converted.
-
-
-def _string(value: object, what: str) -> str:
-    if not isinstance(value, str):
-        raise InputError("BAD_SNIPPET", f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _list(raw: dict, key: str) -> list | tuple:
-    value = raw.get(key, ())
-    if not isinstance(value, (list, tuple)):
-        raise InputError("BAD_SNIPPET", f"{key} must be a list, got {value!r}")
-    return value
-
-
-def is_finite_number(value: object) -> bool:
-    """A JSON number, not a bool, whose float value is finite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        return False
-
-
-def _finite_number(value: object, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError("BAD_SNIPPET", f"{what} must be a number, got {value!r}")
-    if not is_finite_number(value):
-        raise InputError("BAD_SNIPPET", f"{what} must be finite, got {value!r}")
-    return float(value)
-
-
 def assertions_from_dict(raw: dict) -> Assertions:
-    if not isinstance(raw, dict):
-        raise InputError("BAD_SNIPPET", "assertions must be an object")
+    read_object(raw, "BAD_SNIPPET", "assertions")
     types = []
-    for name in _list(raw, "forbidden_action_types"):
-        parsed = parse_action_type(name) if isinstance(name, str) else None
+    for name in read_strings(raw.get("forbidden_action_types", []), "BAD_SNIPPET", "forbidden_action_types"):
+        parsed = parse_action_type(name)
         if parsed is None:
             raise InputError("BAD_SNIPPET", f"unmappable forbidden action type {name!r}")
         types.append(parsed)
-    bounds = []
-    for entry in _list(raw, "parameter_bounds"):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 4:
-            raise InputError("BAD_SNIPPET", f"parameter bound {entry!r} is not a 4-item list")
-        parsed = parse_action_type(entry[0]) if isinstance(entry[0], str) else None
-        if parsed is None:
-            raise InputError("BAD_SNIPPET", f"unmappable bound action type {entry[0]!r}")
-        parameter = _string(entry[1], "bound parameter")
-        bounds.append(
-            ParameterBound(
-                parsed,
-                parameter,
-                _finite_number(entry[2], f"minimum of bound {parameter!r}"),
-                _finite_number(entry[3], f"maximum of bound {parameter!r}"),
-            )
-        )
+    bounds = raw.get("parameter_bounds", [])
+    if not isinstance(bounds, list):
+        raise InputError("BAD_SNIPPET", f"parameter_bounds must be a list, got {bounds!r}")
     return Assertions(
         forbidden_action_types=frozenset(types),
-        parameter_bounds=tuple(bounds),
-        required_modalities=frozenset(_string(m, "required modality") for m in _list(raw, "required_modalities")),
-        forbidden_keywords=tuple(_string(k, "forbidden keyword") for k in _list(raw, "forbidden_keywords")),
+        parameter_bounds=tuple(map(_parameter_bound, bounds)),
+        required_modalities=frozenset(
+            read_strings(raw.get("required_modalities", []), "BAD_SNIPPET", "required_modalities")
+        ),
+        forbidden_keywords=tuple(
+            read_strings(raw.get("forbidden_keywords", []), "BAD_SNIPPET", "forbidden_keywords")
+        ),
+    )
+
+
+def _parameter_bound(entry: object) -> ParameterBound:
+    if not isinstance(entry, list) or len(entry) != 4:
+        raise InputError("BAD_SNIPPET", f"parameter bound {entry!r} is not a 4-item list")
+    action, parameter, minimum, maximum = entry
+    parsed = parse_action_type(read_string(action, "BAD_SNIPPET", "bound action type"))
+    if parsed is None:
+        raise InputError("BAD_SNIPPET", f"unmappable bound action type {action!r}")
+    parameter = read_string(parameter, "BAD_SNIPPET", "bound parameter")
+    return ParameterBound(
+        parsed,
+        parameter,
+        float(read_number(minimum, "BAD_SNIPPET", f"minimum of bound {parameter!r}")),
+        float(read_number(maximum, "BAD_SNIPPET", f"maximum of bound {parameter!r}")),
     )
 
 
@@ -459,25 +429,25 @@ def snippet_to_dict(snippet: ConstraintSnippet) -> dict:
 
 
 def snippet_from_dict(raw: dict) -> ConstraintSnippet:
-    if not isinstance(raw, dict):
-        raise InputError("BAD_SNIPPET", "snippet record must be an object")
-    for key in ("snippet_id", "layer", "clause_id", "text"):
-        if key not in raw:
-            raise InputError("BAD_SNIPPET", f"snippet record missing field {key!r}")
+    read_object(raw, "BAD_SNIPPET", "snippet record")
     jurisdiction = raw.get("jurisdiction")
     vehicle_config = raw.get("vehicle_config")
-    version = raw.get("version", 0)
-    if isinstance(version, bool) or not isinstance(version, int) or version < 0:
+    version = read_int(raw.get("version", 0), "BAD_SNIPPET", "version")
+    if version < 0:
         raise InputError("BAD_SNIPPET", f"version must be a non-negative integer, got {version!r}")
     assertions = raw.get("assertions")
+    # a missing required field reads as None, which no string reader accepts
     return ConstraintSnippet(
-        snippet_id=_string(raw["snippet_id"], "snippet_id"),
-        layer=_string(raw["layer"], "layer"),
-        clause_id=_string(raw["clause_id"], "clause_id"),
-        text=_string(raw["text"], "text"),
-        jurisdiction=None if jurisdiction is None else _string(jurisdiction, "jurisdiction"),
-        vehicle_config=None if vehicle_config is None else _string(vehicle_config, "vehicle_config"),
-        assertions=assertions_from_dict(assertions) if assertions else None,
+        snippet_id=read_string(raw.get("snippet_id"), "BAD_SNIPPET", "snippet_id"),
+        layer=read_string(raw.get("layer"), "BAD_SNIPPET", "layer"),
+        clause_id=read_string(raw.get("clause_id"), "BAD_SNIPPET", "clause_id"),
+        text=read_string(raw.get("text"), "BAD_SNIPPET", "text"),
+        jurisdiction=None if jurisdiction is None else read_string(jurisdiction, "BAD_SNIPPET", "jurisdiction"),
+        vehicle_config=(
+            None if vehicle_config is None else read_string(vehicle_config, "BAD_SNIPPET", "vehicle_config")
+        ),
+        # an empty assertions object declares nothing, like an absent one
+        assertions=None if assertions is None or assertions == {} else assertions_from_dict(assertions),
         version=version,
     )
 

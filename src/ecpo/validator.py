@@ -178,11 +178,13 @@ def load_hazard_rules(path: str | Path) -> tuple[HazardRule, ...]:
     return tuple(rules)
 
 
-_DEFAULT_MANEUVER_PHRASES = tuple((name, _phrases(t)) for name, t in DEFAULT_MANEUVERS.items())
-
-
 def _longest(groups: Iterable[Phrases]) -> int:
     return max((len(phrase) for phrases in groups for phrase in phrases), default=0)
+
+
+# The maneuver table, tokenized once at import.
+_MANEUVER_PHRASES = tuple((name, _phrases(t)) for name, t in DEFAULT_MANEUVERS.items())
+_MANEUVER_LONGEST = _longest(phrases for _, phrases in _MANEUVER_PHRASES)
 
 
 def _matches(grams: set[tuple[str, ...]], phrases: Phrases) -> bool:
@@ -288,7 +290,7 @@ class PromptContext(NamedTuple):
     """Everything validation derives from the prompt alone.
 
     Built by ``prompt_context`` on the first validation of a prompt under a
-    rule set and maneuver table, then reused for every candidate.
+    rule set, then reused for every candidate.
     """
 
     hazards_truth: frozenset[str]
@@ -298,39 +300,25 @@ class PromptContext(NamedTuple):
     legal_keywords: KeywordCarriers
     driver_keywords: KeywordCarriers
     grounding: Grounding
-    maneuvers: tuple[tuple[str, Phrases], ...]
-    maneuver_longest: int
     # maneuvers whose trigger occurs in a scene label or summary stage
     scene_maneuvers: frozenset[str]
 
 
-def prompt_context(
-    prompt: StrategyPrompt,
-    rules: Sequence[HazardRule] | None = None,
-    maneuvers: Mapping[str, Sequence[str]] | None = None,
-) -> PromptContext:
-    """The prompt's validation context, built once per (rules, maneuvers) and kept on the prompt."""
+def prompt_context(prompt: StrategyPrompt, rules: Sequence[HazardRule] | None = None) -> PromptContext:
+    """The prompt's validation context, built once per rule set and kept on the prompt."""
     rules = DEFAULT_HAZARD_RULES if rules is None else tuple(rules)
-    if maneuvers is None:
-        table = _DEFAULT_MANEUVER_PHRASES
-    else:
-        table = tuple((name, _phrases(triggers)) for name, triggers in maneuvers.items())
-    key = (rules, table)
-    context = prompt._validation_contexts.get(key)
+    context = prompt._validation_contexts.get(rules)
     if context is None:
-        context = prompt._validation_contexts[key] = _build_context(prompt, rules, table)
+        context = prompt._validation_contexts[rules] = _build_context(prompt, rules)
     return context
 
 
-def _build_context(
-    prompt: StrategyPrompt, rules: tuple[HazardRule, ...], maneuvers: tuple[tuple[str, Phrases], ...]
-) -> PromptContext:
+def _build_context(prompt: StrategyPrompt, rules: tuple[HazardRule, ...]) -> PromptContext:
     z = prompt.z
     legal, vehicle, driver = (
         tuple(s for s in prompt.constraints if s.layer == layer) for layer in ("legal", "vehicle", "driver")
     )
-    longest = _longest(phrases for _, phrases in maneuvers)
-    scene = token_ngrams([tokenize(text) for text in (*z.scene_labels, *z.summary_stages())], longest)
+    scene = token_ngrams([tokenize(text) for text in (*z.scene_labels, *z.summary_stages())], _MANEUVER_LONGEST)
     return PromptContext(
         hazards_truth=derive_hazards(z, prompt.constraints, rules),
         legal=legal,
@@ -339,9 +327,7 @@ def _build_context(
         legal_keywords=_keyword_carriers(legal),
         driver_keywords=_keyword_carriers(driver),
         grounding=_grounding_targets(z, prompt.constraints),
-        maneuvers=maneuvers,
-        maneuver_longest=longest,
-        scene_maneuvers=frozenset(name for name, phrases in maneuvers if _matches(scene, phrases)),
+        scene_maneuvers=frozenset(name for name, phrases in _MANEUVER_PHRASES if _matches(scene, phrases)),
     )
 
 
@@ -487,11 +473,11 @@ def _check_hazard_conservatism(hazards_truth, hazards_addressed, check_id) -> Ch
 def _check_maneuver_consistency(actions, context: PromptContext, check_id) -> CheckResult:
     hits = []
     action_grams = None
-    for maneuver, phrases in context.maneuvers:
+    for maneuver, phrases in _MANEUVER_PHRASES:
         if maneuver in context.scene_maneuvers:
             continue
         if action_grams is None:
-            action_grams = [token_ngrams([facts.tokens], context.maneuver_longest) for facts in actions]
+            action_grams = [token_ngrams([facts.tokens], _MANEUVER_LONGEST) for facts in actions]
         mentioned = [index for index, grams in enumerate(action_grams) if _matches(grams, phrases)]
         if mentioned:
             hits.append(f"actions {mentioned} reference {maneuver} absent from the scene")
@@ -504,7 +490,6 @@ def run_layered_checks(
     policy: PolicyAction,
     prompt: StrategyPrompt,
     rules: Sequence[HazardRule] | None = None,
-    maneuvers: Mapping[str, tuple[str, ...]] | None = None,
     *,
     hazards_addressed: frozenset[str] | None = None,
     actions: Sequence[ActionFacts] | None = None,
@@ -515,7 +500,7 @@ def run_layered_checks(
     caller that already holds the policy's addressed hazards (same rules) or
     its per-action facts passes them in rather than having them recomputed.
     """
-    context = prompt_context(prompt, rules, maneuvers)
+    context = prompt_context(prompt, rules)
     if actions is None:
         actions = _action_facts(policy)
     if hazards_addressed is None:

@@ -1,0 +1,329 @@
+"""The CLI error contract at the input boundary.
+
+A value of the wrong JSON type in any record or config field fails with exit
+1 (input) or 2 (config) and one ``error: CODE: message`` line naming the
+field's code; it is never converted and never reaches the scorer.
+"""
+
+import copy
+import io
+import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ecpo.cli import main
+
+POLICY = {
+    "objectives": "Keep a safe distance in heavy rain.",
+    "constraints": {
+        "legal_regulations": "Keep within posted speed limits.",
+        "vehicle_limits": "Standard cabin actuators only.",
+        "driver_preferences": "Visual prompts only.",
+        "contextual_evidence": "heavy rain ahead",
+    },
+    "actions": [
+        {
+            "type": "HmiPrompt",
+            "parameters": {"modality": "visual", "text": "Rain ahead, keep your distance."},
+            "rationale": "Reduced visibility calls for a longer following distance.",
+            "evidence": {"in_cabin_text": [], "out_of_vehicle_text": ["heavy rain ahead"], "objects": [],
+                         "labels": ["rain"]},
+        },
+        {
+            "type": "Hvac",
+            "parameters": {"temperature": 21},
+            "rationale": "A calm cabin for the anxious driver.",
+            "evidence": {"in_cabin_text": ["the driver looks around"], "out_of_vehicle_text": [], "objects": [],
+                         "labels": ["anxious"]},
+        },
+    ],
+}
+
+SNIPPET = {
+    "snippet_id": "s1",
+    "layer": "legal",
+    "clause_id": "c1",
+    "text": "reduce speed in heavy rain",
+    "jurisdiction": "EU",
+    "vehicle_config": "sedan",
+    "version": 0,
+    "assertions": {
+        "forbidden_action_types": ["AmbientLight"],
+        "parameter_bounds": [["Hvac", "temperature", 16, 28]],
+        "required_modalities": ["visual"],
+        "forbidden_keywords": ["accelerate"],
+    },
+}
+
+PROMPT = {
+    "prompt_id": "p1",
+    "z": {
+        "driver_labels": ["anxious"],
+        "scene_labels": ["rain"],
+        "objects": ["truck"],
+        "summary_initial": "heavy rain ahead",
+        "summary_transition": "the driver looks around",
+        "summary_final": "the vehicle slows down",
+    },
+    "driver": {
+        "alert_modality_preference": "visual",
+        "alert_frequency": "low",
+        "sensitivities": {"noise": "high"},
+        "style_preference": "calm",
+        "cabin_preferences": {"temperature_band": [19, 24]},
+    },
+    "vehicle": {
+        "jurisdiction": "EU",
+        "operating_mode": "manual",
+        "available_actuators": ["HmiPrompt", "Hvac"],
+        "capability_limits": {"Hvac": {"temperature": [16, 28]}},
+    },
+    "constraints": [SNIPPET],
+}
+
+LABELS = {"emotion": "anger", "behavior": "normal_driving", "traffic_scene": "rain", "vehicle_motion": "forward_moving"}
+
+
+def sample(prompt_id: str) -> dict:
+    return {"prompt": {**PROMPT, "prompt_id": prompt_id}, "split": "train", "reference_policy": POLICY,
+            "ground_truth_labels": dict(LABELS)}
+
+
+# One valid input set per command: (argv with {file} placeholders, file name -> records).
+COMMANDS = {
+    "validate": (
+        ["validate", "--policies", "{policies}", "--prompts", "{prompts}"],
+        {"policies": [{"prompt_id": "p1", "candidate_id": "c1", "document": POLICY}], "prompts": [PROMPT]},
+    ),
+    "pairs": (
+        ["pairs", "--candidates", "{candidates}"],
+        {"candidates": [{"prompt_id": "p1", "prompt": PROMPT, "candidates": [
+            {"candidate_id": "a", "document": POLICY}, {"candidate_id": "b", "document": {"actions": []}}]}]},
+    ),
+    "eval": (
+        ["eval", "--records", "{records}"],
+        {"records": [
+            {"kind": "strategy", "prompt_id": "p1", "prompt": PROMPT, "document": POLICY,
+             "ratings": [[True, True, False]], "seed": 0},
+            {"kind": "labels", "truth": ["a", "b"], "prediction": ["a"]},
+            {"kind": "classification", "truth": "a", "prediction": "b"},
+            {"kind": "text", "reference": "keep a safe distance", "hypothesis": "keep distance"},
+        ]},
+    ),
+    "retrieve": (
+        ["retrieve", "--store", "{store}", "--prompt", "{prompts}"],
+        {"store": [SNIPPET], "prompts": [PROMPT]},
+    ),
+    "mixpair": (
+        ["mixpair", "--in-cabin", "{in}", "--out-of-cabin", "{out}"],
+        {"in": [sample("in-1")], "out": [sample("out-1")]},
+    ),
+    "stratify": (["stratify", "--records", "{records}"], {"records": [sample("r1")]}),
+}
+
+# Sets every field but the asset paths, with integer values where a float is allowed.
+CONFIG = {
+    "ecpo_weights": [0.5, 0.3, 0.2],
+    "penalty_table": {"missing_objectives": 0.1, "other": 0},
+    "lexicon_path": None,
+    "hazard_rules_path": None,
+    "label_vocab_path": None,
+    "match_threshold": 1,
+    "epsilon": 1,
+    "j_max": 5,
+    "beta": 2,
+    "lambda_ecpo": 0.5,
+    "psi_floor": 0,
+    "psi_ceiling": 1,
+    "gap_min": 0,
+    "top_k": 3,
+    "token_budget": 50,
+    "seeds": [3],
+    "block_size": 1,
+    "prng": "splitmix64",
+}
+
+VOCAB = {"heads": {
+    "emotion": {"labels": ["neutral", "anger"], "nominal": "neutral"},
+    "behavior": {"labels": ["normal_driving"], "nominal": "normal_driving"},
+    "traffic_scene": {"labels": ["smooth_traffic", "rain"], "nominal": "smooth_traffic"},
+    "vehicle_motion": {"labels": ["forward_moving"], "nominal": "forward_moving"},
+}}
+
+
+def run(directory: Path, command: str, files: dict, config: object = None, options=()) -> tuple[int, str, str]:
+    """Write the inputs under ``directory`` and run the command in-process."""
+    template, _ = COMMANDS[command]
+    paths = {}
+    for name, records in files.items():
+        paths[name] = directory / f"{name}.jsonl"
+        paths[name].write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    argv = [*options, *(part.format(**paths) for part in template)]
+    if config is not None:
+        config_path = directory / "config.json"
+        config_path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+        argv = ["--config", str(config_path), *argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def inputs(command: str) -> dict:
+    return copy.deepcopy(COMMANDS[command][1])
+
+
+def test_every_valid_input_runs_clean(tmp_path):
+    for command in COMMANDS:
+        for config in (None, CONFIG):
+            code, out, err = run(tmp_path, command, inputs(command), config)
+            assert (command, code) == (command, 0), err
+            assert out and "error:" not in err
+
+
+def nan_config(field: str, value: str) -> str:
+    """Config text with one raw JSON value, for values json.dumps cannot spell."""
+    return json.dumps({field: "@"}).replace('"@"', value)
+
+
+def with_vocab(directory: Path, labels: list) -> dict:
+    vocab = copy.deepcopy(VOCAB)
+    vocab["heads"]["emotion"]["labels"] = labels
+    (directory / "vocab.json").write_text(json.dumps(vocab), encoding="utf-8")
+    return {"label_vocab_path": "vocab.json"}
+
+
+MISTYPED = [
+    # retrieve would build the query terms "None", "5", "none" and "nan"
+    pytest.param("retrieve", lambda f: f["prompts"][0]["vehicle"].update(jurisdiction=None), None, 1, "BAD_PROFILE",
+                 id="retrieve-null-jurisdiction"),
+    pytest.param("retrieve", lambda f: f["prompts"][0]["vehicle"].update(operating_mode=5), None, 1, "BAD_PROFILE",
+                 id="retrieve-numeric-operating-mode"),
+    pytest.param("retrieve", lambda f: f["prompts"][0]["z"].update(summary_initial=None), None, 1, "BAD_RECORD",
+                 id="retrieve-null-summary"),
+    pytest.param("retrieve", lambda f: f["prompts"][0]["z"].update(summary_initial=float("nan")), None, 1,
+                 "BAD_RECORD", id="retrieve-nan-summary"),
+    pytest.param("validate", lambda f: f["policies"][0].update(candidate_id=[1]), None, 1, "BAD_RECORD",
+                 id="validate-list-candidate-id"),
+    # the prompt would be replaced by an empty one
+    pytest.param("eval", lambda f: f["records"][0].update(prompt="abc"), None, 1, "BAD_RECORD",
+                 id="eval-string-prompt"),
+    pytest.param("eval", lambda f: f["records"][0].update(prompt=5), None, 1, "BAD_RECORD", id="eval-number-prompt"),
+    pytest.param("pairs", lambda f: f["candidates"][0].update(prompt="abc"), None, 1, "BAD_RECORD",
+                 id="pairs-string-prompt"),
+    pytest.param("pairs", lambda f: f["candidates"][0].update(prompt=5), None, 1, "BAD_RECORD",
+                 id="pairs-number-prompt"),
+    # eval would score "None", "{'a': 1}" and truthiness
+    pytest.param("eval", lambda f: f["records"][2].update(truth=None), None, 1, "BAD_RECORD",
+                 id="eval-null-classification-truth"),
+    pytest.param("eval", lambda f: f["records"][3].update(reference={"a": 1}), None, 1, "BAD_RECORD",
+                 id="eval-object-text-reference"),
+    pytest.param("eval", lambda f: f["records"][0].update(ratings=[["yes", 0, None]]), None, 1, "BAD_RECORD",
+                 id="eval-non-bool-ratings"),
+    # mixpair would write ["x", "1", "None"] and pass 5 through
+    pytest.param("mixpair", lambda f: f["in"][0]["ground_truth_labels"].update(emotion=["x", 1, None]), None, 1,
+                 "BAD_RECORD", id="mixpair-mixed-label-list"),
+    pytest.param("mixpair", lambda f: f["in"][0]["ground_truth_labels"].update(behavior=5), None, 1, "BAD_RECORD",
+                 id="mixpair-numeric-label"),
+    pytest.param("stratify", None, "vocab", 2, "BAD_VOCAB", id="stratify-numeric-vocab-labels"),
+    # config values that crashed, were truncated or split, or slipped past the range checks
+    pytest.param("retrieve", None, {"top_k": 2.5}, 2, "BAD_TOP_K", id="config-float-top-k"),
+    pytest.param("validate", None, {"penalty_table": {"other": "x"}}, 2, "BAD_PENALTY", id="config-string-penalty"),
+    pytest.param("mixpair", None, {"seeds": ["x"]}, 2, "BAD_SEEDS", id="config-string-seed"),
+    pytest.param("mixpair", None, {"seeds": [1.5]}, 2, "BAD_SEEDS", id="config-float-seed"),
+    pytest.param("mixpair", None, {"seeds": "12"}, 2, "BAD_SEEDS", id="config-string-seeds"),
+    pytest.param("validate", None, {"j_max": 2.5}, 2, "BAD_J_MAX", id="config-float-j-max"),
+    pytest.param("mixpair", None, {"block_size": True}, 2, "BAD_BLOCK_SIZE", id="config-bool-block-size"),
+    pytest.param("retrieve", None, nan_config("token_budget", "1e400"), 2, "BAD_BUDGET", id="config-inf-budget"),
+    pytest.param("pairs", None, nan_config("gap_min", "NaN"), 2, "BAD_GAP_MIN", id="config-nan-gap-min"),
+    pytest.param("validate", None, nan_config("beta", "NaN"), 2, "BAD_BETA", id="config-nan-beta"),
+    pytest.param("validate", None, '{"penalty_table": {"other": NaN}}', 2, "BAD_PENALTY", id="config-nan-penalty"),
+    pytest.param("validate", None, {"match_threshold": "0.5"}, 2, "BAD_THRESHOLD", id="config-string-threshold"),
+]
+
+
+@pytest.mark.parametrize("command, change, config, exit_code, error_code", MISTYPED)
+def test_mistyped_value_fails_with_its_fields_code(tmp_path, command, change, config, exit_code, error_code):
+    files = inputs(command)
+    if change is not None:
+        change(files)
+    if config == "vocab":
+        config = with_vocab(tmp_path, ["neutral", "anger", 1, 2])
+    code, out, err = run(tmp_path, command, files, config)
+    assert code == exit_code
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {error_code}: ")
+
+
+def test_mixpair_output_with_unicode_line_breaks_reads_back(tmp_path):
+    # json.dumps escapes these; the CLI writes them raw inside one LF-terminated line
+    files = inputs("mixpair")
+    files["in"][0]["prompt"]["z"]["summary_initial"] = "rain\u2028ahead\u2029now\u0085slow"
+    merged = tmp_path / "merged.jsonl"
+    code, _, err = run(tmp_path, "mixpair", files, options=["--out", str(merged)])
+    assert code == 0, err
+    assert merged.read_bytes().count(b"\n") == 1
+    assert "\u2028" in merged.read_text(encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["stratify", "--records", str(merged)])
+    assert code == 0, err.getvalue()
+    assert [json.loads(line)["prompt_id"] for line in out.getvalue().splitlines()] == ["in-1+out-1"]
+
+
+# --- fuzz ---------------------------------------------------------------------------------
+
+FUZZ_VALUES = [None, True, 0, -1, 1.5, float("nan"), float("inf"), "", "x", [], ["x"], [1], {}, {"a": 1}]
+
+# Containers a mutation may reach into below the top level of a record.
+NESTED = {"prompt", "z", "driver", "vehicle", "constraints", "assertions", "ground_truth_labels", "candidates",
+          "penalty_table"}
+
+
+def sites(value: object, path: tuple = ()) -> list[tuple]:
+    """Paths to every field at the top level or inside a NESTED container."""
+    found = []
+    if isinstance(value, dict):
+        for key, item in value.items():
+            found.append(path + (key,))
+            if key in NESTED:
+                found.extend(sites(item, path + (key,)))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            found.extend(sites(item, path + (index,)))
+    return found
+
+
+FUZZ_TARGETS = [
+    (command, target, site)
+    for command, (_, files) in COMMANDS.items()
+    for target, site in [("config", site) for site in sites(CONFIG)]
+    + [((name, index), site) for name, records in files.items()
+       for index, record in enumerate(records) for site in sites(record)]
+]
+
+ERROR_LINE = re.compile(r"error: [A-Z][A-Z0-9_]*: ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FUZZ_TARGETS), st.sampled_from(FUZZ_VALUES))
+def test_one_mistyped_field_never_escapes_the_error_contract(target, value):
+    command, where, site = target
+    files, config = inputs(command), copy.deepcopy(CONFIG)
+    holder = config if where == "config" else files[where[0]][where[1]]
+    for key in site[:-1]:
+        holder = holder[key]
+    holder[site[-1]] = copy.deepcopy(value)
+    with tempfile.TemporaryDirectory() as directory:
+        code, _, err = run(Path(directory), command, files, config)
+    assert code in (0, 1, 2), err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == (0 if code == 0 else 1), err
+    assert all(ERROR_LINE.match(line) for line in errors), err
+    assert "INTERNAL" not in err and "Traceback" not in err
