@@ -100,10 +100,20 @@ def _prompt_of(record: object) -> StrategyPrompt:
     return prompt_from_dict(record)
 
 
-def _strategy_prompt(record: dict, prompt_id: str) -> StrategyPrompt:
-    """The prompt a strategy record carries, or an empty prompt under its prompt_id."""
+def _strategy_prompt(record: dict, prompt_id: str, path: str) -> StrategyPrompt:
+    """The prompt a strategy record carries, or an empty prompt under its prompt_id.
+
+    A carried prompt must have the record's own prompt_id.
+    """
     raw_prompt = record.get("prompt")
-    return prompt_from_dict({"prompt_id": prompt_id} if raw_prompt is None else raw_prompt)
+    if raw_prompt is None:
+        return prompt_from_dict({"prompt_id": prompt_id})
+    prompt = prompt_from_dict(raw_prompt)
+    if prompt.prompt_id != prompt_id:
+        raise InputError(
+            "BAD_RECORD", f"{path}: record prompt_id {prompt_id!r} differs from its prompt's {prompt.prompt_id!r}"
+        )
+    return prompt
 
 
 def _load_prompts(path: str) -> dict[str, StrategyPrompt]:
@@ -166,7 +176,7 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
             raise InputError("BAD_RECORD", f"{args.candidates}: candidates must be a non-empty list")
         if prompt_id in sets:
             raise InputError("DUPLICATE_ID", f"{args.candidates}: prompt {prompt_id!r} appears twice")
-        prompt = _strategy_prompt(record, prompt_id)
+        prompt = _strategy_prompt(record, prompt_id, args.candidates)
         candidates = []
         for index, entry in enumerate(raw_candidates):
             document = _document_text(read_field(entry, "document", "BAD_RECORD", f"{where} candidate"))
@@ -197,7 +207,7 @@ def _eval_strategy_records(records: list[dict], config: RunConfig, path: str) ->
     for record in records:
         prompt_id = read_field(record, "prompt_id", "BAD_RECORD", where, read_string)
         document = _document_text(read_field(record, "document", "BAD_RECORD", where))
-        prompt = _strategy_prompt(record, prompt_id)
+        prompt = _strategy_prompt(record, prompt_id, path)
         raw_ratings = record.get("ratings")
         ratings = None
         if raw_ratings is not None:

@@ -8,21 +8,29 @@ so retrieval pinned to a version is reproducible forever.
 
 Scoring is lexical: cosine over term-frequency vectors of normalized content
 tokens of the snippet text; provenance fields do not enter the vector.
-Queries run through a postings index of each version's snippet texts, built
-on the first query against that version and kept on the store, so a query
-scores only the snippets sharing one of its tokens. ``retrieve`` takes any
-scorer with a ``kind`` and a ``rank(store, version, query, top_k)`` method;
-the toolkit ships only ``LexicalScorer``.
+Queries run through an index of each version's snippet texts, built on the
+first query against that version and kept on the store: postings per token,
+plus one packed int per common token holding its term frequency in every
+snippet. A query sums the packed columns of its tokens as plain ints, adds
+its rare tokens through their postings, preselects the top ``top_k`` by a
+float product a few ulps from the cosine, and scores only those survivors
+exactly. ``retrieve`` takes any scorer with a ``kind`` and a
+``rank(store, version, query, top_k)`` method; the toolkit ships only
+``LexicalScorer``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
+import itertools
+import math
 import re
+import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigError, InputError, read_int, read_number, read_object, read_string, read_strings
@@ -143,20 +151,35 @@ class SummaryEntry:
     text: str
 
 
+# Packed term columns: a token held by at least 1/32 of a version's snippets
+# is one int holding an unsigned 16-bit slot (an array("H") item) per snippet.
+_PACKED_SHARE = 32
+_SLOT_LIMIT = 1 << 16
+# Relative margin under the k-th approximate score that still survives to the
+# exact rescoring; approximate and exact scores differ by a few ulps.
+_SURVIVOR_MARGIN = 1e-9
+
+
 @dataclass(frozen=True)
 class LexicalIndex:
-    """Postings of one store version's snippet texts.
+    """Postings and packed term columns of one store version's snippet texts.
 
     Positions number the snippets in snippet_id order, so ranking ties and the
     zero-score fill both follow position order. ``postings`` maps each content
     token to the positions of the snippets holding it (ascending) and its term
-    frequency in each; ``squared_norms`` holds each snippet's integer squared
-    term-frequency norm.
+    frequency in each, ``peaks`` to its largest term frequency. ``columns``
+    maps each token held by at least 1/32 of the snippets to one int whose
+    16-bit slot ``p`` is its term frequency in snippet ``p``.
+    ``squared_norms`` holds each snippet's integer squared term-frequency
+    norm, ``inverse_norms`` 1/sqrt of it (0.0 for a snippet of stopwords only).
     """
 
     snippet_ids: tuple[str, ...]
     squared_norms: array
+    inverse_norms: array
     postings: dict[str, tuple[array, array]]
+    peaks: dict[str, int]
+    columns: dict[str, int]
 
 
 def _build_lexical_index(snippets: Sequence[ConstraintSnippet]) -> LexicalIndex:
@@ -172,7 +195,50 @@ def _build_lexical_index(snippets: Sequence[ConstraintSnippet]) -> LexicalIndex:
                 entry = postings[token] = (array("i"), array("i"))
             entry[0].append(position)
             entry[1].append(count)
-    return LexicalIndex(tuple(snippet.snippet_id for snippet in ordered), squared_norms, postings)
+    size = len(ordered)
+    peaks = {token: max(counts) for token, (_, counts) in postings.items()}
+    columns: dict[str, int] = {}
+    for token, (positions, counts) in postings.items():
+        if len(positions) * _PACKED_SHARE >= size and peaks[token] < _SLOT_LIMIT:
+            slots = array("H", bytes(2 * size))
+            for position, count in zip(positions, counts):
+                slots[position] = count
+            columns[token] = int.from_bytes(slots, sys.byteorder)
+    return LexicalIndex(
+        snippet_ids=tuple(snippet.snippet_id for snippet in ordered),
+        squared_norms=squared_norms,
+        inverse_norms=array("d", [1 / math.sqrt(sq) if sq else 0.0 for sq in squared_norms]),
+        postings=postings,
+        peaks=peaks,
+        columns=columns,
+    )
+
+
+def _dot_products(index: LexicalIndex, query_frequencies: Counter) -> Sequence[int]:
+    """Each snippet's exact integer dot product with the query, by position.
+
+    The packed columns of the query's tokens are summed as plain ints, so
+    every slot adds up in C; rare tokens add in through their postings. When
+    some dot product could reach 2**16 and carry into the next slot, every
+    token goes through its postings instead.
+    """
+    size = len(index.snippet_ids)
+    peaks = index.peaks
+    if sum(m * peaks.get(token, 0) for token, m in query_frequencies.items()) < _SLOT_LIMIT:
+        columns = index.columns
+        packed = sum(m * columns[token] for token, m in query_frequencies.items() if token in columns)
+        dots: Sequence[int] = array("H", packed.to_bytes(2 * size, sys.byteorder))
+        rare = [(token, m) for token, m in query_frequencies.items() if token not in columns]
+    else:
+        dots = [0] * size
+        rare = list(query_frequencies.items())
+    postings = index.postings
+    for token, multiplicity in rare:
+        entry = postings.get(token)
+        if entry is not None:
+            for position, count in zip(*entry):
+                dots[position] += multiplicity * count
+    return dots
 
 
 @dataclass(frozen=True)
@@ -278,44 +344,46 @@ class LexicalScorer:
 
     kind = "lexical"
 
-    def scores(self, index: LexicalIndex, query: RetrievalQuery) -> dict[int, float]:
-        """Cosine of each snippet sharing a query token, keyed by index position.
+    def scores(
+        self, index: LexicalIndex, query: RetrievalQuery, top_k: int | None = None
+    ) -> dict[int, float]:
+        """Exact cosines keyed by index position: of every snippet sharing a
+        query token or, given ``top_k``, of those that may rank in the k best.
 
-        Every other snippet scores 0.0 and is left out.
+        Snippets are preselected by dot product times inverse norm, the cosine
+        times the query norm up to a few ulps: every one within a relative
+        1e-9 of the k-th largest product survives and is scored exactly. Every
+        snippet left out scores 0.0 or ranks below the k best.
         """
         query_frequencies = term_frequencies(query.tokens())
         query_sq = squared_norm(query_frequencies)
-        # One slot per snippet: a pass over the version per query, repaid by
-        # list indexing when a query's tokens reach most snippets.
-        dots = [0] * len(index.snippet_ids)
-        for token, multiplicity in query_frequencies.items():
-            entry = index.postings.get(token)
-            if entry is not None:
-                for position, count in zip(*entry):
-                    dots[position] += multiplicity * count
+        dots = _dot_products(index, query_frequencies)
+        size = len(dots)
+        survivors = itertools.compress(range(size), dots)
+        if top_k is not None and top_k < size:
+            approx = list(map(mul, dots, index.inverse_norms))
+            floor = heapq.nlargest(top_k, approx)[-1] * (1 - _SURVIVOR_MARGIN)
+            if floor > 0:
+                survivors = [position for position, value in enumerate(approx) if value >= floor]
         norms = index.squared_norms
         return {
-            position: cosine_from_counts(dot, norms[position], query_sq)
-            for position, dot in enumerate(dots)
-            if dot
+            position: cosine_from_counts(dots[position], norms[position], query_sq)
+            for position in survivors
         }
 
     def rank(
         self, store: ConstraintStore, version: int | None, query: RetrievalQuery, top_k: int
     ) -> tuple[RankedSnippet, ...]:
-        """The k best hits by (-score, snippet_id), found without sorting every
-        hit, then zero-score snippets in snippet_id order up to ``top_k``."""
+        """The k best hits by (-score, snippet_id), then zero-score snippets
+        in snippet_id order up to ``top_k``."""
         index = store.lexical_index(version)
-        hits = self.scores(index, query)
-        best = list(hits)
-        if len(best) > top_k:
-            floor = heapq.nlargest(top_k, hits.values())[-1]
-            best = [position for position in best if hits[position] >= floor]
-        best.sort(key=lambda position: (-hits[position], position))
+        hits = self.scores(index, query, top_k)
+        best = sorted(hits, key=lambda position: (-hits[position], position))[:top_k]
         ids = index.snippet_ids
-        ranked = [RankedSnippet(ids[position], hits[position]) for position in best[:top_k]]
+        ranked = [RankedSnippet(ids[position], hits[position]) for position in best]
+        # fewer hits than top_k means every snippet sharing a query token is a hit
         zero_scored = (position for position in range(len(ids)) if position not in hits)
-        for position in islice(zero_scored, top_k - len(ranked)):
+        for position in itertools.islice(zero_scored, top_k - len(ranked)):
             ranked.append(RankedSnippet(ids[position], 0.0))
         return tuple(ranked)
 

@@ -261,6 +261,18 @@ def test_mistyped_value_fails_with_its_fields_code(tmp_path, command, change, co
     assert err.startswith(f"error: {error_code}: ")
 
 
+@pytest.mark.parametrize("command, name", [("pairs", "candidates"), ("eval", "records")])
+def test_record_prompt_id_must_match_its_prompt(tmp_path, command, name):
+    # the record would be validated against prompt "other" and filed under "p1"
+    files = inputs(command)
+    files[name][0]["prompt"]["prompt_id"] = "other"
+    code, out, err = run(tmp_path, command, files)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: BAD_RECORD: ")
+    assert "'p1'" in err and "'other'" in err
+
+
 def test_mixpair_output_with_unicode_line_breaks_reads_back(tmp_path):
     # json.dumps escapes these; the CLI writes them raw inside one LF-terminated line
     files = inputs("mixpair")

@@ -1,4 +1,6 @@
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -221,11 +223,121 @@ def test_lexical_retrieval_equals_brute_force(case):
     assert ranking(retrieve(store, query, top_k, version=1)) == expected_v1
 
 
-def test_load_store_builds_no_index():
+# Stores of 40-120 snippets: a token gets a packed column when at least 2-4
+# snippets hold it, so the pool words pack and most rare words do not.
+RARE_WORDS = tuple(f"rare{i}" for i in range(60))
+
+
+@st.composite
+def mid_size_stores_and_queries(draw):
+    # Texts come from a small pool, so duplicate texts (exact ties) are common.
+    pool = draw(st.lists(texts, min_size=1, max_size=6))
+    size = draw(st.integers(40, 120))
+    rare = st.sampled_from(RARE_WORDS) | st.just("")
+    first = [snippet(f"s{i}", f"{draw(st.sampled_from(pool))} {draw(rare)}") for i in range(size)]
+    later = [snippet(f"t{i}", f"{draw(st.sampled_from(pool))} {draw(rare)}") for i in range(draw(st.integers(0, 4)))]
+    removals = draw(st.lists(st.sampled_from([s.snippet_id for s in first]), max_size=4, unique=True))
+    held = sorted({word for s in first + later for word in s.text.split()} & set(RARE_WORDS))
+    words = draw(st.lists(st.sampled_from(QUERY_WORDS + tuple(held)), min_size=1, max_size=8))
+    top_k = draw(st.integers(1, 8) | st.integers(size, size + 8))
+    return first, later, removals, query_for(" ".join(words)), top_k
+
+
+@settings(max_examples=100, deadline=None)
+@given(mid_size_stores_and_queries())
+def test_mid_size_lexical_retrieval_equals_brute_force(case):
+    first, later, removals, query, top_k = case
+    store = load_store(first)
+    expected_v1 = lexical_ranking_reference(store.snapshot(1), query, top_k)
+    assert ranking(retrieve(store, query, top_k)) == expected_v1
+    grown = update_store(store, additions=later, removals=removals)
+    assert ranking(retrieve(grown, query, top_k)) == lexical_ranking_reference(grown.snapshot(), query, top_k)
+    assert ranking(retrieve(grown, query, top_k, version=1)) == expected_v1
+
+
+def test_query_mixing_packed_and_rare_tokens_equals_brute_force():
+    store = load_store(
+        [snippet(f"s{i:02d}", f"lane merge clause{i}" + " fog" * (i % 3)) for i in range(64)]
+        + [snippet("x", "fog lane rare lane")]
+    )
+    columns = store.lexical_index().columns
+    assert {"lane", "merge", "fog"} <= set(columns)
+    assert "rare" not in columns and "clause7" not in columns
+    query = query_for("lane fog rare clause7 clause7")
+    for top_k in (1, 3, 70):
+        assert ranking(retrieve(store, query, top_k)) == lexical_ranking_reference(store.snapshot(), query, top_k)
+    # without top_k, every snippet sharing a query token is scored
+    expected = lexical_ranking_reference(store.snapshot(), query, 65)
+    ids = store.lexical_index().snippet_ids
+    hits = LexicalScorer().scores(store.lexical_index(), query)
+    assert sorted((ids[position], score) for position, score in hits.items()) == sorted(expected)
+
+
+@pytest.mark.parametrize(
+    "repeats, query_repeats",
+    [
+        (300, 300),  # a dot product of 90,000 would carry out of its 16-bit slot
+        (70_000, 1),  # a term frequency that no 16-bit slot holds
+    ],
+)
+def test_dot_products_past_the_slot_width_equal_brute_force(repeats, query_repeats):
+    store = load_store(
+        [snippet("a", "lane " * repeats), snippet("b", "lane merge"), snippet("c", "merge fog"), snippet("d", "fog")]
+    )
+    query = query_for("lane " * query_repeats + "merge fog")
+    for top_k in (1, 2, 4):
+        assert ranking(retrieve(store, query, top_k)) == lexical_ranking_reference(store.snapshot(), query, top_k)
+
+
+def test_all_stopword_snippet_scores_zero():
+    store = load_store([snippet("a", "the of and"), snippet("b", "lane merge"), snippet("c", "fog")])
+    assert store.lexical_index().squared_norms[0] == 0
+    query = query_for("lane")
+    expected = (("b", 1 / math.sqrt(2)), ("a", 0.0), ("c", 0.0))
+    assert ranking(retrieve(store, query, top_k=3)) == lexical_ranking_reference(store.snapshot(), query, 3)
+    assert ranking(retrieve(store, query, top_k=3)) == expected
+
+
+def test_near_tie_one_ulp_apart_ranks_by_exact_cosine():
+    # 5/sqrt(29) is one ulp above 25/sqrt(725), while 5 * (1/sqrt(29)) is one
+    # ulp below 25 * (1/sqrt(725)): the preselection order is the reverse of
+    # the exact one.
+    store = load_store(
+        [snippet("a", "lane " * 25 + "fog " * 10), snippet("b", "lane " * 5 + "fog fog"), snippet("c", "merge")]
+    )
+    query = query_for("lane")
+    result = retrieve(store, query, top_k=1)
+    assert ranking(result) == (("b", 5 / math.sqrt(29)),)
+    assert ranking(result) == lexical_ranking_reference(store.snapshot(), query, 1)
+    assert 5 / math.sqrt(29) > 25 / math.sqrt(725)
+    assert 5 * (1 / math.sqrt(29)) < 25 * (1 / math.sqrt(725))
+
+
+def test_load_store_builds_no_index(monkeypatch):
+    builds = []
+    real = ecpo.store._build_lexical_index
+
+    def counting(snippets):
+        builds.append(len(snippets))
+        return real(snippets)
+
+    monkeypatch.setattr(ecpo.store, "_build_lexical_index", counting)
     store = load_store([snippet("a", "keep right"), snippet("b", "yield at merge")])
-    assert store._lexical_indexes == {}
+    assert store._lexical_indexes == {} and builds == []
     retrieve(store, query_for("merge"), top_k=1)
-    assert list(store._lexical_indexes) == [1]
+    assert list(store._lexical_indexes) == [1] and builds == [2]
+    columns = store._lexical_indexes[1].columns
+    assert set(columns) == {"keep", "right", "yield", "merge"}
+    retrieve(store, query_for("merge"), top_k=1)
+    assert builds == [2] and store._lexical_indexes[1].columns is columns
+
+    grown = update_store(store, additions=[snippet("c", "merge lane")])
+    assert grown._lexical_indexes == {} and builds == [2]
+    retrieve(grown, query_for("merge"), top_k=1, version=1)
+    retrieve(grown, query_for("merge"), top_k=1)
+    assert sorted(grown._lexical_indexes) == [1, 2] and builds == [2, 2, 3]
+    assert "lane" in grown._lexical_indexes[2].columns and "lane" not in grown._lexical_indexes[1].columns
+    assert grown._lexical_indexes[1].columns is not columns
 
 
 def test_repeat_query_does_not_retokenize_snippets(monkeypatch):
@@ -242,9 +354,12 @@ def test_repeat_query_does_not_retokenize_snippets(monkeypatch):
     snippet_texts = {s.text for s in store.snapshot()}
     first = retrieve(store, query, top_k=3)
     assert snippet_texts <= set(tokenized)
+    columns = store.lexical_index().columns
+    assert {"lane", "merge"} <= set(columns)
     tokenized.clear()
     assert retrieve(store, query, top_k=3) == first
     assert tokenized and not snippet_texts & set(tokenized)
+    assert store.lexical_index().columns is columns
 
 
 # --- compression ----------------------------------------------------------------------
