@@ -7,140 +7,4 @@ retrieves and compresses constraint snippets from a versioned store, and
 evaluates candidate corpora under a fixed offline metric protocol.
 """
 
-from .config import RunConfig, load_config
-from .context import (
-    DriverProfile,
-    LabelVocabulary,
-    PerceptionSummary,
-    SampleRecord,
-    StrategyPrompt,
-    VehicleProfile,
-    pair_mixed,
-    stratify,
-)
-from .errors import ConfigError, InputError, InvariantError, ToolkitError
-from .metrics import (
-    LabelSetSample,
-    MetricReport,
-    StrategyEvalRecord,
-    bleu4,
-    classification_metrics,
-    has_aggregate,
-    multilabel_metrics,
-    rouge_l,
-    spearman,
-    strategy_metrics,
-)
-from .policy import (
-    Action,
-    ActionType,
-    ConstraintLedger,
-    Evidence,
-    ParseOutcome,
-    PenaltyTable,
-    PolicyAction,
-    detect_low_level_control,
-    parse_policy,
-    serialize_policy,
-    structural_score,
-)
-from .preference import (
-    Candidate,
-    CandidateSet,
-    PreferencePair,
-    export_preference_dataset,
-    pairwise_loss,
-    select_pair,
-    weight,
-)
-from .store import (
-    Assertions,
-    ConstraintSnippet,
-    ConstraintStore,
-    LexicalScorer,
-    RetrievalQuery,
-    build_query,
-    compress,
-    empty_store,
-    retrieve,
-    update_store,
-)
-from .validator import (
-    CheckResult,
-    EcpoReport,
-    ViolationSummary,
-    core_score,
-    derive_hazards,
-    ecpo_score,
-    evidence_coverage,
-    extract_addressed_hazards,
-    run_layered_checks,
-    validate,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Action",
-    "ActionType",
-    "Assertions",
-    "Candidate",
-    "CandidateSet",
-    "CheckResult",
-    "ConfigError",
-    "ConstraintLedger",
-    "ConstraintSnippet",
-    "ConstraintStore",
-    "DriverProfile",
-    "EcpoReport",
-    "Evidence",
-    "InputError",
-    "InvariantError",
-    "LabelSetSample",
-    "LabelVocabulary",
-    "LexicalScorer",
-    "MetricReport",
-    "ParseOutcome",
-    "PenaltyTable",
-    "PerceptionSummary",
-    "PolicyAction",
-    "PreferencePair",
-    "RetrievalQuery",
-    "RunConfig",
-    "SampleRecord",
-    "StrategyEvalRecord",
-    "StrategyPrompt",
-    "ToolkitError",
-    "VehicleProfile",
-    "ViolationSummary",
-    "bleu4",
-    "build_query",
-    "classification_metrics",
-    "compress",
-    "core_score",
-    "derive_hazards",
-    "detect_low_level_control",
-    "ecpo_score",
-    "empty_store",
-    "evidence_coverage",
-    "export_preference_dataset",
-    "extract_addressed_hazards",
-    "has_aggregate",
-    "load_config",
-    "multilabel_metrics",
-    "pair_mixed",
-    "pairwise_loss",
-    "parse_policy",
-    "retrieve",
-    "rouge_l",
-    "run_layered_checks",
-    "select_pair",
-    "serialize_policy",
-    "spearman",
-    "strategy_metrics",
-    "stratify",
-    "structural_score",
-    "update_store",
-    "validate",
-    "weight",
-]

@@ -41,6 +41,7 @@ from .metrics import (
     rouge_l,
     spearman,
     strategy_metrics,
+    text_tokens,
 )
 from .preference import Candidate, CandidateSet, select_pair, export_preference_dataset
 from .store import LexicalScorer, build_query, compress, load_store, retrieve, snippet_from_dict
@@ -299,11 +300,14 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
         report.set("cls_macro_f1", macro_f1)
 
     if "text" in by_kind:
-        references = [read_field(r, "reference", "BAD_RECORD", where, read_string) for r in by_kind["text"]]
-        hypotheses = [read_field(r, "hypothesis", "BAD_RECORD", where, read_string) for r in by_kind["text"]]
+        rows = by_kind["text"]
+        references = [text_tokens(read_field(r, "reference", "BAD_RECORD", where, read_string)) for r in rows]
+        hypotheses = [text_tokens(read_field(r, "hypothesis", "BAD_RECORD", where, read_string)) for r in rows]
         report.counts["text"] = len(references)
         report.set("text_bleu4", bleu4(references, hypotheses, epsilon=config.epsilon))
         report.set("text_rouge_l", rouge_l(references, hypotheses))
+        # Free the token lists before the strategy section, where peak RSS is.
+        del references, hypotheses
 
     if "strategy" in by_kind:
         strategy_records = _eval_strategy_records(by_kind["strategy"], config, args.records)

@@ -175,7 +175,8 @@ def classification_metrics(
     return (100.0 * accuracy, 100.0 * macro_f1)
 
 
-def _text_tokens(item) -> list[str]:
+def text_tokens(item) -> list[str]:
+    """A text casefolded and split on whitespace; a token sequence as strings."""
     if isinstance(item, str):
         return item.casefold().split()
     return [str(token) for token in item]
@@ -195,8 +196,8 @@ def bleu4(references: Sequence, hypotheses: Sequence, epsilon: float = DEFAULT_E
         raise InputError("LENGTH_MISMATCH", f"{len(references)} references vs {len(hypotheses)} hypotheses")
     if not references:
         raise InputError(NO_SAMPLES, "no text pairs")
-    ref_tokens = [_text_tokens(r) for r in references]
-    hyp_tokens = [_text_tokens(h) for h in hypotheses]
+    ref_tokens = [text_tokens(r) for r in references]
+    hyp_tokens = [text_tokens(h) for h in hypotheses]
     hyp_length = sum(len(t) for t in hyp_tokens)
     ref_length = sum(len(t) for t in ref_tokens)
     if hyp_length == 0:
@@ -222,18 +223,26 @@ def bleu4(references: Sequence, hypotheses: Sequence, epsilon: float = DEFAULT_E
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
+    """Bit-parallel LCS length (Allison & Dix 1986; Hyyrö 2004).
+
+    Bit i of a token's mask is set where b[i] is that token. After each token
+    of a, the zero bits of V count the LCS of the part of a read so far with
+    b. Each token costs a few operations on len(b)-bit Python ints, so the
+    whole is O(len(a) * ceil(len(b) / 64)) machine-word operations.
+    """
     if not a or not b:
         return 0
-    previous = [0] * (len(b) + 1)
+    masks: dict[str, int] = {}
+    for i, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << i)
+    full = (1 << len(b)) - 1
+    v = full
     for token in a:
-        current = [0]
-        for j, other in enumerate(b, start=1):
-            if token == other:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[-1]
+        mask = masks.get(token)
+        if mask is not None:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(references: Sequence, hypotheses: Sequence) -> float:
@@ -244,8 +253,8 @@ def rouge_l(references: Sequence, hypotheses: Sequence) -> float:
         raise InputError(NO_SAMPLES, "no text pairs")
     total = 0.0
     for reference, hypothesis in zip(references, hypotheses):
-        ref = _text_tokens(reference)
-        hyp = _text_tokens(hypothesis)
+        ref = text_tokens(reference)
+        hyp = text_tokens(hypothesis)
         lcs = _lcs_length(ref, hyp)
         if lcs == 0:
             continue

@@ -21,7 +21,6 @@ exactly. ``retrieve`` takes any scorer with a ``kind`` and a
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import itertools
 import math
@@ -293,7 +292,12 @@ def update_store(
     for snippet in additions:
         if snippet.snippet_id in content:
             raise InputError("DUPLICATE_ID", f"snippet id {snippet.snippet_id!r} already present")
-        content[snippet.snippet_id] = dataclasses.replace(snippet, version=new_version)
+        # Copy the instance dict of the already validated snippet:
+        # `dataclasses.replace` would rerun `__post_init__`, most of the
+        # cost of `load_store`.
+        copy = object.__new__(type(snippet))
+        copy.__dict__.update(snippet.__dict__, version=new_version)
+        content[snippet.snippet_id] = copy
     return ConstraintStore(store.versions + (tuple(content.values()),))
 
 

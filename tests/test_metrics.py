@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ecpo.config import check_weights
 from ecpo.errors import ConfigError, InputError
@@ -12,6 +12,7 @@ from ecpo.metrics import (
     LabelSetSample,
     MetricReport,
     StrategyEvalRecord,
+    _lcs_length,
     bleu4,
     classification_metrics,
     has_aggregate,
@@ -27,6 +28,7 @@ from oracles import (
     has_reference,
     haz_f1_reference,
     iou_emr_reference,
+    lcs_reference,
     random_phrase,
     rouge_l_reference,
     sample_f1_reference,
@@ -188,6 +190,45 @@ def test_rouge_against_oracle():
     refs = [random_phrase(rng, 1, 10) for _ in range(60)]
     hyps = [random_phrase(rng, 1, 10) for _ in range(60)]
     assert math.isclose(rouge_l(refs, hyps), rouge_l_reference(refs, hyps), rel_tol=1e-9)
+
+
+def test_rouge_past_one_machine_word_against_oracle():
+    rng = random.Random(15)
+    refs = [random_phrase(rng, 100, 100) for _ in range(8)]
+    hyps = [random_phrase(rng, 100, 100) for _ in range(8)]
+    assert math.isclose(rouge_l(refs, hyps), rouge_l_reference(refs, hyps), rel_tol=1e-9)
+
+
+# Two words repeat heavily; forty rarely do. "unseen" is drawn for `a` only,
+# so some tokens of `a` have no position in `b`.
+_LCS_VOCABULARIES = (("x", "y"), ("p", "q", "r", "s", "t", "u"), tuple(f"w{i}" for i in range(40)))
+
+
+@st.composite
+def token_pairs(draw):
+    vocabulary = draw(st.sampled_from(_LCS_VOCABULARIES))
+    sizes = st.integers(0, 150)
+    a = draw(st.lists(st.sampled_from(vocabulary + ("unseen",)), min_size=draw(sizes), max_size=150))
+    n = draw(sizes)
+    b = draw(st.lists(st.sampled_from(vocabulary), min_size=n, max_size=n))
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(token_pairs())
+@example(([], []))
+@example(([], ["x"]))
+@example((["x"], []))
+@example((["x"], ["x"]))
+@example((["x"], ["y"]))
+@example((["unseen"] * 70, ["x", "y"] * 35))
+@example((["x", "y"] * 75, ["y", "x"] * 75))
+@example((["x"] * 129, ["x"] * 65 + ["y"] * 64 + ["x"]))
+def test_lcs_length_equals_oracle(pair):
+    a, b = pair
+    expected = lcs_reference(tuple(a), tuple(b))
+    assert _lcs_length(a, b) == expected
+    assert _lcs_length(b, a) == expected
 
 
 # --- strategy metrics ---------------------------------------------------------------------

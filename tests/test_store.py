@@ -1,4 +1,5 @@
 
+import dataclasses
 import math
 
 import pytest
@@ -96,6 +97,26 @@ def test_load_store_is_single_update():
     store = load_store([snippet("a", "keep right")])
     assert store.version == 1
     assert store.snapshot()[0].version == 1
+
+
+def versioned_snippets() -> list[ConstraintSnippet]:
+    return [
+        snippet("b", "yield at merge", jurisdiction="EU", assertions=Assertions(forbidden_keywords=("horn",))),
+        snippet("a", "cabin fan quiet", layer="driver", vehicle_config="suv", version=7),
+    ]
+
+
+def test_load_store_snapshot_equals_replaced_snippets():
+    snips = versioned_snippets()
+    assert list(load_store(snips).snapshot()) == [dataclasses.replace(s, version=1) for s in snips]
+
+
+def test_update_store_leaves_input_snippets_unchanged():
+    snips = versioned_snippets()
+    store = update_store(load_store(snips[:1]), additions=snips[1:])
+    assert [s.version for s in store.snapshot()] == [1, 2]
+    assert [s.version for s in snips] == [0, 7]
+    assert snips == versioned_snippets()
 
 
 # --- query construction -----------------------------------------------------------
