@@ -8,3 +8,16 @@ evaluates candidate corpora under a fixed offline metric protocol.
 """
 
 __version__ = "0.1.0"
+
+_MODULES = frozenset(
+    {"cli", "config", "context", "errors", "metrics", "policy", "preference", "store", "textnorm", "validator"}
+)
+
+
+def __getattr__(name: str):
+    """``ecpo.<module>`` imports that module on first use; nothing loads them all up front."""
+    if name in _MODULES:
+        import importlib
+
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,38 +14,15 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .config import RunConfig, load_config
-from .context import (
-    SampleRecord,
-    StrategyPrompt,
-    pair_mixed,
-    prompt_from_dict,
-    sample_from_dict,
-    sample_to_dict,
-    stratify,
-)
 from .errors import ConfigError, InputError, InvariantError, read_field, read_int, read_string, read_strings
-from .metrics import (
-    DEGENERATE,
-    LabelSetSample,
-    MetricReport,
-    NO_RATINGS,
-    StrategyEvalRecord,
-    bleu4,
-    classification_metrics,
-    has_aggregate,
-    has_score,
-    multilabel_metrics,
-    rouge_l,
-    spearman,
-    strategy_metrics,
-    text_tokens,
-)
-from .preference import Candidate, CandidateSet, select_pair, export_preference_dataset
-from .store import LexicalScorer, build_query, compress, load_store, retrieve, snippet_from_dict
-from .validator import report_to_dict, validate
+
+# Each handler imports the modules it runs, so a command loads only those.
+if TYPE_CHECKING:
+    from .context import SampleRecord, StrategyPrompt
+    from .metrics import MetricReport, StrategyEvalRecord
 
 
 def _dumps(payload: object) -> str:
@@ -96,6 +73,8 @@ def _document_text(raw: object) -> str:
 
 def _prompt_of(record: object) -> StrategyPrompt:
     """A bare prompt record, or the prompt of a sample record (keyed 'prompt')."""
+    from .context import prompt_from_dict
+
     if isinstance(record, dict) and "prompt" in record:
         record = record["prompt"]
     return prompt_from_dict(record)
@@ -106,6 +85,8 @@ def _strategy_prompt(record: dict, prompt_id: str, path: str) -> StrategyPrompt:
 
     A carried prompt must have the record's own prompt_id.
     """
+    from .context import prompt_from_dict
+
     raw_prompt = record.get("prompt")
     if raw_prompt is None:
         return prompt_from_dict({"prompt_id": prompt_id})
@@ -128,10 +109,14 @@ def _load_prompts(path: str) -> dict[str, StrategyPrompt]:
 
 
 def _load_samples(path: str) -> list[SampleRecord]:
+    from .context import sample_from_dict
+
     return [sample_from_dict(record) for record in _read_jsonl(path)]
 
 
 def cmd_validate(args, config: RunConfig) -> list[str]:
+    from .validator import report_to_dict, validate
+
     prompts = _load_prompts(args.prompts)
     echo = config.echo()
     lines = []
@@ -166,6 +151,9 @@ def cmd_validate(args, config: RunConfig) -> list[str]:
 
 
 def cmd_pairs(args, config: RunConfig) -> list[str]:
+    from .preference import Candidate, CandidateSet, export_preference_dataset, select_pair
+    from .validator import validate
+
     pairs = []
     sets: dict[str, CandidateSet] = {}
     prompt_payloads: dict[str, object] = {}
@@ -203,6 +191,9 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
 
 
 def _eval_strategy_records(records: list[dict], config: RunConfig, path: str) -> list[StrategyEvalRecord]:
+    from .metrics import StrategyEvalRecord
+    from .validator import validate
+
     out = []
     where = f"{path}: record"
     for record in records:
@@ -233,6 +224,8 @@ def _eval_has_section(report: MetricReport, records: list[StrategyEvalRecord]) -
     Both are gated by the same sub-50% validity rule as the other
     strategy-level metrics.
     """
+    from .metrics import DEGENERATE, NO_RATINGS, has_aggregate, has_score, spearman
+
     valid_pct = report.values.get("valid_pct")
     gate = report.reasons.get("viol_sev")
     if valid_pct is None or gate is not None:
@@ -259,6 +252,17 @@ def _eval_has_section(report: MetricReport, records: list[StrategyEvalRecord]) -
 
 
 def cmd_eval(args, config: RunConfig) -> list[str]:
+    from .metrics import (
+        LabelSetSample,
+        MetricReport,
+        bleu4,
+        classification_metrics,
+        multilabel_metrics,
+        rouge_l,
+        strategy_metrics,
+        text_tokens,
+    )
+
     records = _read_jsonl(args.records)
     by_kind: dict[str, list[dict]] = {}
     where = f"{args.records}: record"
@@ -322,6 +326,8 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
 
 
 def cmd_retrieve(args, config: RunConfig) -> list[str]:
+    from .store import LexicalScorer, build_query, compress, load_store, retrieve, snippet_from_dict
+
     store = load_store(snippet_from_dict(record) for record in _read_jsonl(args.store))
     by_id = {snippet.snippet_id: snippet for snippet in store.snapshot()}
     scorer = LexicalScorer()
@@ -373,6 +379,8 @@ def cmd_retrieve(args, config: RunConfig) -> list[str]:
 
 
 def cmd_mixpair(args, config: RunConfig) -> list[str]:
+    from .context import pair_mixed, sample_to_dict
+
     in_samples = _load_samples(args.in_cabin)
     out_samples = _load_samples(args.out_of_cabin)
     seed = config.seeds[0]
@@ -382,6 +390,8 @@ def cmd_mixpair(args, config: RunConfig) -> list[str]:
 
 
 def cmd_stratify(args, config: RunConfig) -> list[str]:
+    from .context import stratify
+
     records = _load_samples(args.records)
     groups = stratify(records, config.label_vocab())
     membership = {}

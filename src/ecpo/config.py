@@ -44,6 +44,8 @@ def check_weights(weights: Sequence[float]) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every tunable of a run, validated once when built."""
+
     ecpo_weights: tuple[float, float, float] = DEFAULT_WEIGHTS
     penalty_table: PenaltyTable = field(default_factory=PenaltyTable)
     lexicon_path: str | None = None

@@ -40,6 +40,8 @@ def sensitivity_rank(level: str) -> int:
 
 @dataclass(frozen=True)
 class PerceptionSummary:
+    """The perception input z: driver and scene labels, three summary stages and objects."""
+
     driver_labels: tuple[str, ...] = ()
     scene_labels: tuple[str, ...] = ()
     summary_initial: str = ""
@@ -56,6 +58,8 @@ class PerceptionSummary:
 
 @dataclass(frozen=True)
 class DriverProfile:
+    """A driver's alert, sensitivity, style and cabin preferences."""
+
     alert_modality_preference: str = ""
     alert_frequency: str = ""
     sensitivities: dict[str, str] = field(default_factory=dict)
@@ -77,6 +81,8 @@ class DriverProfile:
 
 @dataclass(frozen=True)
 class VehicleProfile:
+    """A vehicle's jurisdiction, operating mode, actuators and capability bounds."""
+
     jurisdiction: str = ""
     operating_mode: str = ""
     available_actuators: frozenset[str] = frozenset()
@@ -104,6 +110,8 @@ class VehicleProfile:
 
 @dataclass(frozen=True)
 class StrategyPrompt:
+    """One prompt: perception, driver and vehicle profiles, and its constraint snippets."""
+
     prompt_id: str
     z: PerceptionSummary = field(default_factory=PerceptionSummary)
     driver: DriverProfile = field(default_factory=DriverProfile)
@@ -118,6 +126,8 @@ class StrategyPrompt:
 
 @dataclass(frozen=True)
 class SampleRecord:
+    """A prompt with its split, optional reference policy and ground-truth labels."""
+
     prompt: StrategyPrompt
     split: str
     reference_policy: PolicyAction | None = None
@@ -130,6 +140,8 @@ class SampleRecord:
 
 @dataclass(frozen=True)
 class LabelVocabulary:
+    """The labels of each classification head and each head's nominal label."""
+
     heads: dict[str, tuple[str, ...]]
     nominal: dict[str, str]
 

@@ -19,6 +19,7 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, InputError
@@ -40,6 +41,8 @@ DEGENERATE = "DEGENERATE"
 
 @dataclass(frozen=True)
 class LabelSetSample:
+    """The true and predicted label sets of one multi-label sample."""
+
     truth: frozenset[str]
     prediction: frozenset[str]
 
@@ -53,6 +56,8 @@ class LabelSetSample:
 
 @dataclass(frozen=True)
 class StrategyEvalRecord:
+    """One validated policy with its optional ratings, as the strategy metrics read it."""
+
     prompt_id: str
     report: EcpoReport
     schema_valid: bool
@@ -88,6 +93,8 @@ class StrategyEvalRecord:
 
 @dataclass
 class MetricReport:
+    """Metric values, reasons for N/A values, record counts and the config echo."""
+
     values: dict[str, float | None] = field(default_factory=dict)
     reasons: dict[str, str] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
@@ -183,7 +190,7 @@ def text_tokens(item) -> list[str]:
 
 
 def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
 def bleu4(references: Sequence, hypotheses: Sequence, epsilon: float = DEFAULT_EPSILON) -> float:
@@ -207,12 +214,13 @@ def bleu4(references: Sequence, hypotheses: Sequence, epsilon: float = DEFAULT_E
         matches = 0
         total = 0
         for ref, hyp in zip(ref_tokens, hyp_tokens):
-            hyp_counts = _ngram_counts(hyp, n)
-            if not hyp_counts:
+            if len(hyp) < n:
                 continue
-            ref_counts = _ngram_counts(ref, n)
-            matches += sum(min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
-            total += sum(hyp_counts.values())
+            hyp_counts = _ngram_counts(hyp, n)
+            ref_get = _ngram_counts(ref, n).get
+            # Clipped matches: each hypothesis n-gram counts at most as often as the reference has it.
+            matches += sum(map(min, hyp_counts.values(), map(ref_get, hyp_counts, repeat(0))))
+            total += len(hyp) - n + 1
         if total == 0:
             p_n = epsilon
         else:

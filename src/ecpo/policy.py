@@ -87,6 +87,8 @@ def _norm_key(key: str) -> str:
 
 @dataclass(frozen=True)
 class Evidence:
+    """The in-cabin, out-of-vehicle, object and label entries an action cites."""
+
     in_cabin_text: tuple[str, ...] = ()
     out_of_vehicle_text: tuple[str, ...] = ()
     objects: tuple[str, ...] = ()
@@ -101,6 +103,8 @@ class Evidence:
 
 @dataclass(frozen=True)
 class Action:
+    """One policy action: its channel, parameters, rationale and evidence."""
+
     action_type: ActionType
     parameters: dict[str, Scalar] = field(default_factory=dict)
     rationale: str = ""
@@ -109,6 +113,8 @@ class Action:
 
 @dataclass(frozen=True)
 class ConstraintLedger:
+    """The policy's text for each constraint layer; None where a layer is absent."""
+
     legal_regulations: str | None = None
     vehicle_limits: str | None = None
     driver_preferences: str | None = None
@@ -130,6 +136,8 @@ class ConstraintLedger:
 
 @dataclass(frozen=True)
 class PolicyAction:
+    """A parsed policy document: objectives, constraint ledger and actions."""
+
     objectives: str
     constraints: ConstraintLedger
     actions: tuple[Action, ...]
@@ -137,6 +145,8 @@ class PolicyAction:
 
 @dataclass(frozen=True)
 class StructuralDefect:
+    """One structural problem of a policy document: code, path and message."""
+
     code: str
     path: str
     message: str
@@ -144,6 +154,8 @@ class StructuralDefect:
 
 @dataclass(frozen=True)
 class ParseOutcome:
+    """The parsed policy, None when invalid, and every defect found."""
+
     policy: PolicyAction | None
     defects: tuple[StructuralDefect, ...]
 
@@ -157,6 +169,8 @@ class ParseOutcome:
 
 @dataclass(frozen=True)
 class LowLevelMatch:
+    """A low-level control pattern that matched the text of one action."""
+
     action_index: int
     matched_pattern: str
     matched_text: str
@@ -389,6 +403,8 @@ def structural_score(outcome: ParseOutcome, penalties: PenaltyTable | None = Non
 
 @dataclass(frozen=True)
 class LexiconPattern:
+    """One low-level control lexicon line and its compiled regex."""
+
     source: str
     regex: re.Pattern
 

@@ -27,6 +27,8 @@ from .validator import EcpoReport
 
 @dataclass(frozen=True)
 class Candidate:
+    """One candidate policy document and its validation report."""
+
     candidate_id: str
     document: str
     report: EcpoReport
@@ -35,6 +37,8 @@ class Candidate:
 
 @dataclass(frozen=True)
 class CandidateSet:
+    """The candidates for one prompt; ids are unique and the set is non-empty."""
+
     prompt_id: str
     candidates: tuple[Candidate, ...]
 
@@ -48,6 +52,8 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class PreferencePair:
+    """A preferred and a rejected candidate, their score gap and the pair weight."""
+
     prompt_id: str
     plus_id: str
     minus_id: str

@@ -53,6 +53,8 @@ LAYER_PRIORITY = {"legal": 0, "vehicle": 1, "driver": 2}
 
 @dataclass(frozen=True)
 class ParameterBound:
+    """The allowed [minimum, maximum] of one action parameter."""
+
     action_type: ActionType
     parameter: str
     minimum: float
@@ -73,6 +75,8 @@ def keyword_pattern(keyword: str) -> re.Pattern:
 
 @dataclass(frozen=True)
 class Assertions:
+    """A snippet's machine-checkable rules: forbidden actions, bounds, modalities and keywords."""
+
     forbidden_action_types: frozenset[ActionType] = frozenset()
     parameter_bounds: tuple[ParameterBound, ...] = ()
     required_modalities: frozenset[str] = frozenset()
@@ -88,6 +92,8 @@ class Assertions:
 
 @dataclass(frozen=True)
 class ConstraintSnippet:
+    """One constraint clause of the legal, vehicle or driver layer, with its assertions."""
+
     snippet_id: str
     layer: str
     clause_id: str
@@ -110,6 +116,8 @@ class ConstraintSnippet:
 
 @dataclass(frozen=True)
 class RetrievalQuery:
+    """The jurisdiction, operating mode and term lists one retrieval matches."""
+
     jurisdiction: str = ""
     operating_mode: str = ""
     sensitivity_terms: tuple[str, ...] = ()
@@ -131,12 +139,16 @@ class RetrievalQuery:
 
 @dataclass(frozen=True)
 class RankedSnippet:
+    """A retrieved snippet id and its lexical score."""
+
     snippet_id: str
     score: float
 
 
 @dataclass(frozen=True)
 class RetrievalResult:
+    """The ranked snippets of one query, the scorer and the store version ranked."""
+
     ranked: tuple[RankedSnippet, ...]
     scorer_kind: str
     store_version: int
@@ -144,6 +156,8 @@ class RetrievalResult:
 
 @dataclass(frozen=True)
 class SummaryEntry:
+    """A snippet as kept by compression: ids, layer and text."""
+
     snippet_id: str
     clause_id: str
     layer: str

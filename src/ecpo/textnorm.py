@@ -1,9 +1,9 @@
 """Text normalization shared by retrieval, matching, and evaluation.
 
 A single tokenizer keeps lexical scores, evidence grounding, and hazard
-trigger matching consistent: lowercase via ``str.casefold``, split on any
-non-alphanumeric run, drop empty pieces. Digits stay (bounds and temperatures
-are meaningful tokens).
+trigger matching consistent: lowercase via ``str.casefold``, then take each
+maximal run of ASCII letters and digits as a token. Digits stay (bounds and
+temperatures are meaningful tokens).
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from itertools import filterfalse
 from typing import Iterable, Sequence
 
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+_TOKEN = re.compile(r"[0-9a-z]+")
 
 # Fixed stopword list; retrieval scores and evidence matching depend on it,
 # so additions change published numbers.
@@ -34,12 +35,12 @@ def normalize_text(text: str) -> str:
 
 def tokenize(text: str) -> list[str]:
     """Normalized token list; empty input yields an empty list."""
-    return [t for t in _TOKEN_SPLIT.split(text.casefold()) if t]
+    return _TOKEN.findall(text.casefold())
 
 
 def content_tokens(text: str) -> list[str]:
     """Normalized tokens with stopwords removed."""
-    return [t for t in tokenize(text) if t not in STOPWORDS]
+    return list(filterfalse(STOPWORDS.__contains__, tokenize(text)))
 
 
 def dedup_preserve_order(items: Iterable[str]) -> list[str]:

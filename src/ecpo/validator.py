@@ -52,6 +52,8 @@ NOT_APPLICABLE = "not applicable"
 
 @dataclass(frozen=True)
 class CheckResult:
+    """The outcome of one layered check, with the clause it cites."""
+
     check_id: str
     layer: str
     passed: bool
@@ -61,6 +63,8 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ViolationSummary:
+    """Highest violated layer severity L and count C of failed checks; L = 0 exactly when C = 0."""
+
     severity: int
     count: int
 
@@ -74,6 +78,8 @@ class ViolationSummary:
 
 @dataclass(frozen=True)
 class EcpoReport:
+    """Everything validate found for one policy: checks, scores, defects and hazards."""
+
     checks: tuple[CheckResult, ...]
     violation: ViolationSummary
     s_core: float
@@ -97,6 +103,8 @@ def _phrases(triggers: Iterable[str]) -> Phrases:
 
 @dataclass(frozen=True)
 class HazardRule:
+    """A hazard, the trigger phrases that derive it, and the scopes they are matched in."""
+
     hazard_id: str
     triggers: tuple[str, ...]
     scopes: frozenset[str]

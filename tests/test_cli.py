@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ecpo
 from ecpo import cli
 from ecpo.cli import main
 from ecpo.context import prompt_to_dict, sample_to_dict
@@ -567,3 +572,75 @@ def test_stratify_missing_head_exits_1(tmp_path, capsys):
     code, _, err = run_cli(["stratify", "--records", path], capsys)
     assert code == 1
     assert "MISSING_HEAD" in err
+
+
+# --- module loading ---------------------------------------------------------------------
+
+# Modules a command must not import: each handler imports only what it runs.
+NOT_LOADED = {
+    "retrieve": {"ecpo.validator", "ecpo.metrics", "ecpo.preference", "statistics"},
+    "mixpair": {"ecpo.validator", "ecpo.metrics", "ecpo.preference", "statistics"},
+    "stratify": {"ecpo.validator", "ecpo.metrics", "ecpo.preference", "statistics"},
+    "validate": {"ecpo.metrics", "ecpo.preference", "statistics"},
+    "pairs": {"ecpo.metrics", "statistics"},
+    "eval": {"ecpo.preference"},
+}
+
+_RUN_AND_LIST_MODULES = (
+    "import json, sys\n"
+    "from ecpo.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+)
+
+
+def command_argv(tmp_path, command, rain_prompt, rain_policy_dict):
+    """argv running ``command`` successfully on the shared fixtures."""
+    prompt = prompt_to_dict(rain_prompt)
+    if command in ("validate", "retrieve"):
+        return prompt_argv(tmp_path, command, prompt, rain_policy_dict)
+    if command == "pairs":
+        row = {"prompt_id": "rain-01", "prompt": prompt, "candidates": [{"document": rain_policy_dict}]}
+        return ["pairs", "--candidates", write_jsonl(tmp_path / "c.jsonl", [row])]
+    if command == "eval":
+        rows = [
+            {"kind": "text", "reference": "slow down", "hypothesis": "slow down"},
+            {"kind": "strategy", "prompt_id": "rain-01", "prompt": prompt, "document": rain_policy_dict,
+             "ratings": [[True, True, True]]},
+        ]
+        return ["eval", "--records", write_jsonl(tmp_path / "r.jsonl", rows)]
+    if command == "mixpair":
+        in_path, out_path = mix_inputs(tmp_path)
+        return ["mixpair", "--in-cabin", in_path, "--out-of-cabin", out_path]
+    sample = make_sample("nominal-1", labels={"emotion": "neutral", "behavior": "normal_driving",
+                                              "traffic_scene": "smooth_traffic", "vehicle_motion": "forward_moving"})
+    return ["stratify", "--records", write_jsonl(tmp_path / "s.jsonl", [sample_to_dict(sample)])]
+
+
+def run_python(code, *argv):
+    """``python -c code argv...`` importing this package: the completed process."""
+    paths = [str(Path(ecpo.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("command", sorted(NOT_LOADED))
+def test_command_loads_only_its_modules(tmp_path, rain_prompt, rain_policy_dict, command):
+    argv = ["--out", str(tmp_path / "out.jsonl"), *command_argv(tmp_path, command, rain_prompt, rain_policy_dict)]
+    result = run_python(_RUN_AND_LIST_MODULES, *argv)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    assert loaded["code"] == 0, result.stderr
+    assert "ecpo.cli" in loaded["modules"]
+    assert NOT_LOADED[command].isdisjoint(loaded["modules"])
+
+
+def test_package_attribute_imports_the_module():
+    result = run_python(
+        "import sys, ecpo.cli\n"
+        "assert 'ecpo.metrics' not in sys.modules\n"
+        "assert ecpo.metrics is sys.modules['ecpo.metrics']\n"
+        "assert not hasattr(ecpo, 'no_such_module')\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert ecpo._MODULES == {path.stem for path in Path(ecpo.__file__).parent.glob("*.py")} - {"__init__"}

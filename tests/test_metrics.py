@@ -173,6 +173,22 @@ def test_bleu_against_oracle():
     assert math.isclose(bleu4(refs, hyps), bleu4_reference(refs, hyps, DEFAULT_EPSILON), rel_tol=1e-9)
 
 
+# Two words force repeated n-grams, so clipping decides most matches; texts
+# shorter than four words have no n-grams of the higher orders.
+short_texts = st.lists(st.sampled_from(["x", "y"]), max_size=9).map(" ".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(short_texts, short_texts), min_size=1, max_size=5))
+@example([("x x x x", "x x x x x x")])
+@example([("", "x y x"), ("y", "")])
+def test_bleu_equals_oracle_exactly(pairs):
+    # Same match and n-gram totals, same float operations: equal to the last bit.
+    refs = [ref for ref, _ in pairs]
+    hyps = [hyp for _, hyp in pairs]
+    assert bleu4(refs, hyps) == bleu4_reference(refs, hyps, DEFAULT_EPSILON)
+
+
 def test_rouge_identity_and_disjoint():
     assert rouge_l(["a b c"], ["a b c"]) == 100.0
     assert rouge_l(["a b c"], ["x y z"]) == 0.0

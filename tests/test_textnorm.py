@@ -1,8 +1,10 @@
 import math
+import re
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ecpo.textnorm import (
+    STOPWORDS,
     content_tokens,
     dedup_preserve_order,
     lexical_cosine,
@@ -74,6 +76,23 @@ def test_jaccard_symmetric_and_bounded(a, b):
     value = jaccard(set(a), set(b))
     assert 0.0 <= value <= 1.0
     assert value == jaccard(set(b), set(a))
+
+
+# ASCII word characters, separators, stopwords, and characters that casefold
+# into ASCII letters (German sharp s, the Kelvin sign) or next to them.
+mixed_text = st.lists(
+    st.sampled_from([*"aZ09_ -/.\t\n", "\u00df", "\u212a", "\u0130", "\u00e9", "the", "Rain"])
+).map("".join)
+
+
+@given(st.one_of(mixed_text, st.text()))
+@example("")
+@example("--80 km/h--")
+@example("Stra\u00dfe \u212aelvin \u0130stanbul")
+def test_tokenize_equals_split_and_drop_empty(text):
+    expected = [piece for piece in re.split(r"[^0-9a-z]+", text.casefold()) if piece]
+    assert tokenize(text) == expected
+    assert content_tokens(text) == [token for token in expected if token not in STOPWORDS]
 
 
 @given(st.text())
