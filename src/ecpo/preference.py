@@ -32,7 +32,6 @@ class Candidate:
     candidate_id: str
     document: str
     report: EcpoReport
-    log_score: float | None = None
 
 
 @dataclass(frozen=True)

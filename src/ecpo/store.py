@@ -9,12 +9,16 @@ so retrieval pinned to a version is reproducible forever.
 Scoring is lexical: cosine over term-frequency vectors of normalized content
 tokens of the snippet text; provenance fields do not enter the vector.
 Queries run through an index of each version's snippet texts, built on the
-first query against that version and kept on the store: postings per token,
-plus one packed int per common token holding its term frequency in every
-snippet. A query sums the packed columns of its tokens as plain ints, adds
-its rare tokens through their postings, preselects the top ``top_k`` by a
-float product a few ulps from the cosine, and scores only those survivors
-exactly. ``retrieve`` takes any scorer with a ``kind`` and a
+first query against that version and kept on the store. It numbers the
+snippets by squared norm, so the snippets of one norm form one contiguous
+group sharing one inverse norm, and holds postings per token plus one packed
+int per common token holding its term frequency in every snippet. A query
+sums the packed columns of its tokens as plain ints and adds its rare tokens
+through their postings. It then preselects the top ``top_k`` by a float
+product a few ulps from the cosine: groups are visited best first by their
+largest dot product, and the walk stops at the first group that cannot beat
+the k products already held. Only the survivors are scored exactly.
+``retrieve`` takes any scorer with a ``kind`` and a
 ``rank(store, version, query, top_k)`` method; the toolkit ships only
 ``LexicalScorer``.
 """
@@ -29,7 +33,6 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigError, InputError, read_int, read_number, read_object, read_string, read_strings
@@ -177,19 +180,25 @@ _SURVIVOR_MARGIN = 1e-9
 class LexicalIndex:
     """Postings and packed term columns of one store version's snippet texts.
 
-    Positions number the snippets in snippet_id order, so ranking ties and the
-    zero-score fill both follow position order. ``postings`` maps each content
-    token to the positions of the snippets holding it (ascending) and its term
-    frequency in each, ``peaks`` to its largest term frequency. ``columns``
-    maps each token held by at least 1/32 of the snippets to one int whose
-    16-bit slot ``p`` is its term frequency in snippet ``p``.
-    ``squared_norms`` holds each snippet's integer squared term-frequency
-    norm, ``inverse_norms`` 1/sqrt of it (0.0 for a snippet of stopwords only).
+    Positions number the snippets by (squared norm, snippet_id): snippets of
+    one squared norm share one inverse norm and sit in one contiguous slice,
+    so within a slice cosine order is dot-product order. ``snippet_ids``
+    lists the ids by position and ``id_order`` the positions in snippet_id
+    order, for ranking ties and the zero-score fill. ``squared_norms`` holds
+    each snippet's integer squared term-frequency norm, and ``groups`` one
+    ``(start, end, inverse_norm)`` entry per nonzero squared norm, in
+    ascending order; snippets of stopwords only (norm 0) come first and
+    belong to no group. ``postings`` maps each content token to the positions
+    of the snippets holding it and its term frequency in each, ``peaks`` to
+    its largest term frequency. ``columns`` maps each token held by at least
+    1/32 of the snippets to one int whose 16-bit slot ``p`` is its term
+    frequency in snippet ``p``.
     """
 
     snippet_ids: tuple[str, ...]
+    id_order: array
     squared_norms: array
-    inverse_norms: array
+    groups: tuple[tuple[int, int, float], ...]
     postings: dict[str, tuple[array, array]]
     peaks: dict[str, int]
     columns: dict[str, int]
@@ -197,18 +206,33 @@ class LexicalIndex:
 
 def _build_lexical_index(snippets: Sequence[ConstraintSnippet]) -> LexicalIndex:
     ordered = sorted(snippets, key=lambda snippet: snippet.snippet_id)
-    squared_norms = array("q")
+    norms_by_id: list[int] = []
     postings: dict[str, tuple[array, array]] = {}
-    for position, snippet in enumerate(ordered):
+    for id_rank, snippet in enumerate(ordered):
         frequencies = term_frequencies(content_tokens(snippet.text))
-        squared_norms.append(squared_norm(frequencies))
+        norms_by_id.append(squared_norm(frequencies))
         for token, count in frequencies.items():
             entry = postings.get(token)
             if entry is None:
                 entry = postings[token] = (array("i"), array("i"))
-            entry[0].append(position)
+            entry[0].append(id_rank)
             entry[1].append(count)
     size = len(ordered)
+    # a stable sort keeps snippet_id order within one squared norm
+    by_norm = sorted(range(size), key=norms_by_id.__getitem__)
+    id_order = [0] * size
+    for position, id_rank in enumerate(by_norm):
+        id_order[id_rank] = position
+    for token, (id_ranks, counts) in postings.items():
+        postings[token] = (array("i", [id_order[id_rank] for id_rank in id_ranks]), counts)
+    squared_norms = array("q", [norms_by_id[id_rank] for id_rank in by_norm])
+    groups = []
+    start = 0
+    for sq, run in itertools.groupby(squared_norms):
+        end = start + len(list(run))
+        if sq:
+            groups.append((start, end, 1 / math.sqrt(sq)))
+        start = end
     peaks = {token: max(counts) for token, (_, counts) in postings.items()}
     columns: dict[str, int] = {}
     for token, (positions, counts) in postings.items():
@@ -218,9 +242,10 @@ def _build_lexical_index(snippets: Sequence[ConstraintSnippet]) -> LexicalIndex:
                 slots[position] = count
             columns[token] = int.from_bytes(slots, sys.byteorder)
     return LexicalIndex(
-        snippet_ids=tuple(snippet.snippet_id for snippet in ordered),
+        snippet_ids=tuple(ordered[id_rank].snippet_id for id_rank in by_norm),
+        id_order=array("i", id_order),
         squared_norms=squared_norms,
-        inverse_norms=array("d", [1 / math.sqrt(sq) if sq else 0.0 for sq in squared_norms]),
+        groups=tuple(groups),
         postings=postings,
         peaks=peaks,
         columns=columns,
@@ -239,7 +264,12 @@ def _dot_products(index: LexicalIndex, query_frequencies: Counter) -> Sequence[i
     peaks = index.peaks
     if sum(m * peaks.get(token, 0) for token, m in query_frequencies.items()) < _SLOT_LIMIT:
         columns = index.columns
-        packed = sum(m * columns[token] for token, m in query_frequencies.items() if token in columns)
+        # a multiplicity of 1 adds the column itself: `1 * column` copies it
+        packed = sum(
+            columns[token] if m == 1 else m * columns[token]
+            for token, m in query_frequencies.items()
+            if token in columns
+        )
         dots: Sequence[int] = array("H", packed.to_bytes(2 * size, sys.byteorder))
         rare = [(token, m) for token, m in query_frequencies.items() if token not in columns]
     else:
@@ -372,17 +402,43 @@ class LexicalScorer:
         times the query norm up to a few ulps: every one within a relative
         1e-9 of the k-th largest product survives and is scored exactly. Every
         snippet left out scores 0.0 or ranks below the k best.
+
+        The k-th largest product is found group by group, in descending order
+        of each norm group's best product, stopping at the first group whose
+        best cannot beat the k products already held; only the groups whose
+        best reaches the floor are scanned for survivors.
         """
         query_frequencies = term_frequencies(query.tokens())
         query_sq = squared_norm(query_frequencies)
         dots = _dot_products(index, query_frequencies)
-        size = len(dots)
-        survivors = itertools.compress(range(size), dots)
-        if top_k is not None and top_k < size:
-            approx = list(map(mul, dots, index.inverse_norms))
-            floor = heapq.nlargest(top_k, approx)[-1] * (1 - _SURVIVOR_MARGIN)
+        survivors: Iterable[int] = itertools.compress(range(len(dots)), dots)
+        if top_k is not None and top_k < len(dots):
+            bests = sorted(
+                ((max(dots[start:end]) * inverse, start, end, inverse) for start, end, inverse in index.groups),
+                reverse=True,
+            )
+            held: list[float] = []
+            for best, start, end, inverse in bests:
+                if len(held) == top_k and best <= held[0]:
+                    break
+                for dot in heapq.nlargest(top_k, dots[start:end]):
+                    product = dot * inverse
+                    if len(held) < top_k:
+                        heapq.heappush(held, product)
+                    elif product > held[0]:
+                        heapq.heapreplace(held, product)
+                    else:
+                        break
+            # fewer held products than top_k: the k-th largest is a stopword snippet's 0.0
+            floor = held[0] * (1 - _SURVIVOR_MARGIN) if len(held) == top_k else 0.0
             if floor > 0:
-                survivors = [position for position, value in enumerate(approx) if value >= floor]
+                survivors = [
+                    position
+                    for best, start, end, inverse in bests
+                    if best >= floor
+                    for position in range(start, end)
+                    if dots[position] * inverse >= floor
+                ]
         norms = index.squared_norms
         return {
             position: cosine_from_counts(dots[position], norms[position], query_sq)
@@ -396,11 +452,11 @@ class LexicalScorer:
         in snippet_id order up to ``top_k``."""
         index = store.lexical_index(version)
         hits = self.scores(index, query, top_k)
-        best = sorted(hits, key=lambda position: (-hits[position], position))[:top_k]
         ids = index.snippet_ids
+        best = sorted(hits, key=lambda position: (-hits[position], ids[position]))[:top_k]
         ranked = [RankedSnippet(ids[position], hits[position]) for position in best]
         # fewer hits than top_k means every snippet sharing a query token is a hit
-        zero_scored = (position for position in range(len(ids)) if position not in hits)
+        zero_scored = (position for position in index.id_order if position not in hits)
         for position in itertools.islice(zero_scored, top_k - len(ranked)):
             ranked.append(RankedSnippet(ids[position], 0.0))
         return tuple(ranked)

@@ -24,7 +24,8 @@ from ecpo.store import (
     snippet_to_dict,
     update_store,
 )
-from oracles import lexical_ranking_reference
+from ecpo.textnorm import term_frequencies
+from oracles import lexical_ranking_reference, lexical_survivors_reference
 
 
 def snippet(snippet_id: str, text: str, layer: str = "legal", **kwargs) -> ConstraintSnippet:
@@ -312,7 +313,10 @@ def test_dot_products_past_the_slot_width_equal_brute_force(repeats, query_repea
 
 def test_all_stopword_snippet_scores_zero():
     store = load_store([snippet("a", "the of and"), snippet("b", "lane merge"), snippet("c", "fog")])
-    assert store.lexical_index().squared_norms[0] == 0
+    index = store.lexical_index()
+    assert index.snippet_ids == ("a", "c", "b") and list(index.squared_norms) == [0, 1, 2]
+    # the stopword-only snippet belongs to no norm group
+    assert index.groups == ((1, 2, 1.0), (2, 3, 1 / math.sqrt(2)))
     query = query_for("lane")
     expected = (("b", 1 / math.sqrt(2)), ("a", 0.0), ("c", 0.0))
     assert ranking(retrieve(store, query, top_k=3)) == lexical_ranking_reference(store.snapshot(), query, 3)
@@ -332,6 +336,71 @@ def test_near_tie_one_ulp_apart_ranks_by_exact_cosine():
     assert ranking(result) == lexical_ranking_reference(store.snapshot(), query, 1)
     assert 5 / math.sqrt(29) > 25 / math.sqrt(725)
     assert 5 * (1 / math.sqrt(29)) < 25 * (1 / math.sqrt(725))
+
+
+def scored_ids(store, query, top_k):
+    """``LexicalScorer.scores`` of the store's latest version, keyed by snippet_id."""
+    index = store.lexical_index()
+    hits = LexicalScorer().scores(index, query, top_k)
+    return {index.snippet_ids[position]: score for position, score in hits.items()}
+
+
+# Texts of one to three words from four: few distinct squared norms, so
+# every norm group holds many snippets; "the of" is stopwords only.
+SHARED_NORM_TEXTS = st.lists(st.sampled_from(("lane", "fog", "merge", "rain")), min_size=1, max_size=3).map(
+    " ".join
+) | st.just("the of")
+
+
+@st.composite
+def shared_norm_stores_and_queries(draw):
+    texts_drawn = draw(st.lists(SHARED_NORM_TEXTS, min_size=1, max_size=70))
+    ids = draw(st.permutations(range(len(texts_drawn))))
+    snippets = [snippet(f"s{i:02d}", text) for i, text in zip(ids, texts_drawn)]
+    words = draw(st.lists(st.sampled_from(("lane", "fog", "merge", "rain", "zebra")), min_size=1, max_size=5))
+    top_k = draw(st.none() | st.integers(1, len(snippets) + 3))
+    return snippets, query_for(" ".join(words)), top_k
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_norm_stores_and_queries())
+def test_survivors_equal_brute_force(case):
+    snippets, query, top_k = case
+    store = load_store(snippets)
+    assert scored_ids(store, query, top_k) == lexical_survivors_reference(store.snapshot(), query, top_k)
+
+
+def test_exact_tie_across_norm_groups_breaks_by_snippet_id():
+    store = load_store([snippet("a", "lane lane lane"), snippet("b", "lane lane"), snippet("c", "merge")])
+    # norm order (1, 4, 9) is the reverse of snippet_id order
+    assert store.lexical_index().snippet_ids == ("c", "b", "a")
+    query = query_for("lane")
+    assert ranking(retrieve(store, query, top_k=1)) == (("a", 1.0),)
+    assert ranking(retrieve(store, query, top_k=2)) == (("a", 1.0), ("b", 1.0))
+
+
+def test_zero_score_fill_follows_snippet_id_order():
+    store = load_store(
+        [snippet("a", "fog fog fog"), snippet("b", "merge merge"), snippet("c", "exit"), snippet("d", "lane")]
+    )
+    index = store.lexical_index()
+    assert index.snippet_ids == ("c", "d", "b", "a")
+    assert [index.snippet_ids[position] for position in index.id_order] == ["a", "b", "c", "d"]
+    expected = (("d", 1.0), ("a", 0.0), ("b", 0.0), ("c", 0.0))
+    assert ranking(retrieve(store, query_for("lane"), top_k=4)) == expected
+    assert ranking(retrieve(store, query_for("zebra"), top_k=3)) == (("a", 0.0), ("b", 0.0), ("c", 0.0))
+
+
+def test_overflow_fallback_survivors_equal_brute_force():
+    shared_norms = ["lane merge", "merge fog", "fog lane", "lane", "fog", "merge"] * 2
+    store = load_store([snippet("a", "lane " * 300)] + [snippet(f"s{i}", text) for i, text in enumerate(shared_norms)])
+    query = query_for("lane " * 300 + "merge fog")
+    # a dot product of 90,000 could carry out of a 16-bit slot: every token goes through its postings
+    assert isinstance(ecpo.store._dot_products(store.lexical_index(), term_frequencies(query.tokens())), list)
+    size = len(store.snapshot())
+    for top_k in range(2, size):
+        assert scored_ids(store, query, top_k) == lexical_survivors_reference(store.snapshot(), query, top_k)
+        assert ranking(retrieve(store, query, top_k)) == lexical_ranking_reference(store.snapshot(), query, top_k)
 
 
 def test_load_store_builds_no_index(monkeypatch):
