@@ -120,11 +120,6 @@ class ConstraintLedger:
     driver_preferences: str | None = None
     contextual_evidence: str | None = None
 
-    def layer(self, name: str) -> str | None:
-        if name not in CONSTRAINT_LAYERS:
-            raise KeyError(name)
-        return getattr(self, name)
-
     def populated(self) -> dict[str, str]:
         out = {}
         for name in CONSTRAINT_LAYERS:

@@ -408,6 +408,8 @@ class LexicalScorer:
         best cannot beat the k products already held; only the groups whose
         best reaches the floor are scanned for survivors.
         """
+        if top_k is not None and top_k < 1:
+            raise ConfigError("BAD_TOP_K", f"top_k must be >= 1, got {top_k}")
         query_frequencies = term_frequencies(query.tokens())
         query_sq = squared_norm(query_frequencies)
         dots = _dot_products(index, query_frequencies)
@@ -474,8 +476,6 @@ def retrieve(
     When fewer than ``top_k`` snippets share a query token, the lexical
     scorer fills the rest with zero-score snippets in snippet_id order.
     """
-    if top_k < 1:
-        raise ConfigError("BAD_TOP_K", f"top_k must be >= 1, got {top_k}")
     if not store.snapshot(version):
         raise InputError("EMPTY_STORE", "no snippets in the selected store version")
     if scorer is None:

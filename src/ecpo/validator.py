@@ -15,7 +15,9 @@ distinct failed checks. The core score is max(0, 1 - L/4 - 0.1*min(C, 10));
 the aggregate is the convex combination of core, evidence, and structure.
 
 What the checks need from the prompt alone is built once per prompt and rule
-set (``PromptContext``); each candidate pays only for its own document.
+set (``PromptContext``: the snippets that forbid action types or bind
+modalities, the compiled keywords, and the rows of every parameter bound);
+each candidate pays only for its own document.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .policy import (
     LowLevelMatch,
     PolicyAction,
     StructuralDefect,
+    _norm_key,
     action_text,
     detect_low_level_control,
     parse_policy,
@@ -46,9 +49,6 @@ from .textnorm import content_tokens, normalize_text, token_ngrams, tokenize
 LAYER_SEVERITY = {"legal": 4, "vehicle": 3, "driver": 2, "contextual": 1}
 
 RULE_SCOPES = ("labels", "summaries", "snippets", "policy_text")
-
-NOT_APPLICABLE = "not applicable"
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -199,12 +199,8 @@ def _matches(grams: set[tuple[str, ...]], phrases: Phrases) -> bool:
     return any(phrase in grams for phrase in phrases)
 
 
-_PARAM_SPLIT = re.compile(r"[^0-9a-z]+")
-
-
-@lru_cache(maxsize=1024)
-def _norm_param(name: str) -> str:
-    return "_".join(_PARAM_SPLIT.split(name.casefold())).strip("_")
+# parameter names repeat across actions, candidates and bound rows
+_norm_param = lru_cache(maxsize=1024)(_norm_key)
 
 
 class ActionFacts(NamedTuple):
@@ -294,18 +290,39 @@ def _grounded(entry: str, targets: Grounding, threshold: float) -> bool:
     return any(k / (size + sizes[position] - k) >= threshold for position, k in shared.items())
 
 
+# (action type, parameter, low, high, clause); capability rows cite no clause
+BoundRows = tuple[tuple[ActionType, str, float, float, str | None], ...]
+
+
+def _bound_rows(snippets: Sequence[ConstraintSnippet]) -> BoundRows | None:
+    """The snippets' parameter bounds as rows, in snippet order; None when there are none."""
+    rows = tuple(
+        (bound.action_type, bound.parameter, bound.minimum, bound.maximum, snippet.clause_id)
+        for snippet in snippets
+        if snippet.assertions
+        for bound in snippet.assertions.parameter_bounds
+    )
+    return rows or None
+
+
 class PromptContext(NamedTuple):
     """Everything validation derives from the prompt alone.
 
     Built by ``prompt_context`` on the first validation of a prompt under a
-    rule set, then reused for every candidate.
+    rule set, then reused for every candidate. The checks read their prompt
+    inputs from here, never from the prompt's snippets.
     """
 
     hazards_truth: frozenset[str]
-    legal: tuple[ConstraintSnippet, ...]
-    vehicle: tuple[ConstraintSnippet, ...]
-    driver: tuple[ConstraintSnippet, ...]
+    # legal snippets that forbid action types
+    forbidding: tuple[ConstraintSnippet, ...]
     legal_keywords: KeywordCarriers
+    # bound rows; None where not applicable (a declared capability map always applies)
+    legal_bounds: BoundRows | None
+    capability_bounds: BoundRows | None
+    vehicle_bounds: BoundRows | None
+    # driver snippets that bind modalities
+    binding: tuple[ConstraintSnippet, ...]
     driver_keywords: KeywordCarriers
     grounding: Grounding
     # maneuvers whose trigger occurs in a scene label or summary stage
@@ -326,13 +343,20 @@ def _build_context(prompt: StrategyPrompt, rules: tuple[HazardRule, ...]) -> Pro
     legal, vehicle, driver = (
         tuple(s for s in prompt.constraints if s.layer == layer) for layer in ("legal", "vehicle", "driver")
     )
+    capability = prompt.vehicle.capability_limits
     scene = token_ngrams([tokenize(text) for text in (*z.scene_labels, *z.summary_stages())], _MANEUVER_LONGEST)
     return PromptContext(
         hazards_truth=derive_hazards(z, prompt.constraints, rules),
-        legal=legal,
-        vehicle=vehicle,
-        driver=driver,
+        forbidding=tuple(s for s in legal if s.assertions and s.assertions.forbidden_action_types),
         legal_keywords=_keyword_carriers(legal),
+        legal_bounds=_bound_rows(legal),
+        capability_bounds=tuple(
+            (ActionType(name), parameter, low, high, None)
+            for name, bounds in capability.items()
+            for parameter, (low, high) in bounds.items()
+        ) if capability else None,
+        vehicle_bounds=_bound_rows(vehicle),
+        binding=tuple(s for s in driver if s.assertions and s.assertions.required_modalities),
         driver_keywords=_keyword_carriers(driver),
         grounding=_grounding_targets(z, prompt.constraints),
         scene_maneuvers=frozenset(name for name, phrases in _MANEUVER_PHRASES if _matches(scene, phrases)),
@@ -340,11 +364,17 @@ def _build_context(prompt: StrategyPrompt, rules: tuple[HazardRule, ...]) -> Pro
 
 
 def _na(check_id: str, layer: str, why: str) -> CheckResult:
-    return CheckResult(check_id, layer, True, f"{NOT_APPLICABLE}: {why}")
+    return CheckResult(check_id, layer, True, f"not applicable: {why}")
 
 
-def _check_forbidden_action_types(policy, snippets, check_id, layer) -> CheckResult:
-    carriers = [s for s in snippets if s.assertions and s.assertions.forbidden_action_types]
+def _verdict(check_id: str, layer: str, hits: list[str], passed: str, clause: str | None = None) -> CheckResult:
+    """Fail with the hits joined by "; ", or pass with detail ``passed``; both cite ``clause``."""
+    if hits:
+        return CheckResult(check_id, layer, False, "; ".join(hits), clause)
+    return CheckResult(check_id, layer, True, passed, clause)
+
+
+def _check_forbidden_action_types(policy, carriers, check_id, layer) -> CheckResult:
     if not carriers:
         return _na(check_id, layer, "no forbidden-type assertions")
     hits = []
@@ -354,9 +384,7 @@ def _check_forbidden_action_types(policy, snippets, check_id, layer) -> CheckRes
             if action.action_type in snippet.assertions.forbidden_action_types:
                 hits.append(f"action {index} type {action.action_type.value} (clause {snippet.clause_id})")
                 clause = clause or snippet.clause_id
-    if hits:
-        return CheckResult(check_id, layer, False, "; ".join(hits), clause)
-    return CheckResult(check_id, layer, True, "no forbidden action types used")
+    return _verdict(check_id, layer, hits, "no forbidden action types used", clause)
 
 
 def _check_forbidden_keywords(actions, carriers, check_id, layer) -> CheckResult:
@@ -369,34 +397,34 @@ def _check_forbidden_keywords(actions, carriers, check_id, layer) -> CheckResult
             if pattern.search(facts.text):
                 hits.append(f"action {index} matches {keyword!r} (clause {snippet.clause_id})")
                 clause = clause or snippet.clause_id
-    if hits:
-        return CheckResult(check_id, layer, False, "; ".join(hits), clause)
-    return CheckResult(check_id, layer, True, "no forbidden keyword present")
+    return _verdict(check_id, layer, hits, "no forbidden keyword present", clause)
 
 
-def _check_snippet_bounds(policy, actions, snippets, check_id, layer) -> CheckResult:
-    carriers = [s for s in snippets if s.assertions and s.assertions.parameter_bounds]
-    if not carriers:
-        return _na(check_id, layer, "no parameter-bound assertions")
+# check_id -> (why the bound check is not applicable, its detail when every value is in range)
+_BOUND_TEXTS = {
+    "legal.parameter_bounds": ("no parameter-bound assertions", "all bounded parameters in range"),
+    "vehicle.capability_limits": ("no capability limits declared", "all parameters within capability limits"),
+    "vehicle.snippet_bounds": ("no parameter-bound assertions", "all bounded parameters in range"),
+}
+
+
+def _check_bounds(policy, actions, rows, check_id, layer) -> CheckResult:
+    """Each action's numeric parameters against the rows of its type; the first hit's clause is cited."""
+    why, passed = _BOUND_TEXTS[check_id]
+    if rows is None:
+        return _na(check_id, layer, why)
     hits = []
     clause = None
     for index, (action, facts) in enumerate(zip(policy.actions, actions)):
-        for snippet in carriers:
-            for bound in snippet.assertions.parameter_bounds:
-                if bound.action_type is not action.action_type:
-                    continue
-                value = facts.by_param.get(_norm_param(bound.parameter))
-                if value is None:
-                    continue
-                if not bound.minimum <= value <= bound.maximum:
-                    hits.append(
-                        f"action {index} {bound.parameter}={value:g} outside "
-                        f"[{bound.minimum:g}, {bound.maximum:g}] (clause {snippet.clause_id})"
-                    )
-                    clause = clause or snippet.clause_id
-    if hits:
-        return CheckResult(check_id, layer, False, "; ".join(hits), clause)
-    return CheckResult(check_id, layer, True, "all bounded parameters in range")
+        for action_type, parameter, low, high, row_clause in rows:
+            if action_type is not action.action_type:
+                continue
+            value = facts.by_param.get(_norm_param(parameter))
+            if value is not None and not low <= value <= high:
+                cite = "" if row_clause is None else f" (clause {row_clause})"
+                hits.append(f"action {index} {parameter}={value:g} outside [{low:g}, {high:g}]{cite}")
+                clause = clause or row_clause
+    return _verdict(check_id, layer, hits, passed, clause)
 
 
 def _check_actuators(policy, vehicle, check_id) -> CheckResult:
@@ -407,47 +435,22 @@ def _check_actuators(policy, vehicle, check_id) -> CheckResult:
         for index, action in enumerate(policy.actions)
         if action.action_type.value not in vehicle.available_actuators
     ]
-    if hits:
-        return CheckResult(check_id, "vehicle", False, "; ".join(hits))
-    return CheckResult(check_id, "vehicle", True, "all action channels available")
+    return _verdict(check_id, "vehicle", hits, "all action channels available")
 
 
-def _check_capability_limits(policy, actions, vehicle, check_id) -> CheckResult:
-    if not vehicle.capability_limits:
-        return _na(check_id, "vehicle", "no capability limits declared")
-    hits = []
-    for index, (action, facts) in enumerate(zip(policy.actions, actions)):
-        bounds = vehicle.capability_limits.get(action.action_type.value)
-        if not bounds:
-            continue
-        for parameter, (low, high) in bounds.items():
-            value = facts.by_param.get(_norm_param(parameter))
-            if value is not None and not low <= value <= high:
-                hits.append(f"action {index} {parameter}={value:g} outside [{low:g}, {high:g}]")
-    if hits:
-        return CheckResult(check_id, "vehicle", False, "; ".join(hits))
-    return CheckResult(check_id, "vehicle", True, "all parameters within capability limits")
-
-
-def _check_modality_binding(policy, driver, snippets, check_id) -> CheckResult:
-    binding = [s for s in snippets if s.assertions and s.assertions.required_modalities]
+def _check_modality_binding(policy, driver, binding, check_id) -> CheckResult:
     if not binding:
         return _na(check_id, "driver", "no binding modality assertion")
     preference = normalize_text(driver.alert_modality_preference)
     allowed = {preference} if preference else {
         normalize_text(m) for s in binding for m in s.assertions.required_modalities
     }
-    clause = binding[0].clause_id
     hits = []
     for index, action in enumerate(policy.actions):
         modality = action.parameters.get("modality")
-        if not isinstance(modality, str) or not modality:
-            continue
-        if normalize_text(modality) not in allowed:
+        if isinstance(modality, str) and modality and normalize_text(modality) not in allowed:
             hits.append(f"action {index} modality {modality!r} conflicts with the bound preference")
-    if hits:
-        return CheckResult(check_id, "driver", False, "; ".join(hits), clause)
-    return CheckResult(check_id, "driver", True, "modalities match the bound preference", clause)
+    return _verdict(check_id, "driver", hits, "modalities match the bound preference", binding[0].clause_id)
 
 
 def _check_cabin_band(policy, actions, driver, check_id) -> CheckResult:
@@ -460,22 +463,17 @@ def _check_cabin_band(policy, actions, driver, check_id) -> CheckResult:
         if action.action_type is not ActionType.HVAC:
             continue
         for key, norm, value in facts.numeric:
-            if "temperature" not in norm:
-                continue
-            if not low <= value <= high:
+            if "temperature" in norm and not low <= value <= high:
                 hits.append(f"action {index} {key}={value:g} outside band [{low:g}, {high:g}]")
-    if hits:
-        return CheckResult(check_id, "driver", False, "; ".join(hits))
-    return CheckResult(check_id, "driver", True, "cabin temperatures within the declared band")
+    return _verdict(check_id, "driver", hits, "cabin temperatures within the declared band")
 
 
 def _check_hazard_conservatism(hazards_truth, hazards_addressed, check_id) -> CheckResult:
     if not hazards_truth:
         return _na(check_id, "contextual", "no hazards derived")
     unaddressed = sorted(hazards_truth - hazards_addressed)
-    if unaddressed:
-        return CheckResult(check_id, "contextual", False, f"unaddressed hazards: {', '.join(unaddressed)}")
-    return CheckResult(check_id, "contextual", True, "every derived hazard is addressed")
+    hits = [f"unaddressed hazards: {', '.join(unaddressed)}"] if unaddressed else []
+    return _verdict(check_id, "contextual", hits, "every derived hazard is addressed")
 
 
 def _check_maneuver_consistency(actions, context: PromptContext, check_id) -> CheckResult:
@@ -489,9 +487,7 @@ def _check_maneuver_consistency(actions, context: PromptContext, check_id) -> Ch
         mentioned = [index for index, grams in enumerate(action_grams) if _matches(grams, phrases)]
         if mentioned:
             hits.append(f"actions {mentioned} reference {maneuver} absent from the scene")
-    if hits:
-        return CheckResult(check_id, "contextual", False, "; ".join(hits))
-    return CheckResult(check_id, "contextual", True, "maneuver references consistent with the scene")
+    return _verdict(check_id, "contextual", hits, "maneuver references consistent with the scene")
 
 
 def run_layered_checks(
@@ -514,18 +510,16 @@ def run_layered_checks(
     if hazards_addressed is None:
         hazards_addressed = extract_addressed_hazards(policy, rules, actions=actions)
     return [
-        _check_forbidden_action_types(policy, context.legal, "legal.forbidden_action_type", "legal"),
+        _check_forbidden_action_types(policy, context.forbidding, "legal.forbidden_action_type", "legal"),
         _check_forbidden_keywords(actions, context.legal_keywords, "legal.forbidden_keyword", "legal"),
-        _check_snippet_bounds(policy, actions, context.legal, "legal.parameter_bounds", "legal"),
+        _check_bounds(policy, actions, context.legal_bounds, "legal.parameter_bounds", "legal"),
         _check_actuators(policy, prompt.vehicle, "vehicle.actuator_available"),
-        _check_capability_limits(policy, actions, prompt.vehicle, "vehicle.capability_limits"),
-        _check_snippet_bounds(policy, actions, context.vehicle, "vehicle.snippet_bounds", "vehicle"),
-        _check_modality_binding(policy, prompt.driver, context.driver, "driver.modality_binding"),
+        _check_bounds(policy, actions, context.capability_bounds, "vehicle.capability_limits", "vehicle"),
+        _check_bounds(policy, actions, context.vehicle_bounds, "vehicle.snippet_bounds", "vehicle"),
+        _check_modality_binding(policy, prompt.driver, context.binding, "driver.modality_binding"),
         _check_cabin_band(policy, actions, prompt.driver, "driver.cabin_band"),
         _check_forbidden_keywords(actions, context.driver_keywords, "driver.sensitivity_trigger", "driver"),
-        _check_hazard_conservatism(
-            context.hazards_truth, hazards_addressed, "contextual.hazard_conservatism"
-        ),
+        _check_hazard_conservatism(context.hazards_truth, hazards_addressed, "contextual.hazard_conservatism"),
         _check_maneuver_consistency(actions, context, "contextual.maneuver_consistency"),
     ]
 
@@ -651,45 +645,33 @@ def validate(document: str | bytes, prompt: StrategyPrompt, config: RunConfig | 
     applicable, every component 0, aggregate 0) rather than an error.
     """
     cfg = config or RunConfig()
-    weights = cfg.ecpo_weights
     rules = cfg.hazard_rules()
     outcome = parse_policy(document, j_max=cfg.j_max)
     context = prompt_context(prompt, rules)
-    if not outcome.valid:
-        return EcpoReport(
-            checks=(),
-            violation=ViolationSummary(0, 0),
-            s_core=0.0,
-            s_evd=0.0,
-            s_str=0.0,
-            ecpo=0.0,
-            weights_used=weights,
-            low_level_matches=(),
-            schema_valid=False,
-            defects=outcome.defects,
-            hazards_truth=context.hazards_truth,
-            hazards_addressed=frozenset(),
+    checks, hazards_addressed, low_level_matches = (), frozenset(), ()
+    s_evd = s_str = 0.0
+    if outcome.valid:
+        policy = outcome.policy
+        actions = _action_facts(policy)
+        hazards_addressed = extract_addressed_hazards(policy, rules, actions=actions)
+        checks = tuple(
+            run_layered_checks(policy, prompt, rules=rules, hazards_addressed=hazards_addressed, actions=actions)
         )
-    policy = outcome.policy
-    actions = _action_facts(policy)
-    hazards_addressed = extract_addressed_hazards(policy, rules, actions=actions)
-    checks = run_layered_checks(
-        policy, prompt, rules=rules, hazards_addressed=hazards_addressed, actions=actions
-    )
+        s_evd = evidence_coverage(policy, prompt.z, prompt.constraints, cfg, targets=context.grounding)
+        s_str = structural_score(outcome, cfg.penalty_table)
+        low_level_matches = tuple(detect_low_level_control(policy, cfg.lexicon()))
     summary = violation_summary(checks)
-    s_core = core_score(summary)
-    s_evd = evidence_coverage(policy, prompt.z, prompt.constraints, cfg, targets=context.grounding)
-    s_str = structural_score(outcome, cfg.penalty_table)
+    s_core = core_score(summary) if outcome.valid else 0.0
     return EcpoReport(
-        checks=tuple(checks),
+        checks=checks,
         violation=summary,
         s_core=s_core,
         s_evd=s_evd,
         s_str=s_str,
-        ecpo=ecpo_score(s_core, s_evd, s_str, weights),
-        weights_used=weights,
-        low_level_matches=tuple(detect_low_level_control(policy, cfg.lexicon())),
-        schema_valid=True,
+        ecpo=ecpo_score(s_core, s_evd, s_str, cfg.ecpo_weights),
+        weights_used=cfg.ecpo_weights,
+        low_level_matches=low_level_matches,
+        schema_valid=outcome.valid,
         defects=outcome.defects,
         hazards_truth=context.hazards_truth,
         hazards_addressed=hazards_addressed,

@@ -244,6 +244,10 @@ MISTYPED = [
     pytest.param("validate", None, nan_config("beta", "NaN"), 2, "BAD_BETA", id="config-nan-beta"),
     pytest.param("validate", None, '{"penalty_table": {"other": NaN}}', 2, "BAD_PENALTY", id="config-nan-penalty"),
     pytest.param("validate", None, {"match_threshold": "0.5"}, 2, "BAD_THRESHOLD", id="config-string-threshold"),
+    pytest.param("validate", None, {"epsilon": 0}, 2, "BAD_EPSILON", id="config-zero-epsilon"),
+    pytest.param("validate", None, {"j_max": 0}, 2, "BAD_J_MAX", id="config-zero-j-max"),
+    pytest.param("mixpair", None, {"block_size": 0}, 2, "BAD_BLOCK_SIZE", id="config-zero-block-size"),
+    pytest.param("retrieve", None, {"top_kk": 3}, 2, "UNKNOWN_CONFIG_KEY", id="config-unknown-key"),
 ]
 
 

@@ -96,6 +96,7 @@ def test_layer_and_evidence_key_aliases():
         (json.dumps({"objectives": "x", "constraints": {}}), "MISSING_ACTIONS"),
         (json.dumps(minimal_doc(actions="nope")), "MISSING_ACTIONS"),
         (json.dumps(minimal_doc(actions=[])), "NO_ACTIONS"),
+        (json.dumps(minimal_doc(actions=["nope"])), "BAD_ACTION_TYPE"),
     ],
 )
 def test_hard_defects_make_invalid(document, code):
@@ -103,6 +104,31 @@ def test_hard_defects_make_invalid(document, code):
     assert not outcome.valid
     assert code in outcome.defect_codes()
     assert structural_score(outcome) == 0.0
+
+
+def with_action(**fields) -> dict:
+    doc = minimal_doc()
+    doc["actions"][0].update(fields)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc,expected",
+    [
+        (minimal_doc(constraints=[{"legal": "obey signals"}, "y"]), [("BAD_CONSTRAINT_VALUE", "$.constraints[1]")]),
+        (minimal_doc(constraints="obey signals"), [("BAD_CONSTRAINT_VALUE", "$.constraints")]),
+        (minimal_doc(constraints={"legal": "obey signals", "driver": "  "}),
+         [("BAD_CONSTRAINT_VALUE", "$.constraints.driver")]),
+        (with_action(parameters=[1]), [("BAD_PARAMETER_VALUE", "$.actions[0].parameters")]),
+        (with_action(evidence="x"), [("BAD_EVIDENCE_ENTRY", "$.actions[0].evidence")]),
+        (minimal_doc(objectives="   "), [("MISSING_OBJECTIVES", "$.objectives")]),
+        (minimal_doc(objectives=["  ", ""]),
+         [("OBJECTIVES_COERCED", "$.objectives"), ("MISSING_OBJECTIVES", "$.objectives")]),
+    ],
+)
+def test_malformed_fields_flag_their_path(doc, expected):
+    defects = [(d.code, d.path) for d in parse(doc).defects]
+    assert all(pair in defects for pair in expected), defects
 
 
 def test_too_many_actions_respects_j_max():

@@ -194,6 +194,14 @@ def test_retrieve_top_k_and_errors():
     assert err.value.code == "EMPTY_STORE"
 
 
+@pytest.mark.parametrize("top_k", [0, -1])
+def test_scores_rejects_top_k_below_one(top_k):
+    store = load_store([snippet("a", "keep right"), snippet("b", "keep left")])
+    with pytest.raises(ConfigError) as err:
+        LexicalScorer().scores(store.lexical_index(), query_for("keep"), top_k)
+    assert err.value.code == "BAD_TOP_K"
+
+
 def test_pinned_version_retrieval_unchanged_after_update():
     store = load_store([snippet("a", "rain distance rule"), snippet("b", "fog lamp rule")])
     before = retrieve(store, query_for("rain distance"), top_k=2, version=1)

@@ -16,8 +16,8 @@ from ecpo.context import (
     prompt_to_dict,
 )
 from ecpo.errors import ConfigError, InputError, InvariantError
-from ecpo.policy import parse_policy
-from ecpo.store import ConstraintSnippet
+from ecpo.policy import DEFAULT_LEXICON_LINES, ActionType, parse_policy
+from ecpo.store import Assertions, ConstraintSnippet, ParameterBound
 from ecpo.validator import (
     DEFAULT_HAZARD_RULES,
     LAYER_SEVERITY,
@@ -70,21 +70,104 @@ def test_each_check_fails_alone(plant):
     assert failed == [plant]
 
 
+def check_bytes(checks) -> list[tuple]:
+    return [(c.check_id, c.passed, c.detail, c.clause_ref) for c in checks]
+
+
+def test_planted_case_check_bytes():
+    assert check_bytes(run_checks(set())) == [
+        ("legal.forbidden_action_type", True, "not applicable: no forbidden-type assertions", None),
+        ("legal.forbidden_keyword", True, "no forbidden keyword present", None),
+        ("legal.parameter_bounds", True, "all bounded parameters in range", None),
+        ("vehicle.actuator_available", True, "all action channels available", None),
+        ("vehicle.capability_limits", True, "all parameters within capability limits", None),
+        ("vehicle.snippet_bounds", True, "all bounded parameters in range", None),
+        ("driver.modality_binding", True, "modalities match the bound preference", "D-1"),
+        ("driver.cabin_band", True, "cabin temperatures within the declared band", None),
+        ("driver.sensitivity_trigger", True, "no forbidden keyword present", None),
+        ("contextual.hazard_conservatism", True, "not applicable: no hazards derived", None),
+        ("contextual.maneuver_consistency", True, "maneuver references consistent with the scene", None),
+    ]
+    # capability hits cite no clause; every other bound and keyword hit does
+    assert check_bytes(run_checks(set(PLANT_LAYERS))) == [
+        ("legal.forbidden_action_type", False, "action 2 type AmbientLight (clause L-1)", "L-1"),
+        ("legal.forbidden_keyword", False, "action 0 matches 'ignore the signal' (clause L-1)", "L-1"),
+        ("legal.parameter_bounds", False, "action 0 display_timeout_s=0.5 outside [1, 30] (clause L-1)", "L-1"),
+        ("vehicle.actuator_available", False, "action 1 channel Hvac unavailable", None),
+        ("vehicle.capability_limits", False, "action 2 intensity_level=12 outside [1, 10]", None),
+        ("vehicle.snippet_bounds", False, "action 2 brightness_pct=95 outside [0, 80] (clause V-1)", "V-1"),
+        ("driver.modality_binding", False, "action 0 modality 'audio' conflicts with the bound preference", "D-1"),
+        ("driver.cabin_band", False, "action 1 target_temperature=27 outside band [20, 26]", None),
+        ("driver.sensitivity_trigger", False, "action 3 matches 'loud siren' (clause D-1)", "D-1"),
+        ("contextual.hazard_conservatism", False, "unaddressed hazards: reduced_visibility, wet_road", None),
+        ("contextual.maneuver_consistency", False, "actions [3] reference overtaking absent from the scene", None),
+    ]
+
+
+HVAC_POLICY = {
+    "objectives": "o",
+    "constraints": {"legal_regulations": "x"},
+    "actions": [{"type": "Hvac", "parameters": {}, "rationale": "r", "evidence": {"labels": ["a"]}}],
+}
+
+# What every check reads when its prompt input is absent.
+NOT_APPLICABLE_BYTES = [
+    ("legal.forbidden_action_type", True, "not applicable: no forbidden-type assertions", None),
+    ("legal.forbidden_keyword", True, "not applicable: no keyword assertions", None),
+    ("legal.parameter_bounds", True, "not applicable: no parameter-bound assertions", None),
+    ("vehicle.actuator_available", True, "not applicable: no actuator inventory declared", None),
+    ("vehicle.capability_limits", True, "not applicable: no capability limits declared", None),
+    ("vehicle.snippet_bounds", True, "not applicable: no parameter-bound assertions", None),
+    ("driver.modality_binding", True, "not applicable: no binding modality assertion", None),
+    ("driver.cabin_band", True, "not applicable: no temperature band declared", None),
+    ("driver.sensitivity_trigger", True, "not applicable: no keyword assertions", None),
+    ("contextual.hazard_conservatism", True, "not applicable: no hazards derived", None),
+    ("contextual.maneuver_consistency", True, "maneuver references consistent with the scene", None),
+]
+
+
 def test_not_applicable_checks_pass_with_reason():
-    policy = parse_policy(
-        json.dumps(
-            {
-                "objectives": "o",
-                "constraints": {"legal_regulations": "x"},
-                "actions": [{"type": "Hvac", "parameters": {}, "rationale": "r", "evidence": {"labels": ["a"]}}],
-            }
-        )
-    ).policy
+    policy = parse_policy(json.dumps(HVAC_POLICY)).policy
     prompt = StrategyPrompt("p", PerceptionSummary(), DriverProfile(), VehicleProfile(), ())
     checks = run_layered_checks(policy, prompt)
     na = [c for c in checks if c.detail.startswith("not applicable")]
     assert all(c.passed for c in na)
     assert len(na) == 10  # everything except maneuver consistency
+    assert check_bytes(checks) == NOT_APPLICABLE_BYTES
+
+
+def test_declared_capability_map_without_bounds_is_applicable():
+    policy = parse_policy(json.dumps(HVAC_POLICY)).policy
+    vehicle = VehicleProfile(available_actuators=frozenset({"Hvac"}), capability_limits={"Hvac": {}})
+    expected = list(NOT_APPLICABLE_BYTES)
+    expected[3] = ("vehicle.actuator_available", True, "all action channels available", None)
+    expected[4] = ("vehicle.capability_limits", True, "all parameters within capability limits", None)
+    assert check_bytes(run_layered_checks(policy, StrategyPrompt("p", vehicle=vehicle))) == expected
+
+
+def test_bound_hits_join_and_cite_the_first_clause():
+    def bound(clause, parameter, low, high):
+        return ConstraintSnippet(
+            snippet_id=clause,
+            layer="legal",
+            clause_id=clause,
+            text="bound",
+            assertions=Assertions(parameter_bounds=(ParameterBound(ActionType.HMI_PROMPT, parameter, low, high),)),
+        )
+
+    action = {"type": "HmiPrompt", "parameters": {"volume": 9, "display_timeout_s": 0.5},
+              "rationale": "r", "evidence": {"labels": ["a"]}}
+    policy = parse_policy(json.dumps({**HVAC_POLICY, "actions": [action]})).policy
+    prompt = StrategyPrompt("p", constraints=(bound("L-9", "volume", 0, 5), bound("L-1", "display_timeout_s", 1, 30)))
+    checks = run_layered_checks(policy, prompt)
+    expected = list(NOT_APPLICABLE_BYTES)
+    expected[2] = (
+        "legal.parameter_bounds",
+        False,
+        "action 0 volume=9 outside [0, 5] (clause L-9); action 0 display_timeout_s=0.5 outside [1, 30] (clause L-1)",
+        "L-9",
+    )
+    assert check_bytes(checks) == expected
 
 
 # --- violation summary and core score ------------------------------------------------
@@ -346,6 +429,9 @@ def test_validate_flags_low_level_language(rain_prompt):
     report = validate(json.dumps(doc), rain_prompt)
     assert len(report.low_level_matches) == 1
     assert report.low_level_matches[0].matched_text == "brake"
+    assert report_to_dict(report)["low_level_matches"] == [
+        {"action_index": 0, "matched_pattern": DEFAULT_LEXICON_LINES[2], "matched_text": "brake"}
+    ]
 
 
 def test_report_round_trip(hot_cabin_policy_dict, comfort_prompt):
