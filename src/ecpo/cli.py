@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .config import RunConfig, load_config
-from .errors import ConfigError, InputError, InvariantError, read_field, read_int, read_string, read_strings
+from .errors import ConfigError, InputError, InvariantError, read_field, read_file, read_int, read_string, read_strings
 
 # Each handler imports the modules it runs, so a command loads only those.
 if TYPE_CHECKING:
@@ -30,21 +31,17 @@ def _dumps(payload: object) -> str:
 
 
 def _read_jsonl(path: str) -> list[object]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
+    if not os.path.exists(path):
         raise InputError("MISSING_FILE", f"no such file: {path}")
-    except OSError as error:
-        raise InputError("BAD_FILE", f"cannot read {path}: {error}")
     records = []
     # LF only: str.splitlines() would also break at U+2028, U+2029 and U+0085,
     # which _dumps writes raw inside strings.
-    for number, line in enumerate(text.split("\n"), start=1):
+    for number, line in enumerate(read_file(path, "BAD_FILE", "input").split("\n"), start=1):
         if not line.strip():
             continue
         try:
             records.append(json.loads(line))
-        except ValueError as error:
+        except (ValueError, RecursionError) as error:
             raise InputError("BAD_LINE", f"{path}:{number}: {error}")
     return records
 
@@ -457,15 +454,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_weights(raw: str) -> tuple[float, float, float]:
-    parts = raw.split(",")
+def _parse_weights(raw: str) -> tuple[float, ...]:
+    """The comma-separated numbers of --weights; ``RunConfig`` checks the row."""
     try:
-        values = tuple(float(part) for part in parts)
+        return tuple(float(part) for part in raw.split(","))
     except ValueError:
-        raise ConfigError("BAD_WEIGHTS", f"weights must be three comma-separated numbers, got {raw!r}")
-    if len(values) != 3:
-        raise ConfigError("BAD_WEIGHTS", f"weights must be three comma-separated numbers, got {raw!r}")
-    return values
+        raise ConfigError("BAD_WEIGHTS", f"weights must be comma-separated numbers, got {raw!r}")
 
 
 def _resolve_config(args) -> RunConfig:

@@ -18,9 +18,9 @@ import json
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .errors import ConfigError, is_finite_number, read_int, read_number, read_object, read_string
+from .errors import ConfigError, is_finite_number, read_file, read_int, read_number, read_object, read_string
 from .policy import DEFAULT_J_MAX, PenaltyTable
 
 DEFAULT_WEIGHTS = (0.5, 0.3, 0.2)
@@ -100,25 +100,20 @@ class RunConfig:
                 raise ConfigError("MISSING_PATH", f"{name} {path!r} does not exist")
 
     def lexicon(self):
-        from .policy import DEFAULT_LEXICON
+        from .policy import DEFAULT_LEXICON, load_lexicon
 
-        if self.lexicon_path is None:
-            return DEFAULT_LEXICON
-        return _lexicon_cached(self.lexicon_path)
+        return DEFAULT_LEXICON if self.lexicon_path is None else _load(load_lexicon, self.lexicon_path)
 
     def hazard_rules(self):
-        from .validator import DEFAULT_HAZARD_RULES
+        from .validator import DEFAULT_HAZARD_RULES, load_hazard_rules
 
-        if self.hazard_rules_path is None:
-            return DEFAULT_HAZARD_RULES
-        return _rules_cached(self.hazard_rules_path)
+        path = self.hazard_rules_path
+        return DEFAULT_HAZARD_RULES if path is None else _load(load_hazard_rules, path)
 
     def label_vocab(self):
-        from .context import DEFAULT_LABEL_VOCAB
+        from .context import DEFAULT_LABEL_VOCAB, load_label_vocab
 
-        if self.label_vocab_path is None:
-            return DEFAULT_LABEL_VOCAB
-        return _vocab_cached(self.label_vocab_path)
+        return DEFAULT_LABEL_VOCAB if self.label_vocab_path is None else _load(load_label_vocab, self.label_vocab_path)
 
     def echo(self) -> dict:
         """Resolved configuration embedded in every report, as JSON-native values."""
@@ -129,24 +124,9 @@ class RunConfig:
 
 
 @lru_cache(maxsize=None)
-def _lexicon_cached(path: str):
-    from .policy import load_lexicon
-
-    return load_lexicon(path)
-
-
-@lru_cache(maxsize=None)
-def _rules_cached(path: str):
-    from .validator import load_hazard_rules
-
-    return load_hazard_rules(path)
-
-
-@lru_cache(maxsize=None)
-def _vocab_cached(path: str):
-    from .context import load_label_vocab
-
-    return load_label_vocab(path)
+def _load(loader: Callable, path: str):
+    """A side file loaded once per (loader, path)."""
+    return loader(path)
 
 
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}
@@ -156,10 +136,7 @@ def load_config(path: str | Path) -> RunConfig:
     """Read a JSON config file; unknown keys are errors, relative paths resolve
     against the file's directory."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigError("BAD_CONFIG", f"cannot read config {path}: {exc}")
+    raw = read_file(path, "BAD_CONFIG", "config", ConfigError, json.loads)
     unknown = set(read_object(raw, "BAD_CONFIG", "config file", ConfigError)) - _FIELD_NAMES
     if unknown:
         raise ConfigError("UNKNOWN_CONFIG_KEY", f"unknown config keys: {sorted(unknown)}")

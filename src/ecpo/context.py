@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ConfigError, InputError, read_field, read_object, read_pair, read_string, read_strings
+from .errors import ConfigError, InputError, read_field, read_file, read_object, read_pair, read_string, read_strings
 from .policy import PolicyAction, parse_action_type, parse_policy, serialize_policy
 from .store import ConstraintSnippet, snippet_from_dict, snippet_to_dict
 from .textnorm import dedup_preserve_order, normalize_text
@@ -192,10 +192,7 @@ DEFAULT_LABEL_VOCAB = LabelVocabulary(
 
 def load_label_vocab(path: str | Path) -> LabelVocabulary:
     """Vocabulary file: {"heads": {head: {"labels": [...], "nominal": "..."}}}."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigError("BAD_VOCAB", f"cannot load vocabulary from {path}: {exc}")
+    raw = read_file(path, "BAD_VOCAB", "vocabulary", ConfigError, json.loads)
     heads = {}
     nominal = {}
     heads_raw = read_object(raw, "BAD_VOCAB", "vocabulary file", ConfigError).get("heads")

@@ -7,6 +7,7 @@ CLI can report machine-readable failures without parsing prose.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 from typing import Callable
 
 
@@ -29,6 +30,15 @@ class ConfigError(ToolkitError):
 
 class InvariantError(ToolkitError):
     """Raised when an internal invariant breaks (CLI exit code 3)."""
+
+
+def read_file(path: str | Path, code: str, what: str, error: type[ToolkitError] = InputError, parse: Callable = str):
+    """``parse`` of the file's UTF-8 text, the one way a file is read; a file that cannot
+    be read, is not UTF-8 or does not parse (nesting too deep included) fails with ``code``."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(code, f"cannot read {what} {path}: {exc}")
 
 
 # Typed readers for values decoded from outside JSON (records, config and

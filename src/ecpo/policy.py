@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, read_number
+from .errors import ConfigError, read_file, read_number
 
 Scalar = str | int | float
 
@@ -415,27 +415,28 @@ DEFAULT_LEXICON_LINES = (
 )
 
 
+def keyword_pattern(keyword: str) -> re.Pattern:
+    """A regex fragment as lexicon lines and forbidden keywords match: a whole-word, case-blind pattern."""
+    return re.compile(rf"\b(?:{keyword})\b", re.IGNORECASE)
+
+
 def compile_lexicon(lines: Iterable[str]) -> tuple[LexiconPattern, ...]:
-    """One regex fragment per line, '#' comments; each wrapped in word boundaries."""
+    """One regex fragment per line, '#' comments; each wrapped by ``keyword_pattern``."""
     patterns = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            regex = re.compile(rf"\b(?:{line})\b", re.IGNORECASE)
-        except re.error as exc:
+            regex = keyword_pattern(line)
+        except (re.error, RecursionError) as exc:  # a pattern nested too deep to compile
             raise ConfigError("BAD_LEXICON_PATTERN", f"lexicon line {lineno}: {exc}")
         patterns.append(LexiconPattern(line, regex))
     return tuple(patterns)
 
 
 def load_lexicon(path: str | Path) -> tuple[LexiconPattern, ...]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError("BAD_LEXICON_PATTERN", f"cannot read lexicon {path}: {exc}")
-    return compile_lexicon(text.splitlines())
+    return compile_lexicon(read_file(path, "BAD_LEXICON_PATTERN", "lexicon", ConfigError).splitlines())
 
 
 DEFAULT_LEXICON = compile_lexicon(DEFAULT_LEXICON_LINES)
@@ -448,22 +449,22 @@ def detect_low_level_control(
     patterns = DEFAULT_LEXICON if lexicon is None else tuple(lexicon)
     matches = []
     for index, action in enumerate(policy.actions):
-        texts = [action.parameters[key] for key in sorted(action.parameters)
-                 if isinstance(action.parameters[key], str)]
-        texts.append(action.rationale)
-        for text in texts:
+        for text in _action_texts(action):
             for pattern in patterns:
                 for hit in pattern.regex.finditer(text):
                     matches.append(LowLevelMatch(index, pattern.source, hit.group(0)))
     return matches
 
 
+def _action_texts(action: Action) -> list[str]:
+    """String parameter values by key, then the rationale."""
+    parameters = action.parameters
+    return [parameters[key] for key in sorted(parameters) if isinstance(parameters[key], str)] + [action.rationale]
+
+
 def action_text(action: Action) -> str:
-    """Scannable text of one action: string parameter values then rationale."""
-    parts = [action.parameters[key] for key in sorted(action.parameters)
-             if isinstance(action.parameters[key], str)]
-    parts.append(action.rationale)
-    return " ".join(part for part in parts if part)
+    """Scannable text of one action: its non-empty texts joined."""
+    return " ".join(part for part in _action_texts(action) if part)
 
 
 def policy_text(policy: PolicyAction) -> str:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigError, InputError, read_int, read_number, read_object, read_string, read_strings
-from .policy import ActionType, parse_action_type
+from .policy import ActionType, keyword_pattern, parse_action_type
 from .textnorm import (
     content_tokens,
     cosine_from_counts,
@@ -48,9 +48,7 @@ from .textnorm import (
 if TYPE_CHECKING:
     from .context import DriverProfile, PerceptionSummary, VehicleProfile
 
-SNIPPET_LAYERS = ("legal", "vehicle", "driver")
-
-# Compression order: legal clauses outrank vehicle, vehicle outranks driver.
+# The snippet layers in compression order: legal outranks vehicle, vehicle outranks driver.
 LAYER_PRIORITY = {"legal": 0, "vehicle": 1, "driver": 2}
 
 
@@ -71,11 +69,6 @@ class ParameterBound:
             )
 
 
-def keyword_pattern(keyword: str) -> re.Pattern:
-    """A forbidden keyword as the checks match it: a whole-word, case-blind pattern."""
-    return re.compile(rf"\b(?:{keyword})\b", re.IGNORECASE)
-
-
 @dataclass(frozen=True)
 class Assertions:
     """A snippet's machine-checkable rules: forbidden actions, bounds, modalities and keywords."""
@@ -89,7 +82,7 @@ class Assertions:
         for keyword in self.forbidden_keywords:
             try:
                 keyword_pattern(keyword)
-            except re.error as exc:
+            except (re.error, RecursionError) as exc:  # a pattern nested too deep to compile
                 raise InputError("BAD_KEYWORD", f"keyword pattern {keyword!r}: {exc}")
 
 
@@ -109,7 +102,7 @@ class ConstraintSnippet:
     def __post_init__(self):
         if not self.snippet_id:
             raise InputError("BAD_SNIPPET", "snippet_id must be non-empty")
-        if self.layer not in SNIPPET_LAYERS:
+        if self.layer not in LAYER_PRIORITY:
             raise InputError("BAD_SNIPPET", f"unknown snippet layer {self.layer!r}")
         if not self.clause_id:
             raise InputError("BAD_SNIPPET", f"snippet {self.snippet_id}: clause_id must be non-empty")
@@ -155,16 +148,6 @@ class RetrievalResult:
     ranked: tuple[RankedSnippet, ...]
     scorer_kind: str
     store_version: int
-
-
-@dataclass(frozen=True)
-class SummaryEntry:
-    """A snippet as kept by compression: ids, layer and text."""
-
-    snippet_id: str
-    clause_id: str
-    layer: str
-    text: str
 
 
 # Packed term columns: a token held by at least 1/32 of a version's snippets
@@ -485,25 +468,26 @@ def retrieve(
     return RetrievalResult(ranked, scorer.kind, resolved)
 
 
-def compress(ranked: Sequence[ConstraintSnippet], token_budget: int) -> tuple[SummaryEntry, ...]:
+def compress(ranked: Sequence[ConstraintSnippet], token_budget: int) -> tuple[ConstraintSnippet, ...]:
     """Budgeted constraint summary over snippets given in retrieval order.
 
     Re-orders by layer priority (stable, so retrieval order survives within a
     layer), then includes whole snippets until the next one would exceed the
-    budget. Tokens are whitespace-delimited units; snippets are never split.
+    budget. Tokens are whitespace-delimited units; snippets are never split,
+    and the kept snippets are returned as they are.
     """
     if token_budget < 1:
         raise ConfigError("BAD_BUDGET", f"token_budget must be >= 1, got {token_budget}")
     ordered = sorted(ranked, key=lambda snippet: LAYER_PRIORITY[snippet.layer])
-    entries = []
+    kept = []
     used = 0
     for snippet in ordered:
         cost = len(snippet.text.split())
         if used + cost > token_budget:
             break
-        entries.append(SummaryEntry(snippet.snippet_id, snippet.clause_id, snippet.layer, snippet.text))
+        kept.append(snippet)
         used += cost
-    return tuple(entries)
+    return tuple(kept)
 
 
 def assertions_to_dict(assertions: Assertions) -> dict:

@@ -44,13 +44,7 @@ def content_tokens(text: str) -> list[str]:
 
 
 def dedup_preserve_order(items: Iterable[str]) -> list[str]:
-    seen = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
+    return list(dict.fromkeys(items))
 
 
 def term_frequencies(tokens: list[str]) -> Counter:

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import DEFAULT_WEIGHTS, RunConfig, check_weights
 from .context import PerceptionSummary, StrategyPrompt
-from .errors import ConfigError, InputError, InvariantError
+from .errors import ConfigError, InputError, InvariantError, read_file
 from .policy import (
     ActionType,
     LowLevelMatch,
@@ -40,10 +40,11 @@ from .policy import (
     _norm_key,
     action_text,
     detect_low_level_control,
+    keyword_pattern,
     parse_policy,
     structural_score,
 )
-from .store import ConstraintSnippet, keyword_pattern
+from .store import ConstraintSnippet
 from .textnorm import content_tokens, normalize_text, token_ngrams, tokenize
 
 LAYER_SEVERITY = {"legal": 4, "vehicle": 3, "driver": 2, "contextual": 1}
@@ -165,12 +166,8 @@ def load_hazard_rules(path: str | Path) -> tuple[HazardRule, ...]:
     Triggers are '|'-separated phrases; scopes are a comma list (or '*' for
     all); '#' starts a comment.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError("BAD_RULE", f"cannot read rule file {path}: {exc}")
     rules = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_file(path, "BAD_RULE", "rule file", ConfigError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

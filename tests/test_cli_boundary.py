@@ -2,7 +2,9 @@
 
 A value of the wrong JSON type in any record or config field fails with exit
 1 (input) or 2 (config) and one ``error: CODE: message`` line naming the
-field's code; it is never converted and never reaches the scorer.
+field's code; it is never converted and never reaches the scorer. A file that
+cannot be read, is not UTF-8 or is nested too deep fails the same way, with
+the code of that file.
 """
 
 import copy
@@ -156,17 +158,33 @@ VOCAB = {"heads": {
 }}
 
 
+def raw(value: object) -> bytes:
+    """File bytes: bytes as given, text as UTF-8, anything else as JSON."""
+    if isinstance(value, bytes):
+        return value
+    return (value if isinstance(value, str) else json.dumps(value)).encode("utf-8")
+
+
+def jsonl(records: list) -> bytes:
+    return "".join(json.dumps(r) + "\n" for r in records).encode("utf-8")
+
+
 def run(directory: Path, command: str, files: dict, config: object = None, options=()) -> tuple[int, str, str]:
-    """Write the inputs under ``directory`` and run the command in-process."""
+    """Write the inputs under ``directory`` and run the command in-process.
+
+    A list of records is written as JSONL, bytes as they are; a ``None`` file
+    is not written.
+    """
     template, _ = COMMANDS[command]
     paths = {}
     for name, records in files.items():
         paths[name] = directory / f"{name}.jsonl"
-        paths[name].write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        if records is not None:
+            paths[name].write_bytes(records if isinstance(records, bytes) else jsonl(records))
     argv = [*options, *(part.format(**paths) for part in template)]
     if config is not None:
         config_path = directory / "config.json"
-        config_path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+        config_path.write_bytes(raw(config))
         argv = ["--config", str(config_path), *argv]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -248,6 +266,9 @@ MISTYPED = [
     pytest.param("validate", None, {"j_max": 0}, 2, "BAD_J_MAX", id="config-zero-j-max"),
     pytest.param("mixpair", None, {"block_size": 0}, 2, "BAD_BLOCK_SIZE", id="config-zero-block-size"),
     pytest.param("retrieve", None, {"top_kk": 3}, 2, "UNKNOWN_CONFIG_KEY", id="config-unknown-key"),
+    # a keyword pattern nested too deep for the regex compiler
+    pytest.param("retrieve", lambda f: f["store"][0]["assertions"].update(forbidden_keywords=["(" * 2000 + ")" * 2000]),
+                 None, 1, "BAD_KEYWORD", id="retrieve-keyword-nested-deep"),
 ]
 
 
@@ -291,6 +312,109 @@ def test_mixpair_output_with_unicode_line_breaks_reads_back(tmp_path):
         code = main(["stratify", "--records", str(merged)])
     assert code == 0, err.getvalue()
     assert [json.loads(line)["prompt_id"] for line in out.getvalue().splitlines()] == ["in-1+out-1"]
+
+
+# --- side files through the CLI ----------------------------------------------------------------
+
+GLANCE_RULES = "# trigger\tscopes\thazard\nlooks around\tsummaries\tglance\n"
+NOMINAL_ANGER = {"heads": {**VOCAB["heads"], "emotion": {"labels": ["neutral", "anger"], "nominal": "anger"}}}
+
+
+def side_run(directory: Path, command: str, field: str, data: str) -> tuple[int, str, str]:
+    """Run ``command`` on its valid inputs with ``data`` as the side file named by config ``field``."""
+    (directory / "side").write_text(data, encoding="utf-8")
+    return run(directory, command, inputs(command), {field: "side"})
+
+
+def report_of(out: str) -> dict:
+    return json.loads(out)["report"]
+
+
+def test_lexicon_file_sets_the_low_level_matches(tmp_path):
+    _, out, _ = run(tmp_path, "validate", inputs("validate"))
+    assert report_of(out)["low_level_matches"] == []
+    code, out, err = side_run(tmp_path, "validate", "lexicon_path", "# custom\nkeep\n")
+    assert code == 0, err
+    assert report_of(out)["low_level_matches"] == [
+        {"action_index": 0, "matched_pattern": "keep", "matched_text": "keep"}]
+
+
+def test_rules_file_sets_the_derived_hazards(tmp_path):
+    _, out, _ = run(tmp_path, "validate", inputs("validate"))
+    assert "glance" not in report_of(out)["hazards_truth"]
+    code, out, err = side_run(tmp_path, "validate", "hazard_rules_path", GLANCE_RULES)
+    assert code == 0, err
+    assert report_of(out)["hazards_truth"] == ["glance"]
+
+
+def test_vocabulary_file_moves_the_stratify_group(tmp_path):
+    _, out, _ = run(tmp_path, "stratify", inputs("stratify"))
+    assert json.loads(out)["group"] == "interaction_critical"
+    code, out, err = side_run(tmp_path, "stratify", "label_vocab_path", json.dumps(NOMINAL_ANGER))
+    assert code == 0, err
+    assert json.loads(out)["group"] == "env_critical"
+
+
+@pytest.mark.parametrize("command, field, data, error_code", [
+    pytest.param("validate", "lexicon_path", "keep\nsteer(\n", "BAD_LEXICON_PATTERN", id="lexicon-unbalanced"),
+    pytest.param("validate", "lexicon_path", "(" * 2000 + ")" * 2000, "BAD_LEXICON_PATTERN", id="lexicon-nested-deep"),
+    pytest.param("validate", "hazard_rules_path", "looks around\tglance\n", "BAD_RULE", id="rules-two-fields"),
+    pytest.param("stratify", "label_vocab_path",
+                 json.dumps({"heads": {**VOCAB["heads"], "emotion": {"labels": ["neutral"], "nominal": "anger"}}}),
+                 "BAD_VOCAB", id="vocab-nominal-outside-labels"),
+])
+def test_malformed_side_file_fails_with_its_code(tmp_path, command, field, data, error_code):
+    code, out, err = side_run(tmp_path, command, field, data)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {error_code}: ")
+
+
+# --- unreadable files -----------------------------------------------------------------------
+
+NOT_UTF8 = b'{"prompt_id": "caf\xe9"}\n'
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+# (command, replaced input files, (config field or "config", bytes), exit code, error code, named file).
+# A replaced input is bytes, None for a missing file or "dir" for a directory; a side file is written as
+# "side" and named by the config field.
+HOSTILE = [
+    pytest.param("validate", {"prompts": NOT_UTF8}, None, 1, "BAD_FILE", "prompts.jsonl", id="prompts-not-utf8"),
+    pytest.param("retrieve", {"store": NOT_UTF8}, None, 1, "BAD_FILE", "store.jsonl", id="store-not-utf8"),
+    pytest.param("eval", {"records": DEEP + b"\n"}, None, 1, "BAD_LINE", "records.jsonl:1: ",
+                 id="records-nested-deep"),
+    pytest.param("validate", {}, ("lexicon_path", b"steer\xe9\n"), 2, "BAD_LEXICON_PATTERN", "side",
+                 id="lexicon-not-utf8"),
+    pytest.param("validate", {}, ("hazard_rules_path", b"rain\t*\twet_road\xe9\n"), 2, "BAD_RULE", "side",
+                 id="rules-not-utf8"),
+    pytest.param("validate", {}, ("config", DEEP), 2, "BAD_CONFIG", "config.json", id="config-nested-deep"),
+    pytest.param("stratify", {}, ("label_vocab_path", DEEP), 2, "BAD_VOCAB", "side", id="vocab-nested-deep"),
+    # controls
+    pytest.param("validate", {"prompts": None}, None, 1, "MISSING_FILE", "prompts.jsonl", id="missing-input"),
+    pytest.param("validate", {"prompts": "dir"}, None, 1, "BAD_FILE", "prompts.jsonl", id="directory-input"),
+]
+
+
+@pytest.mark.parametrize("command, replaced, side, exit_code, error_code, named", HOSTILE)
+def test_unreadable_file_fails_with_its_files_code(tmp_path, command, replaced, side, exit_code, error_code, named):
+    files = {**inputs(command), **replaced}
+    for name, value in replaced.items():
+        if value == "dir":
+            (tmp_path / f"{name}.jsonl").mkdir()
+            files[name] = None
+    config = None
+    if side is not None:
+        field, data = side
+        if field == "config":
+            config = data
+        else:
+            (tmp_path / "side").write_bytes(data)
+            config = {field: "side"}
+    code, out, err = run(tmp_path, command, files, config)
+    assert (code, out) == (exit_code, ""), err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {error_code}: ")
+    assert named in err and "INTERNAL" not in err
 
 
 # --- fuzz ---------------------------------------------------------------------------------
@@ -338,8 +462,65 @@ def test_one_mistyped_field_never_escapes_the_error_contract(target, value):
     holder[site[-1]] = copy.deepcopy(value)
     with tempfile.TemporaryDirectory() as directory:
         code, _, err = run(Path(directory), command, files, config)
+    assert_error_contract(code, err)
+
+
+def assert_error_contract(code: int, err: str) -> None:
     assert code in (0, 1, 2), err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == (0 if code == 0 else 1), err
     assert all(ERROR_LINE.match(line) for line in errors), err
     assert "INTERNAL" not in err and "Traceback" not in err
+
+
+# Side files by config field: (file name, well-formed text, a command that loads it).
+SIDE_FILES = {
+    "lexicon_path": ("lexicon.txt", "# low-level control\nthrottle\nkeep\n", "validate"),
+    "hazard_rules_path": ("rules.tsv", GLANCE_RULES, "validate"),
+    "label_vocab_path": ("vocab.json", json.dumps(VOCAB), "stratify"),
+}
+
+# Every file the CLI reads, as (command, input file name, "config" or side-file config field).
+BYTE_TARGETS = (
+    [(command, name) for command, (_, files) in COMMANDS.items() for name in files]
+    + [(command, "config") for command in COMMANDS]
+    + [(command, field) for field, (_, _, command) in SIDE_FILES.items()]
+)
+
+NESTING = 100_000
+# Bytes inserted into a file; a BOM is inserted at its start.
+BYTE_MUTATIONS = {
+    "invalid-utf8": b"\xff",
+    "truncated-utf8": b"\xc3",
+    "encoded-surrogate": b"\xed\xa0\x80",
+    "bom": b"\xef\xbb\xbf",
+    "nul": b"\x00",
+    "lone-cr": b"\r",
+    "deep-arrays": b"[" * NESTING + b"]" * NESTING,
+    "deep-groups": b"(" * NESTING + b")" * NESTING,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BYTE_TARGETS), st.sampled_from(sorted(BYTE_MUTATIONS)), st.integers(min_value=0))
+def test_one_mutated_file_never_escapes_the_error_contract(target, mutation, position):
+    command, name = target
+    config = dict(CONFIG)
+    blobs = {file: jsonl(records) for file, records in inputs(command).items()}
+    if name in SIDE_FILES:
+        file_name, text, _ = SIDE_FILES[name]
+        config[name] = file_name
+        blobs[file_name] = text.encode("utf-8")
+        name = file_name
+    blobs["config"] = raw(config)
+    data = blobs[name]
+    at = 0 if mutation == "bom" else position % (len(data) + 1)
+    blobs[name] = data[:at] + BYTE_MUTATIONS[mutation] + data[at:]
+    with tempfile.TemporaryDirectory() as directory:
+        directory = Path(directory)
+        for file_name, _, _ in SIDE_FILES.values():
+            if file_name in blobs:
+                (directory / file_name).write_bytes(blobs[file_name])
+        files = {file: blobs[file] for file in COMMANDS[command][1]}
+        code, _, err = run(directory, command, files, blobs["config"])
+    assert_error_contract(code, err)
