@@ -33,10 +33,13 @@ class InvariantError(ToolkitError):
 
 
 def read_file(path: str | Path, code: str, what: str, error: type[ToolkitError] = InputError, parse: Callable = str):
-    """``parse`` of the file's UTF-8 text, the one way a file is read; a file that cannot
-    be read, is not UTF-8 or does not parse (nesting too deep included) fails with ``code``."""
+    """``parse`` of the file's UTF-8 text, the one way a file is read; a file that cannot be read, is not
+    UTF-8, starts with a byte order mark or does not parse (nesting too deep included) fails with ``code``."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        if text.startswith("\ufeff"):  # else kept as part of line 1 of a line-based file
+            raise ValueError("starts with a UTF-8 byte order mark")
+        return parse(text)
     except (OSError, ValueError, RecursionError) as exc:
         raise error(code, f"cannot read {what} {path}: {exc}")
 

@@ -18,6 +18,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -415,9 +416,21 @@ DEFAULT_LEXICON_LINES = (
 )
 
 
+def _compile(pattern: str) -> re.Pattern:
+    """Case-blind ``re.compile`` without re's notes on future set syntax ("Possible nested set" for "[[")."""
+    if "[" not in pattern:  # those FutureWarnings arise only in a character set
+        return re.compile(pattern, re.IGNORECASE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FutureWarning)
+        return re.compile(pattern, re.IGNORECASE)
+
+
 def keyword_pattern(keyword: str) -> re.Pattern:
-    """A regex fragment as lexicon lines and forbidden keywords match: a whole-word, case-blind pattern."""
-    return re.compile(rf"\b(?:{keyword})\b", re.IGNORECASE)
+    """A lexicon line or forbidden keyword as a whole-word, case-blind pattern; ``re.error`` for a fragment
+    that does not compile on its own (``a)|(b`` escapes the wrap) or matches the empty string (``x?``)."""
+    if _compile(keyword).fullmatch(""):
+        raise re.error("matches the empty string")
+    return _compile(rf"\b(?:{keyword})\b")
 
 
 def compile_lexicon(lines: Iterable[str]) -> tuple[LexiconPattern, ...]:

@@ -78,17 +78,13 @@ def lexical_cosine(left: list[str], right: list[str]) -> float:
     return cosine_from_counts(dot, squared_norm(lf), squared_norm(rf))
 
 
-def token_ngrams(token_lists: Iterable[Sequence[str]], longest: int) -> set[tuple[str, ...]]:
-    """Every run of 1..``longest`` adjacent tokens inside one of the lists.
+def token_run(token_lists: Iterable[Sequence[str]]) -> str:
+    """Each non-empty token list as ``" t1 t2 ... "`` on its own line. A ``phrase_run`` is a substring
+    of it exactly when the phrase occurs contiguously in one list: tokens are runs of ``[0-9a-z]``,
+    so a match can neither start or end inside a token nor cross into the next list."""
+    return "".join(f" {' '.join(tokens)} \n" for tokens in token_lists if tokens)
 
-    A phrase of at most ``longest`` tokens occurs contiguously in some list
-    exactly when its token tuple is in the result, so phrase matching is one
-    set lookup. Runs never cross from one list into the next: two texts whose
-    concatenation spells a phrase do not match it. The empty phrase never
-    matches.
-    """
-    grams: set[tuple[str, ...]] = set()
-    for tokens in token_lists:
-        for width in range(1, min(longest, len(tokens)) + 1):
-            grams.update(zip(*[tokens[offset:] for offset in range(width)]))
-    return grams
+
+def phrase_run(tokens: Sequence[str]) -> str:
+    """A phrase as ``token_run`` writes a list; the empty phrase (two spaces) is in no run."""
+    return f" {' '.join(tokens)} "

@@ -15,9 +15,9 @@ distinct failed checks. The core score is max(0, 1 - L/4 - 0.1*min(C, 10));
 the aggregate is the convex combination of core, evidence, and structure.
 
 What the checks need from the prompt alone is built once per prompt and rule
-set (``PromptContext``: the snippets that forbid action types or bind
-modalities, the compiled keywords, and the rows of every parameter bound);
-each candidate pays only for its own document.
+set (``PromptContext``) from one tokenization of each label, stage, object and
+snippet text; each candidate pays only for its own document. A trigger or
+maneuver phrase matches by one substring test on a scope's ``token_run``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -45,7 +46,7 @@ from .policy import (
     structural_score,
 )
 from .store import ConstraintSnippet
-from .textnorm import content_tokens, normalize_text, token_ngrams, tokenize
+from .textnorm import STOPWORDS, content_tokens, normalize_text, phrase_run, token_run, tokenize
 
 LAYER_SEVERITY = {"legal": 4, "vehicle": 3, "driver": 2, "contextual": 1}
 
@@ -95,11 +96,8 @@ class EcpoReport:
     hazards_addressed: frozenset[str]
 
 
-Phrases = tuple[tuple[str, ...], ...]
-
-
-def _phrases(triggers: Iterable[str]) -> Phrases:
-    return tuple(tuple(tokenize(trigger)) for trigger in triggers)
+def _phrases(triggers: Iterable[str]) -> tuple[str, ...]:
+    return tuple(phrase_run(tokenize(trigger)) for trigger in triggers)
 
 
 @dataclass(frozen=True)
@@ -109,8 +107,8 @@ class HazardRule:
     hazard_id: str
     triggers: tuple[str, ...]
     scopes: frozenset[str]
-    # Each trigger as a token tuple, tokenized once when the rule is built.
-    phrases: Phrases = field(init=False, repr=False, compare=False)
+    # Each trigger as ``phrase_run`` writes it, built once; it matches by one substring test.
+    phrases: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.hazard_id or not self.triggers:
@@ -183,17 +181,13 @@ def load_hazard_rules(path: str | Path) -> tuple[HazardRule, ...]:
     return tuple(rules)
 
 
-def _longest(groups: Iterable[Phrases]) -> int:
-    return max((len(phrase) for phrases in groups for phrase in phrases), default=0)
-
-
-# The maneuver table, tokenized once at import.
+# The maneuver table as phrase runs, built once at import.
 _MANEUVER_PHRASES = tuple((name, _phrases(t)) for name, t in DEFAULT_MANEUVERS.items())
-_MANEUVER_LONGEST = _longest(phrases for _, phrases in _MANEUVER_PHRASES)
 
 
-def _matches(grams: set[tuple[str, ...]], phrases: Phrases) -> bool:
-    return any(phrase in grams for phrase in phrases)
+def _matches(run: str, phrases: tuple[str, ...]) -> bool:
+    """Some phrase occurs inside one line of ``run`` (a ``token_run``)."""
+    return any(phrase in run for phrase in phrases)
 
 
 # parameter names repeat across actions, candidates and bound rows
@@ -249,22 +243,28 @@ class Grounding(NamedTuple):
     sizes: tuple[int, ...]
 
 
-def _grounding_targets(z: PerceptionSummary, snippets: Sequence[ConstraintSnippet] = ()) -> Grounding:
-    exact = {normalize_text(label) for label in z.all_labels()}
-    exact.update(normalize_text(obj) for obj in z.objects)
-    exact.discard("")
-    texts = [*z.summary_stages(), *z.all_labels(), *z.objects, *(snippet.text for snippet in snippets)]
-    candidates = dict.fromkeys(frozenset(content_tokens(text)) for text in texts)
+def _prompt_tokens(z: PerceptionSummary, snippets: Sequence[ConstraintSnippet]) -> dict[str, list[list[str]]]:
+    """Each prompt text's token list by scope, in grounding order; labels are driver then scene labels."""
+    texts = {"summaries": z.summary_stages(), "labels": z.all_labels(), "objects": z.objects,
+             "snippets": [snippet.text for snippet in snippets]}
+    return {scope: [tokenize(text) for text in group] for scope, group in texts.items()}
+
+
+def _grounding_targets(z: PerceptionSummary, tokens: dict[str, list[list[str]]]) -> Grounding:
+    exact = frozenset(map(normalize_text, (*z.all_labels(), *z.objects))) - {""}
+    # each text's content-token set: its shared token list without the stopwords
+    texts = chain.from_iterable(tokens.values())
+    candidates = dict.fromkeys(frozenset(text).difference(STOPWORDS) for text in texts)
     candidates.pop(frozenset(), None)
     postings: dict[str, list[int]] = {}
-    for position, tokens in enumerate(candidates):
-        for token in tokens:
+    for position, content in enumerate(candidates):
+        for token in content:
             # interned: prompts drawn from one vocabulary share their keys
             postings.setdefault(sys.intern(token), []).append(position)
     return Grounding(
-        frozenset(exact),
+        exact,
         {token: tuple(positions) for token, positions in postings.items()},
-        tuple(len(tokens) for tokens in candidates),
+        tuple(len(content) for content in candidates),
     )
 
 
@@ -341,9 +341,10 @@ def _build_context(prompt: StrategyPrompt, rules: tuple[HazardRule, ...]) -> Pro
         tuple(s for s in prompt.constraints if s.layer == layer) for layer in ("legal", "vehicle", "driver")
     )
     capability = prompt.vehicle.capability_limits
-    scene = token_ngrams([tokenize(text) for text in (*z.scene_labels, *z.summary_stages())], _MANEUVER_LONGEST)
+    tokens = _prompt_tokens(z, prompt.constraints)
+    scene = token_run([*tokens["labels"][len(z.driver_labels):], *tokens["summaries"]])
     return PromptContext(
-        hazards_truth=derive_hazards(z, prompt.constraints, rules),
+        hazards_truth=_hazards(tokens, rules),
         forbidding=tuple(s for s in legal if s.assertions and s.assertions.forbidden_action_types),
         legal_keywords=_keyword_carriers(legal),
         legal_bounds=_bound_rows(legal),
@@ -355,7 +356,7 @@ def _build_context(prompt: StrategyPrompt, rules: tuple[HazardRule, ...]) -> Pro
         vehicle_bounds=_bound_rows(vehicle),
         binding=tuple(s for s in driver if s.assertions and s.assertions.required_modalities),
         driver_keywords=_keyword_carriers(driver),
-        grounding=_grounding_targets(z, prompt.constraints),
+        grounding=_grounding_targets(z, tokens),
         scene_maneuvers=frozenset(name for name, phrases in _MANEUVER_PHRASES if _matches(scene, phrases)),
     )
 
@@ -475,13 +476,11 @@ def _check_hazard_conservatism(hazards_truth, hazards_addressed, check_id) -> Ch
 
 def _check_maneuver_consistency(actions, context: PromptContext, check_id) -> CheckResult:
     hits = []
-    action_grams = None
+    action_runs = [token_run([facts.tokens]) for facts in actions]
     for maneuver, phrases in _MANEUVER_PHRASES:
         if maneuver in context.scene_maneuvers:
             continue
-        if action_grams is None:
-            action_grams = [token_ngrams([facts.tokens], _MANEUVER_LONGEST) for facts in actions]
-        mentioned = [index for index, grams in enumerate(action_grams) if _matches(grams, phrases)]
+        mentioned = [index for index, run in enumerate(action_runs) if _matches(run, phrases)]
         if mentioned:
             hits.append(f"actions {mentioned} reference {maneuver} absent from the scene")
     return _verdict(check_id, "contextual", hits, "maneuver references consistent with the scene")
@@ -554,18 +553,13 @@ def derive_hazards(
     A trigger fires when its tokens occur contiguously inside one label, one
     stage, or one snippet text of a scope the rule covers.
     """
-    rules = DEFAULT_HAZARD_RULES if rules is None else tuple(rules)
-    longest = _longest(rule.phrases for rule in rules)
-    sources = {
-        "labels": [tokenize(label) for label in z.all_labels()],
-        "summaries": [tokenize(stage) for stage in z.summary_stages()],
-        "snippets": [tokenize(snippet.text) for snippet in snippets],
-    }
-    grams = {scope: token_ngrams(token_lists, longest) for scope, token_lists in sources.items()}
+    return _hazards(_prompt_tokens(z, snippets), DEFAULT_HAZARD_RULES if rules is None else tuple(rules))
+
+
+def _hazards(tokens: dict[str, list[list[str]]], rules: tuple[HazardRule, ...]) -> frozenset[str]:
+    runs = {scope: token_run(tokens[scope]) for scope in _DERIVE_SCOPES}
     return frozenset(
-        rule.hazard_id
-        for rule in rules
-        if any(_matches(grams[scope], rule.phrases) for scope in rule.scopes & _DERIVE_SCOPES)
+        rule.hazard_id for rule in rules if any(_matches(runs[s], rule.phrases) for s in rule.scopes & _DERIVE_SCOPES)
     )
 
 
@@ -586,13 +580,10 @@ def extract_addressed_hazards(
     if actions is None:
         actions = _action_facts(policy)
     # tokenize(policy_text(policy)), reusing each action's tokens
-    tokens = tokenize(policy.objectives)
-    for entry in policy.constraints.populated().values():
-        tokens.extend(tokenize(entry))
-    for facts in actions:
-        tokens.extend(facts.tokens)
-    grams = token_ngrams([tokens], _longest(rule.phrases for rule in rules))
-    return frozenset(rule.hazard_id for rule in rules if _matches(grams, rule.phrases))
+    texts = (policy.objectives, *policy.constraints.populated().values())
+    parts = [*map(tokenize, texts), *(facts.tokens for facts in actions)]
+    run = token_run([list(chain.from_iterable(parts))])
+    return frozenset(rule.hazard_id for rule in rules if _matches(run, rule.phrases))
 
 
 def evidence_coverage(
@@ -613,7 +604,7 @@ def evidence_coverage(
     """
     threshold = (config or RunConfig()).match_threshold
     if targets is None:
-        targets = _grounding_targets(z, snippets)
+        targets = _grounding_targets(z, _prompt_tokens(z, snippets))
     fractions = []
     for action in policy.actions:
         entries = action.evidence.all_entries()

@@ -255,6 +255,30 @@ def derive_hazards_reference(z, snippets, rules) -> frozenset[str]:
     return frozenset(fired)
 
 
+def maneuver_reference(z, action_texts, maneuvers) -> tuple[frozenset[str], list[str]]:
+    """Maneuvers of the scene and the maneuver-consistency hits, by sliding window.
+
+    The scene is the scene labels and summary stages, each text on its own; an
+    action is the list of its texts, whose tokens run on from one to the next.
+    """
+    def mentioned(tokens, triggers):
+        return any(contains_phrase(tokens, tokenize(trigger)) for trigger in triggers)
+
+    scene_texts = list(z.scene_labels) + [z.summary_initial, z.summary_transition, z.summary_final]
+    scene = frozenset(
+        name for name, triggers in maneuvers.items()
+        if any(mentioned(tokenize(text), triggers) for text in scene_texts)
+    )
+    hits = []
+    for name, triggers in maneuvers.items():
+        if name in scene:
+            continue
+        actions = [i for i, texts in enumerate(action_texts) if mentioned(sum(map(tokenize, texts), []), triggers)]
+        if actions:
+            hits.append(f"actions {actions} reference {name} absent from the scene")
+    return scene, hits
+
+
 def grounded_reference(entry: str, z, snippets, threshold: float) -> bool:
     """Exact label/object match, or Jaccard >= threshold against every candidate text."""
     exact = {normalize_text(text) for text in z.driver_labels + z.scene_labels + z.objects} - {""}

@@ -635,6 +635,28 @@ def test_command_loads_only_its_modules(tmp_path, rain_prompt, rain_policy_dict,
     assert NOT_LOADED[command].isdisjoint(loaded["modules"])
 
 
+# Runs main with -I (no PYTHONPATH, no user site) and -S (no site-packages), so
+# only the standard library and this package can load; lists what did.
+_RUN_ON_STDLIB_ALONE = (
+    "import json, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from ecpo.cli import main\n"
+    "code = main(sys.argv[2:])\n"
+    "allowed = sys.stdlib_module_names | {'ecpo', '__main__'}\n"
+    "print(json.dumps({'code': code, 'foreign': sorted(m for m in sys.modules if m.split('.')[0] not in allowed)}))\n"
+)
+
+
+@pytest.mark.parametrize("command", sorted(NOT_LOADED))
+def test_command_runs_on_the_standard_library_alone(tmp_path, rain_prompt, rain_policy_dict, command):
+    argv = ["--out", str(tmp_path / "out.jsonl"), *command_argv(tmp_path, command, rain_prompt, rain_policy_dict)]
+    package_root = str(Path(ecpo.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", _RUN_ON_STDLIB_ALONE, package_root, *argv],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"code": 0, "foreign": []}
+
+
 def test_package_attribute_imports_the_module():
     result = run_python(
         "import sys, ecpo.cli\n"

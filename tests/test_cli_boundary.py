@@ -10,7 +10,10 @@ the code of that file.
 import copy
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -18,6 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ecpo
 from ecpo.cli import main
 
 POLICY = {
@@ -269,6 +273,11 @@ MISTYPED = [
     # a keyword pattern nested too deep for the regex compiler
     pytest.param("retrieve", lambda f: f["store"][0]["assertions"].update(forbidden_keywords=["(" * 2000 + ")" * 2000]),
                  None, 1, "BAD_KEYWORD", id="retrieve-keyword-nested-deep"),
+    # keyword patterns that match nothing in particular: the empty string at every word boundary, or
+    # (escaping the whole-word wrap) "a" and "b" anywhere
+    *(pytest.param("validate", lambda f, k=keyword: f["prompts"][0]["constraints"][0]["assertions"].update(
+        forbidden_keywords=["accelerate", k]), None, 1, "BAD_KEYWORD", id=f"validate-keyword-{name}")
+      for name, keyword in [("empty", ""), ("optional", "x?"), ("escaping-wrap", "a)|(b")]),
 ]
 
 
@@ -355,9 +364,33 @@ def test_vocabulary_file_moves_the_stratify_group(tmp_path):
     assert json.loads(out)["group"] == "env_critical"
 
 
+def test_nested_set_patterns_leave_no_warning_on_stderr(tmp_path):
+    # re emits "FutureWarning: Possible nested set" when it compiles "[["; stderr must stay the summary line
+    files = inputs("validate")
+    files["prompts"][0]["constraints"][0]["assertions"]["forbidden_keywords"] = ["accel[[e]rate"]
+    argv = ["--config", str(tmp_path / "config.json"), "validate"]
+    for name, records in files.items():
+        (tmp_path / f"{name}.jsonl").write_bytes(jsonl(records))
+        argv += [f"--{name}", str(tmp_path / f"{name}.jsonl")]
+    (tmp_path / "side").write_text("ke[[e]p\n", encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps({"lexicon_path": "side"}), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(ecpo.__file__).resolve().parent.parent)}
+    result = subprocess.run([sys.executable, "-m", "ecpo.cli", *argv], env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines() == ["validate: 1 records, valid_pct=100.00"]
+    assert report_of(result.stdout)["low_level_matches"] == [
+        {"action_index": 0, "matched_pattern": "ke[[e]p", "matched_text": "keep"}]
+
+
 @pytest.mark.parametrize("command, field, data, error_code", [
     pytest.param("validate", "lexicon_path", "keep\nsteer(\n", "BAD_LEXICON_PATTERN", id="lexicon-unbalanced"),
     pytest.param("validate", "lexicon_path", "(" * 2000 + ")" * 2000, "BAD_LEXICON_PATTERN", id="lexicon-nested-deep"),
+    pytest.param("validate", "lexicon_path", "keep\nx?\n", "BAD_LEXICON_PATTERN", id="lexicon-matches-empty"),
+    pytest.param("validate", "lexicon_path", "keep\na)|(b\n", "BAD_LEXICON_PATTERN", id="lexicon-escapes-wrap"),
+    # a leading byte order mark would be part of line 1: "\ufeffkeep" never matches, "\ufeff#" is no comment
+    pytest.param("validate", "lexicon_path", "\ufeffkeep\n", "BAD_LEXICON_PATTERN", id="lexicon-bom"),
+    pytest.param("validate", "hazard_rules_path", "\ufefflooks around\tsummaries\tglance\n", "BAD_RULE", id="rules-bom"),
     pytest.param("validate", "hazard_rules_path", "looks around\tglance\n", "BAD_RULE", id="rules-two-fields"),
     pytest.param("stratify", "label_vocab_path",
                  json.dumps({"heads": {**VOCAB["heads"], "emotion": {"labels": ["neutral"], "nominal": "anger"}}}),

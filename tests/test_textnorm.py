@@ -9,7 +9,8 @@ from ecpo.textnorm import (
     dedup_preserve_order,
     lexical_cosine,
     normalize_text,
-    token_ngrams,
+    phrase_run,
+    token_run,
     tokenize,
 )
 from oracles import contains_phrase, jaccard
@@ -52,8 +53,8 @@ def test_cosine_known_value():
 
 
 def phrase_in(tokens: list[str], phrase: list[str]) -> bool:
-    """Phrase matching as the validator does it: one n-gram set lookup."""
-    return tuple(phrase) in token_ngrams([tokens], len(phrase))
+    """Phrase matching as the validator does it: one substring test on a token run."""
+    return phrase_run(phrase) in token_run([tokens])
 
 
 def test_contains_phrase_requires_contiguous_match():
@@ -105,15 +106,18 @@ letters = st.lists(st.sampled_from("abc"), max_size=6)
 
 
 @given(st.lists(letters, max_size=4), st.lists(letters, min_size=1, max_size=4))
-def test_ngram_matching_equals_sliding_window(texts, phrases):
+@example([[], ["a"]], [[]])
+@example([["a", "b"], ["c"]], [["b", "c"], ["a", "b", "c", "a"]])
+def test_token_run_matching_equals_sliding_window(texts, phrases):
     # phrases include the empty phrase and phrases longer than every text
-    grams = token_ngrams(texts, max(len(phrase) for phrase in phrases))
+    run = token_run(texts)
     for phrase in phrases:
-        assert (tuple(phrase) in grams) == any(contains_phrase(tokens, phrase) for tokens in texts)
+        assert (phrase_run(phrase) in run) == any(contains_phrase(tokens, phrase) for tokens in texts)
 
 
-def test_ngrams_never_span_two_texts():
+def test_token_run_never_spans_two_texts():
     texts = [tokenize("heavy"), tokenize("rain")]
-    assert ("heavy", "rain") not in token_ngrams(texts, 2)
-    assert ("heavy", "rain") in token_ngrams([tokenize("heavy rain")], 2)
-    assert token_ngrams(texts, 0) == set()
+    assert phrase_run(["heavy", "rain"]) not in token_run(texts)
+    assert phrase_run(["heavy", "rain"]) in token_run([tokenize("heavy rain")])
+    assert phrase_run([]) not in token_run([*texts, [], tokenize("a b")])
+    assert token_run([[], []]) == ""

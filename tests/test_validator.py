@@ -44,6 +44,7 @@ from oracles import (
     derive_hazards_reference,
     ecpo_reference,
     grounded_reference,
+    maneuver_reference,
 )
 
 
@@ -485,6 +486,28 @@ def test_trigger_split_across_two_labels_does_not_fire():
     assert derive_hazards(PerceptionSummary(scene_labels=("heavy rain",)), (), rules) == frozenset({"wet"})
 
 
+# Maneuver triggers, their pieces and neighbours; the first label is a driver
+# label, which is not part of the scene.
+MANEUVER_VOCAB = "park parking parked reverse reversing backing back up overtake merge merging lane the".split()
+maneuver_texts = st.lists(st.sampled_from(MANEUVER_VOCAB), max_size=4).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(maneuver_texts, max_size=4).map(tuple), st.tuples(maneuver_texts, maneuver_texts),
+       st.lists(st.tuples(maneuver_texts, maneuver_texts), min_size=1, max_size=3))
+def test_maneuvers_equal_sliding_window_reference(labels, stages, actions):
+    z = perception(labels, stages)
+    prompt = StrategyPrompt("p", z)
+    document = {"objectives": "o", "actions": [
+        {"type": "HmiPrompt", "parameters": {"text": text}, "rationale": rationale} for text, rationale in actions]}
+    policy = parse_policy(json.dumps(document)).policy
+    scene, hits = maneuver_reference(z, actions, validator.DEFAULT_MANEUVERS)
+    assert prompt_context(prompt).scene_maneuvers == scene
+    check = run_layered_checks(policy, prompt)[-1]
+    assert check.check_id == "contextual.maneuver_consistency"
+    assert (check.passed, check.detail) == (not hits, "; ".join(hits) or "maneuver references consistent with the scene")
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(texts, min_size=1, max_size=4), st.lists(texts, max_size=4).map(tuple),
        st.tuples(texts, texts), text_lists, st.floats(0.01, 1.0))
@@ -504,13 +527,13 @@ def test_postings_grounding_equals_brute_force_jaccard(entries, labels, stages, 
 
 def test_prompt_context_built_once_per_prompt(rain_policy_dict, rain_prompt, monkeypatch):
     calls = []
-    original = validator.derive_hazards
+    original = validator._build_context
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(validator, "derive_hazards", counting)
+    monkeypatch.setattr(validator, "_build_context", counting)
     document = json.dumps(rain_policy_dict)
     reports = [validate(document if i % 4 else "{broken", rain_prompt) for i in range(8)]
     assert len(calls) == 1
