@@ -15,14 +15,16 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .config import RunConfig, load_config
-from .errors import ConfigError, InputError, InvariantError, read_field, read_file, read_int, read_string, read_strings
+from .errors import (ConfigError, InputError, InvariantError, read_file, read_int, read_list, read_optional,
+                     read_record, read_string, read_strings)
+from .policy import document_text
 
 # Each handler imports the modules it runs, so a command loads only those.
 if TYPE_CHECKING:
-    from .context import SampleRecord, StrategyPrompt
+    from .context import StrategyPrompt
     from .metrics import MetricReport, StrategyEvalRecord
 
 
@@ -61,33 +63,57 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _document_text(raw: object) -> str:
-    """Policy payloads may be raw text or an already-parsed object."""
-    if isinstance(raw, str):
-        return raw
-    return json.dumps(raw)
-
-
 def _prompt_of(record: object) -> StrategyPrompt:
     """A bare prompt record, or the prompt of a sample record (keyed 'prompt')."""
-    from .context import prompt_from_dict
+    from .context import prompt_from_dict, sample_from_dict
 
     if isinstance(record, dict) and "prompt" in record:
-        record = record["prompt"]
+        return sample_from_dict(record).prompt
     return prompt_from_dict(record)
 
 
-def _strategy_prompt(record: dict, prompt_id: str, path: str) -> StrategyPrompt:
-    """The prompt a strategy record carries, or an empty prompt under its prompt_id.
+def _carried_prompt(value: object, code: str, what: str) -> StrategyPrompt:
+    from .context import prompt_from_dict  # imported on first use, as the handlers import their modules
 
-    A carried prompt must have the record's own prompt_id.
-    """
-    from .context import prompt_from_dict
+    return prompt_from_dict(value, code, what)
 
-    raw_prompt = record.get("prompt")
-    if raw_prompt is None:
-        return prompt_from_dict({"prompt_id": prompt_id})
-    prompt = prompt_from_dict(raw_prompt)
+
+def _candidates(value: object, code: str, what: str) -> list[dict]:
+    if not isinstance(value, list) or not value:
+        raise InputError(code, f"{what} must be a non-empty list")
+    return [read_record(entry, CANDIDATE_FIELDS, code, "candidate", ("document",)) for entry in value]
+
+
+def _vote(vote: object) -> tuple[bool, bool, bool]:
+    if not isinstance(vote, list) or len(vote) != 3 or not all(isinstance(flag, bool) for flag in vote):
+        raise InputError("BAD_RECORD", f"a rating must be a [bool, bool, bool] list, got {vote!r}")
+    return tuple(vote)
+
+
+# The records each command reads, field -> reader (None keeps the value), with
+# their required fields. A document is read as text; a carried `prompt` that is
+# absent or null stands for an empty prompt under the record's prompt_id.
+VALIDATE_FIELDS = {"prompt_id": read_string, "candidate_id": read_string, "document": document_text}
+CANDIDATE_FIELDS = {"candidate_id": read_string, "document": document_text}
+PAIRS_FIELDS = {"prompt_id": read_string, "prompt": read_optional(_carried_prompt), "candidates": _candidates}
+# eval records by kind: (fields, required)
+EVAL_FIELDS = {
+    "strategy": (
+        {"kind": None, "prompt_id": read_string, "prompt": read_optional(_carried_prompt),
+         "document": document_text, "ratings": read_optional(read_list(_vote)), "seed": read_int},
+        ("prompt_id", "document"),
+    ),
+    "labels": ({"kind": None, "truth": read_strings, "prediction": read_strings}, ("truth", "prediction")),
+    "classification": ({"kind": None, "truth": read_string, "prediction": read_string}, ("truth", "prediction")),
+    "text": ({"kind": None, "reference": read_string, "hypothesis": read_string}, ("reference", "hypothesis")),
+}
+
+
+def _strategy_prompt(record: dict, path: str) -> StrategyPrompt:
+    """The prompt a decoded strategy record carries, which must have the record's
+    own prompt_id, or an empty prompt under its prompt_id."""
+    prompt_id = record["prompt_id"]
+    prompt = record.get("prompt") or _carried_prompt({"prompt_id": prompt_id}, "BAD_RECORD", "prompt")
     if prompt.prompt_id != prompt_id:
         raise InputError(
             "BAD_RECORD", f"{path}: record prompt_id {prompt_id!r} differs from its prompt's {prompt.prompt_id!r}"
@@ -105,12 +131,6 @@ def _load_prompts(path: str) -> dict[str, StrategyPrompt]:
     return prompts
 
 
-def _load_samples(path: str) -> list[SampleRecord]:
-    from .context import sample_from_dict
-
-    return [sample_from_dict(record) for record in _read_jsonl(path)]
-
-
 def cmd_validate(args, config: RunConfig) -> list[str]:
     from .validator import report_to_dict, validate
 
@@ -121,13 +141,13 @@ def cmd_validate(args, config: RunConfig) -> list[str]:
     records = _read_jsonl(args.policies)
     where = f"{args.policies}: record"
     for index, record in enumerate(records):
-        prompt_id = read_field(record, "prompt_id", "BAD_RECORD", where, read_string)
-        document = read_field(record, "document", "BAD_RECORD", where)
-        candidate_id = read_string(record.get("candidate_id", str(index)), "BAD_RECORD", "candidate_id")
+        record = read_record(record, VALIDATE_FIELDS, "BAD_RECORD", where, ("prompt_id", "document"))
+        prompt_id = record["prompt_id"]
+        candidate_id = record.get("candidate_id", str(index))
         prompt = prompts.get(prompt_id)
         if prompt is None:
             raise InputError("UNKNOWN_PROMPT", f"{args.policies}: no prompt {prompt_id!r}")
-        report = validate(_document_text(document), prompt, config)
+        report = validate(record["document"], prompt, config)
         valid_count += report.schema_valid
         lines.append(
             _dumps(
@@ -155,28 +175,20 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
     sets: dict[str, CandidateSet] = {}
     prompt_payloads: dict[str, object] = {}
     where = f"{args.candidates}: record"
-    for record in _read_jsonl(args.candidates):
-        prompt_id = read_field(record, "prompt_id", "BAD_RECORD", where, read_string)
-        raw_candidates = read_field(record, "candidates", "BAD_RECORD", where)
-        if not isinstance(raw_candidates, list) or not raw_candidates:
-            raise InputError("BAD_RECORD", f"{args.candidates}: candidates must be a non-empty list")
+    for raw in _read_jsonl(args.candidates):
+        record = read_record(raw, PAIRS_FIELDS, "BAD_RECORD", where, ("prompt_id", "candidates"))
+        prompt_id = record["prompt_id"]
         if prompt_id in sets:
             raise InputError("DUPLICATE_ID", f"{args.candidates}: prompt {prompt_id!r} appears twice")
-        prompt = _strategy_prompt(record, prompt_id, args.candidates)
+        prompt = _strategy_prompt(record, args.candidates)
         candidates = []
-        for index, entry in enumerate(raw_candidates):
-            document = _document_text(read_field(entry, "document", "BAD_RECORD", f"{where} candidate"))
-            candidate_id = read_string(entry.get("candidate_id", str(index)), "BAD_RECORD", "candidate_id")
-            candidates.append(
-                Candidate(
-                    candidate_id=candidate_id,
-                    document=document,
-                    report=validate(document, prompt, config),
-                )
-            )
+        for index, entry in enumerate(record["candidates"]):
+            document = entry["document"]
+            candidate_id = entry.get("candidate_id", str(index))
+            candidates.append(Candidate(candidate_id, document, validate(document, prompt, config)))
         candidate_set = CandidateSet(prompt_id=prompt_id, candidates=tuple(candidates))
         sets[prompt_id] = candidate_set
-        prompt_payloads[prompt_id] = record.get("prompt")
+        prompt_payloads[prompt_id] = raw.get("prompt")
         pair = select_pair(candidate_set, config)
         if pair is None:
             _log(f"pairs: skip prompt {prompt_id!r} (score gap <= {config.gap_min})")
@@ -187,31 +199,23 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
     return [_dumps(record) for record in dataset]
 
 
+def _eval_rows(records: list[dict], kind: str, path: str) -> Iterator[dict]:
+    """The records of one eval kind, each decoded by its table as it is taken."""
+    fields, required = EVAL_FIELDS[kind]
+    return (read_record(record, fields, "BAD_RECORD", f"{path}: {kind} record", required) for record in records)
+
+
 def _eval_strategy_records(records: list[dict], config: RunConfig, path: str) -> list[StrategyEvalRecord]:
     from .metrics import StrategyEvalRecord
     from .validator import validate
 
     out = []
-    where = f"{path}: record"
-    for record in records:
-        prompt_id = read_field(record, "prompt_id", "BAD_RECORD", where, read_string)
-        document = _document_text(read_field(record, "document", "BAD_RECORD", where))
-        prompt = _strategy_prompt(record, prompt_id, path)
-        raw_ratings = record.get("ratings")
-        ratings = None
-        if raw_ratings is not None:
-            if not isinstance(raw_ratings, list) or not all(
-                isinstance(vote, list) and len(vote) == 3 and all(isinstance(flag, bool) for flag in vote)
-                for vote in raw_ratings
-            ):
-                raise InputError("BAD_RECORD", f"{path}: ratings must be a list of [bool, bool, bool]")
-            ratings = tuple(tuple(vote) for vote in raw_ratings)
-        seed = read_int(record.get("seed", 0), "BAD_RECORD", "seed")
-        out.append(
-            StrategyEvalRecord.from_report(
-                prompt_id, validate(document, prompt, config), ratings=ratings, seed=seed
-            )
-        )
+    # one record decoded at a time: a prompt and its validation context live
+    # only while their record is scored
+    for record in _eval_rows(records, "strategy", path):
+        report = validate(record["document"], _strategy_prompt(record, path), config)
+        ratings, seed = record.get("ratings"), record.get("seed", 0)
+        out.append(StrategyEvalRecord.from_report(record["prompt_id"], report, ratings=ratings, seed=seed))
     return out
 
 
@@ -262,10 +266,9 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
 
     records = _read_jsonl(args.records)
     by_kind: dict[str, list[dict]] = {}
-    where = f"{args.records}: record"
     for record in records:
-        kind = read_field(record, "kind", "BAD_RECORD", where)
-        if kind not in ("strategy", "labels", "classification", "text"):
+        kind = record.get("kind") if isinstance(record, dict) else None
+        if not isinstance(kind, str) or kind not in EVAL_FIELDS:
             raise InputError("BAD_RECORD", f"{args.records}: unknown record kind {kind!r}")
         by_kind.setdefault(kind, []).append(record)
 
@@ -274,11 +277,8 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
 
     if "labels" in by_kind:
         samples = [
-            LabelSetSample.from_lists(
-                read_field(r, "truth", "BAD_RECORD", where, read_strings),
-                read_field(r, "prediction", "BAD_RECORD", where, read_strings),
-            )
-            for r in by_kind["labels"]
+            LabelSetSample.from_lists(r["truth"], r["prediction"])
+            for r in _eval_rows(by_kind["labels"], "labels", args.records)
         ]
         report.counts["labels"] = len(samples)
         try:
@@ -292,18 +292,18 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
             report.set("labels_f1", f1)
 
     if "classification" in by_kind:
-        rows = by_kind["classification"]
-        truth = [read_field(r, "truth", "BAD_RECORD", where, read_string) for r in rows]
-        prediction = [read_field(r, "prediction", "BAD_RECORD", where, read_string) for r in rows]
+        rows = list(_eval_rows(by_kind["classification"], "classification", args.records))
+        truth = [r["truth"] for r in rows]
+        prediction = [r["prediction"] for r in rows]
         report.counts["classification"] = len(truth)
         accuracy, macro_f1 = classification_metrics(truth, prediction)
         report.set("cls_accuracy", accuracy)
         report.set("cls_macro_f1", macro_f1)
 
     if "text" in by_kind:
-        rows = by_kind["text"]
-        references = [text_tokens(read_field(r, "reference", "BAD_RECORD", where, read_string)) for r in rows]
-        hypotheses = [text_tokens(read_field(r, "hypothesis", "BAD_RECORD", where, read_string)) for r in rows]
+        rows = list(_eval_rows(by_kind["text"], "text", args.records))
+        references = [text_tokens(r["reference"]) for r in rows]
+        hypotheses = [text_tokens(r["hypothesis"]) for r in rows]
         report.counts["text"] = len(references)
         report.set("text_bleu4", bleu4(references, hypotheses, epsilon=config.epsilon))
         report.set("text_rouge_l", rouge_l(references, hypotheses))
@@ -376,10 +376,10 @@ def cmd_retrieve(args, config: RunConfig) -> list[str]:
 
 
 def cmd_mixpair(args, config: RunConfig) -> list[str]:
-    from .context import pair_mixed, sample_to_dict
+    from .context import pair_mixed, sample_from_dict, sample_to_dict
 
-    in_samples = _load_samples(args.in_cabin)
-    out_samples = _load_samples(args.out_of_cabin)
+    in_samples = [sample_from_dict(record) for record in _read_jsonl(args.in_cabin)]
+    out_samples = [sample_from_dict(record) for record in _read_jsonl(args.out_of_cabin)]
     seed = config.seeds[0]
     paired = pair_mixed(in_samples, out_samples, seed=seed, block_size=config.block_size)
     _log(f"mixpair: {len(paired)} merged records (seed={seed}, block_size={config.block_size})")
@@ -387,9 +387,9 @@ def cmd_mixpair(args, config: RunConfig) -> list[str]:
 
 
 def cmd_stratify(args, config: RunConfig) -> list[str]:
-    from .context import stratify
+    from .context import sample_from_dict, stratify
 
-    records = _load_samples(args.records)
+    records = [sample_from_dict(record) for record in _read_jsonl(args.records)]
     groups = stratify(records, config.label_vocab())
     membership = {}
     for group, members in groups.items():

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ConfigError, InputError, read_field, read_file, read_object, read_pair, read_string, read_strings
-from .policy import PolicyAction, parse_action_type, parse_policy, serialize_policy
-from .store import ConstraintSnippet, snippet_from_dict, snippet_to_dict
+from .errors import (ConfigError, InputError, read_as, read_file, read_list, read_object, read_optional,
+                     read_pair, read_record, read_string, read_strings)
+from .policy import PolicyAction, document_text, parse_action_type, parse_policy
+from .store import ConstraintSnippet, snippet_from_dict, to_json
 from .textnorm import dedup_preserve_order, normalize_text
 
 SPLITS = ("train", "val", "test")
@@ -129,7 +130,7 @@ class SampleRecord:
     """A prompt with its split, optional reference policy and ground-truth labels."""
 
     prompt: StrategyPrompt
-    split: str
+    split: str = ""  # a record without a split fails BAD_SPLIT like an unknown one
     reference_policy: PolicyAction | None = None
     ground_truth_labels: dict[str, object] = field(default_factory=dict)
 
@@ -198,7 +199,7 @@ def load_label_vocab(path: str | Path) -> LabelVocabulary:
     heads_raw = read_object(raw, "BAD_VOCAB", "vocabulary file", ConfigError).get("heads")
     for head, entry in read_object(heads_raw, "BAD_VOCAB", "heads", ConfigError).items():
         entry = read_object(entry, "BAD_VOCAB", f"head {head!r}", ConfigError)
-        heads[head] = tuple(read_strings(entry.get("labels"), "BAD_VOCAB", f"labels of head {head!r}", ConfigError))
+        heads[head] = read_strings(entry.get("labels"), "BAD_VOCAB", f"labels of head {head!r}", ConfigError)
         if "nominal" in entry:
             nominal[head] = read_string(entry["nominal"], "BAD_VOCAB", f"nominal of head {head!r}", ConfigError)
     return LabelVocabulary(heads=heads, nominal=nominal)
@@ -355,140 +356,86 @@ def stratify(
     return groups
 
 
-def perception_to_dict(z: PerceptionSummary) -> dict:
-    return {
-        "driver_labels": list(z.driver_labels),
-        "scene_labels": list(z.scene_labels),
-        "summary_initial": z.summary_initial,
-        "summary_transition": z.summary_transition,
-        "summary_final": z.summary_final,
-        "objects": list(z.objects),
-    }
+Z_FIELDS = {
+    "driver_labels": read_strings,
+    "scene_labels": read_strings,
+    "summary_initial": read_string,
+    "summary_transition": read_string,
+    "summary_final": read_string,
+    "objects": read_strings,
+}
+
+DRIVER_FIELDS = {
+    "alert_modality_preference": read_string,
+    "alert_frequency": read_string,
+    "sensitivities": read_as(dict, read_object),
+    "style_preference": read_string,
+    "cabin_preferences": read_as(dict, read_object),
+}
+
+VEHICLE_FIELDS = {
+    "jurisdiction": read_string,
+    "operating_mode": read_string,
+    "available_actuators": read_as(frozenset, read_strings),
+    "capability_limits": read_as(dict, read_object),
+}
 
 
-def perception_from_dict(raw: dict) -> PerceptionSummary:
-    read_object(raw, "BAD_RECORD", "perception summary")
-    return PerceptionSummary(
-        driver_labels=tuple(read_strings(raw.get("driver_labels", []), "BAD_RECORD", "driver_labels")),
-        scene_labels=tuple(read_strings(raw.get("scene_labels", []), "BAD_RECORD", "scene_labels")),
-        summary_initial=read_string(raw.get("summary_initial", ""), "BAD_RECORD", "summary_initial"),
-        summary_transition=read_string(raw.get("summary_transition", ""), "BAD_RECORD", "summary_transition"),
-        summary_final=read_string(raw.get("summary_final", ""), "BAD_RECORD", "summary_final"),
-        objects=tuple(read_strings(raw.get("objects", []), "BAD_RECORD", "objects")),
-    )
+def perception_from_dict(raw: object, code: str = "BAD_RECORD", what: str = "z") -> PerceptionSummary:
+    return PerceptionSummary(**read_record(raw, Z_FIELDS, code, what))
 
 
-def driver_to_dict(driver: DriverProfile) -> dict:
-    prefs = dict(driver.cabin_preferences)
-    band = prefs.get("temperature_band")
-    if band is not None:
-        prefs["temperature_band"] = list(band)
-    return {
-        "alert_modality_preference": driver.alert_modality_preference,
-        "alert_frequency": driver.alert_frequency,
-        "sensitivities": dict(driver.sensitivities),
-        "style_preference": driver.style_preference,
-        "cabin_preferences": prefs,
-    }
+# A profile that is not an object fails with its record's code, the fields inside it with BAD_PROFILE.
+def driver_from_dict(raw: object, code: str = "BAD_RECORD", what: str = "driver profile") -> DriverProfile:
+    return DriverProfile(**read_record(read_object(raw, code, what), DRIVER_FIELDS, "BAD_PROFILE", what))
 
 
-def driver_from_dict(raw: dict) -> DriverProfile:
-    read_object(raw, "BAD_RECORD", "driver profile")
-    sensitivities = read_object(raw.get("sensitivities", {}), "BAD_PROFILE", "sensitivities")
-    prefs = read_object(raw.get("cabin_preferences", {}), "BAD_PROFILE", "cabin_preferences")
-    return DriverProfile(
-        alert_modality_preference=read_string(
-            raw.get("alert_modality_preference", ""), "BAD_PROFILE", "alert_modality_preference"
-        ),
-        alert_frequency=read_string(raw.get("alert_frequency", ""), "BAD_PROFILE", "alert_frequency"),
-        sensitivities=dict(sensitivities),
-        style_preference=read_string(raw.get("style_preference", ""), "BAD_PROFILE", "style_preference"),
-        cabin_preferences=dict(prefs),
-    )
+def vehicle_from_dict(raw: object, code: str = "BAD_RECORD", what: str = "vehicle profile") -> VehicleProfile:
+    return VehicleProfile(**read_record(read_object(raw, code, what), VEHICLE_FIELDS, "BAD_PROFILE", what))
 
 
-def vehicle_to_dict(vehicle: VehicleProfile) -> dict:
-    return {
-        "jurisdiction": vehicle.jurisdiction,
-        "operating_mode": vehicle.operating_mode,
-        "available_actuators": sorted(vehicle.available_actuators),
-        "capability_limits": {
-            actuator: {parameter: list(bound) for parameter, bound in sorted(bounds.items())}
-            for actuator, bounds in sorted(vehicle.capability_limits.items())
-        },
-    }
-
-
-def vehicle_from_dict(raw: dict) -> VehicleProfile:
-    read_object(raw, "BAD_RECORD", "vehicle profile")
-    limits = read_object(raw.get("capability_limits", {}), "BAD_PROFILE", "capability_limits")
-    return VehicleProfile(
-        jurisdiction=read_string(raw.get("jurisdiction", ""), "BAD_PROFILE", "jurisdiction"),
-        operating_mode=read_string(raw.get("operating_mode", ""), "BAD_PROFILE", "operating_mode"),
-        available_actuators=frozenset(
-            read_strings(raw.get("available_actuators", []), "BAD_PROFILE", "available_actuators")
-        ),
-        capability_limits=dict(limits),
-    )
+PROMPT_FIELDS = {
+    "prompt_id": read_string,
+    "z": perception_from_dict,
+    "driver": driver_from_dict,
+    "vehicle": vehicle_from_dict,
+    "constraints": read_list(snippet_from_dict),
+}
 
 
 def prompt_to_dict(prompt: StrategyPrompt) -> dict:
+    return to_json(prompt)
+
+
+def prompt_from_dict(raw: object, code: str = "BAD_RECORD", what: str = "prompt record") -> StrategyPrompt:
+    return StrategyPrompt(**read_record(raw, PROMPT_FIELDS, code, what, ("prompt_id",)))
+
+
+def _reference_policy(value: object, code: str, what: str) -> PolicyAction:
+    outcome = parse_policy(document_text(value, code, what))
+    if not outcome.valid:
+        raise InputError(code, f"{what} is not schema-valid")
+    return outcome.policy
+
+
+def _labels(value: object, code: str, what: str) -> dict[str, object]:
     return {
-        "prompt_id": prompt.prompt_id,
-        "z": perception_to_dict(prompt.z),
-        "driver": driver_to_dict(prompt.driver),
-        "vehicle": vehicle_to_dict(prompt.vehicle),
-        "constraints": [snippet_to_dict(snippet) for snippet in prompt.constraints],
+        task: label if isinstance(label, str) else read_strings(label, code, f"label {task!r}")
+        for task, label in read_object(value, code, what).items()
     }
 
 
-def prompt_from_dict(raw: dict) -> StrategyPrompt:
-    prompt_id = read_field(raw, "prompt_id", "BAD_RECORD", "prompt record", read_string)
-    constraints = raw.get("constraints", [])
-    if not isinstance(constraints, list):
-        raise InputError("BAD_RECORD", "constraints must be a list")
-    return StrategyPrompt(
-        prompt_id=prompt_id,
-        z=perception_from_dict(raw.get("z", {})),
-        driver=driver_from_dict(raw.get("driver", {})),
-        vehicle=vehicle_from_dict(raw.get("vehicle", {})),
-        constraints=tuple(snippet_from_dict(entry) for entry in constraints),
-    )
+SAMPLE_FIELDS = {
+    "prompt": prompt_from_dict,
+    "split": None,  # SampleRecord checks it (BAD_SPLIT)
+    "reference_policy": read_optional(_reference_policy),
+    "ground_truth_labels": _labels,
+}
 
 
 def sample_to_dict(record: SampleRecord) -> dict:
-    reference = None
-    if record.reference_policy is not None:
-        reference = json.loads(serialize_policy(record.reference_policy))
-    return {
-        "prompt": prompt_to_dict(record.prompt),
-        "split": record.split,
-        "reference_policy": reference,
-        "ground_truth_labels": {
-            task: list(value) if isinstance(value, (list, tuple)) else value
-            for task, value in record.ground_truth_labels.items()
-        },
-    }
+    return to_json(record)
 
 
-def sample_from_dict(raw: dict) -> SampleRecord:
-    read_object(raw, "BAD_RECORD", "sample record")
-    reference = None
-    raw_reference = raw.get("reference_policy")
-    if raw_reference is not None:
-        document = raw_reference if isinstance(raw_reference, str) else json.dumps(raw_reference)
-        outcome = parse_policy(document)
-        if not outcome.valid:
-            raise InputError("BAD_RECORD", "reference_policy is not schema-valid")
-        reference = outcome.policy
-    labels_raw = read_object(raw.get("ground_truth_labels", {}), "BAD_RECORD", "ground_truth_labels")
-    labels: dict[str, object] = {
-        task: value if isinstance(value, str) else tuple(read_strings(value, "BAD_RECORD", f"label {task!r}"))
-        for task, value in labels_raw.items()
-    }
-    return SampleRecord(
-        prompt=prompt_from_dict(raw.get("prompt", {})),
-        split=raw.get("split", ""),
-        reference_policy=reference,
-        ground_truth_labels=labels,
-    )
+def sample_from_dict(raw: object) -> SampleRecord:
+    return SampleRecord(**read_record(raw, SAMPLE_FIELDS, "BAD_RECORD", "sample record", ("prompt",)))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 
 class ToolkitError(Exception):
@@ -60,12 +60,44 @@ def is_finite_number(value: object) -> bool:
         return False
 
 
-def read_field(record: object, key: str, code: str, what: str = "record", reader: Callable | None = None) -> object:
-    """``record[key]``, passed through ``reader`` when given; a record that is
-    not an object or lacks the key fails."""
-    if isinstance(record, dict) and key in record:
-        return record[key] if reader is None else reader(record[key], code, key)
-    raise InputError(code, f"{what} needs a {key!r} field")
+def read_record(raw: object, fields: Mapping[str, Callable | None], code: str, what: str, required=()) -> dict:
+    """The fields of one outside record: ``raw`` must be an object holding every ``required`` key and no key
+    outside ``fields``, which maps each field to its reader, called as ``reader(value, code, field)``; a field
+    whose reader is None keeps its value. A field the record leaves out is left out."""
+    if not isinstance(raw, dict):
+        raise InputError(code, f"{what} must be an object, got {raw!r}")
+    for key in required:
+        if key not in raw:
+            raise InputError(code, f"{what} needs a {key!r} field")
+    record = {}
+    for key, value in raw.items():  # a plain loop: records decode on the hot path
+        try:
+            reader = fields[key]
+        except KeyError:
+            raise InputError(code, f"{what} has unknown field {key!r}") from None
+        record[key] = value if reader is None else reader(value, code, key)
+    return record
+
+
+def read_as(convert: Callable, reader: Callable) -> Callable:
+    """``reader`` with its value passed through ``convert`` (``frozenset``, ``dict``)."""
+    return lambda value, code, what: convert(reader(value, code, what))
+
+
+def read_list(item: Callable) -> Callable:
+    """A reader of a JSON list, each item passed through ``item``, as a tuple."""
+
+    def read(value: object, code: str, what: str) -> tuple:
+        if not isinstance(value, list):
+            raise InputError(code, f"{what} must be a list, got {value!r}")
+        return tuple(map(item, value))
+
+    return read
+
+
+def read_optional(reader: Callable) -> Callable:
+    """``reader`` that reads ``null`` as None."""
+    return lambda value, code, what: None if value is None else reader(value, code, what)
 
 
 def read_object(value: object, code: str, what: str, error: type[ToolkitError] = InputError) -> dict:
@@ -80,13 +112,14 @@ def read_string(value: object, code: str, what: str, error: type[ToolkitError] =
     return value
 
 
-def read_strings(value: object, code: str, what: str, error: type[ToolkitError] = InputError) -> list[str]:
+def read_strings(value: object, code: str, what: str, error: type[ToolkitError] = InputError) -> tuple[str, ...]:
+    """A list of strings, as a tuple."""
     if isinstance(value, list):
         for item in value:  # a loop, not all(...): no generator on the hot path
             if not isinstance(item, str):
                 break
         else:
-            return value
+            return tuple(value)
     raise error(code, f"{what} must be a list of strings, got {value!r}")
 
 

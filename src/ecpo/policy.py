@@ -222,6 +222,12 @@ def parse_policy(document: str | bytes, j_max: int = DEFAULT_J_MAX) -> ParseOutc
     return ParseOutcome(PolicyAction(objectives, ledger, tuple(actions)), tuple(defects))
 
 
+def document_text(value: object, code: str, what: str) -> str:
+    """A policy payload as document text: raw text as it is, an already-parsed object as JSON; a record
+    field reader (see ``errors.read_record``)."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
 def _parse_objectives(raw: object, defect) -> str:
     if isinstance(raw, str):
         objectives = raw.strip()
@@ -433,6 +439,14 @@ def keyword_pattern(keyword: str) -> re.Pattern:
     return _compile(rf"\b(?:{keyword})\b")
 
 
+def word_hits(pattern: re.Pattern, text: str) -> list[str]:
+    """The matches of a ``keyword_pattern`` in ``text`` that span at least one character. A fragment that
+    only asserts a position (``\\b``, ``(?=a)``) matches the empty string between words; such a match is no hit."""
+    if pattern.search(text) is None:  # most texts hit no pattern: one scan in C, no match objects
+        return []
+    return [hit.group() for hit in pattern.finditer(text) if hit.end() > hit.start()]
+
+
 def compile_lexicon(lines: Iterable[str]) -> tuple[LexiconPattern, ...]:
     """One regex fragment per line, '#' comments; each wrapped by ``keyword_pattern``."""
     patterns = []
@@ -464,8 +478,8 @@ def detect_low_level_control(
     for index, action in enumerate(policy.actions):
         for text in _action_texts(action):
             for pattern in patterns:
-                for hit in pattern.regex.finditer(text):
-                    matches.append(LowLevelMatch(index, pattern.source, hit.group(0)))
+                for hit in word_hits(pattern.regex, text):
+                    matches.append(LowLevelMatch(index, pattern.source, hit))
     return matches
 
 
@@ -478,15 +492,3 @@ def _action_texts(action: Action) -> list[str]:
 def action_text(action: Action) -> str:
     """Scannable text of one action: its non-empty texts joined."""
     return " ".join(part for part in _action_texts(action) if part)
-
-
-def policy_text(policy: PolicyAction) -> str:
-    """Scannable text of a policy: objectives, ledger, then per-action text.
-
-    Evidence entries are deliberately excluded; quoting a hazard as evidence
-    is not the same as acting on it.
-    """
-    parts = [policy.objectives]
-    parts.extend(policy.constraints.populated().values())
-    parts.extend(action_text(action) for action in policy.actions)
-    return " ".join(part for part in parts if part)

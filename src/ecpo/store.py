@@ -27,16 +27,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import math
 import re
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import ConfigError, InputError, read_int, read_number, read_object, read_string, read_strings
-from .policy import ActionType, keyword_pattern, parse_action_type
+from .errors import (ConfigError, InputError, read_as, read_int, read_list, read_number, read_optional,
+                     read_record, read_string, read_strings)
+from .policy import ActionType, PolicyAction, keyword_pattern, parse_action_type, serialize_policy
 from .textnorm import (
     content_tokens,
     cosine_from_counts,
@@ -77,13 +79,17 @@ class Assertions:
     parameter_bounds: tuple[ParameterBound, ...] = ()
     required_modalities: frozenset[str] = frozenset()
     forbidden_keywords: tuple[str, ...] = ()
+    # Each forbidden keyword as ``keyword_pattern`` compiles it, built once.
+    keyword_patterns: tuple[re.Pattern, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        patterns = []
         for keyword in self.forbidden_keywords:
             try:
-                keyword_pattern(keyword)
+                patterns.append(keyword_pattern(keyword))
             except (re.error, RecursionError) as exc:  # a pattern nested too deep to compile
                 raise InputError("BAD_KEYWORD", f"keyword pattern {keyword!r}: {exc}")
+        object.__setattr__(self, "keyword_patterns", tuple(patterns))
 
 
 @dataclass(frozen=True)
@@ -490,92 +496,91 @@ def compress(ranked: Sequence[ConstraintSnippet], token_budget: int) -> tuple[Co
     return tuple(kept)
 
 
-def assertions_to_dict(assertions: Assertions) -> dict:
-    return {
-        "forbidden_action_types": sorted(t.value for t in assertions.forbidden_action_types),
-        "parameter_bounds": [
-            [b.action_type.value, b.parameter, b.minimum, b.maximum]
-            for b in assertions.parameter_bounds
-        ],
-        "required_modalities": sorted(assertions.required_modalities),
-        "forbidden_keywords": list(assertions.forbidden_keywords),
-    }
+def to_json(value: object) -> object:
+    """A record as JSON values, written from its dataclass ``init`` fields: tuples as lists, sets sorted, an
+    ``ActionType`` by its value, a ``ParameterBound`` as its 4-item list and a policy as ``serialize_policy``
+    writes it."""
+    if isinstance(value, ParameterBound):
+        return [value.action_type.value, value.parameter, value.minimum, value.maximum]
+    if isinstance(value, PolicyAction):
+        return json.loads(serialize_policy(value))
+    if isinstance(value, ActionType):
+        return value.value
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value) if f.init}
+    if isinstance(value, (tuple, list)):
+        return [to_json(item) for item in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(map(to_json, value))
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    return value
 
 
-def assertions_from_dict(raw: dict) -> Assertions:
-    read_object(raw, "BAD_SNIPPET", "assertions")
-    types = []
-    for name in read_strings(raw.get("forbidden_action_types", []), "BAD_SNIPPET", "forbidden_action_types"):
-        parsed = parse_action_type(name)
-        if parsed is None:
-            raise InputError("BAD_SNIPPET", f"unmappable forbidden action type {name!r}")
-        types.append(parsed)
-    bounds = raw.get("parameter_bounds", [])
-    if not isinstance(bounds, list):
-        raise InputError("BAD_SNIPPET", f"parameter_bounds must be a list, got {bounds!r}")
-    return Assertions(
-        forbidden_action_types=frozenset(types),
-        parameter_bounds=tuple(map(_parameter_bound, bounds)),
-        required_modalities=frozenset(
-            read_strings(raw.get("required_modalities", []), "BAD_SNIPPET", "required_modalities")
-        ),
-        forbidden_keywords=tuple(
-            read_strings(raw.get("forbidden_keywords", []), "BAD_SNIPPET", "forbidden_keywords")
-        ),
-    )
+def _action_type(name: object, what: str) -> ActionType:
+    parsed = parse_action_type(read_string(name, "BAD_SNIPPET", what))
+    if parsed is None:
+        raise InputError("BAD_SNIPPET", f"unmappable {what} {name!r}")
+    return parsed
+
+
+def _forbidden_action_types(value: object, code: str, what: str) -> frozenset[ActionType]:
+    return frozenset(_action_type(name, "forbidden action type") for name in read_strings(value, code, what))
 
 
 def _parameter_bound(entry: object) -> ParameterBound:
     if not isinstance(entry, list) or len(entry) != 4:
         raise InputError("BAD_SNIPPET", f"parameter bound {entry!r} is not a 4-item list")
     action, parameter, minimum, maximum = entry
-    parsed = parse_action_type(read_string(action, "BAD_SNIPPET", "bound action type"))
-    if parsed is None:
-        raise InputError("BAD_SNIPPET", f"unmappable bound action type {action!r}")
     parameter = read_string(parameter, "BAD_SNIPPET", "bound parameter")
     return ParameterBound(
-        parsed,
+        _action_type(action, "bound action type"),
         parameter,
         float(read_number(minimum, "BAD_SNIPPET", f"minimum of bound {parameter!r}")),
         float(read_number(maximum, "BAD_SNIPPET", f"maximum of bound {parameter!r}")),
     )
 
 
+ASSERTION_FIELDS = {
+    "forbidden_action_types": _forbidden_action_types,
+    "parameter_bounds": read_list(_parameter_bound),
+    "required_modalities": read_as(frozenset, read_strings),
+    "forbidden_keywords": read_strings,
+}
+
+
+def _assertions(value: object, code: str, what: str) -> Assertions | None:
+    # an empty assertions object declares nothing, like an absent one
+    if value is None or value == {}:
+        return None
+    return Assertions(**read_record(value, ASSERTION_FIELDS, code, what))
+
+
+def _version(value: object, code: str, what: str) -> int:
+    if read_int(value, code, what) < 0:
+        raise InputError(code, f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
+SNIPPET_FIELDS = {
+    "snippet_id": read_string,
+    "layer": read_string,
+    "clause_id": read_string,
+    "text": read_string,
+    "jurisdiction": read_optional(read_string),
+    "vehicle_config": read_optional(read_string),
+    "assertions": _assertions,
+    "version": _version,
+}
+SNIPPET_REQUIRED = ("snippet_id", "layer", "clause_id", "text")
+
+
 def snippet_to_dict(snippet: ConstraintSnippet) -> dict:
-    return {
-        "snippet_id": snippet.snippet_id,
-        "layer": snippet.layer,
-        "clause_id": snippet.clause_id,
-        "text": snippet.text,
-        "jurisdiction": snippet.jurisdiction,
-        "vehicle_config": snippet.vehicle_config,
-        "assertions": assertions_to_dict(snippet.assertions) if snippet.assertions else None,
-        "version": snippet.version,
-    }
+    return to_json(snippet)
 
 
-def snippet_from_dict(raw: dict) -> ConstraintSnippet:
-    read_object(raw, "BAD_SNIPPET", "snippet record")
-    jurisdiction = raw.get("jurisdiction")
-    vehicle_config = raw.get("vehicle_config")
-    version = read_int(raw.get("version", 0), "BAD_SNIPPET", "version")
-    if version < 0:
-        raise InputError("BAD_SNIPPET", f"version must be a non-negative integer, got {version!r}")
-    assertions = raw.get("assertions")
-    # a missing required field reads as None, which no string reader accepts
-    return ConstraintSnippet(
-        snippet_id=read_string(raw.get("snippet_id"), "BAD_SNIPPET", "snippet_id"),
-        layer=read_string(raw.get("layer"), "BAD_SNIPPET", "layer"),
-        clause_id=read_string(raw.get("clause_id"), "BAD_SNIPPET", "clause_id"),
-        text=read_string(raw.get("text"), "BAD_SNIPPET", "text"),
-        jurisdiction=None if jurisdiction is None else read_string(jurisdiction, "BAD_SNIPPET", "jurisdiction"),
-        vehicle_config=(
-            None if vehicle_config is None else read_string(vehicle_config, "BAD_SNIPPET", "vehicle_config")
-        ),
-        # an empty assertions object declares nothing, like an absent one
-        assertions=None if assertions is None or assertions == {} else assertions_from_dict(assertions),
-        version=version,
-    )
+def snippet_from_dict(raw: object) -> ConstraintSnippet:
+    return ConstraintSnippet(**read_record(raw, SNIPPET_FIELDS, "BAD_SNIPPET", "snippet record", SNIPPET_REQUIRED))
 
 
 def load_store(snippets: Iterable[ConstraintSnippet]) -> ConstraintStore:

@@ -41,9 +41,9 @@ from .policy import (
     _norm_key,
     action_text,
     detect_low_level_control,
-    keyword_pattern,
     parse_policy,
     structural_score,
+    word_hits,
 )
 from .store import ConstraintSnippet
 from .textnorm import STOPWORDS, content_tokens, normalize_text, phrase_run, token_run, tokenize
@@ -224,10 +224,10 @@ KeywordCarriers = tuple[tuple[ConstraintSnippet, str, re.Pattern], ...]
 def _keyword_carriers(snippets: Sequence[ConstraintSnippet]) -> KeywordCarriers:
     """(snippet, keyword, compiled pattern) per forbidden keyword, in snippet order."""
     return tuple(
-        (snippet, keyword, keyword_pattern(keyword))
+        (snippet, keyword, pattern)
         for snippet in snippets
         if snippet.assertions
-        for keyword in snippet.assertions.forbidden_keywords
+        for keyword, pattern in zip(snippet.assertions.forbidden_keywords, snippet.assertions.keyword_patterns)
     )
 
 
@@ -392,7 +392,7 @@ def _check_forbidden_keywords(actions, carriers, check_id, layer) -> CheckResult
     clause = None
     for index, facts in enumerate(actions):
         for snippet, keyword, pattern in carriers:
-            if pattern.search(facts.text):
+            if word_hits(pattern, facts.text):
                 hits.append(f"action {index} matches {keyword!r} (clause {snippet.clause_id})")
                 clause = clause or snippet.clause_id
     return _verdict(check_id, layer, hits, "no forbidden keyword present", clause)
@@ -573,13 +573,14 @@ def extract_addressed_hazards(
 
     Evidence entries are out of scope: quoting a hazard is not addressing it.
     Rule scopes do not apply here, so a policy that quotes every trigger of a
-    derived hazard always covers it. The scanned text is ``policy_text``, one
-    token run, so a trigger may span two of its parts.
+    derived hazard always covers it. The scanned text is the objectives, the
+    ledger and each action's text as one token run, so a trigger may span two
+    of its parts.
     """
     rules = DEFAULT_HAZARD_RULES if rules is None else tuple(rules)
     if actions is None:
         actions = _action_facts(policy)
-    # tokenize(policy_text(policy)), reusing each action's tokens
+    # each action's tokens are reused, not tokenized again
     texts = (policy.objectives, *policy.constraints.populated().values())
     parts = [*map(tokenize, texts), *(facts.tokens for facts in actions)]
     run = token_run([list(chain.from_iterable(parts))])

@@ -2,9 +2,10 @@
 
 A value of the wrong JSON type in any record or config field fails with exit
 1 (input) or 2 (config) and one ``error: CODE: message`` line naming the
-field's code; it is never converted and never reaches the scorer. A file that
-cannot be read, is not UTF-8 or is nested too deep fails the same way, with
-the code of that file.
+field's code; it is never converted and never reaches the scorer. A key that
+is not a field of its record fails with the record's code. A file that cannot
+be read, is not UTF-8 or is nested too deep fails the same way, with the code
+of that file.
 """
 
 import copy
@@ -22,7 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ecpo
-from ecpo.cli import main
+from ecpo.cli import CANDIDATE_FIELDS, EVAL_FIELDS, PAIRS_FIELDS, VALIDATE_FIELDS, main
+from ecpo.context import DRIVER_FIELDS, PROMPT_FIELDS, SAMPLE_FIELDS, VEHICLE_FIELDS, Z_FIELDS
+from ecpo.store import ASSERTION_FIELDS, SNIPPET_FIELDS
 
 POLICY = {
     "objectives": "Keep a safe distance in heavy rain.",
@@ -228,6 +231,13 @@ MISTYPED = [
                  id="retrieve-numeric-operating-mode"),
     pytest.param("retrieve", lambda f: f["prompts"][0]["z"].update(summary_initial=None), None, 1, "BAD_RECORD",
                  id="retrieve-null-summary"),
+    # a profile that is not an object is the prompt's fault, a bad field inside it the profile's
+    pytest.param("retrieve", lambda f: f["prompts"][0].update(driver=5), None, 1, "BAD_RECORD",
+                 id="retrieve-number-driver"),
+    pytest.param("retrieve", lambda f: f["prompts"][0].update(vehicle=[]), None, 1, "BAD_RECORD",
+                 id="retrieve-list-vehicle"),
+    pytest.param("retrieve", lambda f: f["prompts"][0]["driver"].update(alert_frequency=5), None, 1, "BAD_PROFILE",
+                 id="retrieve-numeric-alert-frequency"),
     pytest.param("retrieve", lambda f: f["prompts"][0]["z"].update(summary_initial=float("nan")), None, 1,
                  "BAD_RECORD", id="retrieve-nan-summary"),
     pytest.param("validate", lambda f: f["policies"][0].update(candidate_id=[1]), None, 1, "BAD_RECORD",
@@ -253,6 +263,13 @@ MISTYPED = [
     pytest.param("mixpair", lambda f: f["in"][0]["ground_truth_labels"].update(behavior=5), None, 1, "BAD_RECORD",
                  id="mixpair-numeric-label"),
     pytest.param("stratify", None, "vocab", 2, "BAD_VOCAB", id="stratify-numeric-vocab-labels"),
+    # a split that is missing or not a known split name, also in a sample record given as a prompt
+    pytest.param("stratify", lambda f: f["records"][0].update(split=5), None, 1, "BAD_SPLIT",
+                 id="stratify-numeric-split"),
+    pytest.param("stratify", lambda f: f["records"][0].pop("split"), None, 1, "BAD_SPLIT",
+                 id="stratify-missing-split"),
+    pytest.param("validate", lambda f: f.update(prompts=[{**sample("p1"), "split": "holdout"}]), None, 1, "BAD_SPLIT",
+                 id="validate-sample-prompt-unknown-split"),
     # config values that crashed, were truncated or split, or slipped past the range checks
     pytest.param("retrieve", None, {"top_k": 2.5}, 2, "BAD_TOP_K", id="config-float-top-k"),
     pytest.param("validate", None, {"penalty_table": {"other": "x"}}, 2, "BAD_PENALTY", id="config-string-penalty"),
@@ -364,6 +381,23 @@ def test_vocabulary_file_moves_the_stratify_group(tmp_path):
     assert json.loads(out)["group"] == "env_critical"
 
 
+@pytest.mark.parametrize("keyword, passed", [
+    # the wrapped pattern matches the empty string at word boundaries; an empty match is no hit
+    (r"\b", True), ("(?=a)", True),
+    # a keyword hit after an empty match at the same place still counts
+    (r"\b|keep", False), ("keep", False),
+])
+def test_forbidden_keyword_hits_only_with_text(tmp_path, keyword, passed):
+    files = inputs("validate")
+    files["prompts"][0]["constraints"][0]["assertions"]["forbidden_keywords"] = [keyword]
+    code, out, err = run(tmp_path, "validate", files)
+    assert code == 0, err
+    check = {c["check_id"]: c for c in report_of(out)["checks"]}["legal.forbidden_keyword"]
+    assert check["passed"] is passed
+    hit = f"action 0 matches {keyword!r} (clause c1)"
+    assert check["detail"] == ("no forbidden keyword present" if passed else hit)
+
+
 def test_nested_set_patterns_leave_no_warning_on_stderr(tmp_path):
     # re emits "FutureWarning: Possible nested set" when it compiles "[["; stderr must stay the summary line
     files = inputs("validate")
@@ -454,32 +488,105 @@ def test_unreadable_file_fails_with_its_files_code(tmp_path, command, replaced, 
 
 FUZZ_VALUES = [None, True, 0, -1, 1.5, float("nan"), float("inf"), "", "x", [], ["x"], [1], {}, {"a": 1}]
 
-# Containers a mutation may reach into below the top level of a record.
-NESTED = {"prompt", "z", "driver", "vehicle", "constraints", "assertions", "ground_truth_labels", "candidates",
-          "penalty_table"}
+# The field table of each input file's records, by (command, file name); eval records by their kind.
+FILE_TABLES = {
+    ("validate", "policies"): VALIDATE_FIELDS,
+    ("validate", "prompts"): PROMPT_FIELDS,
+    ("pairs", "candidates"): PAIRS_FIELDS,
+    ("retrieve", "store"): SNIPPET_FIELDS,
+    ("retrieve", "prompts"): PROMPT_FIELDS,
+    ("mixpair", "in"): SAMPLE_FIELDS,
+    ("mixpair", "out"): SAMPLE_FIELDS,
+    ("stratify", "records"): SAMPLE_FIELDS,
+}
+# The table of each record nested in another, by the field holding it (or a list of them).
+NESTED_TABLES = {"prompt": PROMPT_FIELDS, "z": Z_FIELDS, "driver": DRIVER_FIELDS, "vehicle": VEHICLE_FIELDS,
+                 "constraints": SNIPPET_FIELDS, "assertions": ASSERTION_FIELDS, "candidates": CANDIDATE_FIELDS}
+# Objects with free keys that a mutation may still reach into.
+FREE = {"ground_truth_labels", "penalty_table"}
+# A key no record declares: writing it is the "extra key" mutation.
+EXTRA = "unexpected_field"
 
 
-def sites(value: object, path: tuple = ()) -> list[tuple]:
-    """Paths to every field at the top level or inside a NESTED container."""
+def table_of(command: str, name: str, record: dict) -> dict:
+    return EVAL_FIELDS[record["kind"]][0] if command == "eval" else FILE_TABLES[command, name]
+
+
+def records_in(record: dict, table: dict, path: tuple = ()) -> list[tuple]:
+    """(path, table) of ``record`` and of every record nested in it."""
+    found = [(path, table)]
+    for key in [key for key in NESTED_TABLES if key in table]:
+        value = record.get(key)
+        items = [(path + (key,), value)] if isinstance(value, dict) else list(
+            ((path + (key, index), item) for index, item in enumerate(value or ())))
+        for sub_path, item in items:
+            found.extend(records_in(item, NESTED_TABLES[key], sub_path))
+    return found
+
+
+def at(value: object, path: tuple) -> object:
+    for key in path:
+        value = value[key]
+    return value
+
+
+def sites(record: dict, table: dict) -> list[tuple]:
+    """Paths to every field of ``record`` and of the records nested in it, taken from their tables, to each
+    key of their free objects, and to the ``EXTRA`` key of each."""
     found = []
-    if isinstance(value, dict):
-        for key, item in value.items():
-            found.append(path + (key,))
-            if key in NESTED:
-                found.extend(sites(item, path + (key,)))
-    elif isinstance(value, list):
-        for index, item in enumerate(value):
-            found.extend(sites(item, path + (index,)))
+    for path, fields in records_in(record, table):
+        found += [path + (key,) for key in (*fields, EXTRA)]
+        found += [path + (key, name) for key in FREE if key in fields for name in at(record, path).get(key, {})]
     return found
 
 
 FUZZ_TARGETS = [
     (command, target, site)
     for command, (_, files) in COMMANDS.items()
-    for target, site in [("config", site) for site in sites(CONFIG)]
+    for target, site in [("config", (key,)) for key in CONFIG]
+    + [("config", ("penalty_table", key)) for key in CONFIG["penalty_table"]]
     + [((name, index), site) for name, records in files.items()
-       for index, record in enumerate(records) for site in sites(record)]
+       for index, record in enumerate(records) for site in sites(record, table_of(command, name, record))]
 ]
+
+# Every record the CLI reads, with the code its unknown keys fail with.
+RECORD_CODES = {id(DRIVER_FIELDS): "BAD_PROFILE", id(VEHICLE_FIELDS): "BAD_PROFILE",
+                id(SNIPPET_FIELDS): "BAD_SNIPPET", id(ASSERTION_FIELDS): "BAD_SNIPPET"}
+RECORD_SITES = [
+    pytest.param(command, name, index, path, RECORD_CODES.get(id(fields), "BAD_RECORD"),
+                 id="-".join(map(str, (command, name, index, *path))))
+    for command, (_, files) in COMMANDS.items()
+    for name, records in files.items()
+    for index, record in enumerate(records)
+    for path, fields in records_in(record, table_of(command, name, record))
+]
+
+
+@pytest.mark.parametrize("command, name, index, path, error_code", RECORD_SITES)
+def test_extra_key_fails_with_its_records_code(tmp_path, command, name, index, path, error_code):
+    files = inputs(command)
+    at(files[name][index], path)[EXTRA] = "x"
+    code, out, err = run(tmp_path, command, files)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {error_code}: ") and repr(EXTRA) in err
+
+
+@pytest.mark.parametrize("command, name, path, key, value, error_code", [
+    pytest.param("validate", "prompts", ("z",), "summary_intial", "heavy rain", "BAD_RECORD", id="z-summary-intial"),
+    pytest.param("retrieve", "prompts", (), "drivr", {}, "BAD_RECORD", id="prompt-drivr"),
+    pytest.param("retrieve", "store", (), "jurisdicton", "EU", "BAD_SNIPPET", id="snippet-jurisdicton"),
+    pytest.param("eval", "records", (), "sed", 1, "BAD_RECORD", id="eval-strategy-sed"),
+])
+def test_misspelled_field_is_named_not_dropped(tmp_path, command, name, path, key, value, error_code):
+    # each exited 0 with the field's default in place of the value when unknown keys were dropped
+    files = inputs(command)
+    at(files[name][0], path)[key] = value
+    code, out, err = run(tmp_path, command, files)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {error_code}: ") and repr(key) in err
+
 
 ERROR_LINE = re.compile(r"error: [A-Z][A-Z0-9_]*: ")
 

@@ -16,7 +16,6 @@ from ecpo.policy import (
     load_lexicon,
     parse_action_type,
     parse_policy,
-    policy_text,
     serialize_policy,
     structural_score,
 )
@@ -308,6 +307,23 @@ def test_lexicon_word_boundaries():
     assert detect_low_level_control(parse(doc).policy, DEFAULT_LEXICON) == []
 
 
+@pytest.mark.parametrize("line", [r"\b", r"(?=e)", r"\b|(?=g)"])
+def test_position_only_lexicon_line_matches_nothing(line):
+    # the pattern matches the empty string at word boundaries; an empty match is no hit
+    doc = minimal_doc()
+    doc["actions"][0]["parameters"]["text"] = "go ease off"
+    policy = parse(doc).policy
+    assert compile_lexicon([line])[0].regex.search("go ease off") is not None
+    assert detect_low_level_control(policy, compile_lexicon([line])) == []
+
+
+def test_lexicon_hit_after_an_empty_match_at_the_same_place_counts():
+    doc = minimal_doc()
+    doc["actions"][0]["parameters"]["text"] = "go ease off"
+    matches = detect_low_level_control(parse(doc).policy, compile_lexicon([r"\b|ease"]))
+    assert [(m.matched_pattern, m.matched_text) for m in matches] == [(r"\b|ease", "ease")]
+
+
 def test_compile_lexicon_rejects_bad_pattern():
     with pytest.raises(ConfigError) as err:
         compile_lexicon(["steer(", "ok"])
@@ -325,5 +341,5 @@ def test_policy_text_excludes_evidence():
     doc = minimal_doc()
     doc["actions"][0]["evidence"] = {"labels": ["EVIDENCE_ONLY_TOKEN"]}
     policy = parse(doc).policy
-    assert "EVIDENCE_ONLY_TOKEN" not in policy_text(policy)
+    assert "EVIDENCE_ONLY_TOKEN" not in action_text(policy.actions[0])
     assert "ease off near the junction" in action_text(policy.actions[0])
