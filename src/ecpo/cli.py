@@ -19,13 +19,13 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .config import RunConfig, load_config
 from .errors import (ConfigError, InputError, InvariantError, read_file, read_int, read_list, read_optional,
-                     read_record, read_string, read_strings)
+                     read_record, read_string, read_strings, shown)
 from .policy import document_text
 
 # Each handler imports the modules it runs, so a command loads only those.
 if TYPE_CHECKING:
     from .context import StrategyPrompt
-    from .metrics import MetricReport, StrategyEvalRecord
+    from .metrics import StrategyEvalRecord
 
 
 def _dumps(payload: object) -> str:
@@ -86,7 +86,7 @@ def _candidates(value: object, code: str, what: str) -> list[dict]:
 
 def _vote(vote: object) -> tuple[bool, bool, bool]:
     if not isinstance(vote, list) or len(vote) != 3 or not all(isinstance(flag, bool) for flag in vote):
-        raise InputError("BAD_RECORD", f"a rating must be a [bool, bool, bool] list, got {vote!r}")
+        raise InputError("BAD_RECORD", f"a rating must be a [bool, bool, bool] list, got {shown(vote)}")
     return tuple(vote)
 
 
@@ -219,39 +219,6 @@ def _eval_strategy_records(records: list[dict], config: RunConfig, path: str) ->
     return out
 
 
-def _eval_has_section(report: MetricReport, records: list[StrategyEvalRecord]) -> None:
-    """HAS mean/std and the rank correlation with the aggregate score.
-
-    Both are gated by the same sub-50% validity rule as the other
-    strategy-level metrics.
-    """
-    from .metrics import DEGENERATE, NO_RATINGS, has_aggregate, has_score, spearman
-
-    valid_pct = report.values.get("valid_pct")
-    gate = report.reasons.get("viol_sev")
-    if valid_pct is None or gate is not None:
-        for name in ("has_mean", "has_std", "ecpo_has_spearman"):
-            report.set_na(name, gate or report.reasons.get("valid_pct", NO_RATINGS))
-        return
-    rated = [r for r in records if r.ratings]
-    if not rated:
-        for name in ("has_mean", "has_std", "ecpo_has_spearman"):
-            report.set_na(name, NO_RATINGS)
-        return
-    mean, std = has_aggregate(rated)
-    report.set("has_mean", mean)
-    report.set("has_std", std)
-    if len(rated) < 2:
-        report.set_na("ecpo_has_spearman", DEGENERATE)
-        return
-    scores = [has_score(record.ratings) for record in rated]
-    correlation = spearman([r.report.ecpo for r in rated], scores)
-    if correlation is None:
-        report.set_na("ecpo_has_spearman", DEGENERATE)
-    else:
-        report.set("ecpo_has_spearman", correlation)
-
-
 def cmd_eval(args, config: RunConfig) -> list[str]:
     from .metrics import (
         LabelSetSample,
@@ -311,12 +278,11 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
         del references, hypotheses
 
     if "strategy" in by_kind:
-        strategy_records = _eval_strategy_records(by_kind["strategy"], config, args.records)
-        report.merge(strategy_metrics(strategy_records, epsilon=config.epsilon))
-        # the merged sub-report counts strategy records only; keep the total intact
-        report.counts["strategy"] = report.counts.pop("records")
-        report.counts["records"] = len(records)
-        _eval_has_section(report, strategy_records)
+        strategy = strategy_metrics(_eval_strategy_records(by_kind["strategy"], config, args.records),
+                                    epsilon=config.epsilon)
+        report.values.update(strategy.values)
+        report.reasons.update(strategy.reasons)
+        report.counts.update(strategy=strategy.counts["records"], schema_valid=strategy.counts["schema_valid"])
 
     _log(report.render_table())
     return [_dumps(report.to_dict())]

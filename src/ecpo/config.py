@@ -25,6 +25,8 @@ from .policy import DEFAULT_J_MAX, PenaltyTable
 
 DEFAULT_WEIGHTS = (0.5, 0.3, 0.2)
 
+DEFAULT_EPSILON = 1e-9
+
 _WEIGHT_TOLERANCE = 1e-9
 
 
@@ -42,6 +44,12 @@ def check_weights(weights: Sequence[float]) -> tuple[float, float, float]:
     return values
 
 
+def check_epsilon(epsilon: float) -> None:
+    """The smoothing-epsilon rule: a finite number > 0."""
+    if read_number(epsilon, "BAD_EPSILON", "epsilon", ConfigError) <= 0:
+        raise ConfigError("BAD_EPSILON", f"epsilon must be > 0, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Every tunable of a run, validated once when built."""
@@ -52,7 +60,7 @@ class RunConfig:
     hazard_rules_path: str | None = None
     label_vocab_path: str | None = None
     match_threshold: float = 0.5
-    epsilon: float = 1e-9
+    epsilon: float = DEFAULT_EPSILON
     j_max: int = DEFAULT_J_MAX
     beta: float | None = None
     lambda_ecpo: float | None = None
@@ -69,8 +77,7 @@ class RunConfig:
         object.__setattr__(self, "ecpo_weights", check_weights(self.ecpo_weights))
         if not 0.0 < read_number(self.match_threshold, "BAD_THRESHOLD", "match_threshold", ConfigError) <= 1.0:
             raise ConfigError("BAD_THRESHOLD", f"match_threshold must be in (0, 1], got {self.match_threshold}")
-        if read_number(self.epsilon, "BAD_EPSILON", "epsilon", ConfigError) <= 0:
-            raise ConfigError("BAD_EPSILON", f"epsilon must be > 0, got {self.epsilon}")
+        check_epsilon(self.epsilon)
         if read_int(self.j_max, "BAD_J_MAX", "j_max", ConfigError) < 1:
             raise ConfigError("BAD_J_MAX", f"j_max must be >= 1, got {self.j_max}")
         if self.beta is not None and read_number(self.beta, "BAD_BETA", "beta", ConfigError) <= 0:

@@ -47,7 +47,16 @@ def read_file(path: str | Path, code: str, what: str, error: type[ToolkitError] 
 # Typed readers for values decoded from outside JSON (records, config and
 # vocabulary files). A value of the wrong JSON type fails with the caller's
 # code and is never converted; a well-formed value comes back unchanged. The
-# message is built only on failure, since records decode on the hot path.
+# message is built only on failure, since records decode on the hot path, and
+# shows the value through ``shown``.
+
+_SHOWN_CHARS = 120
+
+
+def shown(value: object) -> str:
+    """``repr(value)``, cut to ``_SHOWN_CHARS`` characters so that an error line stays short."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
 
 
 def is_finite_number(value: object) -> bool:
@@ -65,7 +74,7 @@ def read_record(raw: object, fields: Mapping[str, Callable | None], code: str, w
     outside ``fields``, which maps each field to its reader, called as ``reader(value, code, field)``; a field
     whose reader is None keeps its value. A field the record leaves out is left out."""
     if not isinstance(raw, dict):
-        raise InputError(code, f"{what} must be an object, got {raw!r}")
+        raise InputError(code, f"{what} must be an object, got {shown(raw)}")
     for key in required:
         if key not in raw:
             raise InputError(code, f"{what} needs a {key!r} field")
@@ -74,7 +83,7 @@ def read_record(raw: object, fields: Mapping[str, Callable | None], code: str, w
         try:
             reader = fields[key]
         except KeyError:
-            raise InputError(code, f"{what} has unknown field {key!r}") from None
+            raise InputError(code, f"{what} has unknown field {shown(key)}") from None
         record[key] = value if reader is None else reader(value, code, key)
     return record
 
@@ -89,7 +98,7 @@ def read_list(item: Callable) -> Callable:
 
     def read(value: object, code: str, what: str) -> tuple:
         if not isinstance(value, list):
-            raise InputError(code, f"{what} must be a list, got {value!r}")
+            raise InputError(code, f"{what} must be a list, got {shown(value)}")
         return tuple(map(item, value))
 
     return read
@@ -102,13 +111,13 @@ def read_optional(reader: Callable) -> Callable:
 
 def read_object(value: object, code: str, what: str, error: type[ToolkitError] = InputError) -> dict:
     if not isinstance(value, dict):
-        raise error(code, f"{what} must be an object, got {value!r}")
+        raise error(code, f"{what} must be an object, got {shown(value)}")
     return value
 
 
 def read_string(value: object, code: str, what: str, error: type[ToolkitError] = InputError) -> str:
     if not isinstance(value, str):
-        raise error(code, f"{what} must be a string, got {value!r}")
+        raise error(code, f"{what} must be a string, got {shown(value)}")
     return value
 
 
@@ -120,18 +129,18 @@ def read_strings(value: object, code: str, what: str, error: type[ToolkitError] 
                 break
         else:
             return tuple(value)
-    raise error(code, f"{what} must be a list of strings, got {value!r}")
+    raise error(code, f"{what} must be a list of strings, got {shown(value)}")
 
 
 def read_number(value: object, code: str, what: str, error: type[ToolkitError] = InputError) -> float:
     if not is_finite_number(value):
-        raise error(code, f"{what} must be a finite number, got {value!r}")
+        raise error(code, f"{what} must be a finite number, got {shown(value)}")
     return value
 
 
 def read_int(value: object, code: str, what: str, error: type[ToolkitError] = InputError) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise error(code, f"{what} must be an integer, got {value!r}")
+        raise error(code, f"{what} must be an integer, got {shown(value)}")
     return value
 
 
@@ -143,5 +152,5 @@ def read_pair(value: object, code: str, what: str, error: type[ToolkitError] = I
         or not (is_finite_number(value[0]) and is_finite_number(value[1]))
         or value[0] > value[1]
     ):
-        raise error(code, f"{what} must be a finite [low, high] pair, got {value!r}")
+        raise error(code, f"{what} must be a finite [low, high] pair, got {shown(value)}")
     return (float(value[0]), float(value[1]))

@@ -3,11 +3,12 @@
 Set metrics (IoU, exact-match rate, sample F1) skip samples where truth and
 prediction are both empty; classification adds accuracy and macro F1 with
 absent classes scoring 0. Text overlap is corpus BLEU-4 with additive-epsilon
-smoothing and mean per-pair ROUGE-L (F-measure, beta = 1). Strategy metrics
-carry the 50% validity rule: when fewer than half of the records are
-schema-valid, everything except the validity rate is reported N/A with
-reason VALIDITY_BELOW_50. Human-agreement (HAS) scoring treats any rater
-disagreement as negative and reports mean and population std across seeds.
+smoothing and mean per-pair ROUGE-L (F-measure, beta = 1). Strategy metrics,
+human agreement (HAS) included, carry the 50% validity rule: when fewer
+than half of the records are schema-valid, everything except the validity
+rate is reported N/A with reason VALIDITY_BELOW_50. HAS scoring treats any
+rater disagreement as negative and reports mean and population std across
+seeds.
 
 All percentages are on the 0-100 scale. Every N/A in a report carries a
 reason code; reports embed the configuration that produced them.
@@ -22,11 +23,10 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, InputError
+from .config import DEFAULT_EPSILON, check_epsilon
+from .errors import InputError
 from .validator import EcpoReport
 from .textnorm import normalize_text
-
-DEFAULT_EPSILON = 1e-9
 
 HAS_WEIGHTS = (0.5, 0.3, 0.2)
 
@@ -37,6 +37,9 @@ VALIDITY_BELOW_50 = "VALIDITY_BELOW_50"
 NO_SAMPLES = "NO_SAMPLES"
 NO_RATINGS = "NO_RATINGS"
 DEGENERATE = "DEGENERATE"
+
+# The strategy metrics that the validity floor gates, in report order.
+GATED_METRICS = ("viol_sev", "low_ctrl_pct", "haz_f1", "has_mean", "has_std", "ecpo_has_spearman")
 
 
 @dataclass(frozen=True)
@@ -107,14 +110,6 @@ class MetricReport:
         self.values[name] = None
         self.reasons[name] = reason
 
-    def merge(self, other: "MetricReport", prefix: str = "") -> None:
-        for name, value in other.values.items():
-            self.values[prefix + name] = value
-        for name, reason in other.reasons.items():
-            self.reasons[prefix + name] = reason
-        for name, count in other.counts.items():
-            self.counts[prefix + name] = count
-
     def to_dict(self) -> dict:
         return {
             "values": dict(self.values),
@@ -141,8 +136,7 @@ def multilabel_metrics(
     samples: Sequence[LabelSetSample], epsilon: float = DEFAULT_EPSILON
 ) -> tuple[float, float, float]:
     """(IoU, exact-match rate, sample F1) x100 over non-degenerate samples."""
-    if epsilon <= 0:
-        raise ConfigError("BAD_EPSILON", f"epsilon must be > 0, got {epsilon}")
+    check_epsilon(epsilon)
     eligible = [s for s in samples if s.truth or s.prediction]
     if not eligible:
         raise InputError("NO_ELIGIBLE_SAMPLES", "every sample has empty truth and prediction")
@@ -156,9 +150,7 @@ def multilabel_metrics(
     return (100.0 * iou_total / n, 100.0 * emr_total / n, 100.0 * f1_total / n)
 
 
-def classification_metrics(
-    truth: Sequence[str], prediction: Sequence[str], classes: Sequence[str] | None = None
-) -> tuple[float, float]:
+def classification_metrics(truth: Sequence[str], prediction: Sequence[str]) -> tuple[float, float]:
     """(accuracy, macro F1) x100; absent classes contribute F1 = 0."""
     if len(truth) != len(prediction):
         raise InputError("LENGTH_MISMATCH", f"{len(truth)} truths vs {len(prediction)} predictions")
@@ -166,10 +158,7 @@ def classification_metrics(
         raise InputError(NO_SAMPLES, "no classification samples")
     truth_norm = [normalize_text(label) for label in truth]
     pred_norm = [normalize_text(label) for label in prediction]
-    if classes is None:
-        class_set = sorted(set(truth_norm) | set(pred_norm))
-    else:
-        class_set = sorted({normalize_text(c) for c in classes})
+    class_set = sorted(set(truth_norm) | set(pred_norm))
     accuracy = sum(t == p for t, p in zip(truth_norm, pred_norm)) / len(truth_norm)
     f1_total = 0.0
     for cls in class_set:
@@ -199,6 +188,7 @@ def bleu4(references: Sequence, hypotheses: Sequence, epsilon: float = DEFAULT_E
     Smoothing: a zero clipped-match count is replaced by epsilon; an order
     with no candidate n-grams at all contributes p_n = epsilon.
     """
+    check_epsilon(epsilon)
     if len(references) != len(hypotheses):
         raise InputError("LENGTH_MISMATCH", f"{len(references)} references vs {len(hypotheses)} hypotheses")
     if not references:
@@ -275,16 +265,16 @@ def rouge_l(references: Sequence, hypotheses: Sequence) -> float:
 def strategy_metrics(
     records: Sequence[StrategyEvalRecord], epsilon: float = DEFAULT_EPSILON
 ) -> MetricReport:
-    """Valid%, and over schema-valid records ViolSev, LowCtrl%, HazF1.
+    """Valid%; over schema-valid records ViolSev, LowCtrl%, HazF1; over rated
+    records HAS mean/std and its rank correlation with the aggregate score.
 
     Valid% is always reported; below the 50% floor the rest is N/A.
     """
-    if epsilon <= 0:
-        raise ConfigError("BAD_EPSILON", f"epsilon must be > 0, got {epsilon}")
+    check_epsilon(epsilon)
     report = MetricReport()
     report.counts["records"] = len(records)
     if not records:
-        for name in ("valid_pct", "viol_sev", "low_ctrl_pct", "haz_f1"):
+        for name in ("valid_pct",) + GATED_METRICS:
             report.set_na(name, NO_SAMPLES)
         return report
     valid = [r for r in records if r.schema_valid]
@@ -292,7 +282,7 @@ def strategy_metrics(
     valid_pct = 100.0 * len(valid) / len(records)
     report.set("valid_pct", valid_pct)
     if valid_pct < VALIDITY_FLOOR_PCT:
-        for name in ("viol_sev", "low_ctrl_pct", "haz_f1"):
+        for name in GATED_METRICS:
             report.set_na(name, VALIDITY_BELOW_50)
         return report
     report.set("viol_sev", sum(r.report.violation.severity for r in valid) / len(valid))
@@ -304,6 +294,21 @@ def strategy_metrics(
         recall = overlap / (len(record.hazards_truth) + epsilon)
         f1_total += 100.0 * 2 * precision * recall / (precision + recall + epsilon)
     report.set("haz_f1", f1_total / len(valid))
+    rated = [r for r in records if r.ratings]
+    if not rated:
+        for name in ("has_mean", "has_std", "ecpo_has_spearman"):
+            report.set_na(name, NO_RATINGS)
+        return report
+    mean, std = has_aggregate(rated)
+    report.set("has_mean", mean)
+    report.set("has_std", std)
+    correlation = None
+    if len(rated) > 1:
+        correlation = spearman([r.report.ecpo for r in rated], [has_score(r.ratings) for r in rated])
+    if correlation is None:
+        report.set_na("ecpo_has_spearman", DEGENERATE)
+    else:
+        report.set("ecpo_has_spearman", correlation)
     return report
 
 

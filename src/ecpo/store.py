@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (ConfigError, InputError, read_as, read_int, read_list, read_number, read_optional,
-                     read_record, read_string, read_strings)
+                     read_record, read_string, read_strings, shown)
 from .policy import ActionType, PolicyAction, keyword_pattern, parse_action_type, serialize_policy
 from .textnorm import (
     content_tokens,
@@ -381,11 +381,10 @@ class LexicalScorer:
 
     kind = "lexical"
 
-    def scores(
-        self, index: LexicalIndex, query: RetrievalQuery, top_k: int | None = None
-    ) -> dict[int, float]:
-        """Exact cosines keyed by index position: of every snippet sharing a
-        query token or, given ``top_k``, of those that may rank in the k best.
+    def scores(self, index: LexicalIndex, query: RetrievalQuery, top_k: int) -> dict[int, float]:
+        """Exact cosines keyed by index position of the snippets that share a
+        query token and may rank in the ``top_k`` best; all that share one
+        when ``top_k`` reaches the store size.
 
         Snippets are preselected by dot product times inverse norm, the cosine
         times the query norm up to a few ulps: every one within a relative
@@ -397,13 +396,13 @@ class LexicalScorer:
         best cannot beat the k products already held; only the groups whose
         best reaches the floor are scanned for survivors.
         """
-        if top_k is not None and top_k < 1:
+        if top_k < 1:
             raise ConfigError("BAD_TOP_K", f"top_k must be >= 1, got {top_k}")
         query_frequencies = term_frequencies(query.tokens())
         query_sq = squared_norm(query_frequencies)
         dots = _dot_products(index, query_frequencies)
         survivors: Iterable[int] = itertools.compress(range(len(dots)), dots)
-        if top_k is not None and top_k < len(dots):
+        if top_k < len(dots):
             bests = sorted(
                 ((max(dots[start:end]) * inverse, start, end, inverse) for start, end, inverse in index.groups),
                 reverse=True,
@@ -530,7 +529,7 @@ def _forbidden_action_types(value: object, code: str, what: str) -> frozenset[Ac
 
 def _parameter_bound(entry: object) -> ParameterBound:
     if not isinstance(entry, list) or len(entry) != 4:
-        raise InputError("BAD_SNIPPET", f"parameter bound {entry!r} is not a 4-item list")
+        raise InputError("BAD_SNIPPET", f"parameter bound {shown(entry)} is not a 4-item list")
     action, parameter, minimum, maximum = entry
     parameter = read_string(parameter, "BAD_SNIPPET", "bound parameter")
     return ParameterBound(

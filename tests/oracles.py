@@ -187,12 +187,12 @@ def lexical_ranking_reference(
     return tuple((snippet_id, score) for score, snippet_id in scored[:top_k])
 
 
-def lexical_survivors_reference(snippets, query: RetrievalQuery, top_k: int | None) -> dict[str, float]:
+def lexical_survivors_reference(snippets, query: RetrievalQuery, top_k: int) -> dict[str, float]:
     """Brute-force survivor set of the lexical preselection, as {snippet_id: cosine}.
 
     Every snippet gets its integer dot product d with the query, its integer
-    squared norm n and the product d * (1/sqrt(n)) (0.0 when n is 0). Given
-    a ``top_k`` below the store size, the floor is the k-th largest product
+    squared norm n and the product d * (1/sqrt(n)) (0.0 when n is 0). With
+    ``top_k`` below the store size, the floor is the k-th largest product
     times (1 - 1e-9), and every snippet whose product reaches a positive floor
     survives; otherwise every snippet with d > 0 does.
     """
@@ -209,7 +209,7 @@ def lexical_survivors_reference(snippets, query: RetrievalQuery, top_k: int | No
         product = dot * (1 / math.sqrt(norm)) if norm else 0.0
         rows.append((s, dot, product))
     floor = 0.0
-    if top_k is not None and top_k < len(rows):
+    if top_k < len(rows):
         floor = sorted((product for _, _, product in rows), reverse=True)[top_k - 1] * (1 - 1e-9)
     return {
         s.snippet_id: lexical_cosine(content_tokens(s.text), query.tokens())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -422,6 +423,93 @@ def test_eval_mistyped_label_record_exits_1(tmp_path, record, capsys):
     assert code == 1
     assert lines == []
     assert_one_error(err, "BAD_RECORD")
+
+
+FULL_POLICY = {
+    "objectives": "Address reduced visibility and keep a safe headway.",
+    "constraints": {
+        "legal_regulations": "Keep within posted speed limits.",
+        "vehicle_limits": "Wipers and lights verified available.",
+        "driver_preferences": "Visual alerts only.",
+        "contextual_evidence": "heavy rain ahead",
+    },
+    "actions": [
+        {
+            "type": "HmiPrompt",
+            "parameters": {"modality": "visual", "text": "Rain ahead. Keep a larger distance."},
+            "rationale": "Reduced visibility calls for a longer following distance.",
+            "evidence": {"out_of_vehicle_text": ["heavy rain ahead"], "labels": ["rainy"]},
+        }
+    ],
+}
+THIN_POLICY = {
+    "objectives": "steady pace",
+    "constraints": {"legal_regulations": "obey limits"},
+    "actions": [{"type": "DrivingSuggestion", "parameters": {"text": "steady"}, "evidence": {"labels": ["x"]}}],
+}
+
+
+def strategy_row(prompt_id, document, ratings=None, seed=None):
+    row = {"kind": "strategy", "prompt_id": prompt_id, "document": document}
+    if ratings is not None:
+        row["ratings"] = ratings
+    if seed is not None:
+        row["seed"] = seed
+    return row
+
+
+ALL_YES, FIRST_ONLY, ALL_NO = [True, True, True], [True, False, False], [False, False, False]
+
+# One input per branch of the strategy section: (rows, sha256 of stdout, sha256 of stderr). The
+# digests were taken while the CLI still worked out the HAS gate itself, so they pin that output.
+EVAL_BRANCHES = {
+    "gated": (
+        [strategy_row("p0", FULL_POLICY, [ALL_YES]), strategy_row("p1", "{broken", [ALL_YES]),
+         strategy_row("p2", "{broken", [ALL_YES])],
+        "1c28fae47319c15cc532cc87d4511d7e95b68114d8d30426c6ff516ef223b772",
+        "2dde67ab0859528ae22ad6f1fcd7b22381259ed2c14727fc78e4a7891f55eedd",
+    ),
+    "unrated": (
+        [strategy_row("p0", FULL_POLICY), strategy_row("p1", THIN_POLICY), strategy_row("p2", FULL_POLICY, [])],
+        "755f02c1c8e13e956509302a8ed6a0af764e41d0376ca29f0715e306ca15a2e2",
+        "8a5fc61c6d11cf940c9220c69554ed189664d7d6b9c400c477d39beb6022e127",
+    ),
+    "one_rated": (
+        [strategy_row("p0", FULL_POLICY, [ALL_YES, FIRST_ONLY]), strategy_row("p1", THIN_POLICY)],
+        "2756f4210fbfe26393721e76047fa896d157092c8592ff46d7a4a87534f35955",
+        "7ea1e1174ac95d864c94b5e5281450b10c291de8856e2250b5d1e36901663f0c",
+    ),
+    "constant_ratings": (
+        [strategy_row("p0", FULL_POLICY, [FIRST_ONLY]), strategy_row("p1", THIN_POLICY, [FIRST_ONLY]),
+         strategy_row("p2", FULL_POLICY, [FIRST_ONLY, FIRST_ONLY], seed=1)],
+        "1355aaa8e17428f8513c70dd4b6c09cfb91c23e44a03fe4b6a9b99f48e183c5f",
+        "7ea1e1174ac95d864c94b5e5281450b10c291de8856e2250b5d1e36901663f0c",
+    ),
+    "mixed_kinds": (
+        [
+            {"kind": "labels", "truth": ["rain", "fog"], "prediction": ["rain"]},
+            {"kind": "classification", "truth": "anger", "prediction": "calm"},
+            {"kind": "classification", "truth": "calm", "prediction": "calm"},
+            {"kind": "text", "reference": "please slow down now", "hypothesis": "please slow down"},
+            strategy_row("p0", FULL_POLICY, [ALL_YES, ALL_YES], seed=0),
+            strategy_row("p1", THIN_POLICY, [ALL_NO], seed=1),
+            strategy_row("p2", THIN_POLICY, [FIRST_ONLY, ALL_YES], seed=1),
+            strategy_row("p3", "{broken", [ALL_YES], seed=2),
+            strategy_row("p4", FULL_POLICY),
+        ],
+        "1ddaac630a7239e6754cef886aa7311f21f9256e7ed5d0cc2a723e7b0e855f31",
+        "8bf4f566d939876cc71acd90fd6c3ff4e63ee89f56a322bca27d55138e932789",
+    ),
+}
+
+
+@pytest.mark.parametrize("rows, stdout_sha, stderr_sha", EVAL_BRANCHES.values(), ids=EVAL_BRANCHES.keys())
+def test_eval_strategy_branches_pinned(tmp_path, rows, stdout_sha, stderr_sha, capsys):
+    code = main(["eval", "--records", write_jsonl(tmp_path / "r.jsonl", rows)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == stderr_sha
 
 
 def test_eval_unknown_kind_exits_1(tmp_path, capsys):

@@ -312,6 +312,18 @@ def test_mistyped_value_fails_with_its_fields_code(tmp_path, command, change, co
     assert err.startswith(f"error: {error_code}: ")
 
 
+@pytest.mark.parametrize("objects, shown_whole", [([1] * 200_000, False), (5, True)])
+def test_mistyped_value_is_shown_cut_short(tmp_path, objects, shown_whole):
+    files = inputs("retrieve")
+    files["prompts"][0]["z"]["objects"] = objects
+    code, out, err = run(tmp_path, "retrieve", files)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: BAD_RECORD: objects must be a list of strings, got ")
+    assert len(err.encode("utf-8")) < 300
+    assert err.endswith(f"got {objects!r}\n") == shown_whole
+
+
 @pytest.mark.parametrize("command, name", [("pairs", "candidates"), ("eval", "records")])
 def test_record_prompt_id_must_match_its_prompt(tmp_path, command, name):
     # the record would be validated against prompt "other" and filed under "p1"

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +18,7 @@ from ecpo.metrics import (
     bleu4,
     classification_metrics,
     has_aggregate,
+    has_score,
     multilabel_metrics,
     rouge_l,
     spearman,
@@ -67,8 +70,22 @@ def test_multilabel_no_eligible_samples():
     with pytest.raises(InputError) as err:
         multilabel_metrics([sample(set(), set())])
     assert err.value.code == "NO_ELIGIBLE_SAMPLES"
-    with pytest.raises(ConfigError):
-        multilabel_metrics([sample({"a"}, {"a"})], epsilon=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [0, -1, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "metric",
+    [
+        lambda epsilon: multilabel_metrics([sample({"a"}, {"a"})], epsilon=epsilon),
+        lambda epsilon: strategy_metrics([], epsilon=epsilon),
+        lambda epsilon: bleu4(["a b c"], ["x y z"], epsilon=epsilon),
+    ],
+    ids=["multilabel_metrics", "strategy_metrics", "bleu4"],
+)
+def test_metrics_reject_bad_epsilon(metric, epsilon):
+    with pytest.raises(ConfigError) as err:
+        metric(epsilon)
+    assert err.value.code == "BAD_EPSILON"
 
 
 def test_from_lists_normalizes():
@@ -104,10 +121,10 @@ def test_classification_hand_case():
 
 
 def test_classification_absent_class_scores_zero():
-    # "sad" never appears: with explicit classes it dilutes macro F1
-    accuracy, macro_f1 = classification_metrics(["happy"], ["happy"], classes=["happy", "sad"])
-    assert accuracy == 100.0
-    assert macro_f1 == 50.0
+    # "sad" is predicted but absent from the truth: it scores F1 = 0 and dilutes macro F1
+    accuracy, macro_f1 = classification_metrics(["happy", "happy"], ["happy", "sad"])
+    assert accuracy == 50.0
+    assert macro_f1 == pytest.approx((200 / 3 + 0.0) / 2)
 
 
 def test_classification_validation():
@@ -265,6 +282,10 @@ def strategy_record(prompt_id, ecpo=1.0, schema_valid=True, low_level=False,
     )
 
 
+def agree(no_violation, safe, supported, raters=3):
+    return tuple((no_violation, safe, supported) for _ in range(raters))
+
+
 def test_strategy_record_invariant():
     with pytest.raises(InputError) as err:
         strategy_record("p", schema_valid=False, low_level=True)
@@ -306,8 +327,87 @@ def test_strategy_metrics_gate_boundary():
 
 def test_strategy_metrics_empty():
     report = strategy_metrics([])
-    assert all(report.values[name] is None for name in ("valid_pct", "viol_sev", "low_ctrl_pct", "haz_f1"))
+    assert list(report.values) == ["valid_pct", *STRATEGY_GATED]
+    assert all(value is None for value in report.values.values())
     assert set(report.reasons.values()) == {"NO_SAMPLES"}
+
+
+STRATEGY_GATED = ("viol_sev", "low_ctrl_pct", "haz_f1", "has_mean", "has_std", "ecpo_has_spearman")
+
+
+def rated_corpus(valid_count, total=1000):
+    return [
+        strategy_record(f"p{i}", ecpo=(i % 7) / 7, schema_valid=i < valid_count,
+                        ratings=agree(True, i % 2 == 0, i % 3 == 0), seed=i % 3)
+        for i in range(total)
+    ]
+
+
+def test_strategy_metrics_gates_all_six_below_the_floor():
+    gated = strategy_metrics(rated_corpus(499))
+    assert gated.values["valid_pct"] == pytest.approx(49.9)
+    assert list(gated.values) == ["valid_pct", *STRATEGY_GATED]
+    assert gated.reasons == dict.fromkeys(STRATEGY_GATED, "VALIDITY_BELOW_50")
+    assert gated.counts == {"records": 1000, "schema_valid": 499}
+    reported = strategy_metrics(rated_corpus(500))
+    assert list(reported.values) == ["valid_pct", *STRATEGY_GATED]
+    assert all(reported.values[name] is not None for name in STRATEGY_GATED)
+    assert reported.reasons == {}
+
+
+def test_readme_lists_the_gated_metrics():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Metrics"):readme.index("## Preference pairs and loss")]
+    listed = section[section.index("every other strategy metric ("):].split(")", 1)[0]
+    gated = strategy_metrics(rated_corpus(499)).reasons
+    assert re.findall(r"`(\w+)`", listed) == [name for name, reason in gated.items() if reason == "VALIDITY_BELOW_50"]
+
+
+def test_strategy_metrics_has_equals_its_parts_over_rated_records():
+    # a third of the rated records are schema-invalid: HAS reads them too
+    records = rated_corpus(20, total=30) + [strategy_record("u1", ecpo=0.9), strategy_record("u2", ecpo=0.1)]
+    report = strategy_metrics(records)
+    rated = records[:30]
+    mean, std = has_aggregate(rated)
+    assert (report.values["has_mean"], report.values["has_std"]) == (mean, std)
+    expected = spearman([r.report.ecpo for r in rated], [has_score(r.ratings) for r in rated])
+    assert expected is not None
+    assert report.values["ecpo_has_spearman"] == expected
+
+
+def test_strategy_metrics_leaves_unrated_records_out_of_has():
+    rated = [strategy_record("a", ecpo=0.2, ratings=agree(True, True, True)),
+             strategy_record("b", ecpo=0.8, ratings=agree(False, False, False))]
+    unrated = [strategy_record("c", ecpo=0.5), strategy_record("d", ecpo=0.9, ratings=())]
+    with_unrated = strategy_metrics(rated + unrated)
+    alone = strategy_metrics(rated)
+    for name in ("has_mean", "has_std", "ecpo_has_spearman"):
+        assert with_unrated.values[name] == alone.values[name]
+    assert with_unrated.values["has_mean"] == 50.0
+    assert with_unrated.values["ecpo_has_spearman"] == -1.0
+
+
+def test_strategy_metrics_without_ratings_reports_no_ratings():
+    report = strategy_metrics([strategy_record("a"), strategy_record("b", ratings=())])
+    assert report.values["haz_f1"] == 0.0
+    for name in ("has_mean", "has_std", "ecpo_has_spearman"):
+        assert report.values[name] is None
+        assert report.reasons[name] == "NO_RATINGS"
+
+
+@pytest.mark.parametrize(
+    "ratings",
+    [
+        [agree(True, False, False), None],  # one rated record
+        [agree(True, False, False), agree(True, False, False), agree(True, False, False)],  # constant ratings
+    ],
+    ids=["one_rated", "constant_ratings"],
+)
+def test_strategy_metrics_degenerate_correlation(ratings):
+    report = strategy_metrics([strategy_record(f"p{i}", ecpo=i / 4, ratings=r) for i, r in enumerate(ratings)])
+    assert (report.values["has_mean"], report.values["has_std"]) == (50.0, 0.0)
+    assert report.values["ecpo_has_spearman"] is None
+    assert report.reasons == {"ecpo_has_spearman": "DEGENERATE"}
 
 
 def test_haz_f1_empty_sets_score_zero():
@@ -316,10 +416,6 @@ def test_haz_f1_empty_sets_score_zero():
 
 
 # --- HAS ------------------------------------------------------------------------------------
-
-
-def agree(no_violation, safe, supported, raters=3):
-    return tuple((no_violation, safe, supported) for _ in range(raters))
 
 
 def test_has_canonical_combinations():
@@ -428,18 +524,6 @@ def test_metric_report_render_and_dict():
     assert payload["values"]["haz_f1"] is None
     assert payload["reasons"]["haz_f1"] == "VALIDITY_BELOW_50"
     assert payload["config"] == {"seeds": [3]}
-
-
-def test_metric_report_merge_with_prefix():
-    base = MetricReport()
-    other = MetricReport()
-    other.set("accuracy", 50.0)
-    other.set_na("macro_f1", "NO_SAMPLES")
-    other.counts["samples"] = 4
-    base.merge(other, prefix="cls_")
-    assert base.values == {"cls_accuracy": 50.0, "cls_macro_f1": None}
-    assert base.reasons == {"cls_macro_f1": "NO_SAMPLES"}
-    assert base.counts == {"cls_samples": 4}
 
 
 def test_empty_report_renders_placeholder():
