@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .config import RunConfig, load_config
-from .errors import (ConfigError, InputError, InvariantError, read_file, read_int, read_list, read_optional,
+from .errors import (ConfigError, InputError, ToolkitError, read_file, read_int, read_list, read_optional,
                      read_record, read_string, read_strings, shown)
 from .policy import document_text
 
@@ -115,9 +115,8 @@ def _strategy_prompt(record: dict, path: str) -> StrategyPrompt:
     prompt_id = record["prompt_id"]
     prompt = record.get("prompt") or _carried_prompt({"prompt_id": prompt_id}, "BAD_RECORD", "prompt")
     if prompt.prompt_id != prompt_id:
-        raise InputError(
-            "BAD_RECORD", f"{path}: record prompt_id {prompt_id!r} differs from its prompt's {prompt.prompt_id!r}"
-        )
+        raise InputError("BAD_RECORD", f"{path}: record prompt_id {shown(prompt_id)} differs from its prompt's "
+                                       f"{shown(prompt.prompt_id)}")
     return prompt
 
 
@@ -126,7 +125,7 @@ def _load_prompts(path: str) -> dict[str, StrategyPrompt]:
     for record in _read_jsonl(path):
         prompt = _prompt_of(record)
         if prompt.prompt_id in prompts:
-            raise InputError("DUPLICATE_ID", f"{path}: prompt {prompt.prompt_id!r} appears twice")
+            raise InputError("DUPLICATE_ID", f"{path}: prompt {shown(prompt.prompt_id)} appears twice")
         prompts[prompt.prompt_id] = prompt
     return prompts
 
@@ -146,20 +145,11 @@ def cmd_validate(args, config: RunConfig) -> list[str]:
         candidate_id = record.get("candidate_id", str(index))
         prompt = prompts.get(prompt_id)
         if prompt is None:
-            raise InputError("UNKNOWN_PROMPT", f"{args.policies}: no prompt {prompt_id!r}")
+            raise InputError("UNKNOWN_PROMPT", f"{args.policies}: no prompt {shown(prompt_id)}")
         report = validate(record["document"], prompt, config)
         valid_count += report.schema_valid
-        lines.append(
-            _dumps(
-                {
-                    "kind": "report",
-                    "prompt_id": prompt_id,
-                    "candidate_id": candidate_id,
-                    "report": report_to_dict(report),
-                    "config": echo,
-                }
-            )
-        )
+        lines.append(_dumps({"kind": "report", "prompt_id": prompt_id, "candidate_id": candidate_id,
+                             "report": report_to_dict(report), "config": echo}))
     if records:
         _log(f"validate: {len(records)} records, valid_pct={100.0 * valid_count / len(records):.2f}")
     else:
@@ -179,7 +169,7 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
         record = read_record(raw, PAIRS_FIELDS, "BAD_RECORD", where, ("prompt_id", "candidates"))
         prompt_id = record["prompt_id"]
         if prompt_id in sets:
-            raise InputError("DUPLICATE_ID", f"{args.candidates}: prompt {prompt_id!r} appears twice")
+            raise InputError("DUPLICATE_ID", f"{args.candidates}: prompt {shown(prompt_id)} appears twice")
         prompt = _strategy_prompt(record, args.candidates)
         candidates = []
         for index, entry in enumerate(record["candidates"]):
@@ -191,7 +181,7 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
         prompt_payloads[prompt_id] = raw.get("prompt")
         pair = select_pair(candidate_set, config)
         if pair is None:
-            _log(f"pairs: skip prompt {prompt_id!r} (score gap <= {config.gap_min})")
+            _log(f"pairs: skip prompt {shown(prompt_id)} (score gap <= {config.gap_min})")
         else:
             pairs.append(pair)
     dataset = export_preference_dataset(pairs, sets, prompt_payloads)
@@ -230,16 +220,17 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
         strategy_metrics,
         text_tokens,
     )
+    from .store import to_json
 
     records = _read_jsonl(args.records)
     by_kind: dict[str, list[dict]] = {}
     for record in records:
         kind = record.get("kind") if isinstance(record, dict) else None
         if not isinstance(kind, str) or kind not in EVAL_FIELDS:
-            raise InputError("BAD_RECORD", f"{args.records}: unknown record kind {kind!r}")
+            raise InputError("BAD_RECORD", f"{args.records}: unknown record kind {shown(kind)}")
         by_kind.setdefault(kind, []).append(record)
 
-    report = MetricReport(config_echo=config.echo())
+    report = MetricReport(config=config.echo())
     report.counts["records"] = len(records)
 
     if "labels" in by_kind:
@@ -285,11 +276,17 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
         report.counts.update(strategy=strategy.counts["records"], schema_valid=strategy.counts["schema_valid"])
 
     _log(report.render_table())
-    return [_dumps(report.to_dict())]
+    return [_dumps(to_json(report))]
+
+
+def _snippet_view(snippet, **extra) -> dict:
+    """The fields a retrieval record shows of a ranked or kept snippet."""
+    return {"snippet_id": snippet.snippet_id, "layer": snippet.layer, "clause_id": snippet.clause_id,
+            "text": snippet.text, **extra}
 
 
 def cmd_retrieve(args, config: RunConfig) -> list[str]:
-    from .store import LexicalScorer, build_query, compress, load_store, retrieve, snippet_from_dict
+    from .store import LexicalScorer, build_query, compress, load_store, retrieve, snippet_from_dict, to_json
 
     store = load_store(snippet_from_dict(record) for record in _read_jsonl(args.store))
     by_id = {snippet.snippet_id: snippet for snippet in store.snapshot()}
@@ -300,44 +297,17 @@ def cmd_retrieve(args, config: RunConfig) -> list[str]:
         prompt = _prompt_of(record)
         query = build_query(prompt.z, prompt.driver, prompt.vehicle)
         result = retrieve(store, query, config.top_k, scorer=scorer)
-        ranked_snippets = [by_id[entry.snippet_id] for entry in result.ranked]
-        compressed = compress(ranked_snippets, config.token_budget)
-        lines.append(
-            _dumps(
-                {
-                    "kind": "retrieval",
-                    "prompt_id": prompt.prompt_id,
-                    "store_version": result.store_version,
-                    "scorer": result.scorer_kind,
-                    "query": {
-                        "jurisdiction": query.jurisdiction,
-                        "operating_mode": query.operating_mode,
-                        "sensitivity_terms": list(query.sensitivity_terms),
-                        "situation_terms": list(query.situation_terms),
-                    },
-                    "ranked": [
-                        {
-                            "snippet_id": entry.snippet_id,
-                            "layer": by_id[entry.snippet_id].layer,
-                            "clause_id": by_id[entry.snippet_id].clause_id,
-                            "score": entry.score,
-                            "text": by_id[entry.snippet_id].text,
-                        }
-                        for entry in result.ranked
-                    ],
-                    "compressed": [
-                        {
-                            "snippet_id": entry.snippet_id,
-                            "clause_id": entry.clause_id,
-                            "layer": entry.layer,
-                            "text": entry.text,
-                        }
-                        for entry in compressed
-                    ],
-                    "config": echo,
-                }
-            )
-        )
+        ranked = [by_id[entry.snippet_id] for entry in result.ranked]
+        lines.append(_dumps({
+            "kind": "retrieval",
+            "prompt_id": prompt.prompt_id,
+            "store_version": result.store_version,
+            "scorer": result.scorer_kind,
+            "query": to_json(query),
+            "ranked": [_snippet_view(snippet, score=entry.score) for snippet, entry in zip(ranked, result.ranked)],
+            "compressed": [_snippet_view(snippet) for snippet in compress(ranked, config.token_budget)],
+            "config": echo,
+        }))
     return lines
 
 
@@ -425,7 +395,7 @@ def _parse_weights(raw: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in raw.split(","))
     except ValueError:
-        raise ConfigError("BAD_WEIGHTS", f"weights must be comma-separated numbers, got {raw!r}")
+        raise ConfigError("BAD_WEIGHTS", f"weights must be comma-separated numbers, got {shown(raw)}")
 
 
 def _resolve_config(args) -> RunConfig:
@@ -449,15 +419,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _resolve_config(args)
         lines = HANDLERS[args.command](args, config)
         _emit(lines, args.out)
-    except InputError as error:
+    except ToolkitError as error:
         _log(f"error: {error}")
-        return 1
-    except ConfigError as error:
-        _log(f"error: {error}")
-        return 2
-    except InvariantError as error:
-        _log(f"error: {error}")
-        return 3
+        return error.exit_code
     except Exception as error:  # the error contract: no traceback escapes
         _log(f"error: INTERNAL: {type(error).__name__}: {error}")
         return 3

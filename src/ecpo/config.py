@@ -13,14 +13,14 @@ file's directory. Loaded assets are cached per path.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import ConfigError, is_finite_number, read_file, read_int, read_number, read_object, read_string
+from .errors import (ConfigError, is_finite_number, read_file, read_int, read_number, read_object, read_string,
+                     shown)
 from .policy import DEFAULT_J_MAX, PenaltyTable
 
 DEFAULT_WEIGHTS = (0.5, 0.3, 0.2)
@@ -37,7 +37,7 @@ def check_weights(weights: Sequence[float]) -> tuple[float, float, float]:
         or len(weights) != 3
         or not all(is_finite_number(w) and w >= 0 for w in weights)
     ):
-        raise ConfigError("BAD_WEIGHTS", f"need three finite non-negative weights, got {weights!r}")
+        raise ConfigError("BAD_WEIGHTS", f"need three finite non-negative weights, got {shown(weights)}")
     values = tuple(float(w) for w in weights)
     if abs(sum(values) - 1.0) > _WEIGHT_TOLERANCE:
         raise ConfigError("BAD_WEIGHTS", f"weights {values} do not sum to 1")
@@ -48,6 +48,12 @@ def check_epsilon(epsilon: float) -> None:
     """The smoothing-epsilon rule: a finite number > 0."""
     if read_number(epsilon, "BAD_EPSILON", "epsilon", ConfigError) <= 0:
         raise ConfigError("BAD_EPSILON", f"epsilon must be > 0, got {epsilon}")
+
+
+def check_beta(beta: float) -> None:
+    """The loss-temperature rule: a finite number > 0."""
+    if read_number(beta, "BAD_BETA", "beta", ConfigError) <= 0:
+        raise ConfigError("BAD_BETA", f"beta must be > 0, got {beta}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,8 @@ class RunConfig:
         check_epsilon(self.epsilon)
         if read_int(self.j_max, "BAD_J_MAX", "j_max", ConfigError) < 1:
             raise ConfigError("BAD_J_MAX", f"j_max must be >= 1, got {self.j_max}")
-        if self.beta is not None and read_number(self.beta, "BAD_BETA", "beta", ConfigError) <= 0:
-            raise ConfigError("BAD_BETA", f"beta must be > 0, got {self.beta}")
+        if self.beta is not None:
+            check_beta(self.beta)
         lambda_ecpo = self.lambda_ecpo
         if lambda_ecpo is not None and read_number(lambda_ecpo, "BAD_LAMBDA", "lambda_ecpo", ConfigError) < 0:
             raise ConfigError("BAD_LAMBDA", f"lambda_ecpo must be >= 0, got {self.lambda_ecpo}")
@@ -95,16 +101,16 @@ class RunConfig:
         if read_int(self.token_budget, "BAD_BUDGET", "token_budget", ConfigError) < 1:
             raise ConfigError("BAD_BUDGET", f"token_budget must be >= 1, got {self.token_budget}")
         if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
-            raise ConfigError("BAD_SEEDS", f"seeds must be a non-empty integer list, got {self.seeds!r}")
+            raise ConfigError("BAD_SEEDS", f"seeds must be a non-empty integer list, got {shown(self.seeds)}")
         object.__setattr__(self, "seeds", tuple(read_int(s, "BAD_SEEDS", "seed", ConfigError) for s in self.seeds))
         if read_int(self.block_size, "BAD_BLOCK_SIZE", "block_size", ConfigError) < 1:
             raise ConfigError("BAD_BLOCK_SIZE", f"block_size must be >= 1, got {self.block_size}")
         if self.prng != "splitmix64":
-            raise ConfigError("BAD_PRNG", f"the only declared PRNG is splitmix64, got {self.prng!r}")
+            raise ConfigError("BAD_PRNG", f"the only declared PRNG is splitmix64, got {shown(self.prng)}")
         for name in ("lexicon_path", "hazard_rules_path", "label_vocab_path"):
             path = getattr(self, name)
             if path is not None and not Path(read_string(path, "MISSING_PATH", name, ConfigError)).is_file():
-                raise ConfigError("MISSING_PATH", f"{name} {path!r} does not exist")
+                raise ConfigError("MISSING_PATH", f"{name} {shown(path)} does not exist")
 
     def lexicon(self):
         from .policy import DEFAULT_LEXICON, load_lexicon
@@ -124,10 +130,9 @@ class RunConfig:
 
     def echo(self) -> dict:
         """Resolved configuration embedded in every report, as JSON-native values."""
-        return {
-            name: list(value) if isinstance(value, tuple) else value
-            for name, value in dataclasses.asdict(self).items()
-        }
+        from .store import to_json
+
+        return to_json(self)
 
 
 @lru_cache(maxsize=None)
@@ -146,14 +151,14 @@ def load_config(path: str | Path) -> RunConfig:
     raw = read_file(path, "BAD_CONFIG", "config", ConfigError, json.loads)
     unknown = set(read_object(raw, "BAD_CONFIG", "config file", ConfigError)) - _FIELD_NAMES
     if unknown:
-        raise ConfigError("UNKNOWN_CONFIG_KEY", f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError("UNKNOWN_CONFIG_KEY", f"unknown config keys: {shown(sorted(unknown))}")
     values: dict = dict(raw)
     if "penalty_table" in values:
         table = read_object(values["penalty_table"], "BAD_PENALTY", "penalty_table", ConfigError)
         known = set(PenaltyTable.__dataclass_fields__)
         bad = set(table) - known
         if bad:
-            raise ConfigError("UNKNOWN_CONFIG_KEY", f"unknown penalty_table keys: {sorted(bad)}")
+            raise ConfigError("UNKNOWN_CONFIG_KEY", f"unknown penalty_table keys: {shown(sorted(bad))}")
         values["penalty_table"] = PenaltyTable(**table)
     for name in ("lexicon_path", "hazard_rules_path", "label_vocab_path"):
         value = values.get(name)

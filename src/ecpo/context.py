@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import (ConfigError, InputError, read_as, read_file, read_list, read_object, read_optional,
-                     read_pair, read_record, read_string, read_strings)
+                     read_pair, read_record, read_string, read_strings, shown)
 from .policy import PolicyAction, document_text, parse_action_type, parse_policy
 from .store import ConstraintSnippet, snippet_from_dict, to_json
 from .textnorm import dedup_preserve_order, normalize_text
@@ -35,7 +35,7 @@ STRATIFY_GROUPS = ("driver_critical", "env_critical", "interaction_critical", "n
 
 def sensitivity_rank(level: str) -> int:
     if level not in SENSITIVITY_LEVELS:
-        raise InputError("BAD_PROFILE", f"unknown sensitivity level {level!r}")
+        raise InputError("BAD_PROFILE", f"unknown sensitivity level {shown(level)}")
     return SENSITIVITY_LEVELS.index(level)
 
 
@@ -70,7 +70,7 @@ class DriverProfile:
     def __post_init__(self):
         for key, level in self.sensitivities.items():
             if level not in SENSITIVITY_LEVELS:
-                raise InputError("BAD_PROFILE", f"sensitivity {key!r} has unknown level {level!r}")
+                raise InputError("BAD_PROFILE", f"sensitivity {shown(key)} has unknown level {shown(level)}")
         band = self.cabin_preferences.get("temperature_band")
         if band is not None:
             pair = read_pair(band, "BAD_PROFILE", "temperature_band")
@@ -94,17 +94,18 @@ class VehicleProfile:
         for name in self.available_actuators:
             parsed = parse_action_type(name)
             if parsed is None:
-                raise InputError("BAD_PROFILE", f"actuator {name!r} is not a known channel")
+                raise InputError("BAD_PROFILE", f"actuator {shown(name)} is not a known channel")
             canonical.add(parsed.value)
         object.__setattr__(self, "available_actuators", frozenset(canonical))
         limits: dict[str, dict[str, tuple[float, float]]] = {}
         for name, bounds in self.capability_limits.items():
             parsed = parse_action_type(name)
             if parsed is None or parsed.value not in canonical:
-                raise InputError("BAD_PROFILE", f"capability bound names unavailable actuator {name!r}")
+                raise InputError("BAD_PROFILE", f"capability bound names unavailable actuator {shown(name)}")
+            bounds = read_object(bounds, "BAD_PROFILE", f"capability limits of {shown(name)}")
             limits[parsed.value] = {
-                parameter: read_pair(bound, "BAD_PROFILE", f"capability bound {name}.{parameter}")
-                for parameter, bound in read_object(bounds, "BAD_PROFILE", f"capability limits of {name!r}").items()
+                parameter: read_pair(bound, "BAD_PROFILE", f"capability bound {shown(f'{name}.{parameter}')}")
+                for parameter, bound in bounds.items()
             }
         object.__setattr__(self, "capability_limits", limits)
 
@@ -136,7 +137,7 @@ class SampleRecord:
 
     def __post_init__(self):
         if self.split not in SPLITS:
-            raise InputError("BAD_SPLIT", f"split must be one of {SPLITS}, got {self.split!r}")
+            raise InputError("BAD_SPLIT", f"split must be one of {SPLITS}, got {shown(self.split)}")
 
 
 @dataclass(frozen=True)
@@ -150,13 +151,13 @@ class LabelVocabulary:
         for head, label in self.nominal.items():
             labels = self.heads.get(head)
             if labels is None:
-                raise ConfigError("BAD_VOCAB", f"nominal label declared for unknown head {head!r}")
+                raise ConfigError("BAD_VOCAB", f"nominal label declared for unknown head {shown(head)}")
             if label not in labels:
-                raise ConfigError("BAD_VOCAB", f"nominal {label!r} not in labels of head {head!r}")
+                raise ConfigError("BAD_VOCAB", f"nominal {shown(label)} not in labels of head {shown(head)}")
 
     def nominal_for(self, head: str) -> str:
         if head not in self.nominal:
-            raise ConfigError("BAD_VOCAB", f"no nominal label declared for head {head!r}")
+            raise ConfigError("BAD_VOCAB", f"no nominal label declared for head {shown(head)}")
         return self.nominal[head]
 
 
@@ -198,10 +199,10 @@ def load_label_vocab(path: str | Path) -> LabelVocabulary:
     nominal = {}
     heads_raw = read_object(raw, "BAD_VOCAB", "vocabulary file", ConfigError).get("heads")
     for head, entry in read_object(heads_raw, "BAD_VOCAB", "heads", ConfigError).items():
-        entry = read_object(entry, "BAD_VOCAB", f"head {head!r}", ConfigError)
-        heads[head] = read_strings(entry.get("labels"), "BAD_VOCAB", f"labels of head {head!r}", ConfigError)
+        entry = read_object(entry, "BAD_VOCAB", f"head {shown(head)}", ConfigError)
+        heads[head] = read_strings(entry.get("labels"), "BAD_VOCAB", f"labels of head {shown(head)}", ConfigError)
         if "nominal" in entry:
-            nominal[head] = read_string(entry["nominal"], "BAD_VOCAB", f"nominal of head {head!r}", ConfigError)
+            nominal[head] = read_string(entry["nominal"], "BAD_VOCAB", f"nominal of head {shown(head)}", ConfigError)
     return LabelVocabulary(heads=heads, nominal=nominal)
 
 
@@ -420,7 +421,7 @@ def _reference_policy(value: object, code: str, what: str) -> PolicyAction:
 
 def _labels(value: object, code: str, what: str) -> dict[str, object]:
     return {
-        task: label if isinstance(label, str) else read_strings(label, code, f"label {task!r}")
+        task: label if isinstance(label, str) else read_strings(label, code, f"label {shown(task)}")
         for task, label in read_object(value, code, what).items()
     }
 

@@ -12,7 +12,7 @@ from typing import Callable, Mapping
 
 
 class ToolkitError(Exception):
-    """Base error with a stable machine-readable code."""
+    """Base error with a stable machine-readable code; each subclass names its CLI ``exit_code``."""
 
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
@@ -21,15 +21,21 @@ class ToolkitError(Exception):
 
 
 class InputError(ToolkitError):
-    """Raised for malformed caller-supplied data (CLI exit code 1)."""
+    """Raised for malformed caller-supplied data."""
+
+    exit_code = 1
 
 
 class ConfigError(ToolkitError):
-    """Raised for invalid configuration (CLI exit code 2)."""
+    """Raised for invalid configuration."""
+
+    exit_code = 2
 
 
 class InvariantError(ToolkitError):
-    """Raised when an internal invariant breaks (CLI exit code 3)."""
+    """Raised when an internal invariant breaks."""
+
+    exit_code = 3
 
 
 def read_file(path: str | Path, code: str, what: str, error: type[ToolkitError] = InputError, parse: Callable = str):

@@ -96,12 +96,12 @@ class StrategyEvalRecord:
 
 @dataclass
 class MetricReport:
-    """Metric values, reasons for N/A values, record counts and the config echo."""
+    """Metric values, reasons for N/A values, record counts and the config echo; ``store.to_json`` writes it."""
 
     values: dict[str, float | None] = field(default_factory=dict)
     reasons: dict[str, str] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
-    config_echo: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict)
 
     def set(self, name: str, value: float) -> None:
         self.values[name] = value
@@ -109,14 +109,6 @@ class MetricReport:
     def set_na(self, name: str, reason: str) -> None:
         self.values[name] = None
         self.reasons[name] = reason
-
-    def to_dict(self) -> dict:
-        return {
-            "values": dict(self.values),
-            "reasons": dict(self.reasons),
-            "counts": dict(self.counts),
-            "config": dict(self.config_echo),
-        }
 
     def render_table(self) -> str:
         """Aligned plain-text table for terminal display."""

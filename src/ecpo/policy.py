@@ -345,9 +345,9 @@ def _parse_evidence(raw: object, path: str, defect) -> Evidence:
     return Evidence(**{name: tuple(values) for name, values in lists.items()})
 
 
-def serialize_policy(policy: PolicyAction) -> str:
-    """Canonical single-line JSON; fixed key order, parameters sorted by key."""
-    doc: dict[str, object] = {
+def policy_dict(policy: PolicyAction) -> dict:
+    """The canonical policy as JSON values: fixed key order, parameters sorted by key."""
+    return {
         "objectives": policy.objectives,
         "constraints": policy.constraints.populated(),
         "actions": [
@@ -360,7 +360,11 @@ def serialize_policy(policy: PolicyAction) -> str:
             for action in policy.actions
         ],
     }
-    return json.dumps(doc, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+
+
+def serialize_policy(policy: PolicyAction) -> str:
+    """Canonical single-line JSON of ``policy_dict``."""
+    return json.dumps(policy_dict(policy), ensure_ascii=False, separators=(",", ":"), allow_nan=False)
 
 
 @dataclass(frozen=True)

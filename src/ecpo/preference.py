@@ -11,7 +11,8 @@ combined objective belong to the external trainer.
 
 gap_min and the psi band come from ``RunConfig``, which validates them. beta
 has no defensible default: ``pairwise_loss`` raises MISSING_BETA when it is
-None, as it is in the default ``RunConfig``.
+None, as it is in the default ``RunConfig``, and checks any other value with
+the config's own rule (``check_beta``).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .config import RunConfig
-from .errors import ConfigError, InputError
+from .config import RunConfig, check_beta
+from .errors import ConfigError, InputError, read_number, shown
 from .validator import EcpoReport
 
 
@@ -43,10 +44,10 @@ class CandidateSet:
 
     def __post_init__(self):
         if not self.candidates:
-            raise InputError("EMPTY_SET", f"prompt {self.prompt_id!r} has no candidates")
+            raise InputError("EMPTY_SET", f"prompt {shown(self.prompt_id)} has no candidates")
         ids = [c.candidate_id for c in self.candidates]
         if len(set(ids)) != len(ids):
-            raise InputError("DUPLICATE_ID", f"prompt {self.prompt_id!r} repeats a candidate_id")
+            raise InputError("DUPLICATE_ID", f"prompt {shown(self.prompt_id)} repeats a candidate_id")
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,8 @@ def pairwise_loss(f_plus: float, f_minus: float, beta: float | None, w: float = 
     """-w * log(sigmoid(beta * (f_plus - f_minus))), numerically stable."""
     if beta is None:
         raise ConfigError("MISSING_BETA", "beta is mandatory for loss computation; no default exists")
-    if beta <= 0:
-        raise ConfigError("BAD_BETA", f"beta must be > 0, got {beta}")
-    if w < 0:
+    check_beta(beta)
+    if read_number(w, "BAD_WEIGHT", "w", ConfigError) < 0:
         raise ConfigError("BAD_WEIGHT", f"w must be >= 0, got {w}")
     x = beta * (f_plus - f_minus)
     if x >= 0:
@@ -116,13 +116,13 @@ def export_preference_dataset(
     for pair in sorted(pairs, key=lambda p: (p.prompt_id, p.plus_id)):
         candidate_set = candidate_sets.get(pair.prompt_id)
         if candidate_set is None:
-            raise InputError("DANGLING_ID", f"no candidate set for prompt {pair.prompt_id!r}")
+            raise InputError("DANGLING_ID", f"no candidate set for prompt {shown(pair.prompt_id)}")
         by_id = {c.candidate_id: c for c in candidate_set.candidates}
         plus = by_id.get(pair.plus_id)
         minus = by_id.get(pair.minus_id)
         if plus is None or minus is None:
             missing = pair.plus_id if plus is None else pair.minus_id
-            raise InputError("DANGLING_ID", f"prompt {pair.prompt_id!r} has no candidate {missing!r}")
+            raise InputError("DANGLING_ID", f"prompt {shown(pair.prompt_id)} has no candidate {shown(missing)}")
         records.append(
             {
                 "prompt_id": pair.prompt_id,

@@ -27,18 +27,19 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
 import re
 import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import lru_cache
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence
 
 from .errors import (ConfigError, InputError, read_as, read_int, read_list, read_number, read_optional,
                      read_record, read_string, read_strings, shown)
-from .policy import ActionType, PolicyAction, keyword_pattern, parse_action_type, serialize_policy
+from .policy import ActionType, PolicyAction, keyword_pattern, parse_action_type, policy_dict
 from .textnorm import (
     content_tokens,
     cosine_from_counts,
@@ -67,7 +68,7 @@ class ParameterBound:
         if self.minimum > self.maximum:
             raise InputError(
                 "BAD_BOUND",
-                f"bound for {self.parameter}: min {self.minimum} exceeds max {self.maximum}",
+                f"bound for {shown(self.parameter)}: min {self.minimum} exceeds max {self.maximum}",
             )
 
 
@@ -88,7 +89,7 @@ class Assertions:
             try:
                 patterns.append(keyword_pattern(keyword))
             except (re.error, RecursionError) as exc:  # a pattern nested too deep to compile
-                raise InputError("BAD_KEYWORD", f"keyword pattern {keyword!r}: {exc}")
+                raise InputError("BAD_KEYWORD", f"keyword pattern {shown(keyword)}: {exc}")
         object.__setattr__(self, "keyword_patterns", tuple(patterns))
 
 
@@ -109,11 +110,11 @@ class ConstraintSnippet:
         if not self.snippet_id:
             raise InputError("BAD_SNIPPET", "snippet_id must be non-empty")
         if self.layer not in LAYER_PRIORITY:
-            raise InputError("BAD_SNIPPET", f"unknown snippet layer {self.layer!r}")
+            raise InputError("BAD_SNIPPET", f"unknown snippet layer {shown(self.layer)}")
         if not self.clause_id:
-            raise InputError("BAD_SNIPPET", f"snippet {self.snippet_id}: clause_id must be non-empty")
+            raise InputError("BAD_SNIPPET", f"snippet {shown(self.snippet_id)}: clause_id must be non-empty")
         if not self.text.strip():
-            raise InputError("BAD_SNIPPET", f"snippet {self.snippet_id}: text must be non-empty")
+            raise InputError("BAD_SNIPPET", f"snippet {shown(self.snippet_id)}: text must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -319,12 +320,12 @@ def update_store(
     content = {snippet.snippet_id: snippet for snippet in store.snapshot()}
     for snippet_id in removals:
         if snippet_id not in content:
-            raise InputError("UNKNOWN_REMOVAL_ID", f"no snippet {snippet_id!r} to remove")
+            raise InputError("UNKNOWN_REMOVAL_ID", f"no snippet {shown(snippet_id)} to remove")
         del content[snippet_id]
     new_version = store.version + 1
     for snippet in additions:
         if snippet.snippet_id in content:
-            raise InputError("DUPLICATE_ID", f"snippet id {snippet.snippet_id!r} already present")
+            raise InputError("DUPLICATE_ID", f"snippet id {shown(snippet.snippet_id)} already present")
         # Copy the instance dict of the already validated snippet:
         # `dataclasses.replace` would rerun `__post_init__`, most of the
         # cost of `load_store`.
@@ -495,31 +496,52 @@ def compress(ranked: Sequence[ConstraintSnippet], token_budget: int) -> tuple[Co
     return tuple(kept)
 
 
+# Types whose values are JSON values as they are.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def to_json(value: object) -> object:
-    """A record as JSON values, written from its dataclass ``init`` fields: tuples as lists, sets sorted, an
-    ``ActionType`` by its value, a ``ParameterBound`` as its 4-item list and a policy as ``serialize_policy``
-    writes it."""
-    if isinstance(value, ParameterBound):
-        return [value.action_type.value, value.parameter, value.minimum, value.maximum]
-    if isinstance(value, PolicyAction):
-        return json.loads(serialize_policy(value))
-    if isinstance(value, ActionType):
-        return value.value
-    if is_dataclass(value):
-        return {f.name: to_json(getattr(value, f.name)) for f in fields(value) if f.init}
-    if isinstance(value, (tuple, list)):
-        return [to_json(item) for item in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(map(to_json, value))
-    if isinstance(value, dict):
-        return {key: to_json(item) for key, item in value.items()}
-    return value
+    """Any value a record holds as JSON values; the one writer of records. A dataclass is written from its
+    ``init`` fields, a tuple or list as a list, a set sorted, a dict item by item, an ``ActionType`` by its
+    value, a ``ParameterBound`` as its 4-item list and a policy as ``policy_dict`` builds it; a scalar or any
+    other value stays as it is. The encoder is chosen on the exact type, once per type."""
+    kind = type(value)
+    return value if kind in _SCALARS else _encoder(kind)(value)
+
+
+def _items(values: Collection) -> list:
+    """Each value encoded; a scalar is taken as it is, without a call. ``values`` is read twice."""
+    if _SCALARS.issuperset(map(type, values)):  # most hold scalars only: one pass in C
+        return list(values)
+    return [item if type(item) in _SCALARS else to_json(item) for item in values]
+
+
+@lru_cache(maxsize=None)
+def _encoder(kind: type) -> Callable[[object], object]:
+    if issubclass(kind, ParameterBound):
+        return lambda bound: [bound.action_type.value, bound.parameter, bound.minimum, bound.maximum]
+    if issubclass(kind, PolicyAction):
+        return policy_dict
+    if issubclass(kind, ActionType):
+        return attrgetter("value")
+    if is_dataclass(kind):
+        names = tuple(f.name for f in fields(kind) if f.init)
+        # attrgetter of two or more names returns their values as one tuple
+        values = attrgetter(*names) if len(names) > 1 else lambda record: [getattr(record, n) for n in names]
+        return lambda record: dict(zip(names, _items(values(record))))
+    if issubclass(kind, (tuple, list)):
+        return _items
+    if issubclass(kind, (set, frozenset)):
+        return lambda items: sorted(_items(items))
+    if issubclass(kind, dict):
+        return lambda mapping: dict(zip(mapping, _items(mapping.values())))
+    return lambda other: other
 
 
 def _action_type(name: object, what: str) -> ActionType:
     parsed = parse_action_type(read_string(name, "BAD_SNIPPET", what))
     if parsed is None:
-        raise InputError("BAD_SNIPPET", f"unmappable {what} {name!r}")
+        raise InputError("BAD_SNIPPET", f"unmappable {what} {shown(name)}")
     return parsed
 
 
@@ -535,8 +557,8 @@ def _parameter_bound(entry: object) -> ParameterBound:
     return ParameterBound(
         _action_type(action, "bound action type"),
         parameter,
-        float(read_number(minimum, "BAD_SNIPPET", f"minimum of bound {parameter!r}")),
-        float(read_number(maximum, "BAD_SNIPPET", f"maximum of bound {parameter!r}")),
+        float(read_number(minimum, "BAD_SNIPPET", f"minimum of bound {shown(parameter)}")),
+        float(read_number(maximum, "BAD_SNIPPET", f"maximum of bound {shown(parameter)}")),
     )
 
 
@@ -557,7 +579,7 @@ def _assertions(value: object, code: str, what: str) -> Assertions | None:
 
 def _version(value: object, code: str, what: str) -> int:
     if read_int(value, code, what) < 0:
-        raise InputError(code, f"{what} must be a non-negative integer, got {value!r}")
+        raise InputError(code, f"{what} must be a non-negative integer, got {shown(value)}")
     return value
 
 

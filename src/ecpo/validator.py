@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import DEFAULT_WEIGHTS, RunConfig, check_weights
 from .context import PerceptionSummary, StrategyPrompt
-from .errors import ConfigError, InputError, InvariantError, read_file
+from .errors import ConfigError, InputError, InvariantError, read_file, shown
 from .policy import (
     ActionType,
     LowLevelMatch,
@@ -45,7 +45,7 @@ from .policy import (
     structural_score,
     word_hits,
 )
-from .store import ConstraintSnippet
+from .store import ConstraintSnippet, to_json
 from .textnorm import STOPWORDS, content_tokens, normalize_text, phrase_run, token_run, tokenize
 
 LAYER_SEVERITY = {"legal": 4, "vehicle": 3, "driver": 2, "contextual": 1}
@@ -115,7 +115,7 @@ class HazardRule:
             raise ConfigError("BAD_RULE", "hazard rule needs a hazard id and at least one trigger")
         unknown = self.scopes - set(RULE_SCOPES)
         if unknown or not self.scopes:
-            raise ConfigError("BAD_RULE", f"rule {self.hazard_id}: bad scopes {sorted(unknown)}")
+            raise ConfigError("BAD_RULE", f"rule {shown(self.hazard_id)}: bad scopes {shown(sorted(unknown))}")
         object.__setattr__(self, "phrases", _phrases(self.triggers))
 
 
@@ -668,33 +668,4 @@ def validate(document: str | bytes, prompt: StrategyPrompt, config: RunConfig | 
 
 
 def report_to_dict(report: EcpoReport) -> dict:
-    return {
-        "schema_valid": report.schema_valid,
-        "checks": [
-            {
-                "check_id": c.check_id,
-                "layer": c.layer,
-                "passed": c.passed,
-                "detail": c.detail,
-                "clause_ref": c.clause_ref,
-            }
-            for c in report.checks
-        ],
-        "violation": {"severity": report.violation.severity, "count": report.violation.count},
-        "s_core": report.s_core,
-        "s_evd": report.s_evd,
-        "s_str": report.s_str,
-        "ecpo": report.ecpo,
-        "weights_used": list(report.weights_used),
-        "low_level_matches": [
-            {
-                "action_index": m.action_index,
-                "matched_pattern": m.matched_pattern,
-                "matched_text": m.matched_text,
-            }
-            for m in report.low_level_matches
-        ],
-        "defects": [{"code": d.code, "path": d.path, "message": d.message} for d in report.defects],
-        "hazards_truth": sorted(report.hazards_truth),
-        "hazards_addressed": sorted(report.hazards_addressed),
-    }
+    return to_json(report)

@@ -8,6 +8,7 @@ of shared helpers. Tests compare package output against these.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -306,6 +307,48 @@ def fake_report(ecpo: float, schema_valid: bool = True, severity: int = 0, count
         hazards_truth=frozenset(),
         hazards_addressed=frozenset(),
     )
+
+
+def report_dict_reference(report: EcpoReport) -> dict:
+    """A validation report as JSON values, written field by field."""
+    return {
+        "schema_valid": report.schema_valid,
+        "checks": [
+            {
+                "check_id": c.check_id,
+                "layer": c.layer,
+                "passed": c.passed,
+                "detail": c.detail,
+                "clause_ref": c.clause_ref,
+            }
+            for c in report.checks
+        ],
+        "violation": {"severity": report.violation.severity, "count": report.violation.count},
+        "s_core": report.s_core,
+        "s_evd": report.s_evd,
+        "s_str": report.s_str,
+        "ecpo": report.ecpo,
+        "weights_used": list(report.weights_used),
+        "low_level_matches": [
+            {
+                "action_index": m.action_index,
+                "matched_pattern": m.matched_pattern,
+                "matched_text": m.matched_text,
+            }
+            for m in report.low_level_matches
+        ],
+        "defects": [{"code": d.code, "path": d.path, "message": d.message} for d in report.defects],
+        "hazards_truth": sorted(report.hazards_truth),
+        "hazards_addressed": sorted(report.hazards_addressed),
+    }
+
+
+def echo_reference(config) -> dict:
+    """A run config as JSON values through ``dataclasses.asdict``, its tuples as lists."""
+    return {
+        name: list(value) if isinstance(value, tuple) else value
+        for name, value in dataclasses.asdict(config).items()
+    }
 
 
 _WORDS = (

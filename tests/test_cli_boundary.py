@@ -324,6 +324,30 @@ def test_mistyped_value_is_shown_cut_short(tmp_path, objects, shown_whole):
     assert err.endswith(f"got {objects!r}\n") == shown_whole
 
 
+# An outside id quoted by an error message: (command, error code, how the inputs carry the id).
+QUOTED_IDS = {
+    "duplicate-prompt": ("validate", "DUPLICATE_ID", lambda files, id_: files.update(
+        prompts=[{**PROMPT, "prompt_id": id_}] * 2, policies=[{**files["policies"][0], "prompt_id": id_}])),
+    "unknown-prompt": ("validate", "UNKNOWN_PROMPT", lambda files, id_: files["policies"][0].update(prompt_id=id_)),
+    "blank-snippet": ("retrieve", "BAD_SNIPPET", lambda files, id_: files.update(
+        store=[{**SNIPPET, "snippet_id": id_, "text": " "}])),
+}
+
+
+@pytest.mark.parametrize("site", QUOTED_IDS)
+@pytest.mark.parametrize("id_", ["x" * 200_000, "q1"], ids=["long", "short"])
+def test_quoted_id_is_shown_cut_short(tmp_path, site, id_):
+    command, error_code, carry = QUOTED_IDS[site]
+    files = inputs(command)
+    carry(files, id_)
+    code, out, err = run(tmp_path, command, files)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {error_code}: ")
+    assert len(err.encode("utf-8")) < 300
+    assert (repr(id_) in err) == (id_ == "q1")
+
+
 @pytest.mark.parametrize("command, name", [("pairs", "candidates"), ("eval", "records")])
 def test_record_prompt_id_must_match_its_prompt(tmp_path, command, name):
     # the record would be validated against prompt "other" and filed under "p1"

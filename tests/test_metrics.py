@@ -24,6 +24,7 @@ from ecpo.metrics import (
     spearman,
     strategy_metrics,
 )
+from ecpo.store import to_json
 from oracles import (
     bleu4_reference,
     classification_reference,
@@ -514,13 +515,13 @@ def test_spearman_against_oracle(x):
 
 
 def test_metric_report_render_and_dict():
-    report = MetricReport(config_echo={"seeds": [3]})
+    report = MetricReport(config={"seeds": [3]})
     report.set("valid_pct", 87.5)
     report.set_na("haz_f1", "VALIDITY_BELOW_50")
     table = report.render_table()
     assert "valid_pct  87.5000" in table
     assert "N/A (VALIDITY_BELOW_50)" in table
-    payload = report.to_dict()
+    payload = to_json(report)
     assert payload["values"]["haz_f1"] is None
     assert payload["reasons"]["haz_f1"] == "VALIDITY_BELOW_50"
     assert payload["config"] == {"seeds": [3]}

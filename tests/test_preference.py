@@ -118,6 +118,21 @@ def test_pairwise_loss_validation():
     assert err.value.code == "BAD_WEIGHT"
 
 
+@pytest.mark.parametrize("beta, w, code", [
+    *((beta, 1.0, "BAD_BETA") for beta in (math.nan, math.inf, 0, -1, True, "2")),
+    *((1.0, w, "BAD_WEIGHT") for w in (math.nan, math.inf, -1)),
+])
+def test_pairwise_loss_rejects_what_the_config_rejects(beta, w, code):
+    # beta follows RunConfig's rule: a finite number > 0; w is a finite number >= 0
+    with pytest.raises(ConfigError) as err:
+        pairwise_loss(1, 0, beta, w)
+    assert err.value.code == code
+    if code == "BAD_BETA":
+        with pytest.raises(ConfigError) as err:
+            RunConfig(beta=beta)
+        assert err.value.code == code
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(min_value=0, max_value=1),

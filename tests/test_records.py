@@ -1,5 +1,7 @@
-"""One field table per outside record: decoding, encoding and the README agree with it."""
+"""One field table per outside record: decoding, encoding and the README agree with it; one encoder
+writes every record the CLI writes."""
 
+import copy
 import hashlib
 import io
 import json
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ecpo.cli import CANDIDATE_FIELDS, EVAL_FIELDS, PAIRS_FIELDS, VALIDATE_FIELDS, main
+from ecpo.config import RunConfig
 from ecpo.context import (
     DRIVER_FIELDS,
     PROMPT_FIELDS,
@@ -28,7 +31,7 @@ from ecpo.context import (
     sample_from_dict,
     sample_to_dict,
 )
-from ecpo.policy import ActionType, parse_policy
+from ecpo.policy import ActionType, PenaltyTable, parse_policy, serialize_policy
 from ecpo.store import (
     ASSERTION_FIELDS,
     LAYER_PRIORITY,
@@ -39,8 +42,8 @@ from ecpo.store import (
     snippet_from_dict,
     to_json,
 )
-from ecpo.validator import prompt_context, validate
-from oracles import random_policy_dict
+from ecpo.validator import prompt_context, report_to_dict, validate
+from oracles import PLANT_LAYERS, build_planted_case, echo_reference, random_policy_dict, report_dict_reference
 
 DATACLASS_TABLES = [
     (Z_FIELDS, PerceptionSummary),
@@ -249,3 +252,143 @@ def test_mixpair_output_bytes_are_pinned(tmp_path):
     assert code == 0, err.getvalue()
     assert len(out.getvalue().splitlines()) == 6
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == MIXPAIR_SHA256
+
+
+# --- the one encoder: reports, config echo, retrieval records ----------------------------------
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def fixture_reports(rain_prompt, rain_policy_dict) -> dict:
+    """Validation reports that fill every report field between them."""
+    low_level = copy.deepcopy(rain_policy_dict)
+    low_level["actions"][0]["rationale"] += " Brake gently, then set speed to 40."
+    low_level["actions"].append({"type": "Hvac", "parameters": {"target_temperature": 21}})
+    policy, planted = build_planted_case(set(PLANT_LAYERS))
+    return {
+        "invalid": validate('{"objectives": 3, "actions": [{"type": "Teleport"}, 7]}', rain_prompt),
+        "low-level": validate(json.dumps(low_level), rain_prompt),
+        "hazards": validate(json.dumps(rain_policy_dict), rain_prompt),
+        "every-check-fails": validate(json.dumps(policy), planted),
+    }
+
+
+def test_fixture_reports_fill_every_field(fixture_reports):
+    invalid, low_level, hazards, failing = fixture_reports.values()
+    assert not invalid.schema_valid and len(invalid.defects) >= 3
+    assert len(low_level.low_level_matches) >= 2 and low_level.defects
+    assert hazards.hazards_truth and hazards.hazards_addressed
+    failed = {check.check_id for check in failing.checks if not check.passed}
+    assert failed == set(PLANT_LAYERS)
+    assert any(check.clause_ref is None for check in failing.checks)
+
+
+def test_report_is_written_as_its_field_by_field_reference(fixture_reports):
+    for name, report in fixture_reports.items():
+        expected = report_dict_reference(report)
+        assert report_to_dict(report) == expected, name
+        assert to_json(report) == expected, name
+        # the same CLI bytes: key order aside, every list is a list and every value the same type
+        assert json.dumps(to_json(report), sort_keys=True) == json.dumps(expected, sort_keys=True), name
+
+
+def test_config_echo_is_its_asdict_reference(tmp_path):
+    paths = {}
+    for name in ("lexicon_path", "hazard_rules_path", "label_vocab_path"):
+        paths[name] = str(tmp_path / name)
+        Path(paths[name]).write_text("", encoding="utf-8")
+    config = RunConfig(ecpo_weights=(0.6, 0.25, 0.15), penalty_table=PenaltyTable(missing_objectives=0.2, other=0.05),
+                       seeds=(3, 1, 4), beta=2.0, lambda_ecpo=0.5, top_k=7, **paths)
+    for each in (config, RunConfig()):
+        assert each.echo() == echo_reference(each)
+        assert json.dumps(each.echo()) == json.dumps(echo_reference(each))
+    assert config.echo()["seeds"] == [3, 1, 4]
+    assert config.echo()["penalty_table"]["other"] == 0.05
+
+
+def test_to_json_pins_sets_profiles_bounds_and_policies(monkeypatch):
+    assert to_json(frozenset({"b", "c", "a"})) == ["a", "b", "c"]
+    assert to_json(frozenset({ActionType.HVAC, ActionType.HMI_PROMPT})) == ["HmiPrompt", "Hvac"]
+    assert to_json(ParameterBound(ActionType.HVAC, "temperature", 16.0, 28.5)) == ["Hvac", "temperature", 16.0, 28.5]
+    vehicle = VehicleProfile("EU", "manual", frozenset({"hvac", "HMI prompt"}),
+                             {"HVAC": {"temperature": [16, 28], "fan_level": [1, 5]}})
+    assert to_json(vehicle) == {
+        "jurisdiction": "EU", "operating_mode": "manual", "available_actuators": ["HmiPrompt", "Hvac"],
+        "capability_limits": {"Hvac": {"temperature": [16.0, 28.0], "fan_level": [1.0, 5.0]}}}
+    policy = parse_policy(json.dumps({
+        "objectives": "Keep calm.",
+        "constraints": {"driver": "Visual only.", "legal": "Obey limits."},
+        "actions": [{"type": "hvac", "parameters": {"zone": "front", "fan_level": 2, "target": 21.5},
+                     "rationale": "Cool down.", "evidence": {"labels": ["hot"]}}],
+    })).policy
+    expected = {
+        "objectives": "Keep calm.",
+        "constraints": {"legal_regulations": "Obey limits.", "driver_preferences": "Visual only."},
+        "actions": [{"type": "Hvac", "parameters": {"fan_level": 2, "target": 21.5, "zone": "front"},
+                     "rationale": "Cool down.",
+                     "evidence": {"in_cabin_text": [], "out_of_vehicle_text": [], "objects": [], "labels": ["hot"]}}],
+    }
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("to_json parsed text back")
+
+    monkeypatch.setattr(json, "loads", no_parse)
+    encoded = to_json(policy)
+    assert encoded == expected
+    assert list(encoded) == list(expected)
+    assert list(encoded["actions"][0]["parameters"]) == ["fan_level", "target", "zone"]
+    assert type(encoded["actions"][0]["parameters"]["fan_level"]) is int
+    assert json.dumps(encoded, ensure_ascii=False, separators=(",", ":")) == serialize_policy(policy)
+
+
+def retrieve_fixture() -> tuple[list[dict], list[dict]]:
+    """A store where a rain query hits three snippets, so two zero-score snippets fill its top 5, and a
+    prompt that shares no token with the store, so all five are zero-score fill."""
+    store = [
+        {"snippet_id": "z-park", "layer": "legal", "clause_id": "L-9", "text": "parking permits are issued monthly"},
+        {"snippet_id": "d-rain", "layer": "driver", "clause_id": "D-1",
+         "text": "visual alerts only for the anxious driver in rain"},
+        {"snippet_id": "l-rain", "layer": "legal", "clause_id": "L-1", "text": "reduce speed in heavy rain and fog",
+         "jurisdiction": "EU", "assertions": {"forbidden_keywords": ["speed up"]}},
+        {"snippet_id": "v-rain", "layer": "vehicle", "clause_id": "V-1", "text": "wipers engage automatically in rain",
+         "vehicle_config": "sedan"},
+        {"snippet_id": "z-roof", "layer": "vehicle", "clause_id": "V-9", "text": "the sunroof tilts open"},
+        {"snippet_id": "z-seat", "layer": "driver", "clause_id": "D-9", "text": "seat memory holds three positions"},
+    ]
+    prompts = [
+        {"prompt_id": "rain", "z": {"scene_labels": ["heavy rain"], "driver_labels": ["anxious"],
+                                    "summary_initial": "fog and rain ahead"},
+         "driver": {"alert_modality_preference": "visual", "sensitivities": {"noise": "high"}},
+         "vehicle": {"jurisdiction": "EU", "operating_mode": "manual"}},
+        {"prompt_id": "none", "z": {"scene_labels": ["quiet"]}},
+    ]
+    return store, prompts
+
+
+# sha256 of the retrieve output on retrieve_fixture() with top_k 5 and token_budget 12, from the
+# hand-written retrieval record that the one encoder replaced
+RETRIEVE_SHA256 = "47283d328182f7457ef8b8e53c3d4b8897e5e6e1b7674775a7cb5f2ffccd4f5f"
+
+
+def test_retrieve_output_bytes_are_pinned(tmp_path):
+    store, prompts = retrieve_fixture()
+    paths = {}
+    for name, records in (("store", store), ("prompts", prompts)):
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps({"top_k": 5, "token_budget": 12}), encoding="utf-8")
+    code, out, err = run_main(["--config", str(tmp_path / "config.json"), "retrieve", "--store", str(paths["store"]),
+                               "--prompt", str(paths["prompts"])])
+    assert code == 0, err
+    rain, none = map(json.loads, out.splitlines())
+    scores = [entry["score"] for entry in rain["ranked"]]
+    assert len(scores) == 5 and scores[2] > 0 and scores[3:] == [0.0, 0.0]
+    assert 0 < len(rain["compressed"]) < len(rain["ranked"])
+    assert [entry["score"] for entry in none["ranked"]] == [0.0] * 5
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RETRIEVE_SHA256
