@@ -279,10 +279,10 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
     return [_dumps(to_json(report))]
 
 
-def _snippet_view(snippet, **extra) -> dict:
+def _snippet_view(snippet) -> dict:
     """The fields a retrieval record shows of a ranked or kept snippet."""
     return {"snippet_id": snippet.snippet_id, "layer": snippet.layer, "clause_id": snippet.clause_id,
-            "text": snippet.text, **extra}
+            "text": snippet.text}
 
 
 def cmd_retrieve(args, config: RunConfig) -> list[str]:
@@ -297,14 +297,14 @@ def cmd_retrieve(args, config: RunConfig) -> list[str]:
         prompt = _prompt_of(record)
         query = build_query(prompt.z, prompt.driver, prompt.vehicle)
         result = retrieve(store, query, config.top_k, scorer=scorer)
-        ranked = [by_id[entry.snippet_id] for entry in result.ranked]
+        ranked = [by_id[hit.snippet_id] for hit in result.ranked]
         lines.append(_dumps({
             "kind": "retrieval",
             "prompt_id": prompt.prompt_id,
             "store_version": result.store_version,
             "scorer": result.scorer_kind,
             "query": to_json(query),
-            "ranked": [_snippet_view(snippet, score=entry.score) for snippet, entry in zip(ranked, result.ranked)],
+            "ranked": [_snippet_view(snippet) | {"score": hit.score} for snippet, hit in zip(ranked, result.ranked)],
             "compressed": [_snippet_view(snippet) for snippet in compress(ranked, config.token_budget)],
             "config": echo,
         }))

@@ -85,7 +85,7 @@ class RunConfig:
             raise ConfigError("BAD_THRESHOLD", f"match_threshold must be in (0, 1], got {self.match_threshold}")
         check_epsilon(self.epsilon)
         if read_int(self.j_max, "BAD_J_MAX", "j_max", ConfigError) < 1:
-            raise ConfigError("BAD_J_MAX", f"j_max must be >= 1, got {self.j_max}")
+            raise ConfigError("BAD_J_MAX", f"j_max must be >= 1, got {shown(self.j_max)}")
         if self.beta is not None:
             check_beta(self.beta)
         lambda_ecpo = self.lambda_ecpo
@@ -97,14 +97,14 @@ class RunConfig:
         if read_number(self.gap_min, "BAD_GAP_MIN", "gap_min", ConfigError) < 0:
             raise ConfigError("BAD_GAP_MIN", f"gap_min must be >= 0, got {self.gap_min}")
         if read_int(self.top_k, "BAD_TOP_K", "top_k", ConfigError) < 1:
-            raise ConfigError("BAD_TOP_K", f"top_k must be >= 1, got {self.top_k}")
+            raise ConfigError("BAD_TOP_K", f"top_k must be >= 1, got {shown(self.top_k)}")
         if read_int(self.token_budget, "BAD_BUDGET", "token_budget", ConfigError) < 1:
-            raise ConfigError("BAD_BUDGET", f"token_budget must be >= 1, got {self.token_budget}")
+            raise ConfigError("BAD_BUDGET", f"token_budget must be >= 1, got {shown(self.token_budget)}")
         if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
             raise ConfigError("BAD_SEEDS", f"seeds must be a non-empty integer list, got {shown(self.seeds)}")
         object.__setattr__(self, "seeds", tuple(read_int(s, "BAD_SEEDS", "seed", ConfigError) for s in self.seeds))
         if read_int(self.block_size, "BAD_BLOCK_SIZE", "block_size", ConfigError) < 1:
-            raise ConfigError("BAD_BLOCK_SIZE", f"block_size must be >= 1, got {self.block_size}")
+            raise ConfigError("BAD_BLOCK_SIZE", f"block_size must be >= 1, got {shown(self.block_size)}")
         if self.prng != "splitmix64":
             raise ConfigError("BAD_PRNG", f"the only declared PRNG is splitmix64, got {shown(self.prng)}")
         for name in ("lexicon_path", "hazard_rules_path", "label_vocab_path"):

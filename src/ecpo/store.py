@@ -513,7 +513,7 @@ def _items(values: Collection) -> list:
     """Each value encoded; a scalar is taken as it is, without a call. ``values`` is read twice."""
     if _SCALARS.issuperset(map(type, values)):  # most hold scalars only: one pass in C
         return list(values)
-    return [item if type(item) in _SCALARS else to_json(item) for item in values]
+    return [item if type(item) in _SCALARS else _encoder(type(item))(item) for item in values]
 
 
 @lru_cache(maxsize=None)

@@ -348,6 +348,14 @@ def test_quoted_id_is_shown_cut_short(tmp_path, site, id_):
     assert (repr(id_) in err) == (id_ == "q1")
 
 
+@pytest.mark.parametrize("field", ["j_max", "top_k", "token_budget", "block_size"])
+def test_out_of_range_config_integer_is_shown_cut_short(tmp_path, field):
+    code, out, err = run(tmp_path, "validate", inputs("validate"), {field: -int("9" * 4200)})
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert len(err.encode("utf-8")) < 300
+
+
 @pytest.mark.parametrize("command, name", [("pairs", "candidates"), ("eval", "records")])
 def test_record_prompt_id_must_match_its_prompt(tmp_path, command, name):
     # the record would be validated against prompt "other" and filed under "p1"
