@@ -323,26 +323,15 @@ def cmd_mixpair(args, config: RunConfig) -> list[str]:
 
 
 def cmd_stratify(args, config: RunConfig) -> list[str]:
-    from .context import sample_from_dict, stratify
+    from .context import STRATIFY_GROUPS, sample_from_dict, stratum
 
     records = [sample_from_dict(record) for record in _read_jsonl(args.records)]
-    groups = stratify(records, config.label_vocab())
-    membership = {}
-    for group, members in groups.items():
-        for record in members:
-            membership[id(record)] = group
-    counts = {group: len(members) for group, members in groups.items()}
-    _log(f"stratify: {_dumps(counts)}")
+    vocab = config.label_vocab()
+    groups = [stratum(record, vocab) for record in records]
+    _log(f"stratify: {_dumps({group: groups.count(group) for group in STRATIFY_GROUPS})}")
     return [
-        _dumps(
-            {
-                "kind": "stratum",
-                "prompt_id": record.prompt.prompt_id,
-                "split": record.split,
-                "group": membership[id(record)],
-            }
-        )
-        for record in records
+        _dumps({"kind": "stratum", "prompt_id": record.prompt.prompt_id, "split": record.split, "group": group})
+        for record, group in zip(records, groups)
     ]
 
 

@@ -56,6 +56,12 @@ def check_beta(beta: float) -> None:
         raise ConfigError("BAD_BETA", f"beta must be > 0, got {beta}")
 
 
+def check_count(value: int, code: str, name: str) -> None:
+    """The count rule (``j_max``, ``top_k``, ``token_budget``, ``block_size``): an integer, not a bool, >= 1."""
+    if read_int(value, code, name, ConfigError) < 1:
+        raise ConfigError(code, f"{name} must be >= 1, got {shown(value)}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Every tunable of a run, validated once when built."""
@@ -84,8 +90,7 @@ class RunConfig:
         if not 0.0 < read_number(self.match_threshold, "BAD_THRESHOLD", "match_threshold", ConfigError) <= 1.0:
             raise ConfigError("BAD_THRESHOLD", f"match_threshold must be in (0, 1], got {self.match_threshold}")
         check_epsilon(self.epsilon)
-        if read_int(self.j_max, "BAD_J_MAX", "j_max", ConfigError) < 1:
-            raise ConfigError("BAD_J_MAX", f"j_max must be >= 1, got {shown(self.j_max)}")
+        check_count(self.j_max, "BAD_J_MAX", "j_max")
         if self.beta is not None:
             check_beta(self.beta)
         lambda_ecpo = self.lambda_ecpo
@@ -96,15 +101,12 @@ class RunConfig:
             raise ConfigError("BAD_PSI", f"need 0 <= floor <= ceiling, got ({self.psi_floor}, {self.psi_ceiling})")
         if read_number(self.gap_min, "BAD_GAP_MIN", "gap_min", ConfigError) < 0:
             raise ConfigError("BAD_GAP_MIN", f"gap_min must be >= 0, got {self.gap_min}")
-        if read_int(self.top_k, "BAD_TOP_K", "top_k", ConfigError) < 1:
-            raise ConfigError("BAD_TOP_K", f"top_k must be >= 1, got {shown(self.top_k)}")
-        if read_int(self.token_budget, "BAD_BUDGET", "token_budget", ConfigError) < 1:
-            raise ConfigError("BAD_BUDGET", f"token_budget must be >= 1, got {shown(self.token_budget)}")
+        check_count(self.top_k, "BAD_TOP_K", "top_k")
+        check_count(self.token_budget, "BAD_BUDGET", "token_budget")
         if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
             raise ConfigError("BAD_SEEDS", f"seeds must be a non-empty integer list, got {shown(self.seeds)}")
         object.__setattr__(self, "seeds", tuple(read_int(s, "BAD_SEEDS", "seed", ConfigError) for s in self.seeds))
-        if read_int(self.block_size, "BAD_BLOCK_SIZE", "block_size", ConfigError) < 1:
-            raise ConfigError("BAD_BLOCK_SIZE", f"block_size must be >= 1, got {shown(self.block_size)}")
+        check_count(self.block_size, "BAD_BLOCK_SIZE", "block_size")
         if self.prng != "splitmix64":
             raise ConfigError("BAD_PRNG", f"the only declared PRNG is splitmix64, got {shown(self.prng)}")
         for name in ("lexicon_path", "hazard_rules_path", "label_vocab_path"):

@@ -1,9 +1,10 @@
 """Perception summaries, driver/vehicle profiles, prompts, and sample records.
 
-Also houses the two corpus procedures that operate on records alone: the
-split-preserving mixed pairing (joining in-cabin records with out-of-cabin
-records under a seeded, portable shuffle) and the four-way scenario
-stratification over the classification heads.
+Also houses the two corpus procedures, each deciding one record at a time:
+the split-preserving mixed pairing (each in-cabin record joined with the next
+block of its split's out-of-cabin records, read as a cycle over one seeded,
+portable shuffle per split) and ``stratum``, the one rule that puts a record
+in one of four scenario groups by its classification heads.
 
 The shuffle PRNG is splitmix64 with the published constants (increment
 0x9E3779B97F4A7C15, mixers 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB)
@@ -15,9 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import cycle, islice
 from pathlib import Path
 from typing import Sequence
 
+from .config import check_count
 from .errors import (ConfigError, InputError, read_as, read_file, read_list, read_object, read_optional,
                      read_pair, read_record, read_string, read_strings, shown)
 from .policy import PolicyAction, document_text, parse_action_type, parse_policy
@@ -254,34 +257,18 @@ def pair_mixed(
     """Pair every in-cabin record with a block of same-split out-of-cabin records.
 
     Out-of-cabin records are shuffled once per split with the stream seeded by
-    (seed, split name); the k-th in-cabin record of a split consumes shuffled
-    positions k*block_size .. k*block_size+block_size-1, wrapping around when
-    exhausted. Output preserves in-cabin input order.
+    (seed, split name), and each split's shuffled pool is read as a cycle: every
+    in-cabin record takes the next ``block_size`` records of its split's cycle.
+    Output preserves in-cabin input order.
     """
-    if block_size < 1:
-        raise ConfigError("BAD_BLOCK_SIZE", f"block_size must be >= 1, got {block_size}")
-    by_split: dict[str, list[SampleRecord]] = {}
-    for record in out_samples:
-        by_split.setdefault(record.split, []).append(record)
-
-    shuffled: dict[str, list[SampleRecord]] = {}
-    counters: dict[str, int] = {}
+    check_count(block_size, "BAD_BLOCK_SIZE", "block_size")
+    cycles = {}
     for split in sorted({record.split for record in in_samples}):
-        pool = by_split.get(split)
+        pool = [record for record in out_samples if record.split == split]
         if not pool:
             raise InputError("EMPTY_SPLIT", f"split {split!r} has no out-of-cabin samples")
-        shuffled[split] = seeded_shuffle(pool, SplitMix64(stream_seed(seed, split)))
-        counters[split] = 0
-
-    paired = []
-    for record in in_samples:
-        pool = shuffled[record.split]
-        position = counters[record.split]
-        counters[record.split] = position + 1
-        start = position * block_size
-        block = [pool[(start + offset) % len(pool)] for offset in range(block_size)]
-        paired.append(_merge_pair(record, block))
-    return paired
+        cycles[split] = cycle(seeded_shuffle(pool, SplitMix64(stream_seed(seed, split))))
+    return [_merge_pair(record, list(islice(cycles[record.split], block_size))) for record in in_samples]
 
 
 def _merge_pair(in_record: SampleRecord, block: list[SampleRecord]) -> SampleRecord:
@@ -331,30 +318,21 @@ def _merge_pair(in_record: SampleRecord, block: list[SampleRecord]) -> SampleRec
     )
 
 
-def stratify(
-    records: Sequence[SampleRecord], vocab: LabelVocabulary | None = None
-) -> dict[str, list[SampleRecord]]:
-    """Partition records into the four mutually exclusive scenario groups."""
-    vocab = vocab or DEFAULT_LABEL_VOCAB
-    groups: dict[str, list[SampleRecord]] = {group: [] for group in STRATIFY_GROUPS}
-    for record in records:
-        flags = {}
-        for head in STRATIFY_HEADS:
-            label = record.ground_truth_labels.get(head)
-            if not isinstance(label, str):
-                raise InputError("MISSING_HEAD", f"record lacks a single label for head {head!r}")
-            flags[head] = normalize_text(label) != normalize_text(vocab.nominal_for(head))
-        driver_side = flags["emotion"] or flags["behavior"]
-        env_side = flags["traffic_scene"] or flags["vehicle_motion"]
-        if driver_side and env_side:
-            groups["interaction_critical"].append(record)
-        elif driver_side:
-            groups["driver_critical"].append(record)
-        elif env_side:
-            groups["env_critical"].append(record)
-        else:
-            groups["nominal"].append(record)
-    return groups
+def stratum(record: SampleRecord, vocab: LabelVocabulary) -> str:
+    """The record's scenario group: a head is critical when its label is not the
+    head's nominal one; emotion and behavior are the driver side, traffic scene
+    and vehicle motion the environment side."""
+    critical = {}
+    for head in STRATIFY_HEADS:
+        label = record.ground_truth_labels.get(head)
+        if not isinstance(label, str):
+            raise InputError("MISSING_HEAD", f"record lacks a single label for head {head!r}")
+        critical[head] = normalize_text(label) != normalize_text(vocab.nominal_for(head))
+    driver_side = critical["emotion"] or critical["behavior"]
+    env_side = critical["traffic_scene"] or critical["vehicle_motion"]
+    if driver_side:
+        return "interaction_critical" if env_side else "driver_critical"
+    return "env_critical" if env_side else "nominal"
 
 
 Z_FIELDS = {

@@ -59,10 +59,14 @@ def read_file(path: str | Path, code: str, what: str, error: type[ToolkitError] 
 _SHOWN_CHARS = 120
 
 
-def shown(value: object) -> str:
-    """``repr(value)``, cut to ``_SHOWN_CHARS`` characters so that an error line stays short."""
-    text = repr(value)
+def cut(text: str) -> str:
+    """``text`` cut to ``_SHOWN_CHARS`` characters, so that a line quoting an outside value stays short."""
     return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
+
+
+def shown(value: object) -> str:
+    """``repr(value)``, cut."""
+    return cut(repr(value))
 
 
 def is_finite_number(value: object) -> bool:

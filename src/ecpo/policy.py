@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, read_file, read_number
+from .errors import ConfigError, cut, read_file, read_number, shown
 
 Scalar = str | int | float
 
@@ -265,9 +265,9 @@ def _parse_constraints(raw: object, defect) -> ConstraintLedger:
     values: dict[str, str] = {}
     for key, value in entries:
         layer = _LAYER_ALIASES.get(_norm_key(key))
-        path = f"$.constraints.{key}"
+        path = f"$.constraints.{cut(key)}"
         if layer is None:
-            defect("UNKNOWN_CONSTRAINT_KEY", path, f"unknown constraint layer {key!r}")
+            defect("UNKNOWN_CONSTRAINT_KEY", path, f"unknown constraint layer {shown(key)}")
         elif layer in values:
             defect("DUPLICATE_CONSTRAINT_LAYER", path, f"layer {layer} already set; extra entry ignored")
         elif not isinstance(value, str) or not value.strip():
@@ -290,7 +290,7 @@ def _parse_action(entry: object, path: str, defect) -> Action | None:
     raw_type = fields.get("type", fields.get("action_type"))
     action_type = parse_action_type(raw_type) if isinstance(raw_type, str) else None
     if action_type is None:
-        defect("BAD_ACTION_TYPE", f"{path}.type", f"unmappable action type {raw_type!r}")
+        defect("BAD_ACTION_TYPE", f"{path}.type", f"unmappable action type {shown(raw_type)}")
         return None
 
     parameters: dict[str, Scalar] = {}
@@ -298,7 +298,7 @@ def _parse_action(entry: object, path: str, defect) -> Action | None:
     if isinstance(raw_params, dict):
         for key, value in raw_params.items():
             name = key.strip()
-            ppath = f"{path}.parameters.{name or key!r}"
+            ppath = f"{path}.parameters.{cut(name) or shown(key)}"
             if not name:
                 defect("BAD_PARAMETER_VALUE", ppath, "empty parameter key dropped")
             elif isinstance(value, bool):

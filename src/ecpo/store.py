@@ -37,7 +37,8 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence
 
-from .errors import (ConfigError, InputError, read_as, read_int, read_list, read_number, read_optional,
+from .config import check_count
+from .errors import (InputError, read_as, read_int, read_list, read_number, read_optional,
                      read_record, read_string, read_strings, shown)
 from .policy import ActionType, PolicyAction, keyword_pattern, parse_action_type, policy_dict
 from .textnorm import (
@@ -397,8 +398,7 @@ class LexicalScorer:
         best cannot beat the k products already held; only the groups whose
         best reaches the floor are scanned for survivors.
         """
-        if top_k < 1:
-            raise ConfigError("BAD_TOP_K", f"top_k must be >= 1, got {top_k}")
+        check_count(top_k, "BAD_TOP_K", "top_k")
         query_frequencies = term_frequencies(query.tokens())
         query_sq = squared_norm(query_frequencies)
         dots = _dot_products(index, query_frequencies)
@@ -482,8 +482,7 @@ def compress(ranked: Sequence[ConstraintSnippet], token_budget: int) -> tuple[Co
     budget. Tokens are whitespace-delimited units; snippets are never split,
     and the kept snippets are returned as they are.
     """
-    if token_budget < 1:
-        raise ConfigError("BAD_BUDGET", f"token_budget must be >= 1, got {token_budget}")
+    check_count(token_budget, "BAD_BUDGET", "token_budget")
     ordered = sorted(ranked, key=lambda snippet: LAYER_PRIORITY[snippet.layer])
     kept = []
     used = 0

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import DEFAULT_WEIGHTS, RunConfig, check_weights
 from .context import PerceptionSummary, StrategyPrompt
-from .errors import ConfigError, InputError, InvariantError, read_file, shown
+from .errors import ConfigError, InputError, InvariantError, cut, read_file, shown
 from .policy import (
     ActionType,
     LowLevelMatch,
@@ -380,7 +380,7 @@ def _check_forbidden_action_types(policy, carriers, check_id, layer) -> CheckRes
     for index, action in enumerate(policy.actions):
         for snippet in carriers:
             if action.action_type in snippet.assertions.forbidden_action_types:
-                hits.append(f"action {index} type {action.action_type.value} (clause {snippet.clause_id})")
+                hits.append(f"action {index} type {action.action_type.value} (clause {cut(snippet.clause_id)})")
                 clause = clause or snippet.clause_id
     return _verdict(check_id, layer, hits, "no forbidden action types used", clause)
 
@@ -393,7 +393,7 @@ def _check_forbidden_keywords(actions, carriers, check_id, layer) -> CheckResult
     for index, facts in enumerate(actions):
         for snippet, keyword, pattern in carriers:
             if word_hits(pattern, facts.text):
-                hits.append(f"action {index} matches {keyword!r} (clause {snippet.clause_id})")
+                hits.append(f"action {index} matches {shown(keyword)} (clause {cut(snippet.clause_id)})")
                 clause = clause or snippet.clause_id
     return _verdict(check_id, layer, hits, "no forbidden keyword present", clause)
 
@@ -419,8 +419,8 @@ def _check_bounds(policy, actions, rows, check_id, layer) -> CheckResult:
                 continue
             value = facts.by_param.get(_norm_param(parameter))
             if value is not None and not low <= value <= high:
-                cite = "" if row_clause is None else f" (clause {row_clause})"
-                hits.append(f"action {index} {parameter}={value:g} outside [{low:g}, {high:g}]{cite}")
+                cite = "" if row_clause is None else f" (clause {cut(row_clause)})"
+                hits.append(f"action {index} {cut(parameter)}={value:g} outside [{low:g}, {high:g}]{cite}")
                 clause = clause or row_clause
     return _verdict(check_id, layer, hits, passed, clause)
 
@@ -447,7 +447,7 @@ def _check_modality_binding(policy, driver, binding, check_id) -> CheckResult:
     for index, action in enumerate(policy.actions):
         modality = action.parameters.get("modality")
         if isinstance(modality, str) and modality and normalize_text(modality) not in allowed:
-            hits.append(f"action {index} modality {modality!r} conflicts with the bound preference")
+            hits.append(f"action {index} modality {shown(modality)} conflicts with the bound preference")
     return _verdict(check_id, "driver", hits, "modalities match the bound preference", binding[0].clause_id)
 
 
@@ -462,7 +462,7 @@ def _check_cabin_band(policy, actions, driver, check_id) -> CheckResult:
             continue
         for key, norm, value in facts.numeric:
             if "temperature" in norm and not low <= value <= high:
-                hits.append(f"action {index} {key}={value:g} outside band [{low:g}, {high:g}]")
+                hits.append(f"action {index} {cut(key)}={value:g} outside band [{low:g}, {high:g}]")
     return _verdict(check_id, "driver", hits, "cabin temperatures within the declared band")
 
 

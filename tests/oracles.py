@@ -17,9 +17,14 @@ from functools import lru_cache
 from ecpo.context import (
     DriverProfile,
     PerceptionSummary,
+    SplitMix64,
     StrategyPrompt,
     VehicleProfile,
+    _merge_pair,
+    seeded_shuffle,
+    stream_seed,
 )
+from ecpo.errors import InputError
 from ecpo.policy import ActionType
 from ecpo.store import Assertions, ConstraintSnippet, ParameterBound, RetrievalQuery
 from ecpo.textnorm import content_tokens, lexical_cosine, normalize_text, tokenize
@@ -54,6 +59,32 @@ def fnv1a64_reference(text: str) -> int:
     for byte in text.encode("utf-8"):
         value = ((value ^ byte) * 0x100000001B3) & MASK64
     return value
+
+
+def pair_mixed_reference(in_samples, out_samples, seed: int, block_size: int = 1) -> list:
+    """Mixed pairing by index: the k-th in-cabin record of a split takes shuffled
+    positions k*block_size .. k*block_size+block_size-1 of its split, modulo the
+    pool size."""
+    by_split: dict[str, list] = {}
+    for record in out_samples:
+        by_split.setdefault(record.split, []).append(record)
+    shuffled: dict[str, list] = {}
+    counters: dict[str, int] = {}
+    for split in sorted({record.split for record in in_samples}):
+        pool = by_split.get(split)
+        if not pool:
+            raise InputError("EMPTY_SPLIT", f"split {split!r} has no out-of-cabin samples")
+        shuffled[split] = seeded_shuffle(pool, SplitMix64(stream_seed(seed, split)))
+        counters[split] = 0
+    paired = []
+    for record in in_samples:
+        pool = shuffled[record.split]
+        position = counters[record.split]
+        counters[record.split] = position + 1
+        start = position * block_size
+        block = [pool[(start + offset) % len(pool)] for offset in range(block_size)]
+        paired.append(_merge_pair(record, block))
+    return paired
 
 
 def core_reference(severity: int, count: int) -> float:

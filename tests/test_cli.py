@@ -258,6 +258,55 @@ def test_mistyped_config_weights_exit_2(rain_files, tmp_path, weights, capsys):
     assert_one_error(err, "BAD_WEIGHTS")
 
 
+def long_value_files(tmp_path, clause: str) -> tuple[str, str]:
+    """A prompt and two policies that put a 200,000-character outside string into every report field that
+    quotes one: action type, constraint key, parameter names, modality, keyword and bound parameter."""
+    n = 200_000
+    keyword, bound_parameter = "k" * n, "b" * n
+    prompt = {
+        "prompt_id": "p",
+        "driver": {"alert_modality_preference": "visual", "cabin_preferences": {"temperature_band": [20, 22]}},
+        "vehicle": {"available_actuators": ["Hvac", "HmiPrompt"],
+                    "capability_limits": {"Hvac": {bound_parameter: [0, 1]}}},
+        "constraints": [
+            {"snippet_id": "legal", "layer": "legal", "clause_id": clause, "text": "no hvac",
+             "assertions": {"forbidden_action_types": ["Hvac"], "forbidden_keywords": [keyword],
+                            "parameter_bounds": [["Hvac", bound_parameter, 0, 1]]}},
+            {"snippet_id": "driver", "layer": "driver", "clause_id": clause, "text": "visual alerts",
+             "assertions": {"required_modalities": ["visual"]}},
+        ],
+    }
+    evidence = {"in_cabin_text": ["driver"], "out_of_vehicle_text": ["road"]}
+    parameters = {bound_parameter: 5, "temperature" + "t" * n: 30, "d" * n: True, " " * n: True}
+    valid = {"objectives": "stay calm", "constraints": {"legal_regulations": "obey", "q" * n: "x"},
+             "actions": [{"type": "Hvac", "parameters": parameters, "rationale": keyword, "evidence": evidence},
+                         {"type": "HmiPrompt", "parameters": {"modality": "m" * n}, "rationale": "r",
+                          "evidence": evidence}]}
+    invalid = {"objectives": "x", "constraints": {"legal_regulations": "obey"},
+               "actions": [{"type": "T" * n, "rationale": "r", "evidence": evidence}]}
+    return (write_jsonl(tmp_path / "prompts.jsonl", [prompt]),
+            write_jsonl(tmp_path / "policies.jsonl", [{"prompt_id": "p", "document": valid},
+                                                      {"prompt_id": "p", "document": invalid}]))
+
+
+def test_long_outside_values_are_cut_in_report_data(tmp_path, capsys):
+    prompts, policies = long_value_files(tmp_path, "c-1")
+    assert main(["validate", "--policies", policies, "--prompts", prompts]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "validate: 2 records, valid_pct=50.00\n"
+    assert max(map(len, captured.out.encode("utf-8").splitlines())) < 10_000
+    valid = json.loads(captured.out.splitlines()[0])["report"]
+    assert {check["check_id"] for check in valid["checks"] if not check["passed"]} == {
+        "legal.forbidden_action_type", "legal.forbidden_keyword", "legal.parameter_bounds",
+        "vehicle.capability_limits", "driver.modality_binding", "driver.cabin_band"}
+    # a clause id is cut where a detail quotes it; clause_ref names the clause whole
+    prompts, policies = long_value_files(tmp_path, "c" * 200_000)
+    _, lines, _ = run_cli(["validate", "--policies", policies, "--prompts", prompts], capsys)
+    checks = lines[0]["report"]["checks"]
+    assert max(len(check["detail"]) for check in checks) < 1_000
+    assert {check["clause_ref"] for check in checks} == {None, "c" * 200_000}
+
+
 # --- pairs ------------------------------------------------------------------------------
 
 

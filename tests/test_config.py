@@ -36,3 +36,44 @@ def test_run_config_accepts_boundary_values():
     )
     assert config.ecpo_weights == (1.0, 0.0, 0.0)
     assert check_weights([0.5, 0.3, 0.2]) == (0.5, 0.3, 0.2)
+
+
+
+# --- the count rule, at each library entry point that takes a count ---------------------
+
+
+def retrieve_with_top_k(top_k):
+    from ecpo.store import ConstraintSnippet, RetrievalQuery, load_store, retrieve
+
+    store = load_store([ConstraintSnippet("a", "legal", "c-a", "keep right"),
+                        ConstraintSnippet("b", "legal", "c-b", "slow")])
+    retrieve(store, RetrievalQuery("", "", (), ("slow",)), top_k)
+
+
+def compress_with_budget(token_budget):
+    from ecpo.store import ConstraintSnippet, compress
+
+    compress([ConstraintSnippet("a", "legal", "c-a", "keep right")], token_budget)
+
+
+def pair_mixed_with_block_size(block_size):
+    from conftest import make_sample
+    from ecpo.context import pair_mixed
+
+    pair_mixed([make_sample("in")], [make_sample("out")], seed=0, block_size=block_size)
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "3", 0, -1])
+@pytest.mark.parametrize("call, field, code", [
+    (retrieve_with_top_k, "top_k", "BAD_TOP_K"),
+    (compress_with_budget, "token_budget", "BAD_BUDGET"),
+    (pair_mixed_with_block_size, "block_size", "BAD_BLOCK_SIZE"),
+], ids=["retrieve", "compress", "pair_mixed"])
+def test_entry_points_read_counts_by_the_config_rule(call, field, code, value):
+    with pytest.raises(ConfigError) as err:
+        call(value)
+    assert err.value.code == code
+    with pytest.raises(ConfigError) as config_err:
+        RunConfig(**{field: value})
+    assert err.value.message == config_err.value.message
+    call(1)

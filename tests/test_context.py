@@ -9,6 +9,7 @@ from ecpo.context import (
     DriverProfile,
     LabelVocabulary,
     PerceptionSummary,
+    SPLITS,
     SampleRecord,
     SplitMix64,
     StrategyPrompt,
@@ -23,11 +24,11 @@ from ecpo.context import (
     seeded_shuffle,
     sensitivity_rank,
     vehicle_from_dict,
-    stratify,
+    stratum,
     stream_seed,
 )
 from ecpo.errors import ConfigError, InputError
-from oracles import fisher_yates_reference, fnv1a64_reference, splitmix64_stream
+from oracles import fisher_yates_reference, fnv1a64_reference, pair_mixed_reference, splitmix64_stream
 
 
 # --- profiles ----------------------------------------------------------------
@@ -205,6 +206,27 @@ def test_pair_mixed_errors():
         pair_mixed(ins, outs, seed=0, block_size=0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(SPLITS), max_size=12),
+    st.lists(st.sampled_from(SPLITS), min_size=1, max_size=12),
+    st.integers(1, 4),
+    st.integers(),
+)
+def test_pair_mixed_equals_index_reference(in_splits, out_splits, block_size, seed):
+    # splits interleave in any order, and a block may be longer than its split's pool
+    ins = [make_sample(f"in-{index}", split=split) for index, split in enumerate(in_splits)]
+    outs = [make_sample(f"out-{index}", split=split) for index, split in enumerate(out_splits)]
+    try:
+        expected = [record.prompt.prompt_id for record in pair_mixed_reference(ins, outs, seed, block_size)]
+    except InputError as missing:
+        with pytest.raises(InputError) as err:
+            pair_mixed(ins, outs, seed, block_size)
+        assert str(err.value) == str(missing)
+        return
+    assert [record.prompt.prompt_id for record in pair_mixed(ins, outs, seed, block_size)] == expected
+
+
 def test_merge_takes_driver_side_from_in_cabin():
     ins = [
         make_sample(
@@ -269,8 +291,7 @@ def test_stratify_four_groups():
         make_sample("env", labels=full_labels(traffic_scene="traffic_jam")),
         make_sample("both", labels=full_labels(behavior="yawning", vehicle_motion="reversing")),
     ]
-    groups = stratify(records)
-    names = {record.prompt.prompt_id: group for group, members in groups.items() for record in members}
+    names = {record.prompt.prompt_id: stratum(record, DEFAULT_LABEL_VOCAB) for record in records}
     assert names == {
         "nominal": "nominal",
         "driver": "driver_critical",
@@ -281,15 +302,31 @@ def test_stratify_four_groups():
 
 def test_stratify_normalizes_case():
     record = make_sample("p", labels=full_labels(emotion="Neutral"))
-    groups = stratify([record])
-    assert groups["nominal"] == [record]
+    assert stratum(record, DEFAULT_LABEL_VOCAB) == "nominal"
 
 
 def test_stratify_missing_head():
     record = make_sample("p", labels={"emotion": "neutral"})
     with pytest.raises(InputError) as err:
-        stratify([record])
+        stratum(record, DEFAULT_LABEL_VOCAB)
     assert err.value.code == "MISSING_HEAD"
+
+
+def test_stratum_reads_each_nominal_from_the_vocabulary():
+    angry = make_sample("angry", labels=full_labels(emotion="anger", traffic_scene="fog"))
+    calm = make_sample("calm", labels=full_labels(traffic_scene="fog"))
+    assert stratum(angry, DEFAULT_LABEL_VOCAB) == "interaction_critical"
+    assert stratum(calm, DEFAULT_LABEL_VOCAB) == "env_critical"
+    vocab = LabelVocabulary(DEFAULT_LABEL_VOCAB.heads, DEFAULT_LABEL_VOCAB.nominal | {"emotion": "anger"})
+    assert stratum(angry, vocab) == "env_critical"
+    assert stratum(calm, vocab) == "interaction_critical"
+
+
+def test_stratum_head_without_nominal_is_bad_vocab():
+    nominal = {head: label for head, label in DEFAULT_LABEL_VOCAB.nominal.items() if head != "vehicle_motion"}
+    with pytest.raises(ConfigError) as err:
+        stratum(make_sample("p", labels=full_labels()), LabelVocabulary(DEFAULT_LABEL_VOCAB.heads, nominal))
+    assert err.value.code == "BAD_VOCAB"
 
 
 # --- serialization -----------------------------------------------------------------

@@ -254,6 +254,62 @@ def test_mixpair_output_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == MIXPAIR_SHA256
 
 
+# sha256 of the mixpair output on mixpair_fixture(7) cut to two out-of-cabin records per split,
+# with block_size 3 and seed 5, so that every block is longer than its split's pool; from the
+# index arithmetic that the per-split cycles replaced
+MIXPAIR_LONG_BLOCK_SHA256 = "517b91ec7f1d3b86ce17f39698b0b44b475f1b1b2192ba20cbf9a2dbd59e7d73"
+
+
+def test_mixpair_blocks_longer_than_their_pool_are_pinned(tmp_path):
+    ins, outs = mixpair_fixture(7)
+    outs = outs[:6]
+    assert sorted(record["split"] for record in outs) == sorted(SPLITS * 2)
+    for name, records in (("in", ins), ("out", outs)):
+        (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps({"block_size": 3, "seeds": [5]}), encoding="utf-8")
+    code, out, err = run_main(["--config", str(tmp_path / "config.json"), "mixpair",
+                               "--in-cabin", str(tmp_path / "in.jsonl"), "--out-of-cabin", str(tmp_path / "out.jsonl")])
+    assert code == 0, err
+    assert [len(json.loads(line)["prompt"]["prompt_id"].split("+")) for line in out.splitlines()] == [4] * 6
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MIXPAIR_LONG_BLOCK_SHA256
+
+
+def stratify_fixture() -> list[dict]:
+    """Sample records of all four scenario groups over the three splits; the first two are nominal."""
+    nominal = {"emotion": "neutral", "behavior": "normal_driving", "traffic_scene": "smooth_traffic",
+               "vehicle_motion": "forward_moving"}
+    changes = [{}, {"emotion": " Neutral ", "vehicle_motion": "FORWARD_MOVING"}, {"emotion": "anger"},
+               {"behavior": "Phone_Use"}, {"traffic_scene": "fog"}, {"vehicle_motion": "reversing"},
+               {"emotion": "anxiety", "traffic_scene": "rain"}, {"behavior": "drowsy", "vehicle_motion": "merging"},
+               {"emotion": "surprise", "objects": ["truck"]}]
+    return [
+        {"prompt": {"prompt_id": f"s-{index}"}, "split": SPLITS[index % 3],
+         "ground_truth_labels": nominal | change}
+        for index, change in enumerate(changes)
+    ]
+
+
+# sha256 of the stratify stdout and stderr on stratify_fixture(), whole and without its nominal
+# records (a zero count in the log), from the list-partitioning stratify that stratum replaced
+STRATIFY_SHA256 = {
+    "every-group": ("7f5a4dbe2c73460e600aa5733c45f702973f1cb692949ae6dbd3eb1a31b1dc46",
+                    "c2200b30d1975912eb2b7bd783188b9a830a26111d2a1076ad401afe0969fd8d"),
+    "no-nominal": ("003153383ab2697c8a85e81867e2afbd60f9d76d2d3bd159a552169a054026de",
+                   "ad1d81255ebecd08828438d6020d4e8f4a77a73bffecd2ecc56ec36f8c388607"),
+}
+
+
+@pytest.mark.parametrize("name, skip", [("every-group", 0), ("no-nominal", 2)])
+def test_stratify_output_bytes_are_pinned(tmp_path, name, skip):
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(json.dumps(record) + "\n" for record in stratify_fixture()[skip:]), encoding="utf-8")
+    code, out, err = run_main(["stratify", "--records", str(path)])
+    assert code == 0, err
+    assert len(out.splitlines()) == 9 - skip
+    digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in (out, err))
+    assert digests == STRATIFY_SHA256[name]
+
+
 # --- the one encoder: reports, config echo, retrieval records ----------------------------------
 
 
