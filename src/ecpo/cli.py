@@ -15,11 +15,11 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .config import RunConfig, load_config
 from .errors import (ConfigError, InputError, ToolkitError, read_file, read_int, read_list, read_optional,
-                     read_record, read_string, read_strings, shown)
+                     read_record, read_strings, shown)
 from .policy import document_text
 
 # Each handler imports the modules it runs, so a command loads only those.
@@ -32,19 +32,38 @@ def _dumps(payload: object) -> str:
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def _read_jsonl(path: str) -> list[object]:
+_JSON_SPACE = " \t\r"  # the JSON whitespace a line can hold (LF ends it); a line of nothing else is blank
+_scan = json.JSONDecoder().scan_once
+
+
+def _read_jsonl(path: str, decode: Callable[[object], object] | None = None) -> list:
+    """Each non-blank line's value, through ``decode`` as soon as it parses, so a file's raw values are never all
+    held. A decode failure waits until every line has parsed: a ``BAD_LINE`` anywhere still wins."""
     if not os.path.exists(path):
         raise InputError("MISSING_FILE", f"no such file: {path}")
-    records = []
+    records, failure = [], None
     # LF only: str.splitlines() would also break at U+2028, U+2029 and U+0085,
     # which _dumps writes raw inside strings.
     for number, line in enumerate(read_file(path, "BAD_FILE", "input").split("\n"), start=1):
-        if not line.strip():
+        start = len(line) - len(line.lstrip(_JSON_SPACE))
+        if start == len(line):
             continue
-        try:
-            records.append(json.loads(line))
-        except (ValueError, RecursionError) as error:
-            raise InputError("BAD_LINE", f"{path}:{number}: {error}")
+        try:  # the scanner at once; json.loads only for the error of a line that is not one JSON value
+            value, end = _scan(line, start)
+            if line[end:].strip(_JSON_SPACE):
+                raise ValueError
+        except (StopIteration, ValueError, RecursionError):
+            try:
+                value = json.loads(line)
+            except (ValueError, RecursionError) as error:
+                raise InputError("BAD_LINE", f"{path}:{number}: {error}")
+        if failure is None:
+            try:
+                records.append(value if decode is None else decode(value))
+            except Exception as error:  # any failure, INTERNAL ones too, waits until every line has parsed
+                failure = error
+    if failure is not None:
+        raise failure
     return records
 
 
@@ -90,22 +109,22 @@ def _vote(vote: object) -> tuple[bool, bool, bool]:
     return tuple(vote)
 
 
-# The records each command reads, field -> reader (None keeps the value), with
+# The records each command reads, field -> rule (see `errors.read_record`), with
 # their required fields. A document is read as text; a carried `prompt` that is
 # absent or null stands for an empty prompt under the record's prompt_id.
-VALIDATE_FIELDS = {"prompt_id": read_string, "candidate_id": read_string, "document": document_text}
-CANDIDATE_FIELDS = {"candidate_id": read_string, "document": document_text}
-PAIRS_FIELDS = {"prompt_id": read_string, "prompt": read_optional(_carried_prompt), "candidates": _candidates}
+VALIDATE_FIELDS = {"prompt_id": str, "candidate_id": str, "document": document_text}
+CANDIDATE_FIELDS = {"candidate_id": str, "document": document_text}
+PAIRS_FIELDS = {"prompt_id": str, "prompt": read_optional(_carried_prompt), "candidates": _candidates}
 # eval records by kind: (fields, required)
 EVAL_FIELDS = {
     "strategy": (
-        {"kind": None, "prompt_id": read_string, "prompt": read_optional(_carried_prompt),
+        {"kind": None, "prompt_id": str, "prompt": read_optional(_carried_prompt),
          "document": document_text, "ratings": read_optional(read_list(_vote)), "seed": read_int},
         ("prompt_id", "document"),
     ),
     "labels": ({"kind": None, "truth": read_strings, "prediction": read_strings}, ("truth", "prediction")),
-    "classification": ({"kind": None, "truth": read_string, "prediction": read_string}, ("truth", "prediction")),
-    "text": ({"kind": None, "reference": read_string, "hypothesis": read_string}, ("reference", "hypothesis")),
+    "classification": ({"kind": None, "truth": str, "prediction": str}, ("truth", "prediction")),
+    "text": ({"kind": None, "reference": str, "hypothesis": str}, ("reference", "hypothesis")),
 }
 
 
@@ -288,7 +307,7 @@ def _snippet_view(snippet) -> dict:
 def cmd_retrieve(args, config: RunConfig) -> list[str]:
     from .store import LexicalScorer, build_query, compress, load_store, retrieve, snippet_from_dict, to_json
 
-    store = load_store(snippet_from_dict(record) for record in _read_jsonl(args.store))
+    store = load_store(_read_jsonl(args.store, snippet_from_dict))
     by_id = {snippet.snippet_id: snippet for snippet in store.snapshot()}
     scorer = LexicalScorer()
     echo = config.echo()
@@ -314,8 +333,8 @@ def cmd_retrieve(args, config: RunConfig) -> list[str]:
 def cmd_mixpair(args, config: RunConfig) -> list[str]:
     from .context import pair_mixed, sample_from_dict, sample_to_dict
 
-    in_samples = [sample_from_dict(record) for record in _read_jsonl(args.in_cabin)]
-    out_samples = [sample_from_dict(record) for record in _read_jsonl(args.out_of_cabin)]
+    in_samples = _read_jsonl(args.in_cabin, sample_from_dict)
+    out_samples = _read_jsonl(args.out_of_cabin, sample_from_dict)
     seed = config.seeds[0]
     paired = pair_mixed(in_samples, out_samples, seed=seed, block_size=config.block_size)
     _log(f"mixpair: {len(paired)} merged records (seed={seed}, block_size={config.block_size})")
@@ -325,7 +344,7 @@ def cmd_mixpair(args, config: RunConfig) -> list[str]:
 def cmd_stratify(args, config: RunConfig) -> list[str]:
     from .context import STRATIFY_GROUPS, sample_from_dict, stratum
 
-    records = [sample_from_dict(record) for record in _read_jsonl(args.records)]
+    records = _read_jsonl(args.records, sample_from_dict)
     vocab = config.label_vocab()
     groups = [stratum(record, vocab) for record in records]
     _log(f"stratify: {_dumps({group: groups.count(group) for group in STRATIFY_GROUPS})}")

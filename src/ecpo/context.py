@@ -338,23 +338,23 @@ def stratum(record: SampleRecord, vocab: LabelVocabulary) -> str:
 Z_FIELDS = {
     "driver_labels": read_strings,
     "scene_labels": read_strings,
-    "summary_initial": read_string,
-    "summary_transition": read_string,
-    "summary_final": read_string,
+    "summary_initial": str,
+    "summary_transition": str,
+    "summary_final": str,
     "objects": read_strings,
 }
 
 DRIVER_FIELDS = {
-    "alert_modality_preference": read_string,
-    "alert_frequency": read_string,
+    "alert_modality_preference": str,
+    "alert_frequency": str,
     "sensitivities": read_as(dict, read_object),
-    "style_preference": read_string,
+    "style_preference": str,
     "cabin_preferences": read_as(dict, read_object),
 }
 
 VEHICLE_FIELDS = {
-    "jurisdiction": read_string,
-    "operating_mode": read_string,
+    "jurisdiction": str,
+    "operating_mode": str,
     "available_actuators": read_as(frozenset, read_strings),
     "capability_limits": read_as(dict, read_object),
 }
@@ -374,7 +374,7 @@ def vehicle_from_dict(raw: object, code: str = "BAD_RECORD", what: str = "vehicl
 
 
 PROMPT_FIELDS = {
-    "prompt_id": read_string,
+    "prompt_id": str,
     "z": perception_from_dict,
     "driver": driver_from_dict,
     "vehicle": vehicle_from_dict,

@@ -79,10 +79,13 @@ def is_finite_number(value: object) -> bool:
         return False
 
 
-def read_record(raw: object, fields: Mapping[str, Callable | None], code: str, what: str, required=()) -> dict:
+OPTIONAL_STRING = (str, type(None))  # the rule of a field holding a string or null (``str``: a string)
+
+
+def read_record(raw: object, fields: Mapping[str, object], code: str, what: str, required=()) -> dict:
     """The fields of one outside record: ``raw`` must be an object holding every ``required`` key and no key
-    outside ``fields``, which maps each field to its reader, called as ``reader(value, code, field)``; a field
-    whose reader is None keeps its value. A field the record leaves out is left out."""
+    outside ``fields``, which maps each field to its rule: ``str`` or ``OPTIONAL_STRING``, checked in place, None
+    for any value, or a reader, called as ``reader(value, code, field)``. A field left out is left out."""
     if not isinstance(raw, dict):
         raise InputError(code, f"{what} must be an object, got {shown(raw)}")
     for key in required:
@@ -91,10 +94,14 @@ def read_record(raw: object, fields: Mapping[str, Callable | None], code: str, w
     record = {}
     for key, value in raw.items():  # a plain loop: records decode on the hot path
         try:
-            reader = fields[key]
+            rule = fields[key]
         except KeyError:
             raise InputError(code, f"{what} has unknown field {shown(key)}") from None
-        record[key] = value if reader is None else reader(value, code, key)
+        if rule is not str and rule is not OPTIONAL_STRING:
+            value = value if rule is None else rule(value, code, key)
+        elif not isinstance(value, rule):
+            raise InputError(code, f"{key} must be a string, got {shown(value)}")
+        record[key] = value
     return record
 
 

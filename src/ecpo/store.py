@@ -31,23 +31,18 @@ import math
 import re
 import sys
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence
 
 from .config import check_count
-from .errors import (InputError, read_as, read_int, read_list, read_number, read_optional,
-                     read_record, read_string, read_strings, shown)
+from .errors import (OPTIONAL_STRING, InputError, is_finite_number, read_as, read_int, read_list, read_record,
+                     read_string, read_strings, shown)
 from .policy import ActionType, PolicyAction, keyword_pattern, parse_action_type, policy_dict
-from .textnorm import (
-    content_tokens,
-    cosine_from_counts,
-    dedup_preserve_order,
-    squared_norm,
-    term_frequencies,
-)
+from .textnorm import (STOPWORDS, TEXT_BREAK, content_tokens, cosine_from_counts, dedup_preserve_order, squared_norm,
+                       term_frequencies, tokenize_texts)
 
 if TYPE_CHECKING:
     from .context import DriverProfile, PerceptionSummary, VehicleProfile
@@ -165,6 +160,7 @@ _SLOT_LIMIT = 1 << 16
 # Relative margin under the k-th approximate score that still survives to the
 # exact rescoring; approximate and exact scores differ by a few ulps.
 _SURVIVOR_MARGIN = 1e-9
+_TOKENIZE_CHUNK = 256  # texts per scan: one scan of a whole large store would hold all its tokens at once
 
 
 @dataclass(frozen=True)
@@ -197,18 +193,26 @@ class LexicalIndex:
 
 def _build_lexical_index(snippets: Sequence[ConstraintSnippet]) -> LexicalIndex:
     ordered = sorted(snippets, key=lambda snippet: snippet.snippet_id)
-    norms_by_id: list[int] = []
-    postings: dict[str, tuple[array, array]] = {}
-    for id_rank, snippet in enumerate(ordered):
-        frequencies = term_frequencies(content_tokens(snippet.text))
-        norms_by_id.append(squared_norm(frequencies))
-        for token, count in frequencies.items():
-            entry = postings.get(token)
-            if entry is None:
-                entry = postings[token] = (array("i"), array("i"))
-            entry[0].append(id_rank)
-            entry[1].append(count)
     size = len(ordered)
+    # token -> the id rank of the snippet holding each of its occurrences, ascending
+    occurrences: defaultdict[str, list[int]] = defaultdict(list)
+    for start in range(0, size, _TOKENIZE_CHUNK):
+        id_rank = start
+        for token in tokenize_texts(snippet.text for snippet in ordered[start:start + _TOKENIZE_CHUNK]):
+            if token == TEXT_BREAK:
+                id_rank += 1
+            else:
+                occurrences[token].append(id_rank)
+    norms_by_id = [0] * size
+    postings: dict[str, tuple[array, array]] = {}
+    for token, id_ranks in occurrences.items():
+        if token in STOPWORDS:
+            continue
+        frequencies = Counter(id_ranks)
+        postings[token] = (array("i", frequencies), array("i", frequencies.values()))
+        for id_rank, count in frequencies.items():
+            norms_by_id[id_rank] += count * count
+    del occurrences  # freed before the packed columns are built
     # a stable sort keeps snippet_id order within one squared norm
     by_norm = sorted(range(size), key=norms_by_id.__getitem__)
     id_order = [0] * size
@@ -553,12 +557,12 @@ def _parameter_bound(entry: object) -> ParameterBound:
         raise InputError("BAD_SNIPPET", f"parameter bound {shown(entry)} is not a 4-item list")
     action, parameter, minimum, maximum = entry
     parameter = read_string(parameter, "BAD_SNIPPET", "bound parameter")
-    return ParameterBound(
-        _action_type(action, "bound action type"),
-        parameter,
-        float(read_number(minimum, "BAD_SNIPPET", f"minimum of bound {shown(parameter)}")),
-        float(read_number(maximum, "BAD_SNIPPET", f"maximum of bound {shown(parameter)}")),
-    )
+    action_type = _action_type(action, "bound action type")
+    for end, value in (("minimum", minimum), ("maximum", maximum)):
+        if not is_finite_number(value):  # the label quotes the parameter: built only for the error
+            raise InputError("BAD_SNIPPET",
+                             f"{end} of bound {shown(parameter)} must be a finite number, got {shown(value)}")
+    return ParameterBound(action_type, parameter, float(minimum), float(maximum))
 
 
 ASSERTION_FIELDS = {
@@ -583,12 +587,12 @@ def _version(value: object, code: str, what: str) -> int:
 
 
 SNIPPET_FIELDS = {
-    "snippet_id": read_string,
-    "layer": read_string,
-    "clause_id": read_string,
-    "text": read_string,
-    "jurisdiction": read_optional(read_string),
-    "vehicle_config": read_optional(read_string),
+    "snippet_id": str,
+    "layer": str,
+    "clause_id": str,
+    "text": str,
+    "jurisdiction": OPTIONAL_STRING,
+    "vehicle_config": OPTIONAL_STRING,
     "assertions": _assertions,
     "version": _version,
 }
@@ -600,7 +604,14 @@ def snippet_to_dict(snippet: ConstraintSnippet) -> dict:
 
 
 def snippet_from_dict(raw: object) -> ConstraintSnippet:
-    return ConstraintSnippet(**read_record(raw, SNIPPET_FIELDS, "BAD_SNIPPET", "snippet record", SNIPPET_REQUIRED))
+    # Fields go one by one into a bare instance's dict, a fifth of the cost of the eight-field __init__
+    # (update() would give each instance a key table of its own); a field left out reads the class default.
+    snippet = object.__new__(ConstraintSnippet)
+    fields = snippet.__dict__
+    for name, value in read_record(raw, SNIPPET_FIELDS, "BAD_SNIPPET", "snippet record", SNIPPET_REQUIRED).items():
+        fields[name] = value
+    snippet.__post_init__()
+    return snippet
 
 
 def load_store(snippets: Iterable[ConstraintSnippet]) -> ConstraintStore:

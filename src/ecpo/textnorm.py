@@ -43,6 +43,16 @@ def content_tokens(text: str) -> list[str]:
     return list(filterfalse(STOPWORDS.__contains__, tokenize(text)))
 
 
+TEXT_BREAK = "\x00"  # ends each text's tokens in ``tokenize_texts``: no token character, so never in a token
+_TOKEN_OR_BREAK = re.compile(f"{_TOKEN.pattern}|{TEXT_BREAK}")
+
+
+def tokenize_texts(texts: Iterable[str]) -> list[str]:
+    """The ``tokenize`` tokens of each text in turn, each text's followed by ``TEXT_BREAK``, from one casefold
+    (which maps each character on its own) and one scan; a ``TEXT_BREAK`` inside a text reads as a space."""
+    return _TOKEN_OR_BREAK.findall("".join([text.replace(TEXT_BREAK, " ") + TEXT_BREAK for text in texts]).casefold())
+
+
 def dedup_preserve_order(items: Iterable[str]) -> list[str]:
     return list(dict.fromkeys(items))
 

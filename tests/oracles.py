@@ -9,8 +9,11 @@ of shared helpers. Tests compare package output against these.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,10 +27,11 @@ from ecpo.context import (
     seeded_shuffle,
     stream_seed,
 )
-from ecpo.errors import InputError
-from ecpo.policy import ActionType
-from ecpo.store import Assertions, ConstraintSnippet, ParameterBound, RetrievalQuery
-from ecpo.textnorm import content_tokens, lexical_cosine, normalize_text, tokenize
+from ecpo.errors import (InputError, read_as, read_int, read_list, read_number, read_optional, read_string,
+                         read_strings, shown)
+from ecpo.policy import ActionType, parse_action_type
+from ecpo.store import Assertions, ConstraintSnippet, LexicalIndex, ParameterBound, RetrievalQuery
+from ecpo.textnorm import content_tokens, lexical_cosine, normalize_text, squared_norm, term_frequencies, tokenize
 from ecpo.validator import CheckResult, EcpoReport, ViolationSummary
 
 MASK64 = (1 << 64) - 1
@@ -248,6 +252,138 @@ def lexical_survivors_reference(snippets, query: RetrievalQuery, top_k: int) -> 
         for s, dot, product in rows
         if (product >= floor if floor > 0 else dot > 0)
     }
+
+
+def lexical_index_reference(snippets) -> LexicalIndex:
+    """The lexical index built one text at a time, as ``store._build_lexical_index`` built it before it
+    tokenized texts in chunks: each snippet's ``content_tokens`` counted on their own, postings appended in
+    snippet_id order, then renumbered by (squared norm, snippet_id)."""
+    ordered = sorted(snippets, key=lambda snippet: snippet.snippet_id)
+    norms_by_id: list[int] = []
+    postings: dict[str, tuple[array, array]] = {}
+    for id_rank, snippet in enumerate(ordered):
+        frequencies = term_frequencies(content_tokens(snippet.text))
+        norms_by_id.append(squared_norm(frequencies))
+        for token, count in frequencies.items():
+            entry = postings.setdefault(token, (array("i"), array("i")))
+            entry[0].append(id_rank)
+            entry[1].append(count)
+    size = len(ordered)
+    by_norm = sorted(range(size), key=norms_by_id.__getitem__)
+    id_order = [0] * size
+    for position, id_rank in enumerate(by_norm):
+        id_order[id_rank] = position
+    for token, (id_ranks, counts) in postings.items():
+        postings[token] = (array("i", [id_order[id_rank] for id_rank in id_ranks]), counts)
+    squared_norms = array("q", [norms_by_id[id_rank] for id_rank in by_norm])
+    groups = []
+    start = 0
+    for sq, run in itertools.groupby(squared_norms):
+        end = start + len(list(run))
+        if sq:
+            groups.append((start, end, 1 / math.sqrt(sq)))
+        start = end
+    peaks = {token: max(counts) for token, (_, counts) in postings.items()}
+    columns = {}
+    for token, (positions, counts) in postings.items():
+        if len(positions) * 32 >= size and peaks[token] < 1 << 16:
+            slots = array("H", bytes(2 * size))
+            for position, count in zip(positions, counts):
+                slots[position] = count
+            columns[token] = int.from_bytes(slots, sys.byteorder)
+    return LexicalIndex(
+        snippet_ids=tuple(ordered[id_rank].snippet_id for id_rank in by_norm),
+        id_order=array("i", id_order),
+        squared_norms=squared_norms,
+        groups=tuple(groups),
+        postings=postings,
+        peaks=peaks,
+        columns=columns,
+    )
+
+
+# --- the snippet reader before string fields were checked in place --------------------------------
+# Every field goes through a reader call and every instance through its dataclass __init__; the decoder
+# fault table holds the package's snippet_from_dict to the same codes, messages and values.
+
+
+def _read_record_reference(raw, fields, code, what, required=()):
+    if not isinstance(raw, dict):
+        raise InputError(code, f"{what} must be an object, got {shown(raw)}")
+    for key in required:
+        if key not in raw:
+            raise InputError(code, f"{what} needs a {key!r} field")
+    record = {}
+    for key, value in raw.items():
+        try:
+            reader = fields[key]
+        except KeyError:
+            raise InputError(code, f"{what} has unknown field {shown(key)}") from None
+        record[key] = value if reader is None else reader(value, code, key)
+    return record
+
+
+def _action_type_reference(name, what):
+    parsed = parse_action_type(read_string(name, "BAD_SNIPPET", what))
+    if parsed is None:
+        raise InputError("BAD_SNIPPET", f"unmappable {what} {shown(name)}")
+    return parsed
+
+
+def _parameter_bound_reference(entry):
+    if not isinstance(entry, list) or len(entry) != 4:
+        raise InputError("BAD_SNIPPET", f"parameter bound {shown(entry)} is not a 4-item list")
+    action, parameter, minimum, maximum = entry
+    parameter = read_string(parameter, "BAD_SNIPPET", "bound parameter")
+    return ParameterBound(
+        _action_type_reference(action, "bound action type"),
+        parameter,
+        float(read_number(minimum, "BAD_SNIPPET", f"minimum of bound {shown(parameter)}")),
+        float(read_number(maximum, "BAD_SNIPPET", f"maximum of bound {shown(parameter)}")),
+    )
+
+
+_ASSERTION_READERS = {
+    "forbidden_action_types": lambda value, code, what: frozenset(
+        _action_type_reference(name, "forbidden action type") for name in read_strings(value, code, what)),
+    "parameter_bounds": read_list(_parameter_bound_reference),
+    "required_modalities": read_as(frozenset, read_strings),
+    "forbidden_keywords": read_strings,
+}
+
+
+def _assertions_reference(value, code, what):
+    if value is None or value == {}:
+        return None
+    return Assertions(**_read_record_reference(value, _ASSERTION_READERS, code, what))
+
+
+def _version_reference(value, code, what):
+    if read_int(value, code, what) < 0:
+        raise InputError(code, f"{what} must be a non-negative integer, got {shown(value)}")
+    return value
+
+
+_SNIPPET_READERS = {
+    "snippet_id": read_string,
+    "layer": read_string,
+    "clause_id": read_string,
+    "text": read_string,
+    "jurisdiction": read_optional(read_string),
+    "vehicle_config": read_optional(read_string),
+    "assertions": _assertions_reference,
+    "version": _version_reference,
+}
+
+
+def snippet_fields_reference(raw) -> dict:
+    """The decoded fields of a snippet record, read field by field through the typed readers."""
+    required = ("snippet_id", "layer", "clause_id", "text")
+    return _read_record_reference(raw, _SNIPPET_READERS, "BAD_SNIPPET", "snippet record", required)
+
+
+def snippet_from_dict_reference(raw) -> ConstraintSnippet:
+    return ConstraintSnippet(**snippet_fields_reference(raw))
 
 
 def contains_phrase(tokens: list[str], phrase_tokens: list[str]) -> bool:

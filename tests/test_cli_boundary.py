@@ -384,6 +384,82 @@ def test_mixpair_output_with_unicode_line_breaks_reads_back(tmp_path):
     assert [json.loads(line)["prompt_id"] for line in out.getvalue().splitlines()] == ["in-1+out-1"]
 
 
+# --- JSONL lines: blank lines and the order of faults ------------------------------------------
+
+def lines_file(lines: list[str]) -> bytes:
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def store_line(**change) -> str:
+    return json.dumps({**SNIPPET, **change})
+
+
+@pytest.mark.parametrize("command, name", [("retrieve", "store"), ("validate", "prompts"), ("eval", "records"),
+                                           ("mixpair", "in"), ("stratify", "records")])
+@pytest.mark.parametrize("blank", ["", " ", "\t", "\r", " \t\r "])
+def test_json_whitespace_line_is_blank(tmp_path, command, name, blank):
+    files = inputs(command)
+    expected = run(tmp_path, command, files)
+    files[name] = lines_file([blank] + [json.dumps(record) for record in files[name]] + [blank])
+    assert run(tmp_path, command, files) == expected
+
+
+@pytest.mark.parametrize("command, name", [("retrieve", "store"), ("validate", "prompts"), ("eval", "records"),
+                                           ("mixpair", "in"), ("stratify", "records")])
+@pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"])
+def test_line_of_other_whitespace_is_a_bad_line(tmp_path, command, name, space):
+    # str.strip counts these as whitespace, JSON does not: such a line was skipped as blank, while the same
+    # character before a value already failed
+    files = inputs(command)
+    for lines in ([space], [space + json.dumps(files[name][0])]):
+        files[name] = lines_file([json.dumps(record) for record in files[name][:1]] + lines)
+        code, out, err = run(tmp_path, command, files)
+        assert (code, out) == (1, "")
+        assert err == f"error: BAD_LINE: {tmp_path / f'{name}.jsonl'}:2: Expecting value: line 1 column 1 (char 0)\n"
+
+
+# The store is decoded line by line as it is parsed; which fault wins, and every BAD_LINE message, is as when
+# the whole file was parsed first (expectations taken from the reader that did so).
+GOOD_LINES = [store_line(snippet_id=f"s{i}") for i in range(1, 7)]
+STORE_FAULTS = [
+    pytest.param([GOOD_LINES[0], store_line(snippet_id="b", text=5), GOOD_LINES[1], GOOD_LINES[2], "{oops",
+                  GOOD_LINES[3]],
+                 "BAD_LINE: {store}:5: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+                 id="bad-snippet-2-unparseable-5"),
+    pytest.param([GOOD_LINES[0], GOOD_LINES[1], GOOD_LINES[0], store_line(snippet_id="b", layer="weather")],
+                 "BAD_SNIPPET: unknown snippet layer 'weather'", id="duplicate-then-bad-snippet"),
+    pytest.param([GOOD_LINES[0], GOOD_LINES[1] + " x"], "BAD_LINE: {store}:2: Extra data: line 1 column 348 (char 347)",
+                 id="trailing-data"),
+    pytest.param([GOOD_LINES[0], GOOD_LINES[1] + " \t{}"],
+                 "BAD_LINE: {store}:2: Extra data: line 1 column 349 (char 348)", id="second-value"),
+    pytest.param([GOOD_LINES[0], " \t[1, 2,]\r"], "BAD_LINE: {store}:2: Expecting value: line 1 column 9 (char 8)",
+                 id="whitespace-around-bad-value"),
+    pytest.param([GOOD_LINES[0], '{"snippet_id": Nan}'],
+                 "BAD_LINE: {store}:2: Expecting value: line 1 column 16 (char 15)", id="misspelt-nan"),
+    pytest.param([GOOD_LINES[0], "NaN"], "BAD_SNIPPET: snippet record must be an object, got nan", id="nan"),
+    pytest.param([GOOD_LINES[0], "[" * 100_000 + "]" * 100_000],
+                 "BAD_LINE: {store}:2: maximum recursion depth exceeded while decoding a JSON array from a unicode "
+                 "string", id="deep-nesting"),
+    pytest.param([GOOD_LINES[0], "\ufeff" + GOOD_LINES[1]],
+                 "BAD_LINE: {store}:2: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+                 id="bom-on-line-2"),
+]
+
+
+@pytest.mark.parametrize("lines, error", STORE_FAULTS)
+def test_streamed_store_keeps_the_order_of_faults(tmp_path, lines, error):
+    code, out, err = run(tmp_path, "retrieve", {"store": lines_file(lines), "prompts": [PROMPT]})
+    assert (code, out) == (1, "")
+    assert err == "error: " + error.format(store=tmp_path / "store.jsonl") + "\n"
+
+
+def test_json_whitespace_around_a_value_is_read_past(tmp_path):
+    plain = run(tmp_path, "retrieve", {"store": lines_file(GOOD_LINES[:2]), "prompts": [PROMPT]})
+    padded = [" \t" + GOOD_LINES[0] + " \t\r", "\t" + GOOD_LINES[1] + "\r"]
+    assert run(tmp_path, "retrieve", {"store": lines_file(padded), "prompts": [PROMPT]}) == plain
+    assert plain[0] == 0
+
+
 # --- side files through the CLI ----------------------------------------------------------------
 
 GLANCE_RULES = "# trigger\tscopes\thazard\nlooks around\tsummaries\tglance\n"

@@ -1,10 +1,16 @@
 
 import dataclasses
+import importlib.util
+import json
 import math
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ecpo.errors
 import ecpo.store
 from ecpo.context import DriverProfile, PerceptionSummary, VehicleProfile
 from ecpo.errors import ConfigError, InputError
@@ -24,8 +30,9 @@ from ecpo.store import (
     snippet_to_dict,
     update_store,
 )
-from ecpo.textnorm import term_frequencies
-from oracles import lexical_ranking_reference, lexical_survivors_reference
+from ecpo.textnorm import TEXT_BREAK, term_frequencies, tokenize, tokenize_texts
+from oracles import (lexical_index_reference, lexical_ranking_reference, lexical_survivors_reference,
+                     snippet_fields_reference, snippet_from_dict_reference)
 
 
 def snippet(snippet_id: str, text: str, layer: str = "legal", **kwargs) -> ConstraintSnippet:
@@ -440,24 +447,74 @@ def test_load_store_builds_no_index(monkeypatch):
 
 def test_repeat_query_does_not_retokenize_snippets(monkeypatch):
     store = load_store([snippet(f"s{i}", f"clause {i} about lane merge") for i in range(20)])
-    tokenized = []
-    real = ecpo.store.content_tokens
+    batched, single = [], []
+    real_batched, real_single = ecpo.store.tokenize_texts, ecpo.store.content_tokens
 
-    def counting(text):
-        tokenized.append(text)
-        return real(text)
+    def counting_batched(texts):
+        texts = list(texts)
+        batched.extend(texts)
+        return real_batched(texts)
 
-    monkeypatch.setattr(ecpo.store, "content_tokens", counting)
+    def counting_single(text):
+        single.append(text)
+        return real_single(text)
+
+    monkeypatch.setattr(ecpo.store, "tokenize_texts", counting_batched)
+    monkeypatch.setattr(ecpo.store, "content_tokens", counting_single)
     query = query_for("lane merge")
-    snippet_texts = {s.text for s in store.snapshot()}
+    snippet_texts = sorted(s.text for s in store.snapshot())
     first = retrieve(store, query, top_k=3)
-    assert snippet_texts <= set(tokenized)
+    # the first query tokenizes every snippet text exactly once, in one batch per chunk
+    assert sorted(batched) == snippet_texts
+    assert single and not set(snippet_texts) & set(single)
     columns = store.lexical_index().columns
     assert {"lane", "merge"} <= set(columns)
-    tokenized.clear()
+    batched.clear()
+    single.clear()
     assert retrieve(store, query, top_k=3) == first
-    assert tokenized and not snippet_texts & set(tokenized)
+    # a repeat tokenizes only the query
+    assert batched == [] and single and not set(snippet_texts) & set(single)
     assert store.lexical_index().columns is columns
+
+
+# The chunked build tokenizes many texts joined by "\x00" with one casefold: texts holding "\x00", casefold
+# expanders (sharp s, the fi ligature, the Kelvin sign, dotted capital I), stopword-only texts and every
+# position of a text relative to the chunk boundaries must index as one text at a time does.
+INDEX_PIECES = ("rain", "LANE", "merge", "the", "and", "of", "\x00", "a\x00b", "\x00\x00", "Stra\u00dfe",
+                "\ufb01eld", "\u212aelvin", "\u0130stanbul", "x1", "42", "-", " ", "\t", "\u00a0")
+index_texts = st.lists(st.sampled_from(INDEX_PIECES), min_size=1, max_size=10).map("".join).filter(str.strip)
+INDEX_FIELDS = ("snippet_ids", "id_order", "squared_norms", "groups", "postings", "peaks", "columns")
+
+
+def assert_index_equals_reference(snippets):
+    index, expected = ecpo.store._build_lexical_index(snippets), lexical_index_reference(snippets)
+    for name in INDEX_FIELDS:
+        assert getattr(index, name) == getattr(expected, name), name
+    assert list(index.postings) == list(expected.postings)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(index_texts, max_size=14), st.integers(1, 5) | st.just(ecpo.store._TOKENIZE_CHUNK))
+def test_chunked_index_equals_per_text_reference(texts, chunk):
+    snippets = [snippet(f"s{i:02d}", text) for i, text in enumerate(texts)]
+    with mock.patch.object(ecpo.store, "_TOKENIZE_CHUNK", chunk):
+        assert_index_equals_reference(snippets)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, ecpo.store._TOKENIZE_CHUNK + 1])
+def test_index_across_the_chunk_size_equals_per_text_reference(offset):
+    words = ("rain", "lane", "merge", "fog", "the", "\u212a", "a\x00b", "Stra\u00dfe")
+    size = ecpo.store._TOKENIZE_CHUNK + offset
+    assert_index_equals_reference(
+        [snippet(f"s{i:04d}", " ".join(words[(i * j) % len(words)] for j in range(1 + i % 5))) for i in range(size)])
+
+
+def test_tokenize_texts_breaks_after_each_text():
+    texts = ["Lane \u212aeep", "", "a\x00b", "Stra\u00dfe \ufb01x"]
+    flat = tokenize_texts(texts)
+    assert flat.count(TEXT_BREAK) == len(texts) and flat[-1] == TEXT_BREAK
+    per_text = " ".join(flat).split(TEXT_BREAK)[:-1]
+    assert [part.split() for part in per_text] == [tokenize(text) for text in texts]
 
 
 # --- compression ----------------------------------------------------------------------
@@ -536,3 +593,98 @@ def test_snippet_decoders_reject_mistyped_fields(change):
     with pytest.raises(InputError) as err:
         snippet_from_dict(raw)
     assert err.value.code == "BAD_SNIPPET"
+
+
+# --- the decoder fault table -------------------------------------------------------------
+# snippet_from_dict checks string fields in place and sets fields on a bare instance; the field-by-field
+# reader it replaced (oracles.snippet_from_dict_reference) fixes every code, message and decoded value.
+
+BASE = {"snippet_id": "a", "layer": "legal", "clause_id": "c", "text": "keep right"}
+FULL_ASSERTIONS = {"forbidden_action_types": ["AmbientLight", "hvac"],
+                   "parameter_bounds": [["Hvac", "temperature", 16, 28.5], ["hmi prompt", "volume", 0.5, 3]],
+                   "required_modalities": ["visual", "audio"], "forbidden_keywords": ["loud music", "race"]}
+FULL = {**BASE, "jurisdiction": "EU", "vehicle_config": None, "assertions": FULL_ASSERTIONS, "version": 2}
+LONG = "x" * 300
+MISTYPED = [None, True, 0, -1, 1.5, float("nan"), float("inf"), "", "x", LONG, [], ["x"], [1], [LONG], {}, {"a": 1}]
+BOUND = ["Hvac", "temperature", 16, 28]
+
+
+def with_assertions(**change):
+    return {**BASE, "assertions": {**FULL_ASSERTIONS, **change}}
+
+
+DECODER_CASES = [
+    # records that decode
+    BASE, FULL, {**BASE, "assertions": {}}, {**BASE, "assertions": None}, {**BASE, "jurisdiction": None},
+    dict(reversed(list(FULL.items()))), {**BASE, "version": 0}, {**BASE, "assertions": {"required_modalities": []}},
+    # not a record, or a required field missing
+    None, [], "x", 5, *({k: v for k, v in BASE.items() if k != key} for key in BASE),
+    # each field mistyped
+    *({**FULL, key: value} for key in FULL for value in MISTYPED),
+    *(with_assertions(**{key: value}) for key in FULL_ASSERTIONS for value in MISTYPED),
+    *(with_assertions(parameter_bounds=[BOUND[:at] + [value] + BOUND[at + 1:]])
+      for at in range(4) for value in MISTYPED + [float("-inf"), 10 ** 400, "Bogus"]),
+    with_assertions(parameter_bounds=[BOUND[:3]]), with_assertions(parameter_bounds=[BOUND + [1]]),
+    with_assertions(parameter_bounds=[[5, 5, float("nan"), 1]]), with_assertions(parameter_bounds=[[5, LONG, 1, 2]]),
+    with_assertions(parameter_bounds=[["Hvac", LONG, float("nan"), 1]]),
+    # an unknown key before a bad value, and after one
+    {"zz": 1, **BASE, "text": 5}, {**BASE, "text": 5, "zz": 1},
+    {**BASE, "assertions": {"zz": 1, "forbidden_keywords": [3]}},
+    {**BASE, "assertions": {"forbidden_keywords": [3], "zz": 1}}, {**BASE, LONG: 1},
+    # a field fault before the class checks: an empty snippet_id together with bad assertions
+    {**BASE, "snippet_id": "", "assertions": {"parameter_bounds": 5}}, {**BASE, "snippet_id": ""},
+    {**BASE, "layer": "weather"}, {**BASE, "clause_id": ""}, {**BASE, "text": " \t"},
+    {**BASE, "snippet_id": LONG, "text": ""},
+    # checks of the classes: an unmappable action type, a bad keyword, a reversed bound
+    with_assertions(forbidden_action_types=["Bogus"]), with_assertions(forbidden_action_types=[LONG]),
+    with_assertions(parameter_bounds=[["Bogus", "t", 1, 2]]), with_assertions(parameter_bounds=[["Hvac", "t", 5, 1]]),
+    *(with_assertions(forbidden_keywords=["ok", keyword]) for keyword in ("(", "x?", "", "a)|(b", "(" * 2000)),
+]
+
+
+def without_depth_note(message: str) -> str:
+    # Where the recursion limit strikes, inside a call from C or not, depends on the depth of the stack.
+    return message.removesuffix(" while calling a Python object")
+
+
+@pytest.mark.parametrize("raw", DECODER_CASES)
+def test_snippet_decoder_matches_the_field_by_field_reader(raw):
+    try:
+        expected = snippet_from_dict_reference(raw)
+    except InputError as error:
+        with pytest.raises(InputError) as err:
+            snippet_from_dict(raw)
+        assert err.value.code == error.code
+        assert without_depth_note(err.value.message) == without_depth_note(error.message)
+    else:
+        decoded = snippet_from_dict(raw)
+        assert decoded == expected == ConstraintSnippet(**snippet_fields_reference(raw))
+        assert repr(decoded) == repr(expected) and hash(decoded) == hash(expected)
+        assert snippet_to_dict(decoded) == snippet_to_dict(expected)
+
+
+def seed_store_records() -> list[dict]:
+    """The seed-0 store of the benchmark's retrieve_5k workload."""
+    spec = importlib.util.spec_from_file_location("workloads", Path(__file__).parent.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [json.loads(line) for line in workloads.generate("retrieve_5k", 0)["store.jsonl"].splitlines()]
+
+
+def test_decoding_the_seed_store_builds_no_error_label(monkeypatch):
+    records = seed_store_records()
+    assert sum("assertions" in record for record in records) > 1000
+    labels = []
+    real = ecpo.errors.shown
+
+    def counting(value):
+        labels.append(value)
+        return real(value)
+
+    for module in [module for name, module in sys.modules.items() if name.startswith("ecpo")]:
+        if getattr(module, "shown", None) is real:
+            monkeypatch.setattr(module, "shown", counting)
+    assert ecpo.store.shown is counting
+    decoded = [snippet_from_dict(record) for record in records]
+    assert labels == []
+    assert decoded == [snippet_from_dict_reference(record) for record in records]
