@@ -131,8 +131,10 @@ EVAL_FIELDS = {
 def _strategy_prompt(record: dict, path: str) -> StrategyPrompt:
     """The prompt a decoded strategy record carries, which must have the record's
     own prompt_id, or an empty prompt under its prompt_id."""
+    from .context import StrategyPrompt
+
     prompt_id = record["prompt_id"]
-    prompt = record.get("prompt") or _carried_prompt({"prompt_id": prompt_id}, "BAD_RECORD", "prompt")
+    prompt = record.get("prompt") or StrategyPrompt(prompt_id)
     if prompt.prompt_id != prompt_id:
         raise InputError("BAD_RECORD", f"{path}: record prompt_id {shown(prompt_id)} differs from its prompt's "
                                        f"{shown(prompt.prompt_id)}")
@@ -177,35 +179,34 @@ def cmd_validate(args, config: RunConfig) -> list[str]:
 
 
 def cmd_pairs(args, config: RunConfig) -> list[str]:
-    from .preference import Candidate, CandidateSet, export_preference_dataset, select_pair
+    from .preference import Candidate, CandidateSet, select_pair
     from .validator import validate
 
-    pairs = []
-    sets: dict[str, CandidateSet] = {}
-    prompt_payloads: dict[str, object] = {}
+    records, seen = [], set()
     where = f"{args.candidates}: record"
     for raw in _read_jsonl(args.candidates):
         record = read_record(raw, PAIRS_FIELDS, "BAD_RECORD", where, ("prompt_id", "candidates"))
         prompt_id = record["prompt_id"]
-        if prompt_id in sets:
+        if prompt_id in seen:
             raise InputError("DUPLICATE_ID", f"{args.candidates}: prompt {shown(prompt_id)} appears twice")
+        seen.add(prompt_id)
         prompt = _strategy_prompt(record, args.candidates)
         candidates = []
         for index, entry in enumerate(record["candidates"]):
             document = entry["document"]
             candidate_id = entry.get("candidate_id", str(index))
             candidates.append(Candidate(candidate_id, document, validate(document, prompt, config)))
-        candidate_set = CandidateSet(prompt_id=prompt_id, candidates=tuple(candidates))
-        sets[prompt_id] = candidate_set
-        prompt_payloads[prompt_id] = raw.get("prompt")
-        pair = select_pair(candidate_set, config)
+        pair = select_pair(CandidateSet(prompt_id=prompt_id, candidates=tuple(candidates)), config)
         if pair is None:
             _log(f"pairs: skip prompt {shown(prompt_id)} (score gap <= {config.gap_min})")
-        else:
-            pairs.append(pair)
-    dataset = export_preference_dataset(pairs, sets, prompt_payloads)
-    _log(f"pairs: {len(pairs)} pairs from {len(sets)} candidate sets")
-    return [_dumps(record) for record in dataset]
+            continue
+        documents = {c.candidate_id: c.document for c in candidates}
+        # the prompt as the line carried it: an object verbatim, an absent one as null
+        records.append({"prompt_id": prompt_id, "prompt": raw.get("prompt"), "chosen": documents[pair.plus_id],
+                        "rejected": documents[pair.minus_id], "gap": pair.gap, "weight": pair.weight})
+    records.sort(key=lambda r: r["prompt_id"])  # prompt ids are unique: one record per prompt
+    _log(f"pairs: {len(records)} pairs from {len(seen)} candidate sets")
+    return [_dumps(record) for record in records]
 
 
 def _eval_rows(records: list[dict], kind: str, path: str) -> Iterator[dict]:

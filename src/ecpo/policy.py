@@ -437,10 +437,14 @@ def _compile(pattern: str) -> re.Pattern:
 
 def keyword_pattern(keyword: str) -> re.Pattern:
     """A lexicon line or forbidden keyword as a whole-word, case-blind pattern; ``re.error`` for a fragment
-    that does not compile on its own (``a)|(b`` escapes the wrap) or matches the empty string (``x?``)."""
-    if _compile(keyword).fullmatch(""):
-        raise re.error("matches the empty string")
-    return _compile(rf"\b(?:{keyword})\b")
+    that does not compile on its own (``a)|(b`` escapes the wrap), is nested too deep to compile or matches the
+    empty string (``x?``)."""
+    try:
+        if _compile(keyword).fullmatch(""):
+            raise re.error("matches the empty string")
+        return _compile(rf"\b(?:{keyword})\b")
+    except RecursionError:  # one message: RecursionError's own text depends on the depth of the caller's stack
+        raise re.error("nested too deep to compile") from None
 
 
 def word_hits(pattern: re.Pattern, text: str) -> list[str]:
@@ -460,7 +464,7 @@ def compile_lexicon(lines: Iterable[str]) -> tuple[LexiconPattern, ...]:
             continue
         try:
             regex = keyword_pattern(line)
-        except (re.error, RecursionError) as exc:  # a pattern nested too deep to compile
+        except re.error as exc:
             raise ConfigError("BAD_LEXICON_PATTERN", f"lexicon line {lineno}: {exc}")
         patterns.append(LexiconPattern(line, regex))
     return tuple(patterns)

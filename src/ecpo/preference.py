@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .config import RunConfig, check_beta
 from .errors import ConfigError, InputError, read_number, shown
@@ -105,32 +104,3 @@ def pairwise_loss(f_plus: float, f_minus: float, beta: float | None, w: float = 
         softplus = -x + math.log1p(math.exp(x))
     return w * softplus
 
-
-def export_preference_dataset(
-    pairs: Iterable[PreferencePair],
-    candidate_sets: Mapping[str, CandidateSet],
-    prompts: Mapping[str, object] | None = None,
-) -> list[dict]:
-    """One chosen/rejected record per pair, ordered by prompt_id."""
-    records = []
-    for pair in sorted(pairs, key=lambda p: (p.prompt_id, p.plus_id)):
-        candidate_set = candidate_sets.get(pair.prompt_id)
-        if candidate_set is None:
-            raise InputError("DANGLING_ID", f"no candidate set for prompt {shown(pair.prompt_id)}")
-        by_id = {c.candidate_id: c for c in candidate_set.candidates}
-        plus = by_id.get(pair.plus_id)
-        minus = by_id.get(pair.minus_id)
-        if plus is None or minus is None:
-            missing = pair.plus_id if plus is None else pair.minus_id
-            raise InputError("DANGLING_ID", f"prompt {shown(pair.prompt_id)} has no candidate {shown(missing)}")
-        records.append(
-            {
-                "prompt_id": pair.prompt_id,
-                "prompt": prompts.get(pair.prompt_id) if prompts else None,
-                "chosen": plus.document,
-                "rejected": minus.document,
-                "gap": pair.gap,
-                "weight": pair.weight,
-            }
-        )
-    return records

@@ -84,7 +84,7 @@ class Assertions:
         for keyword in self.forbidden_keywords:
             try:
                 patterns.append(keyword_pattern(keyword))
-            except (re.error, RecursionError) as exc:  # a pattern nested too deep to compile
+            except re.error as exc:
                 raise InputError("BAD_KEYWORD", f"keyword pattern {shown(keyword)}: {exc}")
         object.__setattr__(self, "keyword_patterns", tuple(patterns))
 
@@ -365,10 +365,8 @@ def build_query(
         sensitivity.extend(content_tokens(preference))
 
     situation: list[str] = []
-    for label in z.driver_labels + z.scene_labels:
-        situation.extend(content_tokens(label))
-    for stage in (z.summary_initial, z.summary_transition, z.summary_final):
-        situation.extend(content_tokens(stage))
+    for text in (*z.all_labels(), *z.summary_stages()):
+        situation.extend(content_tokens(text))
 
     sensitivity = dedup_preserve_order(sensitivity)
     situation = dedup_preserve_order(situation)

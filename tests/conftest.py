@@ -1,5 +1,8 @@
 """Shared fixtures: two realistic scenario cases and a small snippet store."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from ecpo.context import DriverProfile, PerceptionSummary, SampleRecord, StrategyPrompt, VehicleProfile
@@ -209,3 +212,11 @@ def make_sample(
         reference_policy=None,
         ground_truth_labels=labels or {},
     )
+
+
+def bench_inputs(workload: str, seed: int = 0) -> dict[str, str]:
+    """The input files, name -> text, that ``bench/workloads.py`` generates for a benchmark workload."""
+    spec = importlib.util.spec_from_file_location("workloads", Path(__file__).parent.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.generate(workload, seed)

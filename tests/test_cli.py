@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from ecpo import cli
 from ecpo.cli import main
 from ecpo.context import prompt_to_dict, sample_to_dict
 from ecpo.store import snippet_to_dict
-from conftest import make_sample
+from conftest import bench_inputs, make_sample
 
 
 def write_jsonl(path, records):
@@ -363,6 +364,84 @@ def test_pairs_duplicate_prompt_exits_1(tmp_path, rain_policy_dict, capsys):
     code, _, err = run_cli(["pairs", "--candidates", candidates], capsys)
     assert code == 1
     assert "DUPLICATE_ID" in err
+
+
+def good_and_bad(policy: dict) -> list[dict]:
+    return [{"candidate_id": "good", "document": policy},
+            {"candidate_id": "bad", "document": {"objectives": "x", "constraints": {}, "actions": []}}]
+
+
+def test_pairs_writes_records_in_prompt_id_order(tmp_path, rain_policy_dict, capsys):
+    rows = [{"prompt_id": prompt_id, "candidates": good_and_bad(rain_policy_dict)} for prompt_id in ("p3", "p1", "p2")]
+    code, lines, err = run_cli(["pairs", "--candidates", write_jsonl(tmp_path / "c.jsonl", rows)], capsys)
+    assert code == 0
+    assert [line["prompt_id"] for line in lines] == ["p1", "p2", "p3"]
+    assert err == "pairs: 3 pairs from 3 candidate sets\n"
+
+
+def test_pairs_writes_the_prompt_as_its_line_carried_it(tmp_path, rain_policy_dict, capsys):
+    # a carried prompt is written as it came, not re-encoded: its left-out fields stay left out
+    carried = {"prompt_id": "a", "z": {"scene_labels": ["rain"]}}
+    rows = [{"prompt_id": "a", "prompt": carried, "candidates": good_and_bad(rain_policy_dict)},
+            {"prompt_id": "b", "prompt": None, "candidates": good_and_bad(rain_policy_dict)},
+            {"prompt_id": "c", "candidates": good_and_bad(rain_policy_dict)}]
+    code, lines, _ = run_cli(["pairs", "--candidates", write_jsonl(tmp_path / "c.jsonl", rows)], capsys)
+    assert code == 0
+    assert [(line["prompt_id"], line["prompt"]) for line in lines] == [("a", carried), ("b", None), ("c", None)]
+
+
+def test_pairs_breaks_a_score_tie_by_candidate_id(tmp_path, rain_policy_dict, capsys):
+    # documents that parse alike score alike; their texts tell which candidate was picked
+    broken = {"objectives": "x", "constraints": {}, "actions": []}
+    documents = {"b": json.dumps(rain_policy_dict), "a": json.dumps(rain_policy_dict, indent=1),
+                 "z": json.dumps(broken), "y": json.dumps(broken, indent=1)}
+    row = {"prompt_id": "p1", "candidates": [{"candidate_id": cid, "document": doc} for cid, doc in documents.items()]}
+    code, lines, _ = run_cli(["pairs", "--candidates", write_jsonl(tmp_path / "c.jsonl", [row])], capsys)
+    assert code == 0
+    assert (lines[0]["chosen"], lines[0]["rejected"]) == (documents["a"], documents["y"])
+
+
+def test_pairs_repeated_candidate_id_exits_1(tmp_path, rain_policy_dict, capsys):
+    rows = [{"prompt_id": "p1", "candidates": good_and_bad(rain_policy_dict)},
+            {"prompt_id": "p2", "candidates": [{"candidate_id": "c", "document": rain_policy_dict}] * 2}]
+    code, lines, err = run_cli(["pairs", "--candidates", write_jsonl(tmp_path / "c.jsonl", rows)], capsys)
+    assert (code, lines) == (1, [])
+    assert err == "error: DUPLICATE_ID: prompt 'p2' repeats a candidate_id\n"
+
+
+def pairs_corpus() -> list[dict]:
+    """The seed-0 validate_k8 prompts and candidates as 40 pairs records in shuffled order: a prompt carried,
+    null or absent in turn, some candidates without an id, and every seventh set given one document only,
+    so that it has no score gap."""
+    files = bench_inputs("validate_k8")
+    candidates: dict[str, list[dict]] = {}
+    for line in files["records.jsonl"].splitlines():
+        record = json.loads(line)
+        candidates.setdefault(record.pop("prompt_id"), []).append(record)
+    rows = []
+    for index, line in enumerate(files["prompts.jsonl"].splitlines()):
+        prompt = json.loads(line)
+        entries = candidates[prompt["prompt_id"]]
+        if index % 7 == 6:
+            entries = [{**entry, "document": entries[0]["document"]} for entry in entries]
+        if index % 4 == 3:
+            entries = [{"document": entry["document"]} for entry in entries]
+        row = {"prompt_id": prompt["prompt_id"], "candidates": entries}
+        if index % 3 < 2:
+            row["prompt"] = prompt if index % 3 == 0 else None
+        rows.append(row)
+    random.Random(0).shuffle(rows)
+    return rows
+
+
+def test_pairs_output_on_a_generated_corpus_is_pinned(tmp_path, capsys):
+    # digests taken while the records still went through a separate export step
+    code = main(["pairs", "--candidates", write_jsonl(tmp_path / "c.jsonl", pairs_corpus())])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.count("skip prompt") == 5 and captured.out.count("\n") == 35
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == "5465ed479e9d3f7dc5458b4c9dc4acb90745ad971c87a0ff9c8ff9261b172093"
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == "26f899883f0a9231498413e5e09d578012dd63c12246b7007de40a316e54df17"
 
 
 # --- eval -------------------------------------------------------------------------------

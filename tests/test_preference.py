@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -10,7 +9,6 @@ from ecpo.preference import (
     Candidate,
     CandidateSet,
     PreferencePair,
-    export_preference_dataset,
     pairwise_loss,
     select_pair,
     weight,
@@ -150,42 +148,3 @@ def test_run_config_requires_training_fields():
     with pytest.raises(ConfigError) as err:
         pairwise_loss(0.5, 0.4, beta=RunConfig().beta)
     assert err.value.code == "MISSING_BETA"
-
-
-# --- dataset export ---------------------------------------------------------------------
-
-
-def test_export_orders_and_serializes():
-    sets = {
-        "p2": make_set("p2", [0.1, 0.8]),
-        "p1": make_set("p1", [0.3, 0.9]),
-    }
-    pairs = [select_pair(sets["p2"]), select_pair(sets["p1"])]
-    records = export_preference_dataset(pairs, sets)
-    assert [r["prompt_id"] for r in records] == ["p1", "p2"]
-    first = records[0]
-    assert first["chosen"] == "{}"
-    assert first["rejected"] == "{}"
-    assert math.isclose(first["gap"], 0.6, abs_tol=1e-12)
-    assert math.isclose(first["weight"], 0.6, abs_tol=1e-12)
-    assert first["prompt"] is None
-    json.dumps(records)  # must be serializable as-is
-
-
-def test_export_carries_prompt_payload():
-    sets = {"p1": make_set("p1", [0.3, 0.9])}
-    records = export_preference_dataset(
-        [select_pair(sets["p1"])], sets, prompts={"p1": {"scene": "rain"}}
-    )
-    assert records[0]["prompt"] == {"scene": "rain"}
-
-
-def test_export_rejects_dangling_ids():
-    pair = select_pair(make_set("p1", [0.1, 0.8]))
-    with pytest.raises(InputError) as err:
-        export_preference_dataset([pair], {})
-    assert err.value.code == "DANGLING_ID"
-    orphan = PreferencePair("p1", "nope", "c0", gap=0.5, weight=0.5)
-    with pytest.raises(InputError) as err:
-        export_preference_dataset([orphan], {"p1": make_set("p1", [0.1, 0.8])})
-    assert err.value.code == "DANGLING_ID"
