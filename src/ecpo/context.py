@@ -15,7 +15,7 @@ bit-identically across implementations that follow this note.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import cycle, islice
 from pathlib import Path
 from typing import Sequence
@@ -272,49 +272,33 @@ def pair_mixed(
 
 
 def _merge_pair(in_record: SampleRecord, block: list[SampleRecord]) -> SampleRecord:
-    """One joint record: driver side from in-cabin, scene side from the block."""
-    in_z = in_record.prompt.z
-    scene_labels = list(in_z.scene_labels)
-    objects = list(in_z.objects)
-    stages = {name: [getattr(in_z, name)] for name in
-              ("summary_initial", "summary_transition", "summary_final")}
-    for member in block:
-        z = member.prompt.z
-        scene_labels.extend(z.scene_labels)
-        objects.extend(z.objects)
-        for name in stages:
-            stages[name].append(getattr(z, name))
-    merged_z = PerceptionSummary(
-        driver_labels=in_z.driver_labels,
-        scene_labels=tuple(dedup_preserve_order(scene_labels)),
-        summary_initial=" ".join(part for part in stages["summary_initial"] if part),
-        summary_transition=" ".join(part for part in stages["summary_transition"] if part),
-        summary_final=" ".join(part for part in stages["summary_final"] if part),
-        objects=tuple(dedup_preserve_order(objects)),
+    """The in-cabin record with its block's scene side merged in; what is not named here is the in-cabin
+    record's. Scene labels and objects are deduplicated over the members in order, each summary stage joins
+    the members' non-empty ones and prompt ids are joined with ``+``. The vehicle is the first block member's
+    unless it is the default one, the reference policy the in-cabin one else the first member's; in-cabin
+    ground-truth labels win over the block's, and a later member's over an earlier one's."""
+    members = (in_record, *block)
+    zs = [member.prompt.z for member in members]
+    initial, transition, final = (" ".join(filter(None, stage)) for stage in zip(*(z.summary_stages() for z in zs)))
+    merged_z = replace(
+        zs[0],
+        scene_labels=tuple(dedup_preserve_order(label for z in zs for label in z.scene_labels)),
+        summary_initial=initial, summary_transition=transition, summary_final=final,
+        objects=tuple(dedup_preserve_order(name for z in zs for name in z.objects)),
     )
-
     vehicle = block[0].prompt.vehicle
-    if vehicle == VehicleProfile():
-        vehicle = in_record.prompt.vehicle
-    prompt = StrategyPrompt(
-        prompt_id="+".join([in_record.prompt.prompt_id] + [m.prompt.prompt_id for m in block]),
+    prompt = replace(
+        in_record.prompt,
+        prompt_id="+".join(member.prompt.prompt_id for member in members),
         z=merged_z,
-        driver=in_record.prompt.driver,
-        vehicle=vehicle,
-        constraints=in_record.prompt.constraints,
+        vehicle=in_record.prompt.vehicle if vehicle == VehicleProfile() else vehicle,
     )
-
-    labels: dict[str, object] = {}
-    for member in block:
-        labels.update(member.ground_truth_labels)
-    labels.update(in_record.ground_truth_labels)
-
-    reference = in_record.reference_policy or block[0].reference_policy
-    return SampleRecord(
+    return replace(
+        in_record,
         prompt=prompt,
-        split=in_record.split,
-        reference_policy=reference,
-        ground_truth_labels=labels,
+        reference_policy=in_record.reference_policy or block[0].reference_policy,
+        ground_truth_labels={head: label for member in (*block, in_record)
+                             for head, label in member.ground_truth_labels.items()},
     )
 
 

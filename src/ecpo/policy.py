@@ -21,6 +21,7 @@ import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -435,10 +436,11 @@ def _compile(pattern: str) -> re.Pattern:
         return re.compile(pattern, re.IGNORECASE)
 
 
+@lru_cache(maxsize=1024)
 def keyword_pattern(keyword: str) -> re.Pattern:
-    """A lexicon line or forbidden keyword as a whole-word, case-blind pattern; ``re.error`` for a fragment
-    that does not compile on its own (``a)|(b`` escapes the wrap), is nested too deep to compile or matches the
-    empty string (``x?``)."""
+    """A lexicon line or forbidden keyword as a whole-word, case-blind pattern, compiled once per process;
+    ``re.error``, on every call, for a fragment that does not compile on its own (``a)|(b`` escapes the wrap),
+    is nested too deep to compile or matches the empty string (``x?``)."""
     try:
         if _compile(keyword).fullmatch(""):
             raise re.error("matches the empty string")

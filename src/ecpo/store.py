@@ -76,17 +76,13 @@ class Assertions:
     parameter_bounds: tuple[ParameterBound, ...] = ()
     required_modalities: frozenset[str] = frozenset()
     forbidden_keywords: tuple[str, ...] = ()
-    # Each forbidden keyword as ``keyword_pattern`` compiles it, built once.
-    keyword_patterns: tuple[re.Pattern, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        patterns = []
         for keyword in self.forbidden_keywords:
             try:
-                patterns.append(keyword_pattern(keyword))
+                keyword_pattern(keyword)
             except re.error as exc:
                 raise InputError("BAD_KEYWORD", f"keyword pattern {shown(keyword)}: {exc}")
-        object.__setattr__(self, "keyword_patterns", tuple(patterns))
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .policy import (
     _norm_key,
     action_text,
     detect_low_level_control,
+    keyword_pattern,
     parse_policy,
     structural_score,
     word_hits,
@@ -224,10 +225,10 @@ KeywordCarriers = tuple[tuple[ConstraintSnippet, str, re.Pattern], ...]
 def _keyword_carriers(snippets: Sequence[ConstraintSnippet]) -> KeywordCarriers:
     """(snippet, keyword, compiled pattern) per forbidden keyword, in snippet order."""
     return tuple(
-        (snippet, keyword, pattern)
+        (snippet, keyword, keyword_pattern(keyword))
         for snippet in snippets
         if snippet.assertions
-        for keyword, pattern in zip(snippet.assertions.forbidden_keywords, snippet.assertions.keyword_patterns)
+        for keyword in snippet.assertions.forbidden_keywords
     )
 
 

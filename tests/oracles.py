@@ -20,10 +20,10 @@ from functools import lru_cache
 from ecpo.context import (
     DriverProfile,
     PerceptionSummary,
+    SampleRecord,
     SplitMix64,
     StrategyPrompt,
     VehicleProfile,
-    _merge_pair,
     seeded_shuffle,
     stream_seed,
 )
@@ -87,8 +87,55 @@ def pair_mixed_reference(in_samples, out_samples, seed: int, block_size: int = 1
         counters[record.split] = position + 1
         start = position * block_size
         block = [pool[(start + offset) % len(pool)] for offset in range(block_size)]
-        paired.append(_merge_pair(record, block))
+        paired.append(merge_pair_reference(record, block))
     return paired
+
+
+def merge_pair_reference(in_record, block) -> SampleRecord:
+    """The joint record rebuilt field by field: driver side from in-cabin, scene side from the block."""
+    in_z = in_record.prompt.z
+    scene_labels = list(in_z.scene_labels)
+    objects = list(in_z.objects)
+    stages = {name: [getattr(in_z, name)] for name in
+              ("summary_initial", "summary_transition", "summary_final")}
+    for member in block:
+        z = member.prompt.z
+        scene_labels.extend(z.scene_labels)
+        objects.extend(z.objects)
+        for name in stages:
+            stages[name].append(getattr(z, name))
+    merged_z = PerceptionSummary(
+        driver_labels=in_z.driver_labels,
+        scene_labels=tuple(dict.fromkeys(scene_labels)),
+        summary_initial=" ".join(part for part in stages["summary_initial"] if part),
+        summary_transition=" ".join(part for part in stages["summary_transition"] if part),
+        summary_final=" ".join(part for part in stages["summary_final"] if part),
+        objects=tuple(dict.fromkeys(objects)),
+    )
+
+    vehicle = block[0].prompt.vehicle
+    if vehicle == VehicleProfile():
+        vehicle = in_record.prompt.vehicle
+    prompt = StrategyPrompt(
+        prompt_id="+".join([in_record.prompt.prompt_id] + [m.prompt.prompt_id for m in block]),
+        z=merged_z,
+        driver=in_record.prompt.driver,
+        vehicle=vehicle,
+        constraints=in_record.prompt.constraints,
+    )
+
+    labels: dict[str, object] = {}
+    for member in block:
+        labels.update(member.ground_truth_labels)
+    labels.update(in_record.ground_truth_labels)
+
+    reference = in_record.reference_policy or block[0].reference_policy
+    return SampleRecord(
+        prompt=prompt,
+        split=in_record.split,
+        reference_policy=reference,
+        ground_truth_labels=labels,
+    )
 
 
 def core_reference(severity: int, count: int) -> float:

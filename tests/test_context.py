@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from ecpo.context import (
     SplitMix64,
     StrategyPrompt,
     VehicleProfile,
+    _merge_pair,
     fnv1a64,
     load_label_vocab,
     pair_mixed,
@@ -28,7 +30,10 @@ from ecpo.context import (
     stream_seed,
 )
 from ecpo.errors import ConfigError, InputError
-from oracles import fisher_yates_reference, fnv1a64_reference, pair_mixed_reference, splitmix64_stream
+from ecpo.policy import parse_policy
+from ecpo.store import snippet_from_dict
+from oracles import (fisher_yates_reference, fnv1a64_reference, merge_pair_reference, pair_mixed_reference,
+                     random_policy_dict, splitmix64_stream)
 
 
 # --- profiles ----------------------------------------------------------------
@@ -268,6 +273,60 @@ def test_merge_falls_back_to_in_cabin_vehicle():
     outs = [make_sample("out-0")]
     merged = pair_mixed(ins, outs, seed=1)[0]
     assert merged.prompt.vehicle.jurisdiction == "US"
+
+
+MERGE_SNIPPETS = tuple(
+    snippet_from_dict({"snippet_id": name, "layer": "legal", "clause_id": name, "text": f"clause {name}",
+                       "assertions": {"forbidden_keywords": ["race"]}})
+    for name in ("s-1", "s-2")
+)
+MERGE_DRIVERS = (
+    DriverProfile(),
+    DriverProfile(alert_modality_preference="visual", sensitivities={"noise": "high"},
+                  cabin_preferences={"temperature_band": [22, 24]}),
+)
+MERGE_VEHICLES = (
+    VehicleProfile(),
+    VehicleProfile(jurisdiction="EU"),
+    VehicleProfile(jurisdiction="US", operating_mode="manual", available_actuators=frozenset({"Hvac"})),
+)
+MERGE_POLICIES = (None, *(parse_policy(json.dumps(random_policy_dict(random.Random(seed)))).policy
+                          for seed in (1, 2)))
+merge_stages = st.sampled_from(["", "", "rain starts", "driver tense", "jam clears"])
+merge_names = st.lists(st.sampled_from(["rain", "fog", "cabin cam", "truck-1"]), max_size=4).map(tuple)
+merge_truth = st.dictionaries(
+    st.sampled_from(["emotion", "behavior", "traffic_scene", "objects"]),
+    st.sampled_from(["neutral", "anger", "rain"]) | st.lists(st.sampled_from(["car", "bus"]), max_size=2),
+    max_size=3,
+)
+
+
+@st.composite
+def merge_samples(draw, prompt_ids):
+    return SampleRecord(
+        prompt=StrategyPrompt(
+            prompt_id=draw(st.sampled_from(prompt_ids)),
+            z=PerceptionSummary(driver_labels=draw(merge_names), scene_labels=draw(merge_names),
+                                summary_initial=draw(merge_stages), summary_transition=draw(merge_stages),
+                                summary_final=draw(merge_stages), objects=draw(merge_names)),
+            driver=draw(st.sampled_from(MERGE_DRIVERS)),
+            vehicle=draw(st.sampled_from(MERGE_VEHICLES)),
+            constraints=draw(st.sampled_from([(), MERGE_SNIPPETS[:1], MERGE_SNIPPETS])),
+        ),
+        split=draw(st.sampled_from(SPLITS)),
+        reference_policy=draw(st.sampled_from(MERGE_POLICIES)),
+        ground_truth_labels=draw(merge_truth),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_samples(["in-0", "in-1"]), st.lists(merge_samples(["out-0", "out-1", "out-2"]), min_size=1, max_size=3))
+def test_merge_pair_equals_field_by_field_reference(in_record, block):
+    merged = _merge_pair(in_record, block)
+    expected = merge_pair_reference(in_record, block)
+    assert merged == expected
+    # key order too: the labels of the joint record are written in the order the merge puts them
+    assert json.dumps(sample_to_dict(merged)) == json.dumps(sample_to_dict(expected))
 
 
 # --- stratification ---------------------------------------------------------------

@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import random
+import re
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -31,7 +33,7 @@ from ecpo.context import (
     sample_from_dict,
     sample_to_dict,
 )
-from ecpo.policy import ActionType, PenaltyTable, parse_policy, serialize_policy
+from ecpo.policy import ActionType, PenaltyTable, keyword_pattern, parse_policy, serialize_policy
 from ecpo.store import (
     ASSERTION_FIELDS,
     LAYER_PRIORITY,
@@ -99,7 +101,7 @@ def test_keywords_are_compiled_once_per_snippet(monkeypatch, rain_prompt, rain_p
 
     snippet = snippet_from_dict({"snippet_id": "k", "layer": "legal", "clause_id": "c", "text": "no racing",
                                  "assertions": {"forbidden_keywords": ["ignore the signal", "race"]}})
-    patterns = snippet.assertions.keyword_patterns
+    patterns = [keyword_pattern(keyword) for keyword in snippet.assertions.forbidden_keywords]
     assert [p.pattern for p in patterns] == [r"\b(?:ignore the signal)\b", r"\b(?:race)\b"]
     # every keyword_pattern call compiles through policy._compile, whichever module calls it
     monkeypatch.setattr(ecpo.policy, "_compile", no_compile)
@@ -107,6 +109,34 @@ def test_keywords_are_compiled_once_per_snippet(monkeypatch, rain_prompt, rain_p
     validate(json.dumps(rain_policy_dict), prompt)
     carried = [pattern for carrier, _, pattern in prompt_context(prompt).legal_keywords if carrier is snippet]
     assert all(a is b for a, b in zip(carried, patterns, strict=True))
+
+
+def test_snippets_sharing_a_keyword_compile_it_once(monkeypatch, rain_policy_dict):
+    import ecpo.policy
+
+    compiled = Counter()
+    compile_pattern = ecpo.policy._compile
+
+    def counted(pattern):
+        compiled[pattern] += 1
+        return compile_pattern(pattern)
+
+    monkeypatch.setattr(ecpo.policy, "_compile", counted)
+    keyword_pattern.cache_clear()
+    snippets = tuple(snippet_from_dict({"snippet_id": name, "layer": "legal", "clause_id": name, "text": "no racing",
+                                        "assertions": {"forbidden_keywords": ["tailgate", "race"]}})
+                     for name in ("a", "b"))
+    validate(json.dumps(rain_policy_dict), StrategyPrompt("k", constraints=snippets))
+    # the bare fragment is compiled to test it for the empty match, the wrapped one is the pattern
+    for keyword in ("tailgate", "race"):
+        assert (compiled[keyword], compiled[rf"\b(?:{keyword})\b"]) == (1, 1)
+    # a fragment that fails is not cached: it raises on every call, with the same message
+    messages = []
+    for _ in range(2):
+        with pytest.raises(re.error) as err:
+            keyword_pattern("x?")
+        messages.append(str(err.value))
+    assert messages == ["matches the empty string"] * 2 and compiled["x?"] == 2
 
 
 # --- round trip --------------------------------------------------------------------------------
