@@ -1,0 +1,190 @@
+"""Mutation check: every mutant in the table must be killed by the tests it names.
+
+Each entry of ``MUTANTS`` names one file of the checkout, a text that occurs in
+it exactly once, the text that replaces it, and the test node ids expected to
+fail on that change. For each entry the script copies ``src``, ``tests``,
+``bench`` and ``pyproject.toml`` to a temporary directory, applies the mutant
+there, and runs the named tests with ``pytest -x``. A mutant whose tests all
+pass survived. The checkout itself is never changed. Run it directly:
+
+    python3 scripts/mutants.py              # every mutant
+    python3 scripts/mutants.py NAME ...     # the named mutants
+
+The exit status is 0 when every mutant run was killed, and 1 when one survived
+or could not be applied or run. Technique: DeMillo, Lipton & Sayward, "Hints on
+Test Data Selection: Help for the Practicing Programmer", IEEE Computer 1978.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "bench", "pyproject.toml")
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the checkout
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the checkout
+
+
+MUTANTS = (
+    # --- per-prompt verdicts, the key cache, bound rows, modalities, defect paths, the default config
+    Mutant(
+        "memo-without-threshold", "src/ecpo/validator.py",
+        "    key = (entry, threshold)\n",
+        "    key = entry\n",
+        ("tests/test_validator.py::test_each_verdict_is_computed_once_per_prompt_and_threshold",
+         "tests/test_validator.py::test_memoized_grounding_equals_brute_force_and_a_fresh_prompt"),
+    ),
+    Mutant(
+        "memo-shared-across-prompts", "src/ecpo/validator.py",
+        "        tuple(len(content) for content in candidates),\n        {},\n",
+        "        tuple(len(content) for content in candidates),\n"
+        "        _grounding_targets.__dict__.setdefault(\"verdicts\", {}),\n",
+        ("tests/test_validator.py::test_a_verdict_belongs_to_its_prompt",),
+    ),
+    Mutant(
+        "norm-key-uncached-raw", "src/ecpo/policy.py",
+        "@lru_cache(maxsize=1024)\ndef _norm_key(key: str) -> str:",
+        "def _norm_key(key: str) -> str:\n    return key",
+        ("tests/test_policy.py::test_layer_and_evidence_key_aliases",),
+    ),
+    Mutant(
+        "bound-row-raw-parameter", "src/ecpo/validator.py",
+        "(bound.action_type, bound.parameter, _norm_key(bound.parameter), ",
+        "(bound.action_type, bound.parameter, bound.parameter, ",
+        ("tests/test_validator.py::test_bound_rows_match_parameters_by_normalized_name",),
+    ),
+    Mutant(
+        "modalities-from-first-prompt", "src/ecpo/validator.py",
+        "        allowed_modalities=frozenset({preference} if preference else (\n"
+        "            normalize_text(m) for s in binding for m in s.assertions.required_modalities\n"
+        "        )),\n",
+        "        allowed_modalities=_build_context.__dict__.setdefault(\"allowed\", frozenset(\n"
+        "            {preference} if preference else (\n"
+        "            normalize_text(m) for s in binding for m in s.assertions.required_modalities\n"
+        "        ))),\n",
+        ("tests/test_validator.py::test_allowed_modalities_belong_to_their_prompt",),
+    ),
+    Mutant(
+        "parameter-path-dropped", "src/ecpo/policy.py",
+        'defect("BAD_PARAMETER_VALUE", f"{path}.parameters.{cut(name) or shown(key)}", problem)',
+        'defect("BAD_PARAMETER_VALUE", f"{path}.parameters", problem)',
+        ("tests/test_policy.py::test_parameter_defects_name_their_parameter",),
+    ),
+    Mutant(
+        "config-built-per-call", "src/ecpo/validator.py",
+        "    cfg = config or DEFAULT_CONFIG\n",
+        "    cfg = config or RunConfig()\n",
+        ("tests/test_config.py::test_library_calls_without_a_config_read_the_one_default",),
+    ),
+    # --- earlier changes
+    Mutant(
+        "has-over-valid-records-only", "src/ecpo/metrics.py",
+        "    rated = [r for r in records if r.ratings]\n",
+        "    rated = [r for r in valid if r.ratings]\n",
+        ("tests/test_metrics.py::test_strategy_metrics_has_equals_its_parts_over_rated_records",),
+    ),
+    Mutant(
+        "shown-not-cut", "src/ecpo/errors.py",
+        "    return cut(repr(value))\n",
+        "    return repr(value)\n",
+        ("tests/test_cli_boundary.py::test_mistyped_value_is_shown_cut_short",),
+    ),
+    Mutant(
+        "unknown-keys-dropped", "src/ecpo/errors.py",
+        '            raise InputError(code, f"{what} has unknown field {shown(key)}") from None\n',
+        "            continue\n",
+        ("tests/test_cli_boundary.py::test_extra_key_fails_with_its_records_code",),
+    ),
+    Mutant(
+        "bom-check-removed", "src/ecpo/errors.py",
+        '        if text.startswith("\\ufeff"):',
+        "        if False:",
+        ("tests/test_cli_boundary.py::test_malformed_side_file_fails_with_its_code",),
+    ),
+    Mutant(
+        "keywords-recompiled", "src/ecpo/policy.py",
+        "@lru_cache(maxsize=1024)\ndef keyword_pattern(",
+        "def keyword_pattern(",
+        ("tests/test_records.py::test_snippets_sharing_a_keyword_compile_it_once",),
+    ),
+    Mutant(
+        "lcs-operator-flipped", "src/ecpo/metrics.py",
+        "            v = ((v + u) | (v - u)) & full\n",
+        "            v = ((v + u) & (v - u)) & full\n",
+        ("tests/test_metrics.py::test_lcs_length_equals_oracle",),
+    ),
+)
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    """Write ``mutant`` into the copy at ``root``; ValueError unless its old text occurs exactly once."""
+    path = root / mutant.file
+    text = path.read_text(encoding="utf-8")
+    found = text.count(mutant.old)
+    if found != 1:
+        raise ValueError(f"old text occurs {found} times in {mutant.file}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def run(mutant: Mutant) -> str:
+    """``killed``, ``SURVIVED`` or ``ERROR: ...`` for one mutant, run in a fresh copy of the checkout."""
+    with tempfile.TemporaryDirectory(prefix="ecpo-mutant-") as tmp:
+        root = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, root / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(source, root / name)
+        try:
+            apply(mutant, root)
+        except ValueError as exc:
+            return f"ERROR: {exc}"
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
+        try:
+            result = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return f"ERROR: tests ran past {TIMEOUT_S} s"
+    # pytest exits 1 when a test failed; other codes mean the tests could not be collected or run
+    return {0: "SURVIVED", 1: "killed"}.get(result.returncode, f"ERROR: pytest exit {result.returncode}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args()
+    by_name = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in args.names if name not in by_name]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [by_name[name] for name in args.names] if args.names else list(MUTANTS)
+    outcomes = []
+    for mutant in chosen:
+        start = time.perf_counter()
+        outcome = run(mutant)
+        outcomes.append(outcome)
+        print(f"{mutant.name:32} {outcome:10} {time.perf_counter() - start:6.1f} s", flush=True)
+    killed = outcomes.count("killed")
+    print(f"{len(outcomes)} mutants: {killed} killed, {outcomes.count('SURVIVED')} survived, "
+          f"{len(outcomes) - killed - outcomes.count('SURVIVED')} not run")
+    return 0 if killed == len(outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

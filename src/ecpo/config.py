@@ -1,10 +1,11 @@
 """Run configuration: one frozen value governing every tunable.
 
 Every tunable is validated here and only here; library functions take a
-``RunConfig`` (or build the default one) instead of loose values. beta and
-lambda_ecpo have no blessed defaults on purpose: ``pairwise_loss`` raises
-MISSING_BETA until the caller sets beta, and lambda_ecpo is only validated
-and echoed, since the combined objective belongs to the external trainer.
+``RunConfig`` (or read the one default, ``DEFAULT_CONFIG``) instead of loose
+values. beta and lambda_ecpo have no blessed defaults on purpose:
+``pairwise_loss`` raises MISSING_BETA until the caller sets beta, and
+lambda_ecpo is only validated and echoed, since the combined objective
+belongs to the external trainer.
 
 Referenced files (lexicon, hazard rules, label vocabulary) must exist when
 the config is built; relative paths in a config file resolve against the
@@ -135,6 +136,10 @@ class RunConfig:
         from .store import to_json
 
         return to_json(self)
+
+
+# The configuration of a library call made without one; frozen, so one instance serves every call.
+DEFAULT_CONFIG = RunConfig()
 
 
 @lru_cache(maxsize=None)

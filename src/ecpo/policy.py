@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 import re
 import sys
 import warnings
@@ -82,8 +81,9 @@ def parse_action_type(text: str) -> ActionType | None:
     return _ACTION_TYPE_ALIASES.get(_ALNUM_ONLY.sub("", text.casefold()))
 
 
+@lru_cache(maxsize=1024)
 def _norm_key(key: str) -> str:
-    """Normalize a document key: casefold, non-alphanumeric runs become '_'."""
+    """Normalize a document key: casefold, non-alphanumeric runs become '_'; cached, as keys recur."""
     return _ALNUM_ONLY.sub("_", key.casefold()).strip("_")
 
 
@@ -299,19 +299,19 @@ def _parse_action(entry: object, path: str, defect) -> Action | None:
     if isinstance(raw_params, dict):
         for key, value in raw_params.items():
             name = key.strip()
-            ppath = f"{path}.parameters.{cut(name) or shown(key)}"
             if not name:
-                defect("BAD_PARAMETER_VALUE", ppath, "empty parameter key dropped")
+                problem = "empty parameter key dropped"
             elif isinstance(value, bool):
-                defect("BAD_PARAMETER_VALUE", ppath, "boolean parameter dropped")
+                problem = "boolean parameter dropped"
             elif isinstance(value, str):
                 parameters[name] = value.strip()
-            elif isinstance(value, int) and abs(value) <= sys.float_info.max:
+                continue
+            elif isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:  # NaN compares false
                 parameters[name] = value
-            elif isinstance(value, float) and math.isfinite(value):
-                parameters[name] = value
+                continue
             else:
-                defect("BAD_PARAMETER_VALUE", ppath, "parameter value is not a scalar; dropped")
+                problem = "parameter value is not a scalar; dropped"
+            defect("BAD_PARAMETER_VALUE", f"{path}.parameters.{cut(name) or shown(key)}", problem)
     elif raw_params is not None:
         defect("BAD_PARAMETER_VALUE", f"{path}.parameters", "parameters is not an object")
 
@@ -480,13 +480,15 @@ DEFAULT_LEXICON = compile_lexicon(DEFAULT_LEXICON_LINES)
 
 
 def detect_low_level_control(
-    policy: PolicyAction, lexicon: Sequence[LexiconPattern] | None = None
+    policy: PolicyAction, lexicon: Sequence[LexiconPattern] | None = None, *, actions: Sequence | None = None
 ) -> list[LowLevelMatch]:
-    """Every lexicon match in any action's string parameter values or rationale."""
+    """Every lexicon match in any action's string parameter values or rationale; a caller that holds each
+    action's ``texts`` (``validator.ActionFacts``) passes them as ``actions``."""
     patterns = DEFAULT_LEXICON if lexicon is None else tuple(lexicon)
+    texts = map(_action_texts, policy.actions) if actions is None else (facts.texts for facts in actions)
     matches = []
-    for index, action in enumerate(policy.actions):
-        for text in _action_texts(action):
+    for index, action_texts in enumerate(texts):
+        for text in action_texts:
             for pattern in patterns:
                 for hit in word_hits(pattern.regex, text):
                     matches.append(LowLevelMatch(index, pattern.source, hit))
@@ -499,6 +501,6 @@ def _action_texts(action: Action) -> list[str]:
     return [parameters[key] for key in sorted(parameters) if isinstance(parameters[key], str)] + [action.rationale]
 
 
-def action_text(action: Action) -> str:
-    """Scannable text of one action: its non-empty texts joined."""
-    return " ".join(part for part in _action_texts(action) if part)
+def action_text(action: Action, texts: Sequence[str] | None = None) -> str:
+    """Scannable text of one action: its non-empty texts (``_action_texts``, unless given) joined."""
+    return " ".join(filter(None, _action_texts(action) if texts is None else texts))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import RunConfig, check_beta
+from .config import DEFAULT_CONFIG, RunConfig, check_beta
 from .errors import ConfigError, InputError, read_number, shown
 from .validator import EcpoReport
 
@@ -68,13 +68,13 @@ class PreferencePair:
 
 def weight(gap: float, config: RunConfig | None = None) -> float:
     """The gap clipped to the config's [psi_floor, psi_ceiling] band."""
-    cfg = config or RunConfig()
+    cfg = config or DEFAULT_CONFIG
     return min(cfg.psi_ceiling, max(cfg.psi_floor, gap))
 
 
 def select_pair(candidate_set: CandidateSet, config: RunConfig | None = None) -> PreferencePair | None:
     """Extremes of the set by aggregate score; None when the gap is at most gap_min."""
-    cfg = config or RunConfig()
+    cfg = config or DEFAULT_CONFIG
     candidates = candidate_set.candidates
     plus = min(candidates, key=lambda c: (-c.report.ecpo, c.candidate_id))
     minus = min(candidates, key=lambda c: (c.report.ecpo, c.candidate_id))

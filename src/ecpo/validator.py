@@ -25,12 +25,11 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .config import DEFAULT_WEIGHTS, RunConfig, check_weights
+from .config import DEFAULT_CONFIG, DEFAULT_WEIGHTS, RunConfig, check_weights
 from .context import PerceptionSummary, StrategyPrompt
 from .errors import ConfigError, InputError, InvariantError, cut, read_file, shown
 from .policy import (
@@ -38,6 +37,7 @@ from .policy import (
     LowLevelMatch,
     PolicyAction,
     StructuralDefect,
+    _action_texts,
     _norm_key,
     action_text,
     detect_low_level_control,
@@ -191,13 +191,11 @@ def _matches(run: str, phrases: tuple[str, ...]) -> bool:
     return any(phrase in run for phrase in phrases)
 
 
-# parameter names repeat across actions, candidates and bound rows
-_norm_param = lru_cache(maxsize=1024)(_norm_key)
-
-
 class ActionFacts(NamedTuple):
     """What the checks read from one action, computed once per action."""
 
+    # each string parameter value by key, then the rationale; ``text`` is them joined
+    texts: list[str]
     text: str
     tokens: list[str]
     # (parameter, normalized parameter, value) for each numeric parameter
@@ -209,13 +207,14 @@ class ActionFacts(NamedTuple):
 def _action_facts(policy: PolicyAction) -> tuple[ActionFacts, ...]:
     out = []
     for action in policy.actions:
-        text = action_text(action)
+        texts = _action_texts(action)
+        text = action_text(action, texts)
         numeric = tuple(
-            (key, _norm_param(key), float(value))
+            (key, _norm_key(key), float(value))
             for key, value in action.parameters.items()
             if isinstance(value, (int, float)) and not isinstance(value, bool)
         )
-        out.append(ActionFacts(text, tokenize(text), numeric, {norm: value for _, norm, value in numeric}))
+        out.append(ActionFacts(texts, text, tokenize(text), numeric, {norm: value for _, norm, value in numeric}))
     return tuple(out)
 
 
@@ -237,11 +236,13 @@ class Grounding(NamedTuple):
 
     ``postings`` maps a content token to the positions of the distinct
     non-empty candidate token sets holding it; ``sizes`` holds each set's size.
+    ``verdicts`` keeps ``_ground``'s verdict per (entry, threshold) for the prompt's next candidates.
     """
 
     exact: frozenset[str]
     postings: dict[str, tuple[int, ...]]
     sizes: tuple[int, ...]
+    verdicts: dict[tuple[str, float], bool]
 
 
 def _prompt_tokens(z: PerceptionSummary, snippets: Sequence[ConstraintSnippet]) -> dict[str, list[list[str]]]:
@@ -266,10 +267,20 @@ def _grounding_targets(z: PerceptionSummary, tokens: dict[str, list[list[str]]])
         exact,
         {token: tuple(positions) for token, positions in postings.items()},
         tuple(len(content) for content in candidates),
+        {},
     )
 
 
 def _grounded(entry: str, targets: Grounding, threshold: float) -> bool:
+    """``_ground``'s verdict, computed once per grounding, entry and threshold."""
+    key = (entry, threshold)
+    verdict = targets.verdicts.get(key)
+    if verdict is None:
+        verdict = targets.verdicts[key] = _ground(entry, targets, threshold)
+    return verdict
+
+
+def _ground(entry: str, targets: Grounding, threshold: float) -> bool:
     """Exact normalized match, or token-set Jaccard >= threshold with a candidate.
 
     Only candidates sharing a token can reach a threshold above 0. With k
@@ -288,14 +299,15 @@ def _grounded(entry: str, targets: Grounding, threshold: float) -> bool:
     return any(k / (size + sizes[position] - k) >= threshold for position, k in shared.items())
 
 
-# (action type, parameter, low, high, clause); capability rows cite no clause
-BoundRows = tuple[tuple[ActionType, str, float, float, str | None], ...]
+# (action type, parameter, normalized parameter, low, high, clause); capability rows cite no clause
+BoundRows = tuple[tuple[ActionType, str, str, float, float, str | None], ...]
 
 
 def _bound_rows(snippets: Sequence[ConstraintSnippet]) -> BoundRows | None:
     """The snippets' parameter bounds as rows, in snippet order; None when there are none."""
     rows = tuple(
-        (bound.action_type, bound.parameter, bound.minimum, bound.maximum, snippet.clause_id)
+        (bound.action_type, bound.parameter, _norm_key(bound.parameter), bound.minimum, bound.maximum,
+         snippet.clause_id)
         for snippet in snippets
         if snippet.assertions
         for bound in snippet.assertions.parameter_bounds
@@ -319,8 +331,9 @@ class PromptContext(NamedTuple):
     legal_bounds: BoundRows | None
     capability_bounds: BoundRows | None
     vehicle_bounds: BoundRows | None
-    # driver snippets that bind modalities
+    # driver snippets that bind modalities, and the normalized modalities they allow
     binding: tuple[ConstraintSnippet, ...]
+    allowed_modalities: frozenset[str]
     driver_keywords: KeywordCarriers
     grounding: Grounding
     # maneuvers whose trigger occurs in a scene label or summary stage
@@ -342,6 +355,8 @@ def _build_context(prompt: StrategyPrompt, rules: tuple[HazardRule, ...]) -> Pro
         tuple(s for s in prompt.constraints if s.layer == layer) for layer in ("legal", "vehicle", "driver")
     )
     capability = prompt.vehicle.capability_limits
+    binding = tuple(s for s in driver if s.assertions and s.assertions.required_modalities)
+    preference = normalize_text(prompt.driver.alert_modality_preference)
     tokens = _prompt_tokens(z, prompt.constraints)
     scene = token_run([*tokens["labels"][len(z.driver_labels):], *tokens["summaries"]])
     return PromptContext(
@@ -350,12 +365,15 @@ def _build_context(prompt: StrategyPrompt, rules: tuple[HazardRule, ...]) -> Pro
         legal_keywords=_keyword_carriers(legal),
         legal_bounds=_bound_rows(legal),
         capability_bounds=tuple(
-            (ActionType(name), parameter, low, high, None)
+            (ActionType(name), parameter, _norm_key(parameter), low, high, None)
             for name, bounds in capability.items()
             for parameter, (low, high) in bounds.items()
         ) if capability else None,
         vehicle_bounds=_bound_rows(vehicle),
-        binding=tuple(s for s in driver if s.assertions and s.assertions.required_modalities),
+        binding=binding,
+        allowed_modalities=frozenset({preference} if preference else (
+            normalize_text(m) for s in binding for m in s.assertions.required_modalities
+        )),
         driver_keywords=_keyword_carriers(driver),
         grounding=_grounding_targets(z, tokens),
         scene_maneuvers=frozenset(name for name, phrases in _MANEUVER_PHRASES if _matches(scene, phrases)),
@@ -415,10 +433,10 @@ def _check_bounds(policy, actions, rows, check_id, layer) -> CheckResult:
     hits = []
     clause = None
     for index, (action, facts) in enumerate(zip(policy.actions, actions)):
-        for action_type, parameter, low, high, row_clause in rows:
+        for action_type, parameter, norm, low, high, row_clause in rows:
             if action_type is not action.action_type:
                 continue
-            value = facts.by_param.get(_norm_param(parameter))
+            value = facts.by_param.get(norm)
             if value is not None and not low <= value <= high:
                 cite = "" if row_clause is None else f" (clause {cut(row_clause)})"
                 hits.append(f"action {index} {cut(parameter)}={value:g} outside [{low:g}, {high:g}]{cite}")
@@ -437,13 +455,9 @@ def _check_actuators(policy, vehicle, check_id) -> CheckResult:
     return _verdict(check_id, "vehicle", hits, "all action channels available")
 
 
-def _check_modality_binding(policy, driver, binding, check_id) -> CheckResult:
+def _check_modality_binding(policy, binding, allowed, check_id) -> CheckResult:
     if not binding:
         return _na(check_id, "driver", "no binding modality assertion")
-    preference = normalize_text(driver.alert_modality_preference)
-    allowed = {preference} if preference else {
-        normalize_text(m) for s in binding for m in s.assertions.required_modalities
-    }
     hits = []
     for index, action in enumerate(policy.actions):
         modality = action.parameters.get("modality")
@@ -513,7 +527,7 @@ def run_layered_checks(
         _check_actuators(policy, prompt.vehicle, "vehicle.actuator_available"),
         _check_bounds(policy, actions, context.capability_bounds, "vehicle.capability_limits", "vehicle"),
         _check_bounds(policy, actions, context.vehicle_bounds, "vehicle.snippet_bounds", "vehicle"),
-        _check_modality_binding(policy, prompt.driver, context.binding, "driver.modality_binding"),
+        _check_modality_binding(policy, context.binding, context.allowed_modalities, "driver.modality_binding"),
         _check_cabin_band(policy, actions, prompt.driver, "driver.cabin_band"),
         _check_forbidden_keywords(actions, context.driver_keywords, "driver.sensitivity_trigger", "driver"),
         _check_hazard_conservatism(context.hazards_truth, hazards_addressed, "contextual.hazard_conservatism"),
@@ -604,7 +618,7 @@ def evidence_coverage(
     contribute 0. ``targets`` is the prompt context's grounding, when the
     caller holds it.
     """
-    threshold = (config or RunConfig()).match_threshold
+    threshold = (config or DEFAULT_CONFIG).match_threshold
     if targets is None:
         targets = _grounding_targets(z, _prompt_tokens(z, snippets))
     fractions = []
@@ -634,7 +648,7 @@ def validate(document: str | bytes, prompt: StrategyPrompt, config: RunConfig | 
     Total: an Invalid parse yields the all-zero report (checks not
     applicable, every component 0, aggregate 0) rather than an error.
     """
-    cfg = config or RunConfig()
+    cfg = config or DEFAULT_CONFIG
     rules = cfg.hazard_rules()
     outcome = parse_policy(document, j_max=cfg.j_max)
     context = prompt_context(prompt, rules)
@@ -649,7 +663,7 @@ def validate(document: str | bytes, prompt: StrategyPrompt, config: RunConfig | 
         )
         s_evd = evidence_coverage(policy, prompt.z, prompt.constraints, cfg, targets=context.grounding)
         s_str = structural_score(outcome, cfg.penalty_table)
-        low_level_matches = tuple(detect_low_level_control(policy, cfg.lexicon()))
+        low_level_matches = tuple(detect_low_level_control(policy, cfg.lexicon(), actions=actions))
     summary = violation_summary(checks)
     s_core = core_score(summary) if outcome.valid else 0.0
     return EcpoReport(

@@ -77,3 +77,28 @@ def test_entry_points_read_counts_by_the_config_rule(call, field, code, value):
         RunConfig(**{field: value})
     assert err.value.message == config_err.value.message
     call(1)
+
+
+def test_library_calls_without_a_config_read_the_one_default(monkeypatch, rain_policy_dict, rain_prompt):
+    import json
+
+    from ecpo import preference, validator
+    from ecpo.config import DEFAULT_CONFIG
+    from ecpo.policy import parse_policy
+    from oracles import fake_report
+
+    assert DEFAULT_CONFIG == RunConfig()
+
+    def refuse(self):
+        raise AssertionError("a RunConfig was built for a call made without one")
+
+    monkeypatch.setattr(RunConfig, "__post_init__", refuse)
+    document = json.dumps(rain_policy_dict)
+    assert validator.validate(document, rain_prompt) == validator.validate(document, rain_prompt, DEFAULT_CONFIG)
+    policy = parse_policy(document).policy
+    assert validator.evidence_coverage(policy, rain_prompt.z) == validator.evidence_coverage(
+        policy, rain_prompt.z, config=DEFAULT_CONFIG)
+    assert preference.weight(0.01) == DEFAULT_CONFIG.psi_floor
+    candidates = tuple(preference.Candidate(name, "{}", fake_report(score)) for name, score in (("a", 0.9), ("b", 0.2)))
+    pair = preference.select_pair(preference.CandidateSet("p", candidates))
+    assert (pair.plus_id, pair.minus_id, pair.weight) == ("a", "b", pytest.approx(0.7))

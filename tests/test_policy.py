@@ -186,6 +186,19 @@ def test_parameter_coercions():
     assert outcome.defect_codes().count("BAD_PARAMETER_VALUE") == 4
 
 
+def test_parameter_defects_name_their_parameter():
+    doc = minimal_doc()
+    doc["actions"][0]["parameters"] = {"flag": True, " bad ": [1], "  ": "empty", "nan": None, "x" * 130: {}, "ok": 1}
+    path = "$.actions[0].parameters."
+    assert [(d.code, d.path, d.message) for d in parse(doc).defects] == [
+        ("BAD_PARAMETER_VALUE", path + "flag", "boolean parameter dropped"),
+        ("BAD_PARAMETER_VALUE", path + "bad", "parameter value is not a scalar; dropped"),
+        ("BAD_PARAMETER_VALUE", path + "'  '", "empty parameter key dropped"),
+        ("BAD_PARAMETER_VALUE", path + "nan", "parameter value is not a scalar; dropped"),
+        ("BAD_PARAMETER_VALUE", path + "x" * 120 + "...", "parameter value is not a scalar; dropped"),
+    ]
+
+
 def test_integer_past_float_range_dropped():
     # the checks compare parameters as floats; this one would overflow
     doc = minimal_doc()

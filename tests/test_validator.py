@@ -570,3 +570,101 @@ def test_prompt_context_is_not_part_of_prompt_equality(rain_prompt):
     assert rain_prompt == copy
     assert "_validation_contexts" not in repr(rain_prompt)
 
+
+
+# --- prompt-only verdicts kept per prompt ------------------------------------------------
+
+# The entry {cabin, warm, quiet, comfort} meets the stage {cabin, stays, warm, quiet} at Jaccard 3/5: grounded at
+# 0.5, not at 0.7.
+WARM_CABIN = PerceptionSummary(driver_labels=("anxiety",), summary_initial="the cabin stays warm and quiet")
+LOW, HIGH = RunConfig(match_threshold=0.5), RunConfig(match_threshold=0.7)
+
+
+def evidence_document(entries: list[str]) -> str:
+    return json.dumps({"objectives": "o", "constraints": {"legal_regulations": "x"}, "actions": [
+        {"type": "HmiPrompt", "parameters": {}, "rationale": "r", "evidence": {"in_cabin_text": entries}}]})
+
+
+def test_each_verdict_is_computed_once_per_prompt_and_threshold(monkeypatch):
+    computed = []
+    original = validator._ground
+
+    def counting(entry, targets, threshold):
+        computed.append((entry, threshold))
+        return original(entry, targets, threshold)
+
+    monkeypatch.setattr(validator, "_ground", counting)
+    entries = ["anxiety", "warm quiet cabin comfort", "unrelated thing"]
+    documents = [evidence_document(entries[:n]) for n in (1, 2, 3)] * 3  # K = 9 candidates, repeated entries
+    prompt = StrategyPrompt("p", WARM_CABIN)
+    assert [validate(d, prompt, LOW).s_evd for d in documents[:3]] == [1.0, 1.0, 2 / 3]
+    for document in documents[3:]:
+        validate(document, prompt, LOW)
+    assert sorted(computed) == sorted((entry, 0.5) for entry in entries)
+    computed.clear()
+    # a new threshold computes each verdict again, once
+    assert [validate(d, prompt, HIGH).s_evd for d in documents] == [1.0, 0.5, 1 / 3] * 3
+    assert sorted(computed) == sorted((entry, 0.7) for entry in entries)
+    computed.clear()
+    assert validate(documents[2], prompt, LOW).s_evd == 2 / 3
+    assert computed == []
+    # an equal prompt decoded anew has verdicts of its own
+    assert validate(documents[2], prompt_from_dict(prompt_to_dict(prompt)), LOW).s_evd == 2 / 3
+    assert sorted(computed) == sorted((entry, 0.5) for entry in entries)
+
+
+def test_a_verdict_belongs_to_its_prompt():
+    document = evidence_document(["warm quiet cabin comfort"])
+    for _ in range(2):
+        assert validate(document, StrategyPrompt("warm", WARM_CABIN), LOW).s_evd == 1.0
+        assert validate(document, StrategyPrompt("bare"), LOW).s_evd == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(texts, max_size=4).map(tuple), st.tuples(texts, texts), text_lists, st.data())
+def test_memoized_grounding_equals_brute_force_and_a_fresh_prompt(labels, stages, bodies, data):
+    z = perception(labels, stages)
+    z = PerceptionSummary(z.driver_labels, z.scene_labels, z.summary_initial, "", z.summary_final, labels[:2])
+    snippets = snippets_of(bodies)
+    prompt = StrategyPrompt("p", z, constraints=snippets)
+    # candidates cite entries from one small pool, so they repeat entries; thresholds alternate 0.3, 0.7, 0.3, ...
+    pool = data.draw(st.lists(texts, min_size=1, max_size=4))
+    candidates = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=4), min_size=2, max_size=6))
+    configs = (RunConfig(match_threshold=0.3), RunConfig(match_threshold=0.7))
+    for index, entries in enumerate(candidates):
+        config = configs[index % 2]
+        document = evidence_document(entries)
+        kept = [entry.strip() for entry in entries if entry.strip()]  # the parser drops empty entries
+        matched = sum(grounded_reference(entry, z, snippets, config.match_threshold) for entry in kept)
+        s_evd = validate(document, prompt, config).s_evd
+        assert s_evd == (matched / len(kept) if kept else 0.0)
+        assert s_evd == validate(document, prompt_from_dict(prompt_to_dict(prompt)), config).s_evd
+
+
+def test_allowed_modalities_belong_to_their_prompt():
+    binding = ConstraintSnippet("d1", "driver", "D-1", "alerts on the display",
+                                assertions=Assertions(required_modalities=frozenset({"visual"})))
+    prefers_audio = StrategyPrompt("a", driver=DriverProfile(alert_modality_preference="Audio"), constraints=(binding,))
+    bound_only = StrategyPrompt("b", constraints=(binding,))
+    document = json.dumps({"objectives": "o", "constraints": {"legal_regulations": "x"}, "actions": [
+        {"type": "HmiPrompt", "parameters": {"modality": "audio"}, "rationale": "r", "evidence": {"labels": ["a"]}}]})
+    conflict = "action 0 modality 'audio' conflicts with the bound preference"
+    for prompt, passed, detail in [(prefers_audio, True, "modalities match the bound preference"),
+                                   (bound_only, False, conflict), (prefers_audio, True, None)]:
+        check = validate(document, prompt).checks[6]
+        assert (check.check_id, check.passed, check.clause_ref) == ("driver.modality_binding", passed, "D-1")
+        assert detail is None or check.detail == detail
+
+
+def test_bound_rows_match_parameters_by_normalized_name():
+    bound = ParameterBound(ActionType.HMI_PROMPT, "Display Timeout S", 1, 30)
+    legal = ConstraintSnippet("l1", "legal", "L-1", "bound", assertions=Assertions(parameter_bounds=(bound,)))
+    vehicle = VehicleProfile(available_actuators=frozenset({"HmiPrompt"}),
+                             capability_limits={"HmiPrompt": {"VOLUME": (0, 5)}})
+    action = {"type": "HmiPrompt", "parameters": {"display_timeout_s": 0.5, "Volume": 9},
+              "rationale": "r", "evidence": {"labels": ["a"]}}
+    policy = parse_policy(json.dumps({**HVAC_POLICY, "actions": [action]})).policy
+    prompt = StrategyPrompt("p", vehicle=vehicle, constraints=(legal,))
+    checks = {c.check_id: c for c in run_layered_checks(policy, prompt)}
+    assert checks["legal.parameter_bounds"].detail == "action 0 Display Timeout S=0.5 outside [1, 30] (clause L-1)"
+    assert checks["vehicle.capability_limits"].detail == "action 0 VOLUME=9 outside [0, 5]"
