@@ -41,6 +41,49 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    # --- one union per pattern set, one context lookup, the weight row checked once
+    Mutant(
+        "union-hit-taken-as-hits", "src/ecpo/policy.py",
+        "                for hit in word_hits(pattern.regex, text):\n",
+        "                for hit in word_hits(union or pattern.regex, text):\n",
+        ("tests/test_validator.py::test_union_scans_equal_the_per_pattern_reference",
+         "tests/test_validator.py::test_grouped_patterns_are_scanned_alone"),
+    ),
+    Mutant(
+        "carriers-deduplicated-per-keyword", "src/ecpo/validator.py",
+        "    union, alone = keyword_union(tuple(dict.fromkeys(pattern for _, _, pattern in carriers)))\n",
+        "    seen = set()\n"
+        "    carriers = tuple(carrier for carrier in carriers if not (carrier[1] in seen or seen.add(carrier[1])))\n"
+        "    union, alone = keyword_union(tuple(dict.fromkeys(pattern for _, _, pattern in carriers)))\n",
+        ("tests/test_validator.py::test_a_keyword_shared_by_two_snippets_cites_both_clauses",
+         "tests/test_validator.py::test_union_scans_equal_the_per_pattern_reference"),
+    ),
+    Mutant(
+        "grouped-patterns-joined", "src/ecpo/policy.py",
+        "if not pattern.groups and pattern.flags == _KEYWORD_FLAGS]",
+        "if pattern.flags == _KEYWORD_FLAGS]",
+        ("tests/test_validator.py::test_grouped_patterns_are_scanned_alone",
+         "tests/test_validator.py::test_union_scans_equal_the_per_pattern_reference"),
+    ),
+    Mutant(
+        "ecpo-score-unchecked", "src/ecpo/validator.py",
+        "    return _aggregate(s_core, s_evd, s_str, check_weights(weights))\n",
+        "    return _aggregate(s_core, s_evd, s_str, weights)\n",
+        ("tests/test_validator.py::test_check_weights",),
+    ),
+    Mutant(
+        "context-looked-up-twice", "src/ecpo/validator.py",
+        "        checks = tuple(_layered_checks(policy, prompt, context, actions, hazards_addressed))\n",
+        "        checks = tuple(run_layered_checks(policy, prompt, rules, hazards_addressed=hazards_addressed,\n"
+        "                                          actions=actions))\n",
+        ("tests/test_validator.py::test_validate_looks_up_the_prompt_context_once",),
+    ),
+    Mutant(
+        "weights-checked-per-candidate", "src/ecpo/validator.py",
+        "        ecpo=_aggregate(s_core, s_evd, s_str, cfg.ecpo_weights),\n",
+        "        ecpo=ecpo_score(s_core, s_evd, s_str, cfg.ecpo_weights),\n",
+        ("tests/test_validator.py::test_validate_reads_the_weight_row_the_config_checked",),
+    ),
     # --- per-prompt verdicts, the key cache, bound rows, modalities, defect paths, the default config
     Mutant(
         "memo-without-threshold", "src/ecpo/validator.py",
@@ -92,6 +135,32 @@ MUTANTS = (
         ("tests/test_config.py::test_library_calls_without_a_config_read_the_one_default",),
     ),
     # --- earlier changes
+    Mutant(
+        "survivor-margin-zero", "src/ecpo/store.py",
+        "_SURVIVOR_MARGIN = 1e-9\n",
+        "_SURVIVOR_MARGIN = 0.0\n",
+        ("tests/test_store.py::test_survivor_margin_keeps_a_near_tie_at_the_kth_place",
+         "tests/test_store.py::test_near_tie_one_ulp_apart_ranks_by_exact_cosine"),
+    ),
+    Mutant(
+        "gate-over-first-three-names", "src/ecpo/metrics.py",
+        "        for name in GATED_METRICS:\n",
+        "        for name in GATED_METRICS[:3]:\n",
+        ("tests/test_metrics.py::test_strategy_metrics_gates_all_six_below_the_floor",),
+    ),
+    Mutant(
+        "sets-unsorted-by-to-json", "src/ecpo/store.py",
+        "        return lambda items: sorted(_items(items))\n",
+        "        return _items\n",
+        ("tests/test_records.py::test_to_json_pins_sets_profiles_bounds_and_policies",),
+    ),
+    Mutant(
+        "old-beta-check", "src/ecpo/preference.py",
+        "    check_beta(beta)\n",
+        "    if beta <= 0:\n"
+        "        raise ConfigError(\"BAD_BETA\", f\"beta must be > 0, got {beta}\")\n",
+        ("tests/test_preference.py::test_pairwise_loss_rejects_what_the_config_rejects",),
+    ),
     Mutant(
         "has-over-valid-records-only", "src/ecpo/metrics.py",
         "    rated = [r for r in records if r.ratings]\n",

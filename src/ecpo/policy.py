@@ -449,6 +449,30 @@ def keyword_pattern(keyword: str) -> re.Pattern:
         raise re.error("nested too deep to compile") from None
 
 
+# The flags of every ``keyword_pattern``; a union is compiled with them.
+_KEYWORD_FLAGS = re.compile("", re.IGNORECASE).flags
+
+
+@lru_cache(maxsize=1024)
+def keyword_union(patterns: tuple[re.Pattern, ...]) -> tuple[re.Pattern | None, frozenset[re.Pattern]]:
+    """A one-scan prefilter for a set of patterns, built once per distinct tuple: the alternation of those it can
+    join, and the set of those scanned alone. A text that the union does not ``search`` matches none of the
+    joined patterns. A pattern with groups is scanned alone (a union renumbers groups, so ``(a)\\1`` would
+    change meaning inside one), and so is one compiled with other flags than ``keyword_pattern``'s. When the
+    alternation does not compile (``re.error``, nested too deep, too large) there is no union and every pattern
+    is scanned alone."""
+    joined = [pattern for pattern in patterns if not pattern.groups and pattern.flags == _KEYWORD_FLAGS]
+    if joined:
+        try:
+            with warnings.catch_warnings():  # the parts' notes on set syntax, once more
+                warnings.simplefilter("ignore", FutureWarning)
+                union = re.compile("|".join(pattern.pattern for pattern in joined), _KEYWORD_FLAGS)
+            return union, frozenset(patterns).difference(joined)
+        except (re.error, RecursionError, OverflowError):
+            pass
+    return None, frozenset(patterns)
+
+
 def word_hits(pattern: re.Pattern, text: str) -> list[str]:
     """The matches of a ``keyword_pattern`` in ``text`` that span at least one character. A fragment that
     only asserts a position (``\\b``, ``(?=a)``) matches the empty string between words; such a match is no hit."""
@@ -482,14 +506,17 @@ DEFAULT_LEXICON = compile_lexicon(DEFAULT_LEXICON_LINES)
 def detect_low_level_control(
     policy: PolicyAction, lexicon: Sequence[LexiconPattern] | None = None, *, actions: Sequence | None = None
 ) -> list[LowLevelMatch]:
-    """Every lexicon match in any action's string parameter values or rationale; a caller that holds each
-    action's ``texts`` (``validator.ActionFacts``) passes them as ``actions``."""
+    """Every lexicon match in any action's string parameter values or rationale, by text, then pattern; a caller
+    that holds each action's ``texts`` (``validator.ActionFacts``) passes them as ``actions``. A text that the
+    lexicon's ``keyword_union`` does not search is scanned only by the patterns it leaves out."""
     patterns = DEFAULT_LEXICON if lexicon is None else tuple(lexicon)
+    union, alone = keyword_union(tuple(pattern.regex for pattern in patterns))
+    rest = [pattern for pattern in patterns if pattern.regex in alone]
     texts = map(_action_texts, policy.actions) if actions is None else (facts.texts for facts in actions)
     matches = []
     for index, action_texts in enumerate(texts):
         for text in action_texts:
-            for pattern in patterns:
+            for pattern in patterns if union is not None and union.search(text) else rest:
                 for hit in word_hits(pattern.regex, text):
                     matches.append(LowLevelMatch(index, pattern.source, hit))
     return matches

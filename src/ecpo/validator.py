@@ -42,6 +42,7 @@ from .policy import (
     action_text,
     detect_low_level_control,
     keyword_pattern,
+    keyword_union,
     parse_policy,
     structural_score,
     word_hits,
@@ -188,7 +189,7 @@ _MANEUVER_PHRASES = tuple((name, _phrases(t)) for name, t in DEFAULT_MANEUVERS.i
 
 def _matches(run: str, phrases: tuple[str, ...]) -> bool:
     """Some phrase occurs inside one line of ``run`` (a ``token_run``)."""
-    return any(phrase in run for phrase in phrases)
+    return any(map(run.__contains__, phrases))
 
 
 class ActionFacts(NamedTuple):
@@ -221,14 +222,24 @@ def _action_facts(policy: PolicyAction) -> tuple[ActionFacts, ...]:
 KeywordCarriers = tuple[tuple[ConstraintSnippet, str, re.Pattern], ...]
 
 
-def _keyword_carriers(snippets: Sequence[ConstraintSnippet]) -> KeywordCarriers:
-    """(snippet, keyword, compiled pattern) per forbidden keyword, in snippet order."""
-    return tuple(
+class KeywordScan(NamedTuple):
+    """A scope's forbidden keywords: (snippet, keyword, compiled pattern) per keyword in snippet order, the
+    ``keyword_union`` of the distinct keywords, and the carriers whose pattern the union leaves out."""
+
+    carriers: KeywordCarriers
+    union: re.Pattern | None
+    alone: KeywordCarriers
+
+
+def _keyword_scan(snippets: Sequence[ConstraintSnippet]) -> KeywordScan:
+    carriers = tuple(
         (snippet, keyword, keyword_pattern(keyword))
         for snippet in snippets
         if snippet.assertions
         for keyword in snippet.assertions.forbidden_keywords
     )
+    union, alone = keyword_union(tuple(dict.fromkeys(pattern for _, _, pattern in carriers)))
+    return KeywordScan(carriers, union, tuple(carrier for carrier in carriers if carrier[2] in alone))
 
 
 class Grounding(NamedTuple):
@@ -326,7 +337,7 @@ class PromptContext(NamedTuple):
     hazards_truth: frozenset[str]
     # legal snippets that forbid action types
     forbidding: tuple[ConstraintSnippet, ...]
-    legal_keywords: KeywordCarriers
+    legal_keywords: KeywordScan
     # bound rows; None where not applicable (a declared capability map always applies)
     legal_bounds: BoundRows | None
     capability_bounds: BoundRows | None
@@ -334,7 +345,7 @@ class PromptContext(NamedTuple):
     # driver snippets that bind modalities, and the normalized modalities they allow
     binding: tuple[ConstraintSnippet, ...]
     allowed_modalities: frozenset[str]
-    driver_keywords: KeywordCarriers
+    driver_keywords: KeywordScan
     grounding: Grounding
     # maneuvers whose trigger occurs in a scene label or summary stage
     scene_maneuvers: frozenset[str]
@@ -362,7 +373,7 @@ def _build_context(prompt: StrategyPrompt, rules: tuple[HazardRule, ...]) -> Pro
     return PromptContext(
         hazards_truth=_hazards(tokens, rules),
         forbidding=tuple(s for s in legal if s.assertions and s.assertions.forbidden_action_types),
-        legal_keywords=_keyword_carriers(legal),
+        legal_keywords=_keyword_scan(legal),
         legal_bounds=_bound_rows(legal),
         capability_bounds=tuple(
             (ActionType(name), parameter, _norm_key(parameter), low, high, None)
@@ -374,7 +385,7 @@ def _build_context(prompt: StrategyPrompt, rules: tuple[HazardRule, ...]) -> Pro
         allowed_modalities=frozenset({preference} if preference else (
             normalize_text(m) for s in binding for m in s.assertions.required_modalities
         )),
-        driver_keywords=_keyword_carriers(driver),
+        driver_keywords=_keyword_scan(driver),
         grounding=_grounding_targets(z, tokens),
         scene_maneuvers=frozenset(name for name, phrases in _MANEUVER_PHRASES if _matches(scene, phrases)),
     )
@@ -404,14 +415,18 @@ def _check_forbidden_action_types(policy, carriers, check_id, layer) -> CheckRes
     return _verdict(check_id, layer, hits, "no forbidden action types used", clause)
 
 
-def _check_forbidden_keywords(actions, carriers, check_id, layer) -> CheckResult:
+def _check_forbidden_keywords(actions, keywords: KeywordScan, check_id, layer) -> CheckResult:
+    """Each action's text against each carrier, in carrier order; a text that the scope's union does not search
+    is scanned only by the carriers it leaves out."""
+    carriers, union, alone = keywords
     if not carriers:
         return _na(check_id, layer, "no keyword assertions")
     hits = []
     clause = None
     for index, facts in enumerate(actions):
-        for snippet, keyword, pattern in carriers:
-            if word_hits(pattern, facts.text):
+        text = facts.text
+        for snippet, keyword, pattern in carriers if union is not None and union.search(text) else alone:
+            if word_hits(pattern, text):
                 hits.append(f"action {index} matches {shown(keyword)} (clause {cut(snippet.clause_id)})")
                 clause = clause or snippet.clause_id
     return _verdict(check_id, layer, hits, "no forbidden keyword present", clause)
@@ -515,11 +530,14 @@ def run_layered_checks(
     caller that already holds the policy's addressed hazards (same rules) or
     its per-action facts passes them in rather than having them recomputed.
     """
-    context = prompt_context(prompt, rules)
     if actions is None:
         actions = _action_facts(policy)
     if hazards_addressed is None:
         hazards_addressed = extract_addressed_hazards(policy, rules, actions=actions)
+    return _layered_checks(policy, prompt, prompt_context(prompt, rules), actions, hazards_addressed)
+
+
+def _layered_checks(policy, prompt, context: PromptContext, actions, hazards_addressed) -> list[CheckResult]:
     return [
         _check_forbidden_action_types(policy, context.forbidding, "legal.forbidden_action_type", "legal"),
         _check_forbidden_keywords(actions, context.legal_keywords, "legal.forbidden_keyword", "legal"),
@@ -637,9 +655,14 @@ def evidence_coverage(
 def ecpo_score(
     s_core: float, s_evd: float, s_str: float, weights: Sequence[float] = DEFAULT_WEIGHTS
 ) -> float:
-    w_core, w_evd, w_str = check_weights(weights)
-    value = w_core * s_core + w_evd * s_evd + w_str * s_str
-    return min(1.0, max(0.0, value))
+    """The aggregate of the three components under ``weights``, checked first (``check_weights``)."""
+    return _aggregate(s_core, s_evd, s_str, check_weights(weights))
+
+
+def _aggregate(s_core: float, s_evd: float, s_str: float, weights: tuple[float, float, float]) -> float:
+    """The weighted sum clamped to [0, 1], under a row already checked, such as ``RunConfig.ecpo_weights``."""
+    w_core, w_evd, w_str = weights
+    return min(1.0, max(0.0, w_core * s_core + w_evd * s_evd + w_str * s_str))
 
 
 def validate(document: str | bytes, prompt: StrategyPrompt, config: RunConfig | None = None) -> EcpoReport:
@@ -658,9 +681,7 @@ def validate(document: str | bytes, prompt: StrategyPrompt, config: RunConfig | 
         policy = outcome.policy
         actions = _action_facts(policy)
         hazards_addressed = extract_addressed_hazards(policy, rules, actions=actions)
-        checks = tuple(
-            run_layered_checks(policy, prompt, rules=rules, hazards_addressed=hazards_addressed, actions=actions)
-        )
+        checks = tuple(_layered_checks(policy, prompt, context, actions, hazards_addressed))
         s_evd = evidence_coverage(policy, prompt.z, prompt.constraints, cfg, targets=context.grounding)
         s_str = structural_score(outcome, cfg.penalty_table)
         low_level_matches = tuple(detect_low_level_control(policy, cfg.lexicon(), actions=actions))
@@ -672,7 +693,7 @@ def validate(document: str | bytes, prompt: StrategyPrompt, config: RunConfig | 
         s_core=s_core,
         s_evd=s_evd,
         s_str=s_str,
-        ecpo=ecpo_score(s_core, s_evd, s_str, cfg.ecpo_weights),
+        ecpo=_aggregate(s_core, s_evd, s_str, cfg.ecpo_weights),
         weights_used=cfg.ecpo_weights,
         low_level_matches=low_level_matches,
         schema_valid=outcome.valid,

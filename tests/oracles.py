@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 import sys
 from array import array
 from fractions import Fraction
@@ -27,9 +28,9 @@ from ecpo.context import (
     seeded_shuffle,
     stream_seed,
 )
-from ecpo.errors import (InputError, read_as, read_int, read_list, read_number, read_optional, read_string,
+from ecpo.errors import (InputError, cut, read_as, read_int, read_list, read_number, read_optional, read_string,
                          read_strings, shown)
-from ecpo.policy import ActionType, parse_action_type
+from ecpo.policy import ActionType, LowLevelMatch, parse_action_type
 from ecpo.store import Assertions, ConstraintSnippet, LexicalIndex, ParameterBound, RetrievalQuery
 from ecpo.textnorm import content_tokens, lexical_cosine, normalize_text, squared_norm, term_frequencies, tokenize
 from ecpo.validator import CheckResult, EcpoReport, ViolationSummary
@@ -503,6 +504,48 @@ def grounded_reference(entry: str, z, snippets, threshold: float) -> bool:
     texts += list(z.driver_labels + z.scene_labels + z.objects) + [s.text for s in snippets]
     entry_tokens = set(content_tokens(entry))
     return any(jaccard(entry_tokens, set(content_tokens(text))) >= threshold for text in texts)
+
+
+# --- the keyword scans before the union prefilter: every pattern over every text -----------------
+
+
+def _reference_texts(action) -> list[str]:
+    """An action's string parameter values by key, then its rationale."""
+    return [value for _, value in sorted(action.parameters.items()) if isinstance(value, str)] + [action.rationale]
+
+
+def _spans_a_character(regex: re.Pattern, text: str) -> list[str]:
+    return [hit.group() for hit in regex.finditer(text) if hit.end() > hit.start()]
+
+
+def low_level_matches_reference(policy, lexicon) -> list[LowLevelMatch]:
+    """``detect_low_level_control`` as it scanned before its union prefilter: for each action, each text, each
+    lexicon pattern, every match that spans a character."""
+    return [
+        LowLevelMatch(index, pattern.source, hit)
+        for index, action in enumerate(policy.actions)
+        for text in _reference_texts(action)
+        for pattern in lexicon
+        for hit in _spans_a_character(pattern.regex, text)
+    ]
+
+
+def forbidden_keyword_check_reference(policy, snippets, check_id: str, layer: str) -> CheckResult:
+    """A forbidden-keyword check as it ran before the union prefilter: each action's joined non-empty texts
+    against each keyword of each snippet, in snippet order, a keyword compiled on its own as a whole word."""
+    carriers = [(s, keyword) for s in snippets if s.assertions for keyword in s.assertions.forbidden_keywords]
+    if not carriers:
+        return CheckResult(check_id, layer, True, "not applicable: no keyword assertions")
+    hits, clause = [], None
+    for index, action in enumerate(policy.actions):
+        text = " ".join(t for t in _reference_texts(action) if t)
+        for snippet, keyword in carriers:
+            if _spans_a_character(re.compile(rf"\b(?:{keyword})\b", re.IGNORECASE), text):
+                hits.append(f"action {index} matches {shown(keyword)} (clause {cut(snippet.clause_id)})")
+                clause = clause or snippet.clause_id
+    if hits:
+        return CheckResult(check_id, layer, False, "; ".join(hits), clause)
+    return CheckResult(check_id, layer, True, "no forbidden keyword present", clause)
 
 
 def fake_report(ecpo: float, schema_valid: bool = True, severity: int = 0, count: int = 0) -> EcpoReport:

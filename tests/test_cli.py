@@ -11,7 +11,8 @@ import pytest
 import ecpo
 from ecpo import cli
 from ecpo.cli import main
-from ecpo.context import prompt_to_dict, sample_to_dict
+from ecpo.context import DEFAULT_LABEL_VOCAB, SPLITS, STRATIFY_HEADS, prompt_to_dict, sample_to_dict
+from ecpo.policy import document_text, parse_policy
 from ecpo.store import snippet_to_dict
 from conftest import bench_inputs, make_sample
 
@@ -434,16 +435,6 @@ def pairs_corpus() -> list[dict]:
     return rows
 
 
-def test_pairs_output_on_a_generated_corpus_is_pinned(tmp_path, capsys):
-    # digests taken while the records still went through a separate export step
-    code = main(["pairs", "--candidates", write_jsonl(tmp_path / "c.jsonl", pairs_corpus())])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert captured.err.count("skip prompt") == 5 and captured.out.count("\n") == 35
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == "5465ed479e9d3f7dc5458b4c9dc4acb90745ad971c87a0ff9c8ff9261b172093"
-    assert hashlib.sha256(captured.err.encode()).hexdigest() == "26f899883f0a9231498413e5e09d578012dd63c12246b7007de40a316e54df17"
-
-
 # --- eval -------------------------------------------------------------------------------
 
 
@@ -788,6 +779,91 @@ def test_stratify_missing_head_exits_1(tmp_path, capsys):
     code, _, err = run_cli(["stratify", "--records", path], capsys)
     assert code == 1
     assert "MISSING_HEAD" in err
+
+
+# --- one same-bytes gate ----------------------------------------------------------------
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def bench_samples() -> tuple[list[dict], list[dict]]:
+    """The seed-0 validate_k8 prompts as in-cabin and out-of-cabin sample records ("in-" and "out-" ids):
+    splits in rotation, one step apart on the two sides; each head's label drawn nominal or at random; every
+    other in-cabin record carries its prompt's first schema-valid candidate as the reference policy."""
+    files = bench_inputs("validate_k8")
+    references: dict[str, object] = {}
+    for line in files["records.jsonl"].splitlines():
+        record = json.loads(line)
+        if parse_policy(document_text(record["document"], "BAD_RECORD", "document")).valid:
+            references.setdefault(record["prompt_id"], record["document"])
+    rng = random.Random(0)
+    vocab = DEFAULT_LABEL_VOCAB
+    in_cabin, out_of_cabin = [], []
+    for index, line in enumerate(files["prompts.jsonl"].splitlines()):
+        prompt = json.loads(line)
+        for side, samples in (("in", in_cabin), ("out", out_of_cabin)):
+            samples.append({
+                "prompt": {**prompt, "prompt_id": f"{side}-{prompt['prompt_id']}"},
+                "split": SPLITS[(index + (side == "out")) % len(SPLITS)],
+                "reference_policy": references[prompt["prompt_id"]] if side == "in" and index % 2 == 0 else None,
+                "ground_truth_labels": {
+                    head: vocab.nominal_for(head) if rng.random() < 0.6 else rng.choice(vocab.heads[head])
+                    for head in STRATIFY_HEADS
+                },
+            })
+    return in_cabin, out_of_cabin
+
+
+# The benchmark workload of each command it runs, and its stdout pin (``bench/run.py`` writes the same
+# lines through ``--out``).
+BENCH_WORKLOADS = {"validate": "validate_k8", "eval": "eval_k1", "retrieve": "retrieve_5k"}
+BENCH_SPEC = json.loads((Path(__file__).resolve().parent.parent / "bench" / "spec.json").read_text())["workloads"]
+BENCH_SHA256 = {command: BENCH_SPEC[workload]["sha256"]["default"] for command, workload in BENCH_WORKLOADS.items()}
+
+
+def bench_argv(command: str, tmp_path) -> list[str]:
+    """The command's argv on its seed-0 bench-shaped inputs, written under ``tmp_path``."""
+    if command in BENCH_WORKLOADS:
+        for name, text in bench_inputs(BENCH_WORKLOADS[command]).items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        return {
+            "validate": ["validate", "--policies", tmp_path / "records.jsonl", "--prompts", tmp_path / "prompts.jsonl"],
+            "eval": ["eval", "--records", tmp_path / "records.jsonl"],
+            "retrieve": ["retrieve", "--store", tmp_path / "store.jsonl", "--prompt", tmp_path / "records.jsonl"],
+        }[command]
+    if command == "pairs":
+        return ["pairs", "--candidates", write_jsonl(tmp_path / "c.jsonl", pairs_corpus())]
+    in_cabin, out_of_cabin = bench_samples()
+    if command == "mixpair":
+        return ["mixpair", "--in-cabin", write_jsonl(tmp_path / "in.jsonl", in_cabin),
+                "--out-of-cabin", write_jsonl(tmp_path / "out.jsonl", out_of_cabin)]
+    return ["stratify", "--records", write_jsonl(tmp_path / "s.jsonl", in_cabin + out_of_cabin)]
+
+
+# (exit code, sha256 of stdout, sha256 of stderr) per command; stdout of validate, eval and retrieve is
+# the benchmark's pin. The pairs digests were taken while its records still went through a separate export
+# step (35 records, 5 sets skipped), the others before the keyword scans went through one union per pattern set.
+PINNED = {
+    "validate": (0, BENCH_SHA256["validate"], "709e4736943af291f301f5296e7b76f50660b4cdea46aab1609c3acf1876776c"),
+    "pairs": (0, "5465ed479e9d3f7dc5458b4c9dc4acb90745ad971c87a0ff9c8ff9261b172093",
+              "26f899883f0a9231498413e5e09d578012dd63c12246b7007de40a316e54df17"),
+    "eval": (0, BENCH_SHA256["eval"], "6ec3352c13400ddcfdf3d8de3517348b9e71640d00e82db8b22df0b8d8ad0bab"),
+    "retrieve": (0, BENCH_SHA256["retrieve"], "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "mixpair": (0, "5d09d108ddced209e6ed7eb34e397ccd4f6a62320df0ee9ff81e223d6d8915bc",
+                "7ee25b72c1352d9dca4ec85faa5fdf8013c12db1ef524ba0cbd1594a0fb548d9"),
+    "stratify": (0, "6cfb787a09e3b08d179278e77e41172e679b23579f91cd423c82ff710811a08d",
+                 "5dd478d2d20d3514d30408e44df6de08d0aa32aade3ecc1f45fa7eceb6ecfdcc"),
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED))
+def test_command_output_on_bench_inputs_is_pinned(tmp_path, command, capsys):
+    """Every command on the seed-0 bench-shaped inputs writes the same bytes and exits the same way."""
+    code = main([str(arg) for arg in bench_argv(command, tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, sha256(captured.out), sha256(captured.err)) == PINNED[command]
 
 
 # --- module loading ---------------------------------------------------------------------

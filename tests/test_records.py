@@ -107,7 +107,8 @@ def test_keywords_are_compiled_once_per_snippet(monkeypatch, rain_prompt, rain_p
     monkeypatch.setattr(ecpo.policy, "_compile", no_compile)
     prompt = StrategyPrompt("k", constraints=rain_prompt.constraints + (snippet,))
     validate(json.dumps(rain_policy_dict), prompt)
-    carried = [pattern for carrier, _, pattern in prompt_context(prompt).legal_keywords if carrier is snippet]
+    carried = [pattern for carrier, _, pattern in prompt_context(prompt).legal_keywords.carriers
+               if carrier is snippet]
     assert all(a is b for a, b in zip(carried, patterns, strict=True))
 
 
@@ -400,6 +401,7 @@ def test_config_echo_is_its_asdict_reference(tmp_path):
 
 def test_to_json_pins_sets_profiles_bounds_and_policies(monkeypatch):
     assert to_json(frozenset({"b", "c", "a"})) == ["a", "b", "c"]
+    assert list(frozenset({8, 1})) == [8, 1] and to_json(frozenset({8, 1})) == [1, 8]  # unsorted at any hash seed
     assert to_json(frozenset({ActionType.HVAC, ActionType.HMI_PROMPT})) == ["HmiPrompt", "Hvac"]
     assert to_json(ParameterBound(ActionType.HVAC, "temperature", 16.0, 28.5)) == ["Hvac", "temperature", 16.0, 28.5]
     vehicle = VehicleProfile("EU", "manual", frozenset({"hvac", "HMI prompt"}),

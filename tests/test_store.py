@@ -384,6 +384,18 @@ def test_survivors_equal_brute_force(case):
     assert scored_ids(store, query, top_k) == lexical_survivors_reference(store.snapshot(), query, top_k)
 
 
+def test_survivor_margin_keeps_a_near_tie_at_the_kth_place():
+    # at k = 2 the k-th largest product is a's, one ulp above b's, while b's exact cosine is one ulp above
+    # a's: only the margin under the k-th product keeps b for the exact rescoring
+    store = load_store([snippet("a", "lane " * 25 + "fog " * 10), snippet("b", "lane " * 5 + "fog fog"),
+                        snippet("c", "merge"), snippet("d", "lane")])
+    query = query_for("lane")
+    expected = {"a": 25 / math.sqrt(725), "b": 5 / math.sqrt(29), "d": 1.0}
+    assert scored_ids(store, query, 2) == lexical_survivors_reference(store.snapshot(), query, 2) == expected
+    assert ranking(retrieve(store, query, top_k=2)) == (("d", 1.0), ("b", 5 / math.sqrt(29)))
+    assert ranking(retrieve(store, query, top_k=2)) == lexical_ranking_reference(store.snapshot(), query, 2)
+
+
 def test_exact_tie_across_norm_groups_breaks_by_snippet_id():
     store = load_store([snippet("a", "lane lane lane"), snippet("b", "lane lane"), snippet("c", "merge")])
     # norm order (1, 4, 9) is the reverse of snippet_id order

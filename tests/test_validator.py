@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,8 @@ from ecpo.context import (
     prompt_to_dict,
 )
 from ecpo.errors import ConfigError, InputError, InvariantError
-from ecpo.policy import DEFAULT_LEXICON_LINES, ActionType, parse_policy
+from ecpo.policy import (DEFAULT_LEXICON_LINES, ActionType, LexiconPattern, compile_lexicon, detect_low_level_control,
+                         keyword_pattern, keyword_union, parse_policy)
 from ecpo.store import Assertions, ConstraintSnippet, ParameterBound
 from ecpo.validator import (
     DEFAULT_HAZARD_RULES,
@@ -43,7 +45,9 @@ from oracles import (
     core_reference,
     derive_hazards_reference,
     ecpo_reference,
+    forbidden_keyword_check_reference,
     grounded_reference,
+    low_level_matches_reference,
     maneuver_reference,
 )
 
@@ -668,3 +672,132 @@ def test_bound_rows_match_parameters_by_normalized_name():
     checks = {c.check_id: c for c in run_layered_checks(policy, prompt)}
     assert checks["legal.parameter_bounds"].detail == "action 0 Display Timeout S=0.5 outside [1, 30] (clause L-1)"
     assert checks["vehicle.capability_limits"].detail == "action 0 VOLUME=9 outside [0, 5]"
+
+
+# --- keyword scans: one union per pattern set ------------------------------------------------
+
+# Case variants, position-only fragments, alternations, a set, and grouped fragments (backreferences and
+# named groups) that must not join a union.
+KEYWORD_POOL = ("brake", "Brake", "BRAKE", "race", "loud music", "ab", "brake|race", r"\b", "(?=a)", "[ab]c",
+                "tail(?:gate)?", r"(a)\1", r"(b)\1", "(?P<x>a)", "(?P<x>b)b", "(ab)+")
+TEXT_WORDS = ("brake", "BRAKE", "Brake", "race", "loud", "music", "aa", "bb", "ab", "abab", "ac", "a", "b",
+              "tailgate", "tail", "steer", "throttle", "the", "car")
+
+
+def keyword_snippet(layer: str, index: int, keywords) -> ConstraintSnippet:
+    return ConstraintSnippet(f"{layer}-{index}", layer, f"{layer.upper()}-{index}", "a clause",
+                             assertions=Assertions(forbidden_keywords=tuple(keywords)))
+
+
+def keyword_document(actions: list[list[str]]) -> str:
+    """One HMI action per entry: its texts as string parameters p0, p1, ..., the last as the rationale."""
+    return json.dumps({"objectives": "o", "constraints": {"legal": "l"}, "actions": [
+        {"type": "HmiPrompt", "parameters": {f"p{i}": text for i, text in enumerate(texts[:-1])},
+         "rationale": texts[-1], "evidence": {"labels": ["x"]}}
+        for texts in actions
+    ]})
+
+
+def keyword_checks(document: str, snippets) -> tuple:
+    """The two keyword checks of ``validate``, then of ``run_layered_checks``."""
+    prompt = StrategyPrompt("k", constraints=tuple(snippets))
+    ids = ("legal.forbidden_keyword", "driver.sensitivity_trigger")
+    by_validate = {c.check_id: c for c in validate(document, prompt).checks}
+    by_checks = {c.check_id: c for c in run_layered_checks(parse_policy(document).policy, prompt)}
+    return tuple(by_validate[i] for i in ids), tuple(by_checks[i] for i in ids)
+
+
+def keyword_references(document: str, snippets) -> tuple:
+    policy = parse_policy(document).policy
+    return tuple(
+        forbidden_keyword_check_reference(policy, [s for s in snippets if s.layer == layer], check_id, layer)
+        for check_id, layer in (("legal.forbidden_keyword", "legal"), ("driver.sensitivity_trigger", "driver"))
+    )
+
+
+@st.composite
+def keyword_cases(draw):
+    keywords = st.lists(st.sampled_from(KEYWORD_POOL), max_size=3)
+    legal = draw(st.lists(keywords, min_size=1, max_size=4))
+    driver = draw(st.lists(keywords, max_size=3))
+    for lists in (legal, driver):  # a keyword that two snippets with different clauses share
+        if lists and lists[0] and draw(st.booleans()):
+            lists.append([draw(st.sampled_from(lists[0]))])
+    snippets = [keyword_snippet(layer, i, kws) for layer, lists in (("legal", legal), ("driver", driver))
+                for i, kws in enumerate(lists)]
+    text = st.lists(st.sampled_from(TEXT_WORDS), max_size=5).map(" ".join)
+    actions = draw(st.lists(st.lists(text, min_size=1, max_size=3), min_size=1, max_size=4))
+    lexicon = draw(st.lists(st.sampled_from(KEYWORD_POOL + DEFAULT_LEXICON_LINES), min_size=1, max_size=6))
+    return snippets, keyword_document(actions), lexicon
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyword_cases())
+def test_union_scans_equal_the_per_pattern_reference(case):
+    snippets, document, lines = case
+    expected = keyword_references(document, snippets)
+    by_validate, by_checks = keyword_checks(document, snippets)
+    assert by_validate == by_checks == expected
+    policy = parse_policy(document).policy
+    lexicon = compile_lexicon(lines)
+    expected_matches = low_level_matches_reference(policy, lexicon)
+    assert detect_low_level_control(policy, lexicon) == expected_matches
+    assert detect_low_level_control(policy, lexicon, actions=validator._action_facts(policy)) == expected_matches
+
+
+def test_a_keyword_shared_by_two_snippets_cites_both_clauses():
+    snippets = [keyword_snippet("legal", 0, ["race"]), keyword_snippet("legal", 1, ["tailgate", "race"])]
+    document = keyword_document([["no race here"], ["calm"], ["RACE and tailgate"]])
+    legal, _ = keyword_checks(document, snippets)[0]
+    assert legal.detail == ("action 0 matches 'race' (clause LEGAL-0); action 0 matches 'race' (clause LEGAL-1); "
+                            "action 2 matches 'race' (clause LEGAL-0); action 2 matches 'tailgate' (clause LEGAL-1); "
+                            "action 2 matches 'race' (clause LEGAL-1)")
+    assert legal.clause_ref == "LEGAL-0"
+    assert keyword_checks(document, snippets)[0] == keyword_references(document, snippets)
+
+
+def test_grouped_patterns_are_scanned_alone():
+    # joined, the second fragment's \1 would name the first fragment's group
+    grouped = [r"(a)\1", r"(b)\1"]
+    union, alone = keyword_union(tuple(map(keyword_pattern, ["race", *grouped])))
+    assert union.pattern == r"\b(?:race)\b" and alone == frozenset(map(keyword_pattern, grouped))
+    document = keyword_document([["bb"]])
+    snippets = [keyword_snippet("driver", 0, ["race", *grouped])]
+    assert keyword_checks(document, snippets)[0][1].detail == r"action 0 matches '(b)\\1' (clause DRIVER-0)"
+    matches = detect_low_level_control(parse_policy(document).policy, compile_lexicon(["race", *grouped]))
+    assert [(m.matched_pattern, m.matched_text) for m in matches] == [(r"(b)\1", "bb")]
+
+
+def test_a_pattern_with_other_flags_or_a_union_that_fails_is_scanned_alone():
+    case_blind = LexiconPattern("x", keyword_pattern("x"))
+    exact = LexiconPattern("Y", re.compile(r"\bY\b"))
+    union, alone = keyword_union((case_blind.regex, exact.regex))
+    assert union.pattern == r"\b(?:x)\b" and alone == {exact.regex}
+    policy = parse_policy(keyword_document([["X y Y"]])).policy
+    assert [m.matched_text for m in detect_low_level_control(policy, [case_blind, exact])] == ["X", "Y"]
+    # a global flag that is not at the start of the alternation fails to compile: no union at all
+    late_flag = LexiconPattern("z", re.compile("(?i)z", re.IGNORECASE))
+    assert keyword_union((case_blind.regex, late_flag.regex)) == (None, {case_blind.regex, late_flag.regex})
+    policy = parse_policy(keyword_document([["x z"]])).policy
+    assert [m.matched_text for m in detect_low_level_control(policy, [case_blind, late_flag])] == ["x", "z"]
+
+
+def test_validate_looks_up_the_prompt_context_once(rain_policy_dict, rain_prompt, monkeypatch):
+    lookups = []
+    lookup = validator.prompt_context
+    monkeypatch.setattr(validator, "prompt_context", lambda *args: lookups.append(args) or lookup(*args))
+    validate(json.dumps(rain_policy_dict), rain_prompt)
+    assert len(lookups) == 1
+
+
+def test_validate_reads_the_weight_row_the_config_checked(rain_policy_dict, rain_prompt, monkeypatch):
+    config = RunConfig(ecpo_weights=(0.7, 0.15, 0.15))
+    expected = validate(json.dumps(rain_policy_dict), rain_prompt, config)
+
+    def no_check(weights):
+        raise AssertionError("weight row checked again")
+
+    monkeypatch.setattr(validator, "check_weights", no_check)
+    assert validate(json.dumps(rain_policy_dict), rain_prompt, config) == expected
+    with pytest.raises(AssertionError):
+        ecpo_score(1.0, 1.0, 1.0, (0.7, 0.15, 0.15))
