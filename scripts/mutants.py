@@ -41,22 +41,67 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # --- one union per pattern set, one context lookup, the weight row checked once
+    # --- one keyword scanner: each pattern set's KeywordScan built once, one scan loop
     Mutant(
         "union-hit-taken-as-hits", "src/ecpo/policy.py",
-        "                for hit in word_hits(pattern.regex, text):\n",
-        "                for hit in word_hits(union or pattern.regex, text):\n",
+        "            hits = _word_hits(pattern, text)\n",
+        "            hits = _word_hits(union or pattern, text)\n",
         ("tests/test_validator.py::test_union_scans_equal_the_per_pattern_reference",
          "tests/test_validator.py::test_grouped_patterns_are_scanned_alone"),
     ),
     Mutant(
-        "carriers-deduplicated-per-keyword", "src/ecpo/validator.py",
-        "    union, alone = keyword_union(tuple(dict.fromkeys(pattern for _, _, pattern in carriers)))\n",
-        "    seen = set()\n"
-        "    carriers = tuple(carrier for carrier in carriers if not (carrier[1] in seen or seen.add(carrier[1])))\n"
-        "    union, alone = keyword_union(tuple(dict.fromkeys(pattern for _, _, pattern in carriers)))\n",
+        "union-branch-inverted", "src/ecpo/policy.py",
+        "        for label, pattern in entries if union is not None and union.search(text) else alone:\n",
+        "        for label, pattern in entries if union is not None and not union.search(text) else alone:\n",
         ("tests/test_validator.py::test_a_keyword_shared_by_two_snippets_cites_both_clauses",
          "tests/test_validator.py::test_union_scans_equal_the_per_pattern_reference"),
+    ),
+    Mutant(
+        "carriers-deduplicated-per-keyword", "src/ecpo/validator.py",
+        "    return keyword_scan(\n"
+        "        ((snippet, keyword), keyword_pattern(keyword))\n"
+        "        for snippet in snippets\n"
+        "        if snippet.assertions\n"
+        "        for keyword in snippet.assertions.forbidden_keywords\n"
+        "    )\n",
+        "    seen = set()\n"
+        "    return keyword_scan(\n"
+        "        ((snippet, keyword), keyword_pattern(keyword))\n"
+        "        for snippet in snippets\n"
+        "        if snippet.assertions\n"
+        "        for keyword in snippet.assertions.forbidden_keywords\n"
+        "        if not (keyword in seen or seen.add(keyword))\n"
+        "    )\n",
+        ("tests/test_validator.py::test_a_keyword_shared_by_two_snippets_cites_both_clauses",
+         "tests/test_validator.py::test_union_scans_equal_the_per_pattern_reference"),
+    ),
+    Mutant(
+        "clause-from-a-later-hit", "src/ecpo/validator.py",
+        "        clause = clause or snippet.clause_id\n"
+        "    return _verdict(check_id, layer, hits, \"no forbidden keyword present\", clause)\n",
+        "        clause = snippet.clause_id\n"
+        "    return _verdict(check_id, layer, hits, \"no forbidden keyword present\", clause)\n",
+        ("tests/test_validator.py::test_a_keyword_shared_by_two_snippets_cites_both_clauses",),
+    ),
+    Mutant(
+        "lexicon-scan-built-per-call", "src/ecpo/policy.py",
+        "    found = scan(lexicon, (",
+        "    found = scan(keyword_scan(lexicon.entries), (",
+        ("tests/test_validator.py::test_a_later_candidate_of_a_prompt_builds_no_keyword_union",),
+    ),
+    Mutant(
+        "default-lexicon-compiled-per-call", "src/ecpo/config.py",
+        "        from .policy import DEFAULT_LEXICON, load_lexicon\n\n"
+        "        return DEFAULT_LEXICON if self.lexicon_path is None else",
+        "        from .policy import DEFAULT_LEXICON_LINES, compile_lexicon, load_lexicon\n\n"
+        "        return compile_lexicon(DEFAULT_LEXICON_LINES) if self.lexicon_path is None else",
+        ("tests/test_validator.py::test_a_later_candidate_of_a_prompt_builds_no_keyword_union",),
+    ),
+    Mutant(
+        "lexicon-file-loaded-per-call", "src/ecpo/config.py",
+        " else _load(load_lexicon, self.lexicon_path)\n",
+        " else load_lexicon(self.lexicon_path)\n",
+        ("tests/test_validator.py::test_a_later_candidate_of_a_prompt_builds_no_keyword_union",),
     ),
     Mutant(
         "grouped-patterns-joined", "src/ecpo/policy.py",
@@ -74,8 +119,7 @@ MUTANTS = (
     Mutant(
         "context-looked-up-twice", "src/ecpo/validator.py",
         "        checks = tuple(_layered_checks(policy, prompt, context, actions, hazards_addressed))\n",
-        "        checks = tuple(run_layered_checks(policy, prompt, rules, hazards_addressed=hazards_addressed,\n"
-        "                                          actions=actions))\n",
+        "        checks = tuple(run_layered_checks(policy, prompt, rules))\n",
         ("tests/test_validator.py::test_validate_looks_up_the_prompt_context_once",),
     ),
     Mutant(

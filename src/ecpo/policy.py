@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError, cut, read_file, read_number, shown
 
@@ -408,9 +408,8 @@ def structural_score(outcome: ParseOutcome, penalties: PenaltyTable | None = Non
     return min(1.0, max(0.0, 1.0 - penalty))
 
 
-@dataclass(frozen=True)
-class LexiconPattern:
-    """One low-level control lexicon line and its compiled regex."""
+class LexiconPattern(NamedTuple):
+    """One low-level control lexicon line and its compiled regex: an entry of the lexicon's ``KeywordScan``."""
 
     source: str
     regex: re.Pattern
@@ -473,7 +472,36 @@ def keyword_union(patterns: tuple[re.Pattern, ...]) -> tuple[re.Pattern | None, 
     return None, frozenset(patterns)
 
 
-def word_hits(pattern: re.Pattern, text: str) -> list[str]:
+class KeywordScan(NamedTuple):
+    """A compiled pattern set: its (label, pattern) entries in order, the ``keyword_union`` of their distinct
+    patterns, and the entries whose pattern that union leaves out."""
+
+    entries: tuple[tuple[object, re.Pattern], ...]
+    union: re.Pattern | None
+    alone: tuple[tuple[object, re.Pattern], ...]
+
+
+def keyword_scan(entries: Iterable[tuple[object, re.Pattern]]) -> KeywordScan:
+    """The ``KeywordScan`` of ``entries``; build it once per pattern set and hand it to ``scan`` for every text."""
+    entries = tuple(entries)
+    union, alone = keyword_union(tuple(dict.fromkeys(pattern for _, pattern in entries)))
+    return KeywordScan(entries, union, tuple(entry for entry in entries if entry[1] in alone))
+
+
+def scan(keywords: KeywordScan, keyed_texts: Iterable[tuple[object, str]]) -> list[tuple[object, object, list[str]]]:
+    """(key, label, hits) for each text and each entry whose pattern hits it, in text order, then entry order. A
+    text that the union does not search is scanned only by the entries it leaves out."""
+    entries, union, alone = keywords
+    found = []
+    for key, text in keyed_texts:
+        for label, pattern in entries if union is not None and union.search(text) else alone:
+            hits = _word_hits(pattern, text)
+            if hits:
+                found.append((key, label, hits))
+    return found
+
+
+def _word_hits(pattern: re.Pattern, text: str) -> list[str]:
     """The matches of a ``keyword_pattern`` in ``text`` that span at least one character. A fragment that
     only asserts a position (``\\b``, ``(?=a)``) matches the empty string between words; such a match is no hit."""
     if pattern.search(text) is None:  # most texts hit no pattern: one scan in C, no match objects
@@ -481,7 +509,7 @@ def word_hits(pattern: re.Pattern, text: str) -> list[str]:
     return [hit.group() for hit in pattern.finditer(text) if hit.end() > hit.start()]
 
 
-def compile_lexicon(lines: Iterable[str]) -> tuple[LexiconPattern, ...]:
+def compile_lexicon(lines: Iterable[str]) -> KeywordScan:
     """One regex fragment per line, '#' comments; each wrapped by ``keyword_pattern``."""
     patterns = []
     for lineno, raw in enumerate(lines, start=1):
@@ -493,10 +521,10 @@ def compile_lexicon(lines: Iterable[str]) -> tuple[LexiconPattern, ...]:
         except re.error as exc:
             raise ConfigError("BAD_LEXICON_PATTERN", f"lexicon line {lineno}: {exc}")
         patterns.append(LexiconPattern(line, regex))
-    return tuple(patterns)
+    return keyword_scan(patterns)
 
 
-def load_lexicon(path: str | Path) -> tuple[LexiconPattern, ...]:
+def load_lexicon(path: str | Path) -> KeywordScan:
     return compile_lexicon(read_file(path, "BAD_LEXICON_PATTERN", "lexicon", ConfigError).splitlines())
 
 
@@ -504,22 +532,13 @@ DEFAULT_LEXICON = compile_lexicon(DEFAULT_LEXICON_LINES)
 
 
 def detect_low_level_control(
-    policy: PolicyAction, lexicon: Sequence[LexiconPattern] | None = None, *, actions: Sequence | None = None
+    policy: PolicyAction, lexicon: KeywordScan = DEFAULT_LEXICON, *, actions: Sequence | None = None
 ) -> list[LowLevelMatch]:
     """Every lexicon match in any action's string parameter values or rationale, by text, then pattern; a caller
-    that holds each action's ``texts`` (``validator.ActionFacts``) passes them as ``actions``. A text that the
-    lexicon's ``keyword_union`` does not search is scanned only by the patterns it leaves out."""
-    patterns = DEFAULT_LEXICON if lexicon is None else tuple(lexicon)
-    union, alone = keyword_union(tuple(pattern.regex for pattern in patterns))
-    rest = [pattern for pattern in patterns if pattern.regex in alone]
+    that holds each action's ``texts`` (``validator.ActionFacts``) passes them as ``actions``."""
     texts = map(_action_texts, policy.actions) if actions is None else (facts.texts for facts in actions)
-    matches = []
-    for index, action_texts in enumerate(texts):
-        for text in action_texts:
-            for pattern in patterns if union is not None and union.search(text) else rest:
-                for hit in word_hits(pattern.regex, text):
-                    matches.append(LowLevelMatch(index, pattern.source, hit))
-    return matches
+    found = scan(lexicon, ((index, text) for index, action_texts in enumerate(texts) for text in action_texts))
+    return [LowLevelMatch(index, source, hit) for index, source, hits in found for hit in hits]
 
 
 def _action_texts(action: Action) -> list[str]:

@@ -22,7 +22,6 @@ maneuver phrase matches by one substring test on a scope's ``token_run``.
 
 from __future__ import annotations
 
-import re
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
@@ -34,6 +33,7 @@ from .context import PerceptionSummary, StrategyPrompt
 from .errors import ConfigError, InputError, InvariantError, cut, read_file, shown
 from .policy import (
     ActionType,
+    KeywordScan,
     LowLevelMatch,
     PolicyAction,
     StructuralDefect,
@@ -42,10 +42,10 @@ from .policy import (
     action_text,
     detect_low_level_control,
     keyword_pattern,
-    keyword_union,
+    keyword_scan,
     parse_policy,
+    scan,
     structural_score,
-    word_hits,
 )
 from .store import ConstraintSnippet, to_json
 from .textnorm import STOPWORDS, content_tokens, normalize_text, phrase_run, token_run, tokenize
@@ -219,27 +219,14 @@ def _action_facts(policy: PolicyAction) -> tuple[ActionFacts, ...]:
     return tuple(out)
 
 
-KeywordCarriers = tuple[tuple[ConstraintSnippet, str, re.Pattern], ...]
-
-
-class KeywordScan(NamedTuple):
-    """A scope's forbidden keywords: (snippet, keyword, compiled pattern) per keyword in snippet order, the
-    ``keyword_union`` of the distinct keywords, and the carriers whose pattern the union leaves out."""
-
-    carriers: KeywordCarriers
-    union: re.Pattern | None
-    alone: KeywordCarriers
-
-
 def _keyword_scan(snippets: Sequence[ConstraintSnippet]) -> KeywordScan:
-    carriers = tuple(
-        (snippet, keyword, keyword_pattern(keyword))
+    """A scope's forbidden keywords, labelled (snippet, keyword), one entry per keyword in snippet order."""
+    return keyword_scan(
+        ((snippet, keyword), keyword_pattern(keyword))
         for snippet in snippets
         if snippet.assertions
         for keyword in snippet.assertions.forbidden_keywords
     )
-    union, alone = keyword_union(tuple(dict.fromkeys(pattern for _, _, pattern in carriers)))
-    return KeywordScan(carriers, union, tuple(carrier for carrier in carriers if carrier[2] in alone))
 
 
 class Grounding(NamedTuple):
@@ -416,19 +403,14 @@ def _check_forbidden_action_types(policy, carriers, check_id, layer) -> CheckRes
 
 
 def _check_forbidden_keywords(actions, keywords: KeywordScan, check_id, layer) -> CheckResult:
-    """Each action's text against each carrier, in carrier order; a text that the scope's union does not search
-    is scanned only by the carriers it leaves out."""
-    carriers, union, alone = keywords
-    if not carriers:
+    """Each action's text against each of the scope's keywords, in snippet order."""
+    if not keywords.entries:
         return _na(check_id, layer, "no keyword assertions")
     hits = []
     clause = None
-    for index, facts in enumerate(actions):
-        text = facts.text
-        for snippet, keyword, pattern in carriers if union is not None and union.search(text) else alone:
-            if word_hits(pattern, text):
-                hits.append(f"action {index} matches {shown(keyword)} (clause {cut(snippet.clause_id)})")
-                clause = clause or snippet.clause_id
+    for index, (snippet, keyword), _ in scan(keywords, enumerate(facts.text for facts in actions)):
+        hits.append(f"action {index} matches {shown(keyword)} (clause {cut(snippet.clause_id)})")
+        clause = clause or snippet.clause_id
     return _verdict(check_id, layer, hits, "no forbidden keyword present", clause)
 
 
@@ -517,23 +499,14 @@ def _check_maneuver_consistency(actions, context: PromptContext, check_id) -> Ch
 
 
 def run_layered_checks(
-    policy: PolicyAction,
-    prompt: StrategyPrompt,
-    rules: Sequence[HazardRule] | None = None,
-    *,
-    hazards_addressed: frozenset[str] | None = None,
-    actions: Sequence[ActionFacts] | None = None,
+    policy: PolicyAction, prompt: StrategyPrompt, rules: Sequence[HazardRule] | None = None
 ) -> list[CheckResult]:
     """Run the full check inventory once, in layer order, without early exit.
 
-    Prompt-only state comes from the prompt's memoized ``PromptContext``. A
-    caller that already holds the policy's addressed hazards (same rules) or
-    its per-action facts passes them in rather than having them recomputed.
+    Prompt-only state comes from the prompt's memoized ``PromptContext``.
     """
-    if actions is None:
-        actions = _action_facts(policy)
-    if hazards_addressed is None:
-        hazards_addressed = extract_addressed_hazards(policy, rules, actions=actions)
+    actions = _action_facts(policy)
+    hazards_addressed = extract_addressed_hazards(policy, rules, actions=actions)
     return _layered_checks(policy, prompt, prompt_context(prompt, rules), actions, hazards_addressed)
 
 

@@ -326,7 +326,7 @@ def test_position_only_lexicon_line_matches_nothing(line):
     doc = minimal_doc()
     doc["actions"][0]["parameters"]["text"] = "go ease off"
     policy = parse(doc).policy
-    assert compile_lexicon([line])[0].regex.search("go ease off") is not None
+    assert compile_lexicon([line]).entries[0].regex.search("go ease off") is not None
     assert detect_low_level_control(policy, compile_lexicon([line])) == []
 
 
@@ -347,7 +347,7 @@ def test_load_lexicon_skips_comments(tmp_path):
     path = tmp_path / "lexicon.txt"
     path.write_text("# low-level verbs\nbrake\n\nsteer\n", encoding="utf-8")
     patterns = load_lexicon(path)
-    assert [p.source for p in patterns] == ["brake", "steer"]
+    assert [p.source for p in patterns.entries] == ["brake", "steer"]
 
 
 def test_policy_text_excludes_evidence():

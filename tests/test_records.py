@@ -107,7 +107,7 @@ def test_keywords_are_compiled_once_per_snippet(monkeypatch, rain_prompt, rain_p
     monkeypatch.setattr(ecpo.policy, "_compile", no_compile)
     prompt = StrategyPrompt("k", constraints=rain_prompt.constraints + (snippet,))
     validate(json.dumps(rain_policy_dict), prompt)
-    carried = [pattern for carrier, _, pattern in prompt_context(prompt).legal_keywords.carriers
+    carried = [pattern for (carrier, _), pattern in prompt_context(prompt).legal_keywords.entries
                if carrier is snippet]
     assert all(a is b for a, b in zip(carried, patterns, strict=True))
 

@@ -45,6 +45,14 @@ def test_mutant_names_are_unique():
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.name)
+def test_mutant_compiles(mutant):
+    """A mutant that only a SyntaxError kills proves nothing: each one, applied to its file's text in memory,
+    compiles."""
+    text = (ROOT / mutant.file).read_text(encoding="utf-8")
+    compile(text.replace(mutant.old, mutant.new), mutant.file, "exec")
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.name)
 def test_mutant_applies_to_the_checkout_once(mutant):
     """The table cannot rot silently: each old text is still in its file, once, and each named test still exists.
     Running the mutants themselves is ``scripts/mutants.py``, outside this suite."""

@@ -18,7 +18,7 @@ from ecpo.context import (
 )
 from ecpo.errors import ConfigError, InputError, InvariantError
 from ecpo.policy import (DEFAULT_LEXICON_LINES, ActionType, LexiconPattern, compile_lexicon, detect_low_level_control,
-                         keyword_pattern, keyword_union, parse_policy)
+                         keyword_pattern, keyword_scan, keyword_union, parse_policy)
 from ecpo.store import Assertions, ConstraintSnippet, ParameterBound
 from ecpo.validator import (
     DEFAULT_HAZARD_RULES,
@@ -740,7 +740,7 @@ def test_union_scans_equal_the_per_pattern_reference(case):
     assert by_validate == by_checks == expected
     policy = parse_policy(document).policy
     lexicon = compile_lexicon(lines)
-    expected_matches = low_level_matches_reference(policy, lexicon)
+    expected_matches = low_level_matches_reference(policy, lexicon.entries)
     assert detect_low_level_control(policy, lexicon) == expected_matches
     assert detect_low_level_control(policy, lexicon, actions=validator._action_facts(policy)) == expected_matches
 
@@ -774,12 +774,13 @@ def test_a_pattern_with_other_flags_or_a_union_that_fails_is_scanned_alone():
     union, alone = keyword_union((case_blind.regex, exact.regex))
     assert union.pattern == r"\b(?:x)\b" and alone == {exact.regex}
     policy = parse_policy(keyword_document([["X y Y"]])).policy
-    assert [m.matched_text for m in detect_low_level_control(policy, [case_blind, exact])] == ["X", "Y"]
+    assert [m.matched_text for m in detect_low_level_control(policy, keyword_scan([case_blind, exact]))] == ["X", "Y"]
     # a global flag that is not at the start of the alternation fails to compile: no union at all
     late_flag = LexiconPattern("z", re.compile("(?i)z", re.IGNORECASE))
     assert keyword_union((case_blind.regex, late_flag.regex)) == (None, {case_blind.regex, late_flag.regex})
     policy = parse_policy(keyword_document([["x z"]])).policy
-    assert [m.matched_text for m in detect_low_level_control(policy, [case_blind, late_flag])] == ["x", "z"]
+    matches = detect_low_level_control(policy, keyword_scan([case_blind, late_flag]))
+    assert [m.matched_text for m in matches] == ["x", "z"]
 
 
 def test_validate_looks_up_the_prompt_context_once(rain_policy_dict, rain_prompt, monkeypatch):
@@ -788,6 +789,31 @@ def test_validate_looks_up_the_prompt_context_once(rain_policy_dict, rain_prompt
     monkeypatch.setattr(validator, "prompt_context", lambda *args: lookups.append(args) or lookup(*args))
     validate(json.dumps(rain_policy_dict), rain_prompt)
     assert len(lookups) == 1
+
+
+@pytest.mark.parametrize("lexicon, low_level", [(None, ["brake"]), ("# custom\nbrake\nrace\n", ["brake", "race"])],
+                         ids=["default-lexicon", "lexicon-path"])
+def test_a_later_candidate_of_a_prompt_builds_no_keyword_union(lexicon, low_level, tmp_path, monkeypatch):
+    """The lexicon's scan is built with the lexicon and each keyword scope's with the prompt context; a candidate
+    only scans."""
+    import ecpo.policy
+
+    config = None
+    if lexicon is not None:
+        (tmp_path / "lexicon.txt").write_text(lexicon, encoding="utf-8")
+        config = RunConfig(lexicon_path=str(tmp_path / "lexicon.txt"))
+    prompt = StrategyPrompt("k", constraints=(keyword_snippet("legal", 0, ["race"]),
+                                              keyword_snippet("driver", 0, ["loud music"])))
+    validate(keyword_document([["calm"]]), prompt, config)
+    unions = []
+    union = ecpo.policy.keyword_union
+    monkeypatch.setattr(ecpo.policy, "keyword_union", lambda patterns: unions.append(patterns) or union(patterns))
+    report = validate(keyword_document([["brake before the race", "loud music"]]), prompt, config)
+    assert unions == []
+    checks = {c.check_id: c for c in report.checks}
+    assert checks["legal.forbidden_keyword"].detail == "action 0 matches 'race' (clause LEGAL-0)"
+    assert checks["driver.sensitivity_trigger"].detail == "action 0 matches 'loud music' (clause DRIVER-0)"
+    assert [m.matched_text for m in report.low_level_matches] == low_level
 
 
 def test_validate_reads_the_weight_row_the_config_checked(rain_policy_dict, rain_prompt, monkeypatch):
