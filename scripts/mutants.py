@@ -85,23 +85,47 @@ MUTANTS = (
     ),
     Mutant(
         "lexicon-scan-built-per-call", "src/ecpo/policy.py",
-        "    found = scan(lexicon, (",
-        "    found = scan(keyword_scan(lexicon.entries), (",
+        " in scan(lexicon, texts) ",
+        " in scan(keyword_scan(lexicon.entries), texts) ",
         ("tests/test_validator.py::test_a_later_candidate_of_a_prompt_builds_no_keyword_union",),
     ),
     Mutant(
         "default-lexicon-compiled-per-call", "src/ecpo/config.py",
-        "        from .policy import DEFAULT_LEXICON, load_lexicon\n\n"
-        "        return DEFAULT_LEXICON if self.lexicon_path is None else",
-        "        from .policy import DEFAULT_LEXICON_LINES, compile_lexicon, load_lexicon\n\n"
-        "        return compile_lexicon(DEFAULT_LEXICON_LINES) if self.lexicon_path is None else",
+        "return _load(compile_lexicon, DEFAULT_LEXICON_LINES) if path is None else",
+        "return compile_lexicon(DEFAULT_LEXICON_LINES) if path is None else",
         ("tests/test_validator.py::test_a_later_candidate_of_a_prompt_builds_no_keyword_union",),
     ),
     Mutant(
         "lexicon-file-loaded-per-call", "src/ecpo/config.py",
-        " else _load(load_lexicon, self.lexicon_path)\n",
-        " else load_lexicon(self.lexicon_path)\n",
+        " else _load(load_lexicon, path)\n",
+        " else load_lexicon(path)\n",
         ("tests/test_validator.py::test_a_later_candidate_of_a_prompt_builds_no_keyword_union",),
+    ),
+    # --- action facts: built by the first read of a policy, kept on that policy alone
+    Mutant(
+        "facts-rebuilt-per-read", "src/ecpo/policy.py",
+        "    facts = policy._facts\n    if facts is None:\n",
+        "    facts = policy._facts\n    if True:\n",
+        ("tests/test_validator.py::test_a_policy_builds_its_action_facts_once_and_only_when_read",),
+    ),
+    Mutant(
+        "facts-shared-across-policies", "src/ecpo/policy.py",
+        "    facts = policy._facts\n"
+        "    if facts is None:\n"
+        "        facts = tuple(map(_build_facts, policy.actions))\n"
+        "        object.__setattr__(policy, \"_facts\", facts)\n",
+        "    facts = action_facts.__dict__.get(\"facts\")\n"
+        "    if facts is None:\n"
+        "        facts = action_facts.__dict__[\"facts\"] = tuple(map(_build_facts, policy.actions))\n",
+        ("tests/test_validator.py::test_a_policy_builds_its_action_facts_once_and_only_when_read",),
+    ),
+    Mutant(
+        "facts-built-by-parse", "src/ecpo/policy.py",
+        "    return ParseOutcome(PolicyAction(objectives, ledger, tuple(actions)), tuple(defects))\n",
+        "    policy = PolicyAction(objectives, ledger, tuple(actions))\n"
+        "    action_facts(policy)\n"
+        "    return ParseOutcome(policy, tuple(defects))\n",
+        ("tests/test_validator.py::test_a_policy_builds_its_action_facts_once_and_only_when_read",),
     ),
     Mutant(
         "grouped-patterns-joined", "src/ecpo/policy.py",
@@ -118,7 +142,7 @@ MUTANTS = (
     ),
     Mutant(
         "context-looked-up-twice", "src/ecpo/validator.py",
-        "        checks = tuple(_layered_checks(policy, prompt, context, actions, hazards_addressed))\n",
+        "        checks = tuple(_layered_checks(policy, prompt, context, hazards_addressed))\n",
         "        checks = tuple(run_layered_checks(policy, prompt, rules))\n",
         ("tests/test_validator.py::test_validate_looks_up_the_prompt_context_once",),
     ),

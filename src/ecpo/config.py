@@ -9,7 +9,7 @@ belongs to the external trainer.
 
 Referenced files (lexicon, hazard rules, label vocabulary) must exist when
 the config is built; relative paths in a config file resolve against the
-file's directory. Loaded assets are cached per path.
+file's directory. Assets load on first use and are cached per source.
 """
 
 from __future__ import annotations
@@ -116,9 +116,10 @@ class RunConfig:
                 raise ConfigError("MISSING_PATH", f"{name} {shown(path)} does not exist")
 
     def lexicon(self):
-        from .policy import DEFAULT_LEXICON, load_lexicon
+        from .policy import DEFAULT_LEXICON_LINES, compile_lexicon, load_lexicon
 
-        return DEFAULT_LEXICON if self.lexicon_path is None else _load(load_lexicon, self.lexicon_path)
+        path = self.lexicon_path
+        return _load(compile_lexicon, DEFAULT_LEXICON_LINES) if path is None else _load(load_lexicon, path)
 
     def hazard_rules(self):
         from .validator import DEFAULT_HAZARD_RULES, load_hazard_rules
@@ -143,9 +144,9 @@ DEFAULT_CONFIG = RunConfig()
 
 
 @lru_cache(maxsize=None)
-def _load(loader: Callable, path: str):
-    """A side file loaded once per (loader, path)."""
-    return loader(path)
+def _load(loader: Callable, source: str | tuple[str, ...]):
+    """A side file, or the default lexicon's lines, loaded once per (loader, source) on first use."""
+    return loader(source)
 
 
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}

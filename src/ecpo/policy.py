@@ -9,6 +9,11 @@ soft defects ride along on Valid outcomes and feed structural_score.
 Low-level vehicle control language (throttle, brake, steering, numeric speed
 commands) is detected separately and never flips schema validity; callers
 that want a hard gate check the match list themselves.
+
+What the validators read from an action (``ActionFacts``) is built by
+``action_facts`` once per parsed policy, on first read, and kept on it;
+parsing builds none, so a policy that no check reads, such as a sample's
+reference policy, never pays for them.
 """
 
 from __future__ import annotations
@@ -22,9 +27,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, cut, read_file, read_number, shown
+from .textnorm import tokenize
 
 Scalar = str | int | float
 
@@ -138,6 +144,8 @@ class PolicyAction:
     objectives: str
     constraints: ConstraintLedger
     actions: tuple[Action, ...]
+    # each action's ActionFacts, set by the first action_facts call; derived state only
+    _facts: tuple[ActionFacts, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -428,8 +436,6 @@ DEFAULT_LEXICON_LINES = (
 
 def _compile(pattern: str) -> re.Pattern:
     """Case-blind ``re.compile`` without re's notes on future set syntax ("Possible nested set" for "[[")."""
-    if "[" not in pattern:  # those FutureWarnings arise only in a character set
-        return re.compile(pattern, re.IGNORECASE)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FutureWarning)
         return re.compile(pattern, re.IGNORECASE)
@@ -528,25 +534,41 @@ def load_lexicon(path: str | Path) -> KeywordScan:
     return compile_lexicon(read_file(path, "BAD_LEXICON_PATTERN", "lexicon", ConfigError).splitlines())
 
 
-DEFAULT_LEXICON = compile_lexicon(DEFAULT_LEXICON_LINES)
+def detect_low_level_control(policy: PolicyAction, lexicon: KeywordScan) -> list[LowLevelMatch]:
+    """Every lexicon match in any action's string parameter values or rationale, by text, then pattern."""
+    texts = ((index, text) for index, facts in enumerate(action_facts(policy)) for text in facts.texts)
+    return [LowLevelMatch(index, source, hit) for index, source, hits in scan(lexicon, texts) for hit in hits]
 
 
-def detect_low_level_control(
-    policy: PolicyAction, lexicon: KeywordScan = DEFAULT_LEXICON, *, actions: Sequence | None = None
-) -> list[LowLevelMatch]:
-    """Every lexicon match in any action's string parameter values or rationale, by text, then pattern; a caller
-    that holds each action's ``texts`` (``validator.ActionFacts``) passes them as ``actions``."""
-    texts = map(_action_texts, policy.actions) if actions is None else (facts.texts for facts in actions)
-    found = scan(lexicon, ((index, text) for index, action_texts in enumerate(texts) for text in action_texts))
-    return [LowLevelMatch(index, source, hit) for index, source, hits in found for hit in hits]
+class ActionFacts(NamedTuple):
+    """What the checks and the low-level scan read from one action."""
+
+    # each string parameter value by key, then the rationale; ``text`` is the non-empty ones joined
+    texts: list[str]
+    text: str
+    tokens: list[str]
+    # (parameter, normalized parameter, value) for each numeric parameter
+    numeric: tuple[tuple[str, str, float], ...]
+    # normalized parameter -> value; a later spelling of a name wins
+    by_param: dict[str, float]
 
 
-def _action_texts(action: Action) -> list[str]:
-    """String parameter values by key, then the rationale."""
+def action_facts(policy: PolicyAction) -> tuple[ActionFacts, ...]:
+    """Each action's ``ActionFacts``, built on the first call for ``policy`` and kept on it."""
+    facts = policy._facts
+    if facts is None:
+        facts = tuple(map(_build_facts, policy.actions))
+        object.__setattr__(policy, "_facts", facts)
+    return facts
+
+
+def _build_facts(action: Action) -> ActionFacts:
     parameters = action.parameters
-    return [parameters[key] for key in sorted(parameters) if isinstance(parameters[key], str)] + [action.rationale]
-
-
-def action_text(action: Action, texts: Sequence[str] | None = None) -> str:
-    """Scannable text of one action: its non-empty texts (``_action_texts``, unless given) joined."""
-    return " ".join(filter(None, _action_texts(action) if texts is None else texts))
+    texts = [parameters[key] for key in sorted(parameters) if isinstance(parameters[key], str)] + [action.rationale]
+    text = " ".join(filter(None, texts))
+    numeric = tuple(
+        (key, _norm_key(key), float(value))
+        for key, value in parameters.items()
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    )
+    return ActionFacts(texts, text, tokenize(text), numeric, {norm: value for _, norm, value in numeric})

@@ -41,8 +41,7 @@ from .config import check_count
 from .errors import (OPTIONAL_STRING, InputError, is_finite_number, read_as, read_int, read_list, read_record,
                      read_string, read_strings, shown)
 from .policy import ActionType, PolicyAction, keyword_pattern, parse_action_type, policy_dict
-from .textnorm import (STOPWORDS, TEXT_BREAK, content_tokens, cosine_from_counts, dedup_preserve_order, squared_norm,
-                       term_frequencies, tokenize_texts)
+from .textnorm import STOPWORDS, TEXT_BREAK, content_tokens, cosine_from_counts, dedup_preserve_order, tokenize_texts
 
 if TYPE_CHECKING:
     from .context import DriverProfile, PerceptionSummary, VehicleProfile
@@ -397,8 +396,8 @@ class LexicalScorer:
         best reaches the floor are scanned for survivors.
         """
         check_count(top_k, "BAD_TOP_K", "top_k")
-        query_frequencies = term_frequencies(query.tokens())
-        query_sq = squared_norm(query_frequencies)
+        query_frequencies = Counter(query.tokens())
+        query_sq = sum(count * count for count in query_frequencies.values())
         dots = _dot_products(index, query_frequencies)
         survivors: Iterable[int] = itertools.compress(range(len(dots)), dots)
         if top_k < len(dots):

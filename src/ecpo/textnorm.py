@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from itertools import filterfalse
 from typing import Iterable, Sequence
 
@@ -57,35 +56,16 @@ def dedup_preserve_order(items: Iterable[str]) -> list[str]:
     return list(dict.fromkeys(items))
 
 
-def term_frequencies(tokens: list[str]) -> Counter:
-    return Counter(tokens)
-
-
-def squared_norm(frequencies: Counter) -> int:
-    return sum(c * c for c in frequencies.values())
-
-
 def cosine_from_counts(dot: int, lsq: int, rsq: int) -> float:
     """Cosine from an integer dot product and the two integer squared norms.
 
     Identical token multisets score exactly 1.0: the squared norms are exact
     integers, so one square root of their product divides out the integer dot
-    product without rounding drift. Every lexical score goes through here, so
-    the retrieval index and ``lexical_cosine`` agree to the last bit.
+    product without rounding drift. Every lexical score of the retrieval index
+    goes through here, so it equals the brute-force cosine of the same counts
+    to the last bit.
     """
     return dot / math.sqrt(lsq * rsq)
-
-
-def lexical_cosine(left: list[str], right: list[str]) -> float:
-    """Cosine similarity of raw term-frequency vectors; either side empty scores 0.0."""
-    if not left or not right:
-        return 0.0
-    lf = term_frequencies(left)
-    rf = term_frequencies(right)
-    dot = sum(count * rf[token] for token, count in lf.items())
-    if dot == 0:
-        return 0.0
-    return cosine_from_counts(dot, squared_norm(lf), squared_norm(rf))
 
 
 def token_run(token_lists: Iterable[Sequence[str]]) -> str:

@@ -18,6 +18,8 @@ What the checks need from the prompt alone is built once per prompt and rule
 set (``PromptContext``) from one tokenization of each label, stage, object and
 snippet text; each candidate pays only for its own document. A trigger or
 maneuver phrase matches by one substring test on a scope's ``token_run``.
+The checks read each action through ``policy.action_facts``: built once per
+parsed policy, on first read, and never for a policy that no check reads.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from .policy import (
     LowLevelMatch,
     PolicyAction,
     StructuralDefect,
-    _action_texts,
     _norm_key,
-    action_text,
+    action_facts,
     detect_low_level_control,
     keyword_pattern,
     keyword_scan,
@@ -190,33 +191,6 @@ _MANEUVER_PHRASES = tuple((name, _phrases(t)) for name, t in DEFAULT_MANEUVERS.i
 def _matches(run: str, phrases: tuple[str, ...]) -> bool:
     """Some phrase occurs inside one line of ``run`` (a ``token_run``)."""
     return any(map(run.__contains__, phrases))
-
-
-class ActionFacts(NamedTuple):
-    """What the checks read from one action, computed once per action."""
-
-    # each string parameter value by key, then the rationale; ``text`` is them joined
-    texts: list[str]
-    text: str
-    tokens: list[str]
-    # (parameter, normalized parameter, value) for each numeric parameter
-    numeric: tuple[tuple[str, str, float], ...]
-    # normalized parameter -> value; a later spelling of a name wins
-    by_param: dict[str, float]
-
-
-def _action_facts(policy: PolicyAction) -> tuple[ActionFacts, ...]:
-    out = []
-    for action in policy.actions:
-        texts = _action_texts(action)
-        text = action_text(action, texts)
-        numeric = tuple(
-            (key, _norm_key(key), float(value))
-            for key, value in action.parameters.items()
-            if isinstance(value, (int, float)) and not isinstance(value, bool)
-        )
-        out.append(ActionFacts(texts, text, tokenize(text), numeric, {norm: value for _, norm, value in numeric}))
-    return tuple(out)
 
 
 def _keyword_scan(snippets: Sequence[ConstraintSnippet]) -> KeywordScan:
@@ -402,13 +376,13 @@ def _check_forbidden_action_types(policy, carriers, check_id, layer) -> CheckRes
     return _verdict(check_id, layer, hits, "no forbidden action types used", clause)
 
 
-def _check_forbidden_keywords(actions, keywords: KeywordScan, check_id, layer) -> CheckResult:
+def _check_forbidden_keywords(policy, keywords: KeywordScan, check_id, layer) -> CheckResult:
     """Each action's text against each of the scope's keywords, in snippet order."""
     if not keywords.entries:
         return _na(check_id, layer, "no keyword assertions")
     hits = []
     clause = None
-    for index, (snippet, keyword), _ in scan(keywords, enumerate(facts.text for facts in actions)):
+    for index, (snippet, keyword), _ in scan(keywords, enumerate(facts.text for facts in action_facts(policy))):
         hits.append(f"action {index} matches {shown(keyword)} (clause {cut(snippet.clause_id)})")
         clause = clause or snippet.clause_id
     return _verdict(check_id, layer, hits, "no forbidden keyword present", clause)
@@ -422,14 +396,14 @@ _BOUND_TEXTS = {
 }
 
 
-def _check_bounds(policy, actions, rows, check_id, layer) -> CheckResult:
+def _check_bounds(policy, rows, check_id, layer) -> CheckResult:
     """Each action's numeric parameters against the rows of its type; the first hit's clause is cited."""
     why, passed = _BOUND_TEXTS[check_id]
     if rows is None:
         return _na(check_id, layer, why)
     hits = []
     clause = None
-    for index, (action, facts) in enumerate(zip(policy.actions, actions)):
+    for index, (action, facts) in enumerate(zip(policy.actions, action_facts(policy))):
         for action_type, parameter, norm, low, high, row_clause in rows:
             if action_type is not action.action_type:
                 continue
@@ -463,13 +437,13 @@ def _check_modality_binding(policy, binding, allowed, check_id) -> CheckResult:
     return _verdict(check_id, "driver", hits, "modalities match the bound preference", binding[0].clause_id)
 
 
-def _check_cabin_band(policy, actions, driver, check_id) -> CheckResult:
+def _check_cabin_band(policy, driver, check_id) -> CheckResult:
     band = driver.temperature_band()
     if band is None:
         return _na(check_id, "driver", "no temperature band declared")
     low, high = band
     hits = []
-    for index, (action, facts) in enumerate(zip(policy.actions, actions)):
+    for index, (action, facts) in enumerate(zip(policy.actions, action_facts(policy))):
         if action.action_type is not ActionType.HVAC:
             continue
         for key, norm, value in facts.numeric:
@@ -486,9 +460,9 @@ def _check_hazard_conservatism(hazards_truth, hazards_addressed, check_id) -> Ch
     return _verdict(check_id, "contextual", hits, "every derived hazard is addressed")
 
 
-def _check_maneuver_consistency(actions, context: PromptContext, check_id) -> CheckResult:
+def _check_maneuver_consistency(policy, context: PromptContext, check_id) -> CheckResult:
     hits = []
-    action_runs = [token_run([facts.tokens]) for facts in actions]
+    action_runs = [token_run([facts.tokens]) for facts in action_facts(policy)]
     for maneuver, phrases in _MANEUVER_PHRASES:
         if maneuver in context.scene_maneuvers:
             continue
@@ -505,24 +479,22 @@ def run_layered_checks(
 
     Prompt-only state comes from the prompt's memoized ``PromptContext``.
     """
-    actions = _action_facts(policy)
-    hazards_addressed = extract_addressed_hazards(policy, rules, actions=actions)
-    return _layered_checks(policy, prompt, prompt_context(prompt, rules), actions, hazards_addressed)
+    return _layered_checks(policy, prompt, prompt_context(prompt, rules), extract_addressed_hazards(policy, rules))
 
 
-def _layered_checks(policy, prompt, context: PromptContext, actions, hazards_addressed) -> list[CheckResult]:
+def _layered_checks(policy, prompt, context: PromptContext, hazards_addressed) -> list[CheckResult]:
     return [
         _check_forbidden_action_types(policy, context.forbidding, "legal.forbidden_action_type", "legal"),
-        _check_forbidden_keywords(actions, context.legal_keywords, "legal.forbidden_keyword", "legal"),
-        _check_bounds(policy, actions, context.legal_bounds, "legal.parameter_bounds", "legal"),
+        _check_forbidden_keywords(policy, context.legal_keywords, "legal.forbidden_keyword", "legal"),
+        _check_bounds(policy, context.legal_bounds, "legal.parameter_bounds", "legal"),
         _check_actuators(policy, prompt.vehicle, "vehicle.actuator_available"),
-        _check_bounds(policy, actions, context.capability_bounds, "vehicle.capability_limits", "vehicle"),
-        _check_bounds(policy, actions, context.vehicle_bounds, "vehicle.snippet_bounds", "vehicle"),
+        _check_bounds(policy, context.capability_bounds, "vehicle.capability_limits", "vehicle"),
+        _check_bounds(policy, context.vehicle_bounds, "vehicle.snippet_bounds", "vehicle"),
         _check_modality_binding(policy, context.binding, context.allowed_modalities, "driver.modality_binding"),
-        _check_cabin_band(policy, actions, prompt.driver, "driver.cabin_band"),
-        _check_forbidden_keywords(actions, context.driver_keywords, "driver.sensitivity_trigger", "driver"),
+        _check_cabin_band(policy, prompt.driver, "driver.cabin_band"),
+        _check_forbidden_keywords(policy, context.driver_keywords, "driver.sensitivity_trigger", "driver"),
         _check_hazard_conservatism(context.hazards_truth, hazards_addressed, "contextual.hazard_conservatism"),
-        _check_maneuver_consistency(actions, context, "contextual.maneuver_consistency"),
+        _check_maneuver_consistency(policy, context, "contextual.maneuver_consistency"),
     ]
 
 
@@ -569,12 +541,7 @@ def _hazards(tokens: dict[str, list[list[str]]], rules: tuple[HazardRule, ...]) 
     )
 
 
-def extract_addressed_hazards(
-    policy: PolicyAction,
-    rules: Sequence[HazardRule] | None = None,
-    *,
-    actions: Sequence[ActionFacts] | None = None,
-) -> frozenset[str]:
+def extract_addressed_hazards(policy: PolicyAction, rules: Sequence[HazardRule] | None = None) -> frozenset[str]:
     """Hazards the policy mentions in objectives, ledger, rationale, or params.
 
     Evidence entries are out of scope: quoting a hazard is not addressing it.
@@ -584,11 +551,9 @@ def extract_addressed_hazards(
     of its parts.
     """
     rules = DEFAULT_HAZARD_RULES if rules is None else tuple(rules)
-    if actions is None:
-        actions = _action_facts(policy)
     # each action's tokens are reused, not tokenized again
     texts = (policy.objectives, *policy.constraints.populated().values())
-    parts = [*map(tokenize, texts), *(facts.tokens for facts in actions)]
+    parts = [*map(tokenize, texts), *(facts.tokens for facts in action_facts(policy))]
     run = token_run([list(chain.from_iterable(parts))])
     return frozenset(rule.hazard_id for rule in rules if _matches(run, rule.phrases))
 
@@ -652,12 +617,11 @@ def validate(document: str | bytes, prompt: StrategyPrompt, config: RunConfig | 
     s_evd = s_str = 0.0
     if outcome.valid:
         policy = outcome.policy
-        actions = _action_facts(policy)
-        hazards_addressed = extract_addressed_hazards(policy, rules, actions=actions)
-        checks = tuple(_layered_checks(policy, prompt, context, actions, hazards_addressed))
+        hazards_addressed = extract_addressed_hazards(policy, rules)
+        checks = tuple(_layered_checks(policy, prompt, context, hazards_addressed))
         s_evd = evidence_coverage(policy, prompt.z, prompt.constraints, cfg, targets=context.grounding)
         s_str = structural_score(outcome, cfg.penalty_table)
-        low_level_matches = tuple(detect_low_level_control(policy, cfg.lexicon(), actions=actions))
+        low_level_matches = tuple(detect_low_level_control(policy, cfg.lexicon()))
     summary = violation_summary(checks)
     s_core = core_score(summary) if outcome.valid else 0.0
     return EcpoReport(

@@ -32,7 +32,7 @@ from ecpo.errors import (InputError, cut, read_as, read_int, read_list, read_num
                          read_strings, shown)
 from ecpo.policy import ActionType, LowLevelMatch, parse_action_type
 from ecpo.store import Assertions, ConstraintSnippet, LexicalIndex, ParameterBound, RetrievalQuery
-from ecpo.textnorm import content_tokens, lexical_cosine, normalize_text, squared_norm, term_frequencies, tokenize
+from ecpo.textnorm import content_tokens, normalize_text, tokenize
 from ecpo.validator import CheckResult, EcpoReport, ViolationSummary
 
 MASK64 = (1 << 64) - 1
@@ -260,6 +260,27 @@ def spearman_reference(x, y) -> float | None:
     return float(cov) / math.sqrt(float(vx) * float(vy))
 
 
+def term_counts(tokens) -> dict[str, int]:
+    """How often each token occurs, counted one token at a time."""
+    counts: dict[str, int] = {}
+    for token in tokens:
+        counts[token] = counts.get(token, 0) + 1
+    return counts
+
+
+def lexical_cosine(left, right) -> float:
+    """Cosine similarity of raw term-frequency vectors; either side empty scores 0.0. The dot product and the
+    squared norms are exact integers divided as ``dot / math.sqrt(lsq * rsq)``, the formula
+    ``textnorm.cosine_from_counts`` documents, so a score equals the index's to the last bit."""
+    left_counts, right_counts = term_counts(left), term_counts(right)
+    dot = sum(count * right_counts.get(token, 0) for token, count in left_counts.items())
+    if dot == 0:
+        return 0.0
+    lsq = sum(count * count for count in left_counts.values())
+    rsq = sum(count * count for count in right_counts.values())
+    return dot / math.sqrt(lsq * rsq)
+
+
 def lexical_ranking_reference(
     snippets, query: RetrievalQuery, top_k: int
 ) -> tuple[tuple[str, float], ...]:
@@ -280,14 +301,10 @@ def lexical_survivors_reference(snippets, query: RetrievalQuery, top_k: int) -> 
     times (1 - 1e-9), and every snippet whose product reaches a positive floor
     survives; otherwise every snippet with d > 0 does.
     """
-    query_counts: dict[str, int] = {}
-    for token in query.tokens():
-        query_counts[token] = query_counts.get(token, 0) + 1
+    query_counts = term_counts(query.tokens())
     rows = []
     for s in snippets:
-        counts: dict[str, int] = {}
-        for token in content_tokens(s.text):
-            counts[token] = counts.get(token, 0) + 1
+        counts = term_counts(content_tokens(s.text))
         dot = sum(count * query_counts.get(token, 0) for token, count in counts.items())
         norm = sum(count * count for count in counts.values())
         product = dot * (1 / math.sqrt(norm)) if norm else 0.0
@@ -310,8 +327,8 @@ def lexical_index_reference(snippets) -> LexicalIndex:
     norms_by_id: list[int] = []
     postings: dict[str, tuple[array, array]] = {}
     for id_rank, snippet in enumerate(ordered):
-        frequencies = term_frequencies(content_tokens(snippet.text))
-        norms_by_id.append(squared_norm(frequencies))
+        frequencies = term_counts(content_tokens(snippet.text))
+        norms_by_id.append(sum(count * count for count in frequencies.values()))
         for token, count in frequencies.items():
             entry = postings.setdefault(token, (array("i"), array("i")))
             entry[0].append(id_rank)

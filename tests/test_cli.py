@@ -878,11 +878,15 @@ NOT_LOADED = {
     "eval": {"ecpo.preference"},
 }
 
+# Commands that scan no text for keywords, so build no ``policy.keyword_union``: not even the default lexicon's.
+NO_KEYWORD_UNION = {"retrieve", "mixpair", "stratify"}
+
 _RUN_AND_LIST_MODULES = (
     "import json, sys\n"
     "from ecpo.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+    "unions = sys.modules['ecpo.policy'].keyword_union.cache_info().misses if 'ecpo.policy' in sys.modules else 0\n"
+    "print(json.dumps({'code': code, 'modules': sorted(sys.modules), 'unions': unions}))\n"
 )
 
 
@@ -925,6 +929,8 @@ def test_command_loads_only_its_modules(tmp_path, rain_prompt, rain_policy_dict,
     assert loaded["code"] == 0, result.stderr
     assert "ecpo.cli" in loaded["modules"]
     assert NOT_LOADED[command].isdisjoint(loaded["modules"])
+    if command in NO_KEYWORD_UNION:
+        assert loaded["unions"] == 0
 
 
 # Runs main with -I (no PYTHONPATH, no user site) and -S (no site-packages), so

@@ -5,12 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ecpo.config import RunConfig
 from ecpo.errors import ConfigError
 from ecpo.policy import (
     ActionType,
-    DEFAULT_LEXICON,
     PenaltyTable,
-    action_text,
+    action_facts,
     compile_lexicon,
     detect_low_level_control,
     load_lexicon,
@@ -306,7 +306,7 @@ def test_default_lexicon_hits():
     doc = minimal_doc()
     doc["actions"][0]["parameters"]["text"] = "gently brake and set speed to 40"
     doc["actions"][0]["rationale"] = "accelerate by 2.5 after the merge area"
-    matches = detect_low_level_control(parse(doc).policy, DEFAULT_LEXICON)
+    matches = detect_low_level_control(parse(doc).policy, RunConfig().lexicon())
     texts = {m.matched_text.casefold() for m in matches}
     assert "brake" in texts
     assert "set speed to 40" in texts
@@ -317,7 +317,7 @@ def test_default_lexicon_hits():
 def test_lexicon_word_boundaries():
     doc = minimal_doc()
     doc["actions"][0]["parameters"]["text"] = "release the handbrake warning lamp"
-    assert detect_low_level_control(parse(doc).policy, DEFAULT_LEXICON) == []
+    assert detect_low_level_control(parse(doc).policy, RunConfig().lexicon()) == []
 
 
 @pytest.mark.parametrize("line", [r"\b", r"(?=e)", r"\b|(?=g)"])
@@ -354,5 +354,5 @@ def test_policy_text_excludes_evidence():
     doc = minimal_doc()
     doc["actions"][0]["evidence"] = {"labels": ["EVIDENCE_ONLY_TOKEN"]}
     policy = parse(doc).policy
-    assert "EVIDENCE_ONLY_TOKEN" not in action_text(policy.actions[0])
-    assert "ease off near the junction" in action_text(policy.actions[0])
+    assert "EVIDENCE_ONLY_TOKEN" not in action_facts(policy)[0].text
+    assert "ease off near the junction" in action_facts(policy)[0].text

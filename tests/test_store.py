@@ -28,10 +28,10 @@ from ecpo.store import (
     snippet_to_dict,
     update_store,
 )
-from ecpo.textnorm import TEXT_BREAK, term_frequencies, tokenize, tokenize_texts
+from ecpo.textnorm import TEXT_BREAK, tokenize, tokenize_texts
 from conftest import bench_inputs
 from oracles import (lexical_index_reference, lexical_ranking_reference, lexical_survivors_reference,
-                     snippet_fields_reference, snippet_from_dict_reference)
+                     snippet_fields_reference, snippet_from_dict_reference, term_counts)
 
 
 def snippet(snippet_id: str, text: str, layer: str = "legal", **kwargs) -> ConstraintSnippet:
@@ -422,7 +422,7 @@ def test_overflow_fallback_survivors_equal_brute_force():
     store = load_store([snippet("a", "lane " * 300)] + [snippet(f"s{i}", text) for i, text in enumerate(shared_norms)])
     query = query_for("lane " * 300 + "merge fog")
     # a dot product of 90,000 could carry out of a 16-bit slot: every token goes through its postings
-    assert isinstance(ecpo.store._dot_products(store.lexical_index(), term_frequencies(query.tokens())), list)
+    assert isinstance(ecpo.store._dot_products(store.lexical_index(), term_counts(query.tokens())), list)
     size = len(store.snapshot())
     for top_k in range(2, size):
         assert scored_ids(store, query, top_k) == lexical_survivors_reference(store.snapshot(), query, top_k)

@@ -7,13 +7,12 @@ from ecpo.textnorm import (
     STOPWORDS,
     content_tokens,
     dedup_preserve_order,
-    lexical_cosine,
     normalize_text,
     phrase_run,
     token_run,
     tokenize,
 )
-from oracles import contains_phrase, jaccard
+from oracles import contains_phrase, jaccard, lexical_cosine
 
 words = st.lists(st.sampled_from("alpha beta gamma delta rain fog lane".split()), max_size=8)
 

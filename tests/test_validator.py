@@ -15,6 +15,8 @@ from ecpo.context import (
     VehicleProfile,
     prompt_from_dict,
     prompt_to_dict,
+    sample_from_dict,
+    sample_to_dict,
 )
 from ecpo.errors import ConfigError, InputError, InvariantError
 from ecpo.policy import (DEFAULT_LEXICON_LINES, ActionType, LexiconPattern, compile_lexicon, detect_low_level_control,
@@ -39,6 +41,7 @@ from ecpo.validator import (
     validate,
     violation_summary,
 )
+from conftest import make_sample
 from oracles import (
     PLANT_LAYERS,
     build_planted_case,
@@ -742,7 +745,6 @@ def test_union_scans_equal_the_per_pattern_reference(case):
     lexicon = compile_lexicon(lines)
     expected_matches = low_level_matches_reference(policy, lexicon.entries)
     assert detect_low_level_control(policy, lexicon) == expected_matches
-    assert detect_low_level_control(policy, lexicon, actions=validator._action_facts(policy)) == expected_matches
 
 
 def test_a_keyword_shared_by_two_snippets_cites_both_clauses():
@@ -814,6 +816,26 @@ def test_a_later_candidate_of_a_prompt_builds_no_keyword_union(lexicon, low_leve
     assert checks["legal.forbidden_keyword"].detail == "action 0 matches 'race' (clause LEGAL-0)"
     assert checks["driver.sensitivity_trigger"].detail == "action 0 matches 'loud music' (clause DRIVER-0)"
     assert [m.matched_text for m in report.low_level_matches] == low_level
+
+
+def test_a_policy_builds_its_action_facts_once_and_only_when_read(rain_policy_dict, rain_prompt, monkeypatch):
+    """Validate's readers (hazards addressed, the checks, the low-level scan) share one build of each action's
+    facts, kept on that policy alone; parsing a document or decoding a sample's reference policy builds none."""
+    import ecpo.policy
+
+    built = []
+    build = ecpo.policy._build_facts
+    monkeypatch.setattr(ecpo.policy, "_build_facts", lambda action: built.append(action) or build(action))
+    calm = json.dumps(rain_policy_dict)
+    assert parse_policy(calm).valid
+    sample = sample_from_dict({**sample_to_dict(make_sample("s")), "reference_policy": rain_policy_dict})
+    assert sample.reference_policy is not None and built == []
+    braking = dict(rain_policy_dict, actions=[dict(rain_policy_dict["actions"][0], rationale="brake in the rain")] * 2)
+    for document, actions, low_level in ((calm, 1, []), (json.dumps(braking), 2, ["brake", "brake"])):
+        built.clear()
+        report = validate(document, rain_prompt)
+        assert len(built) == actions
+        assert [m.matched_text for m in report.low_level_matches] == low_level
 
 
 def test_validate_reads_the_weight_row_the_config_checked(rain_policy_dict, rain_prompt, monkeypatch):
