@@ -152,6 +152,26 @@ MUTANTS = (
         "        ecpo=ecpo_score(s_core, s_evd, s_str, cfg.ecpo_weights),\n",
         ("tests/test_validator.py::test_validate_reads_the_weight_row_the_config_checked",),
     ),
+    # --- grounding: one pass over the prompt's interned content-token sets
+    Mutant(
+        "jaccard-without-minus-k", "src/ecpo/validator.py",
+        " / (len(tokens) + len(c) - k) >= threshold",
+        " / (len(tokens) + len(c)) >= threshold",
+        ("tests/test_validator.py::test_evidence_jaccard_threshold_is_inclusive",
+         "tests/test_validator.py::test_grounding_equals_brute_force_jaccard"),
+    ),
+    Mutant(
+        "threshold-exclusive", "src/ecpo/validator.py",
+        " / (len(tokens) + len(c) - k) >= threshold",
+        " / (len(tokens) + len(c) - k) > threshold",
+        ("tests/test_validator.py::test_evidence_jaccard_threshold_is_inclusive",),
+    ),
+    Mutant(
+        "grounding-tokens-not-interned", "src/ecpo/validator.py",
+        "tuple(tuple(map(sys.intern, content)) for content in candidates)",
+        "tuple(tuple(content) for content in candidates)",
+        ("tests/test_validator.py::test_equal_prompts_decoded_apart_share_their_grounding_tokens",),
+    ),
     # --- per-prompt verdicts, the key cache, bound rows, modalities, defect paths, the default config
     Mutant(
         "memo-without-threshold", "src/ecpo/validator.py",
@@ -162,9 +182,9 @@ MUTANTS = (
     ),
     Mutant(
         "memo-shared-across-prompts", "src/ecpo/validator.py",
-        "        tuple(len(content) for content in candidates),\n        {},\n",
-        "        tuple(len(content) for content in candidates),\n"
-        "        _grounding_targets.__dict__.setdefault(\"verdicts\", {}),\n",
+        " for content in candidates), {})\n",
+        " for content in candidates),\n"
+        "                     _grounding_targets.__dict__.setdefault(\"verdicts\", {}))\n",
         ("tests/test_validator.py::test_a_verdict_belongs_to_its_prompt",),
     ),
     Mutant(

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .config import RunConfig, load_config
-from .errors import (ConfigError, InputError, ToolkitError, read_file, read_int, read_list, read_optional,
+from .errors import (ConfigError, InputError, ToolkitError, cut, read_file, read_int, read_list, read_optional,
                      read_record, read_strings, shown)
 from .policy import document_text
 
@@ -365,8 +365,15 @@ HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors follow the error contract; its subparsers are of this class too."""
+
+    def error(self, message: str):
+        raise ConfigError("BAD_ARGS", cut(message))  # exit 2, as argparse exits on a usage error
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ecpo", description="Batch pipelines for policy validation, pairing, and evaluation."
     )
     parser.add_argument("--config", help="JSON run-config file; flags below override it")
@@ -422,9 +429,8 @@ def _resolve_config(args) -> RunConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _resolve_config(args)
         lines = HANDLERS[args.command](args, config)
         _emit(lines, args.out)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from .errors import (ConfigError, is_finite_number, read_file, read_int, read_number, read_object, read_string,
                      shown)
-from .policy import DEFAULT_J_MAX, PenaltyTable
+from .policy import DEFAULT_J_MAX, DEFAULT_LEXICON_LINES, PenaltyTable, compile_lexicon, load_lexicon
 
 DEFAULT_WEIGHTS = (0.5, 0.3, 0.2)
 
@@ -116,8 +116,6 @@ class RunConfig:
                 raise ConfigError("MISSING_PATH", f"{name} {shown(path)} does not exist")
 
     def lexicon(self):
-        from .policy import DEFAULT_LEXICON_LINES, compile_lexicon, load_lexicon
-
         path = self.lexicon_path
         return _load(compile_lexicon, DEFAULT_LEXICON_LINES) if path is None else _load(load_lexicon, path)
 

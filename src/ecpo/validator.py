@@ -204,16 +204,14 @@ def _keyword_scan(snippets: Sequence[ConstraintSnippet]) -> KeywordScan:
 
 
 class Grounding(NamedTuple):
-    """Evidence targets: exact normalized strings, and content-token sets by postings.
+    """Evidence targets: exact normalized strings, and the prompt's content-token sets.
 
-    ``postings`` maps a content token to the positions of the distinct
-    non-empty candidate token sets holding it; ``sizes`` holds each set's size.
+    ``candidates`` holds the distinct non-empty content-token sets in text order, as tuples of interned tokens.
     ``verdicts`` keeps ``_ground``'s verdict per (entry, threshold) for the prompt's next candidates.
     """
 
     exact: frozenset[str]
-    postings: dict[str, tuple[int, ...]]
-    sizes: tuple[int, ...]
+    candidates: tuple[tuple[str, ...], ...]
     verdicts: dict[tuple[str, float], bool]
 
 
@@ -230,17 +228,8 @@ def _grounding_targets(z: PerceptionSummary, tokens: dict[str, list[list[str]]])
     texts = chain.from_iterable(tokens.values())
     candidates = dict.fromkeys(frozenset(text).difference(STOPWORDS) for text in texts)
     candidates.pop(frozenset(), None)
-    postings: dict[str, list[int]] = {}
-    for position, content in enumerate(candidates):
-        for token in content:
-            # interned: prompts drawn from one vocabulary share their keys
-            postings.setdefault(sys.intern(token), []).append(position)
-    return Grounding(
-        exact,
-        {token: tuple(positions) for token, positions in postings.items()},
-        tuple(len(content) for content in candidates),
-        {},
-    )
+    # interned: prompts drawn from one vocabulary share their strings; a tuple is a sixth of a frozenset's size
+    return Grounding(exact, tuple(tuple(map(sys.intern, content)) for content in candidates), {})
 
 
 def _grounded(entry: str, targets: Grounding, threshold: float) -> bool:
@@ -255,20 +244,13 @@ def _grounded(entry: str, targets: Grounding, threshold: float) -> bool:
 def _ground(entry: str, targets: Grounding, threshold: float) -> bool:
     """Exact normalized match, or token-set Jaccard >= threshold with a candidate.
 
-    Only candidates sharing a token can reach a threshold above 0. With k
-    shared tokens, k / (|E| + |C| - k) is the same integer ratio as
+    With k shared tokens, k / (|E| + |C| - k) is the same integer ratio as
     |E & C| / |E | C|, so the comparison is bit-identical to brute force.
     """
     if normalize_text(entry) in targets.exact:
         return True
     tokens = set(content_tokens(entry))
-    shared: dict[int, int] = {}
-    for token in tokens:
-        for position in targets.postings.get(token, ()):
-            shared[position] = shared.get(position, 0) + 1
-    size = len(tokens)
-    sizes = targets.sizes
-    return any(k / (size + sizes[position] - k) >= threshold for position, k in shared.items())
+    return any((k := len(tokens.intersection(c))) / (len(tokens) + len(c) - k) >= threshold for c in targets.candidates)
 
 
 # (action type, parameter, normalized parameter, low, high, clause); capability rows cite no clause

@@ -260,6 +260,50 @@ def test_mistyped_config_weights_exit_2(rain_files, tmp_path, weights, capsys):
     assert_one_error(err, "BAD_WEIGHTS")
 
 
+UNREAD_FILES = ["--policies", "p.jsonl", "--prompts", "q.jsonl"]
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["--top-k", "x", "validate", *UNREAD_FILES],
+                                  ["--verbose", "validate", *UNREAD_FILES], ["frobnicate"],
+                                  ["--top-k", "x" * 10_000, "validate", *UNREAD_FILES]],
+                         ids=["no-flags", "bad-top-k", "unknown-flag", "unknown-command", "long-top-k"])
+def test_usage_error_is_one_bad_args_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error(captured.err, "BAD_ARGS")
+    assert len(captured.err) < 300
+
+
+def empty_candidates(tmp_path, rain_files) -> list:
+    return ["pairs", "--candidates", write_jsonl(tmp_path / "c.jsonl", [{"prompt_id": "p1", "candidates": []}])]
+
+
+def blank_triggers(tmp_path, rain_files) -> list:
+    (tmp_path / "rules.tsv").write_text("|\tsummaries\thazard\n", encoding="utf-8")
+    (tmp_path / "run.json").write_text(json.dumps({"hazard_rules_path": str(tmp_path / "rules.tsv")}),
+                                       encoding="utf-8")
+    prompts, policies = rain_files
+    return ["--config", tmp_path / "run.json", "validate", "--policies", policies, "--prompts", prompts]
+
+
+def out_is_a_directory(tmp_path, rain_files) -> list:
+    prompts, policies = rain_files
+    return ["--out", tmp_path, "validate", "--policies", policies, "--prompts", prompts]
+
+
+@pytest.mark.parametrize("build, exit_code, error", [
+    (empty_candidates, 1, "error: BAD_RECORD: candidates must be a non-empty list"),
+    (blank_triggers, 2, "error: BAD_RULE: hazard rule needs a hazard id and at least one trigger"),
+    (out_is_a_directory, 1, "error: BAD_OUT: cannot write "),
+], ids=["pairs-empty-candidates", "rules-blank-triggers", "out-directory"])
+def test_error_branch_fails_with_its_code(tmp_path, rain_files, build, exit_code, error, capsys):
+    code, lines, err = run_cli(build(tmp_path, rain_files), capsys)
+    assert (code, lines) == (exit_code, [])
+    # validate logs its record count before it writes, so the error is the last line
+    assert err.splitlines()[-1].startswith(error)
+
+
 def long_value_files(tmp_path, clause: str) -> tuple[str, str]:
     """A prompt and two policies that put a 200,000-character outside string into every report field that
     quotes one: action type, constraint key, parameter names, modality, keyword and bound parameter."""

@@ -388,6 +388,12 @@ def test_stratum_head_without_nominal_is_bad_vocab():
     assert err.value.code == "BAD_VOCAB"
 
 
+def test_nominal_for_an_unknown_head_is_bad_vocab():
+    with pytest.raises(ConfigError) as err:
+        LabelVocabulary(DEFAULT_LABEL_VOCAB.heads, {**DEFAULT_LABEL_VOCAB.nominal, "posture": "upright"})
+    assert (err.value.code, err.value.message) == ("BAD_VOCAB", "nominal label declared for unknown head 'posture'")
+
+
 # --- serialization -----------------------------------------------------------------
 
 

@@ -184,6 +184,13 @@ def test_bleu_validation():
         bleu4([], [])
 
 
+@pytest.mark.parametrize("references, hypotheses, error_code", [([], [], "NO_SAMPLES"), (["a"], [], "LENGTH_MISMATCH")])
+def test_rouge_validation(references, hypotheses, error_code):
+    with pytest.raises(InputError) as err:
+        rouge_l(references, hypotheses)
+    assert err.value.code == error_code
+
+
 def test_bleu_against_oracle():
     rng = random.Random(13)
     refs = [random_phrase(rng, 3, 12) for _ in range(50)]

@@ -330,12 +330,13 @@ def test_evidence_exact_label_match():
 
 
 def test_evidence_jaccard_threshold_is_inclusive():
-    # entry {cabin, warm} vs stage {cabin, warm, quiet}: jaccard 2/3 passes at 0.5
     z = PerceptionSummary(summary_initial="the cabin stays warm and quiet")
     policy = coverage_doc({"in_cabin_text": ["warm quiet cabin comfort"]})
     # {warm, quiet, cabin, comfort} vs {cabin, stays, warm, quiet}: 3/5 overlap
     assert evidence_coverage(policy, z) == 1.0
     assert evidence_coverage(policy, z, config=RunConfig(match_threshold=0.7)) == 0.0
+    # {warm, cabin} vs the same stage: 2/4, exactly the default threshold of 0.5
+    assert evidence_coverage(coverage_doc({"in_cabin_text": ["warm cabin"]}), z) == 1.0
 
 
 def test_evidence_zero_entries_score_zero():
@@ -518,7 +519,7 @@ def test_maneuvers_equal_sliding_window_reference(labels, stages, actions):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(texts, min_size=1, max_size=4), st.lists(texts, max_size=4).map(tuple),
        st.tuples(texts, texts), text_lists, st.floats(0.01, 1.0))
-def test_postings_grounding_equals_brute_force_jaccard(entries, labels, stages, bodies, threshold):
+def test_grounding_equals_brute_force_jaccard(entries, labels, stages, bodies, threshold):
     z = perception(labels, stages)
     z = PerceptionSummary(z.driver_labels, z.scene_labels, z.summary_initial, "", z.summary_final, labels[:2])
     snippets = snippets_of(bodies)
@@ -646,6 +647,14 @@ def test_memoized_grounding_equals_brute_force_and_a_fresh_prompt(labels, stages
         s_evd = validate(document, prompt, config).s_evd
         assert s_evd == (matched / len(kept) if kept else 0.0)
         assert s_evd == validate(document, prompt_from_dict(prompt_to_dict(prompt)), config).s_evd
+
+
+def test_equal_prompts_decoded_apart_share_their_grounding_tokens(comfort_prompt):
+    text = json.dumps(prompt_to_dict(comfort_prompt))
+    first, second = (prompt_context(prompt_from_dict(json.loads(text))).grounding for _ in range(2))
+    tokens = {token: token for candidate in first.candidates for token in candidate}
+    assert max(map(len, tokens)) > 1  # CPython keeps one object per one-character string anyway
+    assert all(tokens[token] is token for candidate in second.candidates for token in candidate)
 
 
 def test_allowed_modalities_belong_to_their_prompt():
