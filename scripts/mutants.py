@@ -91,13 +91,13 @@ MUTANTS = (
     ),
     Mutant(
         "default-lexicon-compiled-per-call", "src/ecpo/config.py",
-        "return _load(compile_lexicon, DEFAULT_LEXICON_LINES) if path is None else",
+        "return load_asset(compile_lexicon, DEFAULT_LEXICON_LINES) if path is None else",
         "return compile_lexicon(DEFAULT_LEXICON_LINES) if path is None else",
         ("tests/test_validator.py::test_a_later_candidate_of_a_prompt_builds_no_keyword_union",),
     ),
     Mutant(
         "lexicon-file-loaded-per-call", "src/ecpo/config.py",
-        " else _load(load_lexicon, path)\n",
+        " else load_asset(load_lexicon, path)\n",
         " else load_lexicon(path)\n",
         ("tests/test_validator.py::test_a_later_candidate_of_a_prompt_builds_no_keyword_union",),
     ),
@@ -221,6 +221,25 @@ MUTANTS = (
         "    cfg = config or DEFAULT_CONFIG\n",
         "    cfg = config or RunConfig()\n",
         ("tests/test_config.py::test_library_calls_without_a_config_read_the_one_default",),
+    ),
+    # --- each rule in the module that owns it: the query floor, the count bound, the nesting guard
+    Mutant(
+        "query-floor-exclusive", "src/ecpo/context.py",
+        " if sensitivity_rank(level) >= sensitivity_rank(\"medium\")]",
+        " if sensitivity_rank(level) > sensitivity_rank(\"medium\")]",
+        ("tests/test_store.py::test_build_query_fields",),
+    ),
+    Mutant(
+        "count-unbounded-above", "src/ecpo/errors.py",
+        "read_int(value, code, name, ConfigError) <= sys.maxsize:",
+        "read_int(value, code, name, ConfigError):",
+        ("tests/test_cli.py::test_a_count_past_the_largest_index_is_a_config_error",),
+    ),
+    Mutant(
+        "nesting-guard-dropped", "src/ecpo/cli.py",
+        "    except RecursionError:",
+        "    except ZeroDivisionError:",
+        ("tests/test_cli.py::test_a_value_too_deep_to_encode_fails_as_its_record",),
     ),
     # --- earlier changes
     Mutant(

@@ -18,13 +18,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .config import RunConfig, load_config
+from .context import (STRATIFY_GROUPS, StrategyPrompt, pair_mixed, prompt_from_dict, sample_from_dict,
+                      sample_to_dict, stratum)
 from .errors import (ConfigError, InputError, ToolkitError, cut, read_file, read_int, read_list, read_optional,
                      read_record, read_strings, shown)
 from .policy import document_text
+from .store import LexicalScorer, build_query, compress, load_store, retrieve, snippet_from_dict, to_json
 
-# Each handler imports the modules it runs, so a command loads only those.
+# Every command loads the modules above; a handler imports the validator, preference or metrics code it runs.
 if TYPE_CHECKING:
-    from .context import StrategyPrompt
     from .metrics import StrategyEvalRecord
 
 
@@ -84,16 +86,13 @@ def _log(message: str) -> None:
 
 def _prompt_of(record: object) -> StrategyPrompt:
     """A bare prompt record, or the prompt of a sample record (keyed 'prompt')."""
-    from .context import prompt_from_dict, sample_from_dict
-
     if isinstance(record, dict) and "prompt" in record:
         return sample_from_dict(record).prompt
     return prompt_from_dict(record)
 
 
 def _carried_prompt(value: object, code: str, what: str) -> StrategyPrompt:
-    from .context import prompt_from_dict  # imported on first use, as the handlers import their modules
-
+    # reads the module binding per call, the binding bench/spans.py patches: a field table would keep the original
     return prompt_from_dict(value, code, what)
 
 
@@ -131,8 +130,6 @@ EVAL_FIELDS = {
 def _strategy_prompt(record: dict, path: str) -> StrategyPrompt:
     """The prompt a decoded strategy record carries, which must have the record's
     own prompt_id, or an empty prompt under its prompt_id."""
-    from .context import StrategyPrompt
-
     prompt_id = record["prompt_id"]
     prompt = record.get("prompt") or StrategyPrompt(prompt_id)
     if prompt.prompt_id != prompt_id:
@@ -240,7 +237,6 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
         strategy_metrics,
         text_tokens,
     )
-    from .store import to_json
 
     records = _read_jsonl(args.records)
     by_kind: dict[str, list[dict]] = {}
@@ -306,8 +302,6 @@ def _snippet_view(snippet) -> dict:
 
 
 def cmd_retrieve(args, config: RunConfig) -> list[str]:
-    from .store import LexicalScorer, build_query, compress, load_store, retrieve, snippet_from_dict, to_json
-
     store = load_store(_read_jsonl(args.store, snippet_from_dict))
     by_id = {snippet.snippet_id: snippet for snippet in store.snapshot()}
     scorer = LexicalScorer()
@@ -332,8 +326,6 @@ def cmd_retrieve(args, config: RunConfig) -> list[str]:
 
 
 def cmd_mixpair(args, config: RunConfig) -> list[str]:
-    from .context import pair_mixed, sample_from_dict, sample_to_dict
-
     in_samples = _read_jsonl(args.in_cabin, sample_from_dict)
     out_samples = _read_jsonl(args.out_of_cabin, sample_from_dict)
     seed = config.seeds[0]
@@ -343,8 +335,6 @@ def cmd_mixpair(args, config: RunConfig) -> list[str]:
 
 
 def cmd_stratify(args, config: RunConfig) -> list[str]:
-    from .context import STRATIFY_GROUPS, sample_from_dict, stratum
-
     records = _read_jsonl(args.records, sample_from_dict)
     vocab = config.label_vocab()
     groups = [stratum(record, vocab) for record in records]
@@ -432,11 +422,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = _resolve_config(args)
+        # a bad --out fails before any work; the file itself is neither created nor truncated here
+        if args.out is not None and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+            raise InputError("BAD_OUT", f"cannot write {args.out}: it is a directory or its folder does not exist")
         lines = HANDLERS[args.command](args, config)
         _emit(lines, args.out)
     except ToolkitError as error:
         _log(f"error: {error}")
         return error.exit_code
+    except RecursionError:  # every reader catches its own: a value that parsed, too deep to encode again
+        _log("error: BAD_RECORD: a record holds a value nested too deep to encode")
+        return 1
     except Exception as error:  # the error contract: no traceback escapes
         _log(f"error: INTERNAL: {type(error).__name__}: {error}")
         return 3

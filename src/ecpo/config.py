@@ -20,9 +20,11 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import (ConfigError, is_finite_number, read_file, read_int, read_number, read_object, read_string,
-                     shown)
+from .context import DEFAULT_LABEL_VOCAB, load_label_vocab
+from .errors import (ConfigError, check_count, is_finite_number, read_file, read_int, read_number, read_object,
+                     read_string, shown)
 from .policy import DEFAULT_J_MAX, DEFAULT_LEXICON_LINES, PenaltyTable, compile_lexicon, load_lexicon
+from .store import to_json
 
 DEFAULT_WEIGHTS = (0.5, 0.3, 0.2)
 
@@ -55,12 +57,6 @@ def check_beta(beta: float) -> None:
     """The loss-temperature rule: a finite number > 0."""
     if read_number(beta, "BAD_BETA", "beta", ConfigError) <= 0:
         raise ConfigError("BAD_BETA", f"beta must be > 0, got {beta}")
-
-
-def check_count(value: int, code: str, name: str) -> None:
-    """The count rule (``j_max``, ``top_k``, ``token_budget``, ``block_size``): an integer, not a bool, >= 1."""
-    if read_int(value, code, name, ConfigError) < 1:
-        raise ConfigError(code, f"{name} must be >= 1, got {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -117,23 +113,14 @@ class RunConfig:
 
     def lexicon(self):
         path = self.lexicon_path
-        return _load(compile_lexicon, DEFAULT_LEXICON_LINES) if path is None else _load(load_lexicon, path)
-
-    def hazard_rules(self):
-        from .validator import DEFAULT_HAZARD_RULES, load_hazard_rules
-
-        path = self.hazard_rules_path
-        return DEFAULT_HAZARD_RULES if path is None else _load(load_hazard_rules, path)
+        return load_asset(compile_lexicon, DEFAULT_LEXICON_LINES) if path is None else load_asset(load_lexicon, path)
 
     def label_vocab(self):
-        from .context import DEFAULT_LABEL_VOCAB, load_label_vocab
-
-        return DEFAULT_LABEL_VOCAB if self.label_vocab_path is None else _load(load_label_vocab, self.label_vocab_path)
+        path = self.label_vocab_path
+        return DEFAULT_LABEL_VOCAB if path is None else load_asset(load_label_vocab, path)
 
     def echo(self) -> dict:
         """Resolved configuration embedded in every report, as JSON-native values."""
-        from .store import to_json
-
         return to_json(self)
 
 
@@ -142,7 +129,7 @@ DEFAULT_CONFIG = RunConfig()
 
 
 @lru_cache(maxsize=None)
-def _load(loader: Callable, source: str | tuple[str, ...]):
+def load_asset(loader: Callable, source: str | tuple[str, ...]):
     """A side file, or the default lexicon's lines, loaded once per (loader, source) on first use."""
     return loader(source)
 

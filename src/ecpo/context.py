@@ -20,9 +20,8 @@ from itertools import cycle, islice
 from pathlib import Path
 from typing import Sequence
 
-from .config import check_count
-from .errors import (ConfigError, InputError, read_as, read_file, read_list, read_object, read_optional,
-                     read_pair, read_record, read_string, read_strings, shown)
+from .errors import (ConfigError, InputError, check_count, read_as, read_file, read_list, read_object,
+                     read_optional, read_pair, read_record, read_string, read_strings, shown)
 from .policy import PolicyAction, document_text, parse_action_type, parse_policy
 from .store import ConstraintSnippet, snippet_from_dict, to_json
 from .textnorm import dedup_preserve_order, normalize_text
@@ -78,6 +77,10 @@ class DriverProfile:
         if band is not None:
             pair = read_pair(band, "BAD_PROFILE", "temperature_band")
             object.__setattr__(self, "cabin_preferences", {**self.cabin_preferences, "temperature_band": pair})
+
+    def query_sensitivities(self) -> list[str]:
+        """The keys of the sensitivities at or above ``medium``, in profile order: a retrieval query's terms."""
+        return [k for k, level in self.sensitivities.items() if sensitivity_rank(level) >= sensitivity_rank("medium")]
 
     def temperature_band(self) -> tuple[float, float] | None:
         return self.cabin_preferences.get("temperature_band")

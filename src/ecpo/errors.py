@@ -7,6 +7,7 @@ CLI can report machine-readable failures without parsing prose.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -159,6 +160,13 @@ def read_int(value: object, code: str, what: str, error: type[ToolkitError] = In
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(code, f"{what} must be an integer, got {shown(value)}")
     return value
+
+
+def check_count(value: int, code: str, name: str) -> None:
+    """The count rule (``j_max``, ``top_k``, ``token_budget``, ``block_size``): an integer, not a bool, 1 to maxsize."""
+    if not 1 <= read_int(value, code, name, ConfigError) <= sys.maxsize:
+        bound = ">= 1" if value < 1 else f"<= {sys.maxsize}"
+        raise ConfigError(code, f"{name} must be {bound}, got {shown(value)}")
 
 
 def read_pair(value: object, code: str, what: str, error: type[ToolkitError] = InputError) -> tuple[float, float]:

@@ -37,9 +37,8 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence
 
-from .config import check_count
-from .errors import (OPTIONAL_STRING, InputError, is_finite_number, read_as, read_int, read_list, read_record,
-                     read_string, read_strings, shown)
+from .errors import (OPTIONAL_STRING, InputError, check_count, is_finite_number, read_as, read_int, read_list,
+                     read_record, read_string, read_strings, shown)
 from .policy import ActionType, PolicyAction, keyword_pattern, parse_action_type, policy_dict
 from .textnorm import STOPWORDS, TEXT_BREAK, content_tokens, cosine_from_counts, dedup_preserve_order, tokenize_texts
 
@@ -335,10 +334,6 @@ def update_store(
     return ConstraintStore(store.versions + (tuple(content.values()),))
 
 
-# Sensitivity levels at or above this rank become query terms.
-_QUERY_SENSITIVITY_FLOOR = "medium"
-
-
 def build_query(
     z: PerceptionSummary, driver: DriverProfile, vehicle: VehicleProfile
 ) -> RetrievalQuery:
@@ -349,13 +344,7 @@ def build_query(
     summary stages, deduplicated in source order. An all-empty context falls
     back to the single term "general" so the query invariant holds.
     """
-    from .context import sensitivity_rank
-
-    sensitivity = [
-        key
-        for key, level in driver.sensitivities.items()
-        if sensitivity_rank(level) >= sensitivity_rank(_QUERY_SENSITIVITY_FLOOR)
-    ]
+    sensitivity = driver.query_sensitivities()
     for preference in (driver.alert_modality_preference, driver.style_preference):
         sensitivity.extend(content_tokens(preference))
 

@@ -30,7 +30,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .config import DEFAULT_CONFIG, DEFAULT_WEIGHTS, RunConfig, check_weights
+from .config import DEFAULT_CONFIG, DEFAULT_WEIGHTS, RunConfig, check_weights, load_asset
 from .context import PerceptionSummary, StrategyPrompt
 from .errors import ConfigError, InputError, InvariantError, cut, read_file, shown
 from .policy import (
@@ -592,7 +592,8 @@ def validate(document: str | bytes, prompt: StrategyPrompt, config: RunConfig | 
     applicable, every component 0, aggregate 0) rather than an error.
     """
     cfg = config or DEFAULT_CONFIG
-    rules = cfg.hazard_rules()
+    path = cfg.hazard_rules_path
+    rules = DEFAULT_HAZARD_RULES if path is None else load_asset(load_hazard_rules, path)
     outcome = parse_policy(document, j_max=cfg.j_max)
     context = prompt_context(prompt, rules)
     checks, hazards_addressed, low_level_matches = (), frozenset(), ()

@@ -275,6 +275,29 @@ def test_usage_error_is_one_bad_args_line(argv, capsys):
     assert len(captured.err) < 300
 
 
+@pytest.mark.parametrize("value", [sys.maxsize + 1, 10**30], ids=["maxsize-plus-1", "ten-to-the-30"])
+@pytest.mark.parametrize("field, code", [("j_max", "BAD_J_MAX"), ("top_k", "BAD_TOP_K"),
+                                         ("token_budget", "BAD_BUDGET"), ("block_size", "BAD_BLOCK_SIZE")])
+def test_a_count_past_the_largest_index_is_a_config_error(tmp_path, field, code, value, capsys):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({field: value}), encoding="utf-8")
+    code_run, lines, err = run_cli(["--config", config_path, "validate", *UNREAD_FILES], capsys)
+    assert (code_run, lines) == (2, [])
+    assert_one_error(err, code)
+    if field == "top_k":
+        assert run_cli(["--top-k", value, "validate", *UNREAD_FILES], capsys)[0] == 2
+
+
+def test_top_k_of_the_largest_index_ranks_the_whole_store(tmp_path, capsys):
+    store = write_jsonl(tmp_path / "s.jsonl", [{"snippet_id": name, "layer": "legal", "clause_id": "c",
+                                                "text": text} for name, text in (("a", "keep right"), ("b", "rain"),
+                                                                                 ("c", "slow in rain"))])
+    prompts = write_jsonl(tmp_path / "p.jsonl", [{"prompt_id": "p", "z": {"scene_labels": ["rain"]}}])
+    code, lines, err = run_cli(["--top-k", sys.maxsize, "retrieve", "--store", store, "--prompt", prompts], capsys)
+    assert code == 0, err
+    assert [hit["snippet_id"] for hit in lines[0]["ranked"]] == ["b", "c", "a"]
+
+
 def empty_candidates(tmp_path, rain_files) -> list:
     return ["pairs", "--candidates", write_jsonl(tmp_path / "c.jsonl", [{"prompt_id": "p1", "candidates": []}])]
 
@@ -292,16 +315,99 @@ def out_is_a_directory(tmp_path, rain_files) -> list:
     return ["--out", tmp_path, "validate", "--policies", policies, "--prompts", prompts]
 
 
+def out_in_a_missing_folder(tmp_path, rain_files) -> list:
+    prompts, policies = rain_files
+    return ["--out", tmp_path / "missing" / "out.jsonl", "validate", "--policies", policies, "--prompts", prompts]
+
+
 @pytest.mark.parametrize("build, exit_code, error", [
     (empty_candidates, 1, "error: BAD_RECORD: candidates must be a non-empty list"),
     (blank_triggers, 2, "error: BAD_RULE: hazard rule needs a hazard id and at least one trigger"),
     (out_is_a_directory, 1, "error: BAD_OUT: cannot write "),
-], ids=["pairs-empty-candidates", "rules-blank-triggers", "out-directory"])
+    (out_in_a_missing_folder, 1, "error: BAD_OUT: cannot write "),
+], ids=["pairs-empty-candidates", "rules-blank-triggers", "out-directory", "out-missing-folder"])
 def test_error_branch_fails_with_its_code(tmp_path, rain_files, build, exit_code, error, capsys):
     code, lines, err = run_cli(build(tmp_path, rain_files), capsys)
     assert (code, lines) == (exit_code, [])
-    # validate logs its record count before it writes, so the error is the last line
-    assert err.splitlines()[-1].startswith(error)
+    # one line: a bad --out fails before validate reads its input and logs its record count
+    assert len(err.splitlines()) == 1
+    assert err.startswith(error)
+
+
+def test_out_is_checked_before_any_input_is_read_and_left_untouched(tmp_path, rain_files, capsys):
+    prompts, _ = rain_files
+    missing_input = ["validate", "--policies", tmp_path / "nope.jsonl", "--prompts", prompts]
+    bad_out, kept_out = tmp_path / "missing" / "out.jsonl", tmp_path / "out.jsonl"
+    code, _, err = run_cli(["--out", bad_out, *missing_input], capsys)
+    assert code == 1
+    assert_one_error(err, "BAD_OUT")  # not MISSING_FILE
+    assert not bad_out.parent.exists()
+    kept_out.write_text("kept\n", encoding="utf-8")
+    code, _, err = run_cli(["--out", kept_out, *missing_input], capsys)
+    assert code == 1
+    assert_one_error(err, "MISSING_FILE")
+    assert kept_out.read_text(encoding="utf-8") == "kept\n"  # a good --out is not truncated before the work
+
+
+# --- values nested too deep to encode again ---------------------------------------------
+
+DEEP = "@deep@"  # stands for the nested value until the line is written: json.dumps could not write it
+
+
+def deep_validate_document(tmp_path, rain_prompt, rain_policy_dict) -> tuple[list, dict]:
+    prompts = write_jsonl(tmp_path / "p.jsonl", [prompt_to_dict(rain_prompt)])
+    return ["validate", "--policies", tmp_path / "d.jsonl", "--prompts", prompts], {
+        "d.jsonl": [{"prompt_id": "rain-01", "document": DEEP}]}
+
+
+def deep_pairs_document(tmp_path, rain_prompt, rain_policy_dict) -> tuple[list, dict]:
+    row = {"prompt_id": "rain-01", "prompt": prompt_to_dict(rain_prompt),
+           "candidates": [{"document": rain_policy_dict}, {"document": DEEP}]}
+    return ["pairs", "--candidates", tmp_path / "c.jsonl"], {"c.jsonl": [row]}
+
+
+def deep_pairs_prompt(tmp_path, rain_prompt, rain_policy_dict) -> tuple[list, dict]:
+    # a pair is chosen, so the prompt is written as the line carried it
+    prompt = prompt_to_dict(rain_prompt)
+    prompt["driver"]["cabin_preferences"] = {"seat": DEEP}
+    row = {"prompt_id": "rain-01", "prompt": prompt, "candidates": [{"document": rain_policy_dict}, {"document": "{}"}]}
+    return ["pairs", "--candidates", tmp_path / "c.jsonl"], {"c.jsonl": [row]}
+
+
+def deep_eval_document(tmp_path, rain_prompt, rain_policy_dict) -> tuple[list, dict]:
+    row = {"kind": "strategy", "prompt_id": "rain-01", "prompt": prompt_to_dict(rain_prompt), "document": DEEP}
+    return ["eval", "--records", tmp_path / "r.jsonl"], {"r.jsonl": [row]}
+
+
+def deep_cabin_preferences(tmp_path, rain_prompt, rain_policy_dict) -> tuple[list, dict]:
+    in_sample, out_sample = sample_to_dict(make_sample("in")), sample_to_dict(make_sample("out"))
+    in_sample["prompt"]["driver"]["cabin_preferences"] = {"seat": DEEP}
+    out_path = write_jsonl(tmp_path / "out.jsonl", [out_sample])
+    return ["mixpair", "--in-cabin", tmp_path / "in.jsonl", "--out-of-cabin", out_path], {"in.jsonl": [in_sample]}
+
+
+@pytest.mark.parametrize("build", [deep_validate_document, deep_pairs_document, deep_pairs_prompt,
+                                   deep_eval_document, deep_cabin_preferences],
+                         ids=["validate-document", "pairs-document", "pairs-prompt", "eval-document",
+                              "mixpair-cabin-preferences"])
+def test_a_value_too_deep_to_encode_fails_as_its_record(tmp_path, rain_prompt, rain_policy_dict, build, capsys):
+    """Every depth from where re-encoding a parsed value starts to overflow the stack to where the line no
+    longer parses: exit 0 or 1, never INTERNAL, with at most one error line."""
+    argv, files = build(tmp_path, rain_prompt, rain_policy_dict)
+    limit = sys.getrecursionlimit()
+    depths = [*range(limit - 250, limit + 6), limit // 2]  # mixpair's encoder takes more than one frame a level
+    failures = set()
+    for depth in depths:
+        nested = "[" * depth + "0" + "]" * depth
+        for name, rows in files.items():
+            lines = (json.dumps(row).replace(json.dumps(DEEP), nested) + "\n" for row in rows)
+            (tmp_path / name).write_text("".join(lines), encoding="utf-8")
+        code = main([str(a) for a in argv])
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert code in (0, 1) and len(errors) == code, (depth, err)
+        failures.update(line.split(":")[1].strip() for line in errors)
+    assert failures == {"BAD_LINE", "BAD_RECORD"}  # the scan reaches both the encoder's limit and the parser's
 
 
 def long_value_files(tmp_path, clause: str) -> tuple[str, str]:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from ecpo.config import RunConfig, check_weights
@@ -63,7 +65,7 @@ def pair_mixed_with_block_size(block_size):
     pair_mixed([make_sample("in")], [make_sample("out")], seed=0, block_size=block_size)
 
 
-@pytest.mark.parametrize("value", [True, 2.5, "3", 0, -1])
+@pytest.mark.parametrize("value", [True, 2.5, "3", 0, -1, sys.maxsize + 1, 10**30])
 @pytest.mark.parametrize("call, field, code", [
     (retrieve_with_top_k, "top_k", "BAD_TOP_K"),
     (compress_with_budget, "token_budget", "BAD_BUDGET"),
