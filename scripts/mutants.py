@@ -222,6 +222,37 @@ MUTANTS = (
         "    cfg = config or RunConfig()\n",
         ("tests/test_config.py::test_library_calls_without_a_config_read_the_one_default",),
     ),
+    # --- every JSONL line streamed through its command's per-record step
+    Mutant(
+        "raw-values-kept", "src/ecpo/cli.py",
+        "    _read_jsonl(path, lambda value, number: records.append(step(value)))\n",
+        "    values = []\n"
+        "    _read_jsonl(path, lambda value, number: values.append(value))\n"
+        "    records.extend(map(step, values))\n",
+        ("tests/test_cli.py::test_validate_holds_one_policy_line_at_a_time",),
+    ),
+    Mutant(
+        "bad-line-before-later-utf8", "src/ecpo/cli.py",
+        '                bad_line = InputError("BAD_LINE", f"{path}:{number}: {error}")\n',
+        '                raise InputError("BAD_LINE", f"{path}:{number}: {error}")\n',
+        ("tests/test_cli_boundary.py::test_of_two_faults_the_whole_file_readers_wins",
+         "tests/test_cli_boundary.py::test_the_streamed_reader_equals_the_whole_file_reader"),
+    ),
+    Mutant(
+        "eval-sections-in-file-order", "src/ecpo/cli.py",
+        "        sections[kind](record, number)\n",
+        "        sections[kind](record, number)\n"
+        "        if sections[kind].failure is not None:\n"
+        "            raise sections[kind].failure\n",
+        ("tests/test_cli_boundary.py::test_of_two_faults_the_whole_file_readers_wins",),
+    ),
+    Mutant(
+        "decode-position-without-offset", "src/ecpo/errors.py",
+        "raise ValueError(_decode_error(exc, offset)) from None",
+        "raise ValueError(_decode_error(exc, 0)) from None",
+        ("tests/test_cli_boundary.py::test_of_two_faults_the_whole_file_readers_wins",
+         "tests/test_cli_boundary.py::test_the_streamed_reader_equals_the_whole_file_reader"),
+    ),
     # --- each rule in the module that owns it: the query floor, the count bound, the nesting guard
     Mutant(
         "query-floor-exclusive", "src/ecpo/context.py",
@@ -237,8 +268,8 @@ MUTANTS = (
     ),
     Mutant(
         "nesting-guard-dropped", "src/ecpo/cli.py",
-        "    except RecursionError:",
-        "    except ZeroDivisionError:",
+        "    if isinstance(error, RecursionError):",
+        "    if isinstance(error, ZeroDivisionError):",
         ("tests/test_cli.py::test_a_value_too_deep_to_encode_fails_as_its_record",),
     ),
     # --- earlier changes
@@ -288,6 +319,13 @@ MUTANTS = (
     ),
     Mutant(
         "bom-check-removed", "src/ecpo/errors.py",
+        '                bom = bom or (offset == 0 and text.startswith("\\ufeff"))\n',
+        "                bom = False\n",
+        ("tests/test_cli_boundary.py::test_of_two_faults_the_whole_file_readers_wins",
+         "tests/test_cli_boundary.py::test_the_streamed_reader_equals_the_whole_file_reader"),
+    ),
+    Mutant(
+        "side-file-bom-check-removed", "src/ecpo/errors.py",
         '        if text.startswith("\\ufeff"):',
         "        if False:",
         ("tests/test_cli_boundary.py::test_malformed_side_file_fails_with_its_code",),

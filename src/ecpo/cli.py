@@ -14,68 +14,101 @@ import dataclasses
 import json
 import os
 import sys
+from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .config import RunConfig, load_config
 from .context import (STRATIFY_GROUPS, StrategyPrompt, pair_mixed, prompt_from_dict, sample_from_dict,
                       sample_to_dict, stratum)
-from .errors import (ConfigError, InputError, ToolkitError, cut, read_file, read_int, read_list, read_optional,
+from .errors import (ConfigError, InputError, ToolkitError, cut, read_int, read_lines, read_list, read_optional,
                      read_record, read_strings, shown)
 from .policy import document_text
 from .store import LexicalScorer, build_query, compress, load_store, retrieve, snippet_from_dict, to_json
 
 # Every command loads the modules above; a handler imports the validator, preference or metrics code it runs.
-if TYPE_CHECKING:
-    from .metrics import StrategyEvalRecord
 
 
 def _dumps(payload: object) -> str:
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-_JSON_SPACE = " \t\r"  # the JSON whitespace a line can hold (LF ends it); a line of nothing else is blank
+_JSON_SPACE = " \t\r\n"  # JSON whitespace, the LF that ends a line included; a line of nothing else is blank
 _scan = json.JSONDecoder().scan_once
 
 
-def _read_jsonl(path: str, decode: Callable[[object], object] | None = None) -> list:
-    """Each non-blank line's value, through ``decode`` as soon as it parses, so a file's raw values are never all
-    held. A decode failure waits until every line has parsed: a ``BAD_LINE`` anywhere still wins."""
+def _read_jsonl(path: str, take: Callable[[object, int], object]) -> None:
+    """``take(value, line number)`` of each non-blank line's value as soon as the line parses, so a file is held one
+    line at a time. Of its faults the first in this order wins, as when the whole file was read first: a byte that is
+    not UTF-8, a leading byte order mark, the first ``BAD_LINE``, the first failure of ``take``."""
     if not os.path.exists(path):
         raise InputError("MISSING_FILE", f"no such file: {path}")
-    records, failure = [], None
-    # LF only: str.splitlines() would also break at U+2028, U+2029 and U+0085,
-    # which _dumps writes raw inside strings.
-    for number, line in enumerate(read_file(path, "BAD_FILE", "input").split("\n"), start=1):
+    bad_line = failure = None
+    for number, line in enumerate(read_lines(path, "BAD_FILE", "input"), start=1):
         start = len(line) - len(line.lstrip(_JSON_SPACE))
-        if start == len(line):
+        if bad_line is not None or start == len(line):
             continue
         try:  # the scanner at once; json.loads only for the error of a line that is not one JSON value
             value, end = _scan(line, start)
             if line[end:].strip(_JSON_SPACE):
                 raise ValueError
         except (StopIteration, ValueError, RecursionError):
-            try:
-                value = json.loads(line)
+            try:  # without its line break, CRLF included, as the error's positions counted it
+                value = json.loads(line.removesuffix("\n").removesuffix("\r"))
             except (ValueError, RecursionError) as error:
-                raise InputError("BAD_LINE", f"{path}:{number}: {error}")
+                bad_line = InputError("BAD_LINE", f"{path}:{number}: {error}")
+                continue
         if failure is None:
             try:
-                records.append(value if decode is None else decode(value))
+                take(value, number)
             except Exception as error:  # any failure, INTERNAL ones too, waits until every line has parsed
-                failure = error
-    if failure is not None:
-        raise failure
+                failure = _record_failure(error, path, number)
+    if bad_line or failure:
+        raise bad_line or failure
+
+
+def _record_failure(error: Exception, path: str, number: int) -> Exception:
+    """What a record's failure is raised as: a value too deep to encode names its line."""
+    if isinstance(error, RecursionError):
+        return InputError("BAD_RECORD", f"{path}:{number}: a record holds a value nested too deep to encode")
+    return error
+
+
+class _Taken:
+    """``step`` of each record handed in with its line number, kept in order; the first failure stops the step and
+    waits to be raised by ``kept()``, for a command that raises it later than the read."""
+
+    def __init__(self, step: Callable[[object], object], path: str):
+        self.step, self.path, self.items, self.failure = step, path, [], None
+
+    def __call__(self, value: object, number: int) -> None:
+        if self.failure is None:
+            try:
+                self.items.append(self.step(value))
+            except Exception as error:
+                self.failure = _record_failure(error, self.path, number)
+
+    def kept(self) -> list:
+        if self.failure is not None:
+            raise self.failure
+        return self.items
+
+
+def _read_records(path: str, step: Callable[[object], object]) -> list:
+    """``step`` of each record of a JSONL file, in order (see ``_read_jsonl``)."""
+    records = []
+    _read_jsonl(path, lambda value, number: records.append(step(value)))
     return records
 
 
 def _emit(lines: Sequence[str], out_path: str | None) -> None:
-    payload = "".join(line + "\n" for line in lines)
+    """Each line to ``out_path``, or to stdout, one at a time."""
     if out_path is None:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(line + "\n" for line in lines)
         return
     try:
-        Path(out_path).write_text(payload, encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as out:
+            out.writelines(line + "\n" for line in lines)
     except OSError as error:
         raise InputError("BAD_OUT", f"cannot write {out_path}: {error}")
 
@@ -140,11 +173,14 @@ def _strategy_prompt(record: dict, path: str) -> StrategyPrompt:
 
 def _load_prompts(path: str) -> dict[str, StrategyPrompt]:
     prompts: dict[str, StrategyPrompt] = {}
-    for record in _read_jsonl(path):
+
+    def take(record: object, number: int) -> None:
         prompt = _prompt_of(record)
         if prompt.prompt_id in prompts:
             raise InputError("DUPLICATE_ID", f"{path}: prompt {shown(prompt.prompt_id)} appears twice")
         prompts[prompt.prompt_id] = prompt
+
+    _read_jsonl(path, take)
     return prompts
 
 
@@ -153,23 +189,25 @@ def cmd_validate(args, config: RunConfig) -> list[str]:
 
     prompts = _load_prompts(args.prompts)
     echo = config.echo()
-    lines = []
-    valid_count = 0
-    records = _read_jsonl(args.policies)
-    where = f"{args.policies}: record"
-    for index, record in enumerate(records):
-        record = read_record(record, VALIDATE_FIELDS, "BAD_RECORD", where, ("prompt_id", "document"))
+    where, index, valid_count = f"{args.policies}: record", 0, 0
+
+    def report_line(raw: object) -> str:
+        nonlocal index, valid_count
+        record = read_record(raw, VALIDATE_FIELDS, "BAD_RECORD", where, ("prompt_id", "document"))
         prompt_id = record["prompt_id"]
         candidate_id = record.get("candidate_id", str(index))
         prompt = prompts.get(prompt_id)
         if prompt is None:
             raise InputError("UNKNOWN_PROMPT", f"{args.policies}: no prompt {shown(prompt_id)}")
         report = validate(record["document"], prompt, config)
+        index += 1
         valid_count += report.schema_valid
-        lines.append(_dumps({"kind": "report", "prompt_id": prompt_id, "candidate_id": candidate_id,
-                             "report": report_to_dict(report), "config": echo}))
-    if records:
-        _log(f"validate: {len(records)} records, valid_pct={100.0 * valid_count / len(records):.2f}")
+        return _dumps({"kind": "report", "prompt_id": prompt_id, "candidate_id": candidate_id,
+                       "report": report_to_dict(report), "config": echo})
+
+    lines = _read_records(args.policies, report_line)
+    if lines:
+        _log(f"validate: {len(lines)} records, valid_pct={100.0 * valid_count / len(lines):.2f}")
     else:
         _log("validate: 0 records")
     return lines
@@ -179,81 +217,73 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
     from .preference import Candidate, CandidateSet, select_pair
     from .validator import validate
 
-    records, seen = [], set()
-    where = f"{args.candidates}: record"
-    for raw in _read_jsonl(args.candidates):
+    seen, where = set(), f"{args.candidates}: record"
+
+    def pair_line(raw: object) -> tuple[str, str | None]:
+        """(prompt_id, the pair's line), or (prompt_id, None) for a set whose pair is skipped."""
         record = read_record(raw, PAIRS_FIELDS, "BAD_RECORD", where, ("prompt_id", "candidates"))
         prompt_id = record["prompt_id"]
         if prompt_id in seen:
             raise InputError("DUPLICATE_ID", f"{args.candidates}: prompt {shown(prompt_id)} appears twice")
         seen.add(prompt_id)
         prompt = _strategy_prompt(record, args.candidates)
-        candidates = []
-        for index, entry in enumerate(record["candidates"]):
-            document = entry["document"]
-            candidate_id = entry.get("candidate_id", str(index))
-            candidates.append(Candidate(candidate_id, document, validate(document, prompt, config)))
+        candidates = [Candidate(entry.get("candidate_id", str(index)), entry["document"],
+                                validate(entry["document"], prompt, config))
+                      for index, entry in enumerate(record["candidates"])]
         pair = select_pair(CandidateSet(prompt_id=prompt_id, candidates=tuple(candidates)), config)
         if pair is None:
-            _log(f"pairs: skip prompt {shown(prompt_id)} (score gap <= {config.gap_min})")
-            continue
+            return prompt_id, None
         documents = {c.candidate_id: c.document for c in candidates}
         # the prompt as the line carried it: an object verbatim, an absent one as null
-        records.append({"prompt_id": prompt_id, "prompt": raw.get("prompt"), "chosen": documents[pair.plus_id],
-                        "rejected": documents[pair.minus_id], "gap": pair.gap, "weight": pair.weight})
-    records.sort(key=lambda r: r["prompt_id"])  # prompt ids are unique: one record per prompt
-    _log(f"pairs: {len(records)} pairs from {len(seen)} candidate sets")
-    return [_dumps(record) for record in records]
+        return prompt_id, _dumps({"prompt_id": prompt_id, "prompt": raw.get("prompt"),
+                                  "chosen": documents[pair.plus_id], "rejected": documents[pair.minus_id],
+                                  "gap": pair.gap, "weight": pair.weight})
 
-
-def _eval_rows(records: list[dict], kind: str, path: str) -> Iterator[dict]:
-    """The records of one eval kind, each decoded by its table as it is taken."""
-    fields, required = EVAL_FIELDS[kind]
-    return (read_record(record, fields, "BAD_RECORD", f"{path}: {kind} record", required) for record in records)
-
-
-def _eval_strategy_records(records: list[dict], config: RunConfig, path: str) -> list[StrategyEvalRecord]:
-    from .metrics import StrategyEvalRecord
-    from .validator import validate
-
-    out = []
-    # one record decoded at a time: a prompt and its validation context live
-    # only while their record is scored
-    for record in _eval_rows(records, "strategy", path):
-        report = validate(record["document"], _strategy_prompt(record, path), config)
-        ratings, seed = record.get("ratings"), record.get("seed", 0)
-        out.append(StrategyEvalRecord.from_report(record["prompt_id"], report, ratings=ratings, seed=seed))
-    return out
+    taken = _Taken(pair_line, args.candidates)
+    _read_jsonl(args.candidates, taken)
+    for prompt_id, line in taken.items:
+        if line is None:
+            _log(f"pairs: skip prompt {shown(prompt_id)} (score gap <= {config.gap_min})")
+    # the skips of the sets before a failing one still come before its error; prompt ids are unique
+    lines = [line for _, line in sorted(taken.kept(), key=itemgetter(0)) if line is not None]
+    _log(f"pairs: {len(lines)} pairs from {len(seen)} candidate sets")
+    return lines
 
 
 def cmd_eval(args, config: RunConfig) -> list[str]:
-    from .metrics import (
-        LabelSetSample,
-        MetricReport,
-        bleu4,
-        classification_metrics,
-        multilabel_metrics,
-        rouge_l,
-        strategy_metrics,
-        text_tokens,
-    )
+    from .metrics import (LabelSetSample, MetricReport, StrategyEvalRecord, bleu4, classification_metrics,
+                          multilabel_metrics, rouge_l, strategy_metrics, text_tokens)
+    from .validator import validate
 
-    records = _read_jsonl(args.records)
-    by_kind: dict[str, list[dict]] = {}
-    for record in records:
+    path = args.records
+
+    def strategy_record(record: dict) -> StrategyEvalRecord:
+        report = validate(record["document"], _strategy_prompt(record, path), config)
+        ratings, seed = record.get("ratings"), record.get("seed", 0)
+        return StrategyEvalRecord.from_report(record["prompt_id"], report, ratings=ratings, seed=seed)
+
+    # What each kind's section reads of a record: a strategy record is validated as it is read, so its prompt and
+    # validation context live only while it is scored. A section's first failure is raised where the section runs.
+    keeps = {"labels": lambda record: LabelSetSample.from_lists(record["truth"], record["prediction"]),
+             "classification": itemgetter("truth", "prediction"), "text": itemgetter("reference", "hypothesis"),
+             "strategy": strategy_record}
+    sections: dict[str, _Taken] = {}
+
+    def take(record: object, number: int) -> None:
         kind = record.get("kind") if isinstance(record, dict) else None
         if not isinstance(kind, str) or kind not in EVAL_FIELDS:
-            raise InputError("BAD_RECORD", f"{args.records}: unknown record kind {shown(kind)}")
-        by_kind.setdefault(kind, []).append(record)
+            raise InputError("BAD_RECORD", f"{path}: unknown record kind {shown(kind)}")
+        if kind not in sections:  # each record decoded by its kind's table, then kept as its section reads it
+            (fields, required), where, keep = EVAL_FIELDS[kind], f"{path}: {kind} record", keeps[kind]
+            sections[kind] = _Taken(lambda row: keep(read_record(row, fields, "BAD_RECORD", where, required)), path)
+        sections[kind](record, number)
 
+    _read_jsonl(path, take)
     report = MetricReport(config=config.echo())
-    report.counts["records"] = len(records)
+    report.counts["records"] = sum(len(section.items) for section in sections.values())
 
-    if "labels" in by_kind:
-        samples = [
-            LabelSetSample.from_lists(r["truth"], r["prediction"])
-            for r in _eval_rows(by_kind["labels"], "labels", args.records)
-        ]
+    if "labels" in sections:
+        samples = sections["labels"].kept()
         report.counts["labels"] = len(samples)
         try:
             iou, emr, f1 = multilabel_metrics(samples, epsilon=config.epsilon)
@@ -265,28 +295,23 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
             report.set("labels_emr", emr)
             report.set("labels_f1", f1)
 
-    if "classification" in by_kind:
-        rows = list(_eval_rows(by_kind["classification"], "classification", args.records))
-        truth = [r["truth"] for r in rows]
-        prediction = [r["prediction"] for r in rows]
-        report.counts["classification"] = len(truth)
-        accuracy, macro_f1 = classification_metrics(truth, prediction)
+    if "classification" in sections:
+        rows = sections["classification"].kept()
+        report.counts["classification"] = len(rows)
+        accuracy, macro_f1 = classification_metrics([truth for truth, _ in rows], [pred for _, pred in rows])
         report.set("cls_accuracy", accuracy)
         report.set("cls_macro_f1", macro_f1)
 
-    if "text" in by_kind:
-        rows = list(_eval_rows(by_kind["text"], "text", args.records))
-        references = [text_tokens(r["reference"]) for r in rows]
-        hypotheses = [text_tokens(r["hypothesis"]) for r in rows]
+    if "text" in sections:
+        rows = sections["text"].kept()
+        references = [text_tokens(reference) for reference, _ in rows]
+        hypotheses = [text_tokens(hypothesis) for _, hypothesis in rows]
         report.counts["text"] = len(references)
         report.set("text_bleu4", bleu4(references, hypotheses, epsilon=config.epsilon))
         report.set("text_rouge_l", rouge_l(references, hypotheses))
-        # Free the token lists before the strategy section, where peak RSS is.
-        del references, hypotheses
 
-    if "strategy" in by_kind:
-        strategy = strategy_metrics(_eval_strategy_records(by_kind["strategy"], config, args.records),
-                                    epsilon=config.epsilon)
+    if "strategy" in sections:
+        strategy = strategy_metrics(sections["strategy"].kept(), epsilon=config.epsilon)
         report.values.update(strategy.values)
         report.reasons.update(strategy.reasons)
         report.counts.update(strategy=strategy.counts["records"], schema_valid=strategy.counts["schema_valid"])
@@ -302,17 +327,17 @@ def _snippet_view(snippet) -> dict:
 
 
 def cmd_retrieve(args, config: RunConfig) -> list[str]:
-    store = load_store(_read_jsonl(args.store, snippet_from_dict))
+    store = load_store(_read_records(args.store, snippet_from_dict))
     by_id = {snippet.snippet_id: snippet for snippet in store.snapshot()}
     scorer = LexicalScorer()
     echo = config.echo()
-    lines = []
-    for record in _read_jsonl(args.prompt):
+
+    def retrieval_line(record: object) -> str:
         prompt = _prompt_of(record)
         query = build_query(prompt.z, prompt.driver, prompt.vehicle)
         result = retrieve(store, query, config.top_k, scorer=scorer)
         ranked = [by_id[hit.snippet_id] for hit in result.ranked]
-        lines.append(_dumps({
+        return _dumps({
             "kind": "retrieval",
             "prompt_id": prompt.prompt_id,
             "store_version": result.store_version,
@@ -321,21 +346,23 @@ def cmd_retrieve(args, config: RunConfig) -> list[str]:
             "ranked": [_snippet_view(snippet) | {"score": hit.score} for snippet, hit in zip(ranked, result.ranked)],
             "compressed": [_snippet_view(snippet) for snippet in compress(ranked, config.token_budget)],
             "config": echo,
-        }))
-    return lines
+        })
+
+    return _read_records(args.prompt, retrieval_line)
 
 
 def cmd_mixpair(args, config: RunConfig) -> list[str]:
-    in_samples = _read_jsonl(args.in_cabin, sample_from_dict)
-    out_samples = _read_jsonl(args.out_of_cabin, sample_from_dict)
+    in_samples = _read_records(args.in_cabin, sample_from_dict)
+    out_samples = _read_records(args.out_of_cabin, sample_from_dict)
     seed = config.seeds[0]
     paired = pair_mixed(in_samples, out_samples, seed=seed, block_size=config.block_size)
-    _log(f"mixpair: {len(paired)} merged records (seed={seed}, block_size={config.block_size})")
-    return [_dumps(sample_to_dict(record)) for record in paired]
+    lines = [_dumps(sample_to_dict(record)) for record in paired]
+    _log(f"mixpair: {len(lines)} merged records (seed={seed}, block_size={config.block_size})")
+    return lines
 
 
 def cmd_stratify(args, config: RunConfig) -> list[str]:
-    records = _read_jsonl(args.records, sample_from_dict)
+    records = _read_records(args.records, sample_from_dict)
     vocab = config.label_vocab()
     groups = [stratum(record, vocab) for record in records]
     _log(f"stratify: {_dumps({group: groups.count(group) for group in STRATIFY_GROUPS})}")

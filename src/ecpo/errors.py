@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 
 class ToolkitError(Exception):
@@ -49,6 +49,37 @@ def read_file(path: str | Path, code: str, what: str, error: type[ToolkitError] 
         return parse(text)
     except (OSError, ValueError, RecursionError) as exc:
         raise error(code, f"cannot read {what} {path}: {exc}")
+
+
+def read_lines(path: str | Path, code: str, what: str) -> Iterator[str]:
+    """Each line of the file, ended by LF only and kept with it, decoded as UTF-8 one at a time (``str.splitlines``
+    would also break at CR, U+2028, U+2029 and U+0085, which JSON strings may hold raw). The faults of ``read_file``
+    keep its order: a byte that is not UTF-8 fails with its position in the whole file, and a leading byte order
+    mark only once every later line has decoded (no line is yielded after it)."""
+    try:
+        with open(path, "rb") as file:
+            offset, bom = 0, False
+            for line in file:
+                try:  # with its LF: a sequence cut short by the LF fails as it does in the whole file
+                    text = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(_decode_error(exc, offset)) from None
+                bom = bom or (offset == 0 and text.startswith("\ufeff"))
+                offset += len(line)
+                if not bom:
+                    yield text
+            if bom:
+                raise ValueError("starts with a UTF-8 byte order mark")
+    except (OSError, ValueError) as exc:
+        raise InputError(code, f"cannot read {what} {path}: {exc}")
+
+
+def _decode_error(exc: UnicodeDecodeError, offset: int) -> str:
+    """``str(exc)`` of a line's decode error, at ``offset`` bytes into the file."""
+    start, end = exc.start + offset, exc.end - 1 + offset
+    byte = f"byte 0x{exc.object[exc.start]:02x}"
+    where = f"bytes in position {start}-{end}" if end > start else f"{byte} in position {start}"
+    return f"{exc.encoding!r} codec can't decode {where}: {exc.reason}"
 
 
 # Typed readers for values decoded from outside JSON (records, config and

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 import re
@@ -365,6 +366,32 @@ def lexical_index_reference(snippets) -> LexicalIndex:
         peaks=peaks,
         columns=columns,
     )
+
+
+# --- the JSONL reader before it streamed: the whole file decoded, then split at LF --------------------
+
+
+def jsonl_reference(data: bytes, path: str) -> list | str:
+    """The values of a JSONL file's non-blank lines, or the ``CODE: message`` it fails with: the whole file is
+    decoded first, a leading byte order mark refused, then each line split at LF is parsed with ``json.loads``.
+    A line that fails is quoted without the CR of a CRLF ending, so a CRLF file reads as its LF twin."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"BAD_FILE: cannot read input {path}: {exc}"
+    if text[:1] == "\ufeff":
+        return f"BAD_FILE: cannot read input {path}: starts with a UTF-8 byte order mark"
+    values = []
+    for number, line in enumerate(text.split("\n"), start=1):
+        if not line.strip(" \t\r"):
+            continue
+        if line.endswith("\r"):
+            line = line[:-1]
+        try:
+            values.append(json.loads(line))
+        except (ValueError, RecursionError) as error:
+            return f"BAD_LINE: {path}:{number}: {error}"
+    return values
 
 
 # --- the snippet reader before string fields were checked in place --------------------------------

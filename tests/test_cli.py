@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -386,14 +387,21 @@ def deep_cabin_preferences(tmp_path, rain_prompt, rain_policy_dict) -> tuple[lis
     return ["mixpair", "--in-cabin", tmp_path / "in.jsonl", "--out-of-cabin", out_path], {"in.jsonl": [in_sample]}
 
 
-@pytest.mark.parametrize("build", [deep_validate_document, deep_pairs_document, deep_pairs_prompt,
-                                   deep_eval_document, deep_cabin_preferences],
+@pytest.mark.parametrize("build, at_line", [(deep_validate_document, True), (deep_pairs_document, True),
+                                             (deep_pairs_prompt, True), (deep_eval_document, True),
+                                             (deep_cabin_preferences, False)],
                          ids=["validate-document", "pairs-document", "pairs-prompt", "eval-document",
                               "mixpair-cabin-preferences"])
-def test_a_value_too_deep_to_encode_fails_as_its_record(tmp_path, rain_prompt, rain_policy_dict, build, capsys):
+def test_a_value_too_deep_to_encode_fails_as_its_record(tmp_path, rain_prompt, rain_policy_dict, build, at_line,
+                                                        capsys):
     """Every depth from where re-encoding a parsed value starts to overflow the stack to where the line no
-    longer parses: exit 0 or 1, never INTERNAL, with at most one error line."""
+    longer parses: exit 0 or 1, never INTERNAL, with at most one error line. A value that a record's own step
+    encodes fails naming its file and line; mixpair encodes its merged records after pairing, so it names
+    neither, and logs no count before the error."""
     argv, files = build(tmp_path, rain_prompt, rain_policy_dict)
+    (name,) = files
+    too_deep = f"error: BAD_RECORD: {f'{tmp_path / name}:1: ' if at_line else ''}a record holds a value nested " \
+               "too deep to encode\n"
     limit = sys.getrecursionlimit()
     depths = [*range(limit - 250, limit + 6), limit // 2]  # mixpair's encoder takes more than one frame a level
     failures = set()
@@ -406,8 +414,51 @@ def test_a_value_too_deep_to_encode_fails_as_its_record(tmp_path, rain_prompt, r
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error: ")]
         assert code in (0, 1) and len(errors) == code, (depth, err)
+        if errors and "BAD_RECORD" in errors[0]:
+            assert err == too_deep, depth
         failures.update(line.split(":")[1].strip() for line in errors)
     assert failures == {"BAD_LINE", "BAD_RECORD"}  # the scan reaches both the encoder's limit and the parser's
+
+
+# --- what a run holds: one input line and its value at a time, and what it writes ---------------
+
+def traced_peak(argv, capsys) -> int:
+    """The traced heap peak of one in-process run, which must succeed; the code it runs is imported first."""
+    from ecpo import metrics, validator  # noqa: F401  (a handler imports them on its first run)
+
+    tracemalloc.start()
+    try:
+        code = main([str(a) for a in argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    return peak
+
+
+def test_validate_holds_one_policy_line_at_a_time(tmp_path, rain_prompt, capsys):
+    prompts = write_jsonl(tmp_path / "p.jsonl", [prompt_to_dict(rain_prompt)])
+    policies = write_jsonl(tmp_path / "d.jsonl", [{"prompt_id": "rain-01", "candidate_id": f"c{i}",
+                                                   "document": "not json " * 12_000} for i in range(40)])
+    decoded = Path(policies).stat().st_size  # ASCII: as many characters as bytes
+    out = tmp_path / "out.jsonl"
+    peak = traced_peak(["--out", out, "validate", "--policies", policies, "--prompts", prompts], capsys)
+    assert decoded > 4_000_000 and out.stat().st_size < 1_000_000
+    assert peak < decoded / 2, (peak, decoded)
+
+
+def test_eval_holds_one_strategy_record_at_a_time(tmp_path, layered_snippets, rain_prompt, rain_policy_dict, capsys):
+    snippets = [snippet_to_dict(layered_snippets[i % 3]) | {"snippet_id": f"s{i}", "vehicle_config": "v" * 2_000}
+                for i in range(20)]
+    rows = [{"kind": "strategy", "prompt_id": f"p{i}", "document": rain_policy_dict,
+             "prompt": prompt_to_dict(rain_prompt) | {"prompt_id": f"p{i}", "constraints": snippets}}
+            for i in range(90)]
+    records = write_jsonl(tmp_path / "r.jsonl", rows)
+    decoded = Path(records).stat().st_size
+    out = tmp_path / "out.jsonl"
+    peak = traced_peak(["--out", out, "eval", "--records", records], capsys)
+    assert decoded > 4_000_000 and out.stat().st_size < 10_000
+    assert peak < decoded / 2, (peak, decoded)
 
 
 def long_value_files(tmp_path, clause: str) -> tuple[str, str]:
@@ -1099,7 +1150,8 @@ _RUN_ON_STDLIB_ALONE = (
 def test_command_runs_on_the_standard_library_alone(tmp_path, rain_prompt, rain_policy_dict, command):
     argv = ["--out", str(tmp_path / "out.jsonl"), *command_argv(tmp_path, command, rain_prompt, rain_policy_dict)]
     package_root = str(Path(ecpo.__file__).resolve().parent.parent)
-    result = subprocess.run([sys.executable, "-I", "-S", "-c", _RUN_ON_STDLIB_ALONE, package_root, *argv],
+    # -I ignores PYTHONDONTWRITEBYTECODE: -B keeps the run from writing bytecode into the package
+    result = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", _RUN_ON_STDLIB_ALONE, package_root, *argv],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == {"code": 0, "foreign": []}

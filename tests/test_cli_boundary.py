@@ -23,9 +23,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ecpo
-from ecpo.cli import CANDIDATE_FIELDS, EVAL_FIELDS, PAIRS_FIELDS, VALIDATE_FIELDS, main
+from ecpo.cli import CANDIDATE_FIELDS, EVAL_FIELDS, PAIRS_FIELDS, VALIDATE_FIELDS, _read_jsonl, main
 from ecpo.context import DRIVER_FIELDS, PROMPT_FIELDS, SAMPLE_FIELDS, VEHICLE_FIELDS, Z_FIELDS
+from ecpo.errors import InputError
 from ecpo.store import ASSERTION_FIELDS, SNIPPET_FIELDS
+from oracles import jsonl_reference
 
 POLICY = {
     "objectives": "Keep a safe distance in heavy rain.",
@@ -458,6 +460,138 @@ def test_json_whitespace_around_a_value_is_read_past(tmp_path):
     padded = [" \t" + GOOD_LINES[0] + " \t\r", "\t" + GOOD_LINES[1] + "\r"]
     assert run(tmp_path, "retrieve", {"store": lines_file(padded), "prompts": [PROMPT]}) == plain
     assert plain[0] == 0
+
+
+# Two faults in one input: every command reads each line as it parses and does its record's work there, yet
+# raises the fault that it raised when it read the whole file first (expectations taken from that reader).
+def rec(**fields) -> str:
+    return json.dumps(fields)
+
+
+GOOD_POLICY = rec(prompt_id="p1", candidate_id="c1", document=POLICY)
+SKIPPED_SET = rec(prompt_id="p1", prompt=PROMPT, candidates=[{"document": POLICY}, {"document": POLICY}])
+BOM = b"\xef\xbb\xbf"
+NOT_ONE_VALUE = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+NOT_UTF8 = "error: BAD_FILE: cannot read input {dir}/%s.jsonl: 'utf-8' codec can't decode "
+FAULT_ORDER = [
+    pytest.param("validate", {"policies": lines_file([rec(prompt_id="p1", document=5), GOOD_POLICY, "{oops"])},
+                 f"error: BAD_LINE: {{dir}}/policies.jsonl:3: {NOT_ONE_VALUE}",
+                 id="validate-bad-record-then-bad-line"),
+    pytest.param("validate", {"policies": lines_file([rec(prompt_id="nope", document=POLICY),
+                                                      rec(prompt_id="p1", document=POLICY, extra=1)])},
+                 "error: UNKNOWN_PROMPT: {dir}/policies.jsonl: no prompt 'nope'",
+                 id="validate-unknown-prompt-then-bad-record"),
+    pytest.param("validate", {"policies": lines_file(["{oops", *[GOOD_POLICY] * 20]) + b'{"prompt_id": "p\xff"}\n'},
+                 NOT_UTF8 % "policies" + "byte 0xff in position 17242: invalid start byte",
+                 id="validate-bad-line-then-not-utf8-past-8kb"),
+    pytest.param("validate", {"policies": BOM + lines_file([GOOD_POLICY]) + b'{"prompt_id": "p\xe2\x82\n'},
+                 NOT_UTF8 % "policies" + "bytes in position 880-881: invalid continuation byte",
+                 id="validate-bom-then-utf8-cut-short-by-lf"),
+    pytest.param("validate", {"prompts": lines_file([json.dumps(PROMPT), json.dumps(PROMPT), "[1,"])},
+                 "error: BAD_LINE: {dir}/prompts.jsonl:3: Expecting value: line 1 column 4 (char 3)",
+                 id="validate-duplicate-prompt-then-bad-line"),
+    pytest.param("validate", {"prompts": lines_file([json.dumps(PROMPT), json.dumps(PROMPT), rec(prompt_id=5)])},
+                 "error: DUPLICATE_ID: {dir}/prompts.jsonl: prompt 'p1' appears twice",
+                 id="validate-duplicate-prompt-then-bad-prompt"),
+    pytest.param("pairs", {"candidates": lines_file([SKIPPED_SET, SKIPPED_SET])},
+                 "pairs: skip prompt 'p1' (score gap <= 0.0)\n"  # logged before the error, as it was
+                 "error: DUPLICATE_ID: {dir}/candidates.jsonl: prompt 'p1' appears twice",
+                 id="pairs-skip-then-duplicate"),
+    pytest.param("pairs", {"candidates": lines_file([SKIPPED_SET, "{oops"])},
+                 f"error: BAD_LINE: {{dir}}/candidates.jsonl:2: {NOT_ONE_VALUE}", id="pairs-skip-then-bad-line"),
+    pytest.param("pairs", {"candidates": lines_file([SKIPPED_SET]) + b"\xff\n"},
+                 NOT_UTF8 % "candidates" + "byte 0xff in position 2651: invalid start byte",
+                 id="pairs-skip-then-not-utf8"),
+    pytest.param("pairs", {"candidates": lines_file([
+        rec(prompt_id="p1", candidates=[]), rec(prompt_id="p2", prompt=PROMPT, candidates=[{"document": POLICY}])])},
+                 "error: BAD_RECORD: candidates must be a non-empty list",
+                 id="pairs-no-candidates-then-prompt-mismatch"),
+    pytest.param("eval", {"records": lines_file([rec(kind="labels", truth=5, prediction=[]), rec(kind="nope")])},
+                 "error: BAD_RECORD: {dir}/records.jsonl: unknown record kind 'nope'",
+                 id="eval-labels-fault-then-unknown-kind"),
+    pytest.param("eval", {"records": lines_file([rec(kind="strategy", prompt_id="p2", prompt=PROMPT, document=POLICY),
+                                                 rec(kind="labels", truth=["a"], prediction=5)])},
+                 "error: BAD_RECORD: prediction must be a list of strings, got 5",
+                 id="eval-strategy-fault-then-labels-fault"),
+    pytest.param("eval", {"records": lines_file([rec(kind="text", reference=5, hypothesis="x"),
+                                                 rec(kind="classification", truth=5, prediction="a")])},
+                 "error: BAD_RECORD: truth must be a string, got 5", id="eval-text-fault-then-classification-fault"),
+    pytest.param("eval", {"records": lines_file([rec(kind="strategy", prompt_id="p2", prompt=PROMPT, document=POLICY),
+                                                 rec(kind="strategy", prompt_id="p1", prompt=PROMPT)])},
+                 "error: BAD_RECORD: {dir}/records.jsonl: record prompt_id 'p2' differs from its prompt's 'p1'",
+                 id="eval-two-strategy-faults"),
+    pytest.param("eval", {"records": lines_file([rec(kind="labels", truth=5, prediction=[]), "{oops"])},
+                 f"error: BAD_LINE: {{dir}}/records.jsonl:2: {NOT_ONE_VALUE}", id="eval-labels-fault-then-bad-line"),
+    pytest.param("eval", {"records": lines_file([rec(kind="nope")]) + b'"\xc3'},
+                 NOT_UTF8 % "records" + "byte 0xc3 in position 18: unexpected end of data",
+                 id="eval-unknown-kind-then-utf8-cut-short-by-the-end"),
+    pytest.param("retrieve", {"store": lines_file([store_line(), store_line(snippet_id="s2", layer="weather")]),
+                              "prompts": lines_file(["{oops"])},
+                 "error: BAD_SNIPPET: unknown snippet layer 'weather'", id="retrieve-bad-snippet-then-bad-prompt-line"),
+    pytest.param("retrieve", {"prompts": lines_file([rec(prompt_id=5), rec(prompt_id="p2", z=5)])},
+                 "error: BAD_RECORD: prompt_id must be a string, got 5", id="retrieve-two-bad-prompts"),
+    pytest.param("retrieve", {"prompts": lines_file([rec(prompt_id=5), "{oops"])},
+                 f"error: BAD_LINE: {{dir}}/prompts.jsonl:2: {NOT_ONE_VALUE}", id="retrieve-bad-prompt-then-bad-line"),
+    pytest.param("retrieve", {"store": BOM + lines_file([store_line(), "{oops"])},
+                 "error: BAD_FILE: cannot read input {dir}/store.jsonl: starts with a UTF-8 byte order mark",
+                 id="retrieve-bom-then-bad-line"),
+]
+
+
+@pytest.mark.parametrize("command, files, stderr", FAULT_ORDER)
+def test_of_two_faults_the_whole_file_readers_wins(tmp_path, command, files, stderr):
+    code, out, err = run(tmp_path, command, {**inputs(command), **files})
+    assert (code, out) == (1, "")
+    assert err == stderr.replace("{dir}", str(tmp_path)) + "\n"
+
+
+# A line ends at LF only: a lone CR is JSON whitespace, like the CR of a CRLF ending.
+
+def test_a_lone_cr_does_not_end_a_line(tmp_path):
+    first, second, third = (json.dumps(sample(f"r{i}")) for i in range(3))
+    code, out, err = run(tmp_path, "stratify", {"records": f"{first}\r{second}\r\n{third}\n".encode("utf-8")})
+    assert (code, out) == (1, "")
+    at = len(first) + 1  # the second value, past the CR
+    assert err == f"error: BAD_LINE: {tmp_path / 'records.jsonl'}:1: Extra data: line 1 column {at + 1} (char {at})\n"
+
+
+def test_a_cr_inside_a_value_is_json_whitespace(tmp_path):
+    plain = run(tmp_path, "stratify", inputs("stratify"))
+    line = json.dumps(sample("r1")).replace('"split": ', '"split":\r', 1)
+    assert run(tmp_path, "stratify", {"records": (line + "\n").encode("utf-8")}) == plain
+    assert plain[0] == 0
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("tail", [b"", b'{"a":\n'], ids=["valid", "bad-last-line"])
+def test_a_crlf_file_reads_as_its_lf_twin(tmp_path, command, tail):
+    lf = {name: jsonl(records) + tail for name, records in inputs(command).items()}
+    crlf = {name: data.replace(b"\n", b"\r\n") for name, data in lf.items()}
+    result = run(tmp_path, command, lf)
+    assert run(tmp_path, command, crlf) == result
+    assert result[0] == (1 if tail else 0)
+
+
+# Bytes a JSONL file may hold: line ends, JSON and other whitespace, byte order marks, values, bytes that are
+# not UTF-8 or end a sequence early, and a value long enough to carry a fault past the first 8 KB.
+LINE_PIECES = [b"\n", b"\r", b"\r\n", b" ", b"\t", BOM, b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc2\xa0",
+               b"1", b"[1, 2]", b'{"a": "\xc3\xa9"}', b'"x\xe2\x80\xa8y"', b"null", b"NaN", b"{", b"]",
+               b'"' + b"x" * 8200 + b'"']
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.booleans(), st.lists(st.one_of(st.sampled_from(LINE_PIECES), st.binary(max_size=3)), max_size=24))
+def test_the_streamed_reader_equals_the_whole_file_reader(leading_bom, pieces):
+    data = (BOM if leading_bom else b"") + b"".join(pieces)
+    values = []
+    with tempfile.TemporaryDirectory() as directory:
+        path = str(Path(directory) / "input.jsonl")
+        Path(path).write_bytes(data)
+        try:
+            _read_jsonl(path, lambda value, number: values.append(value))
+        except InputError as error:
+            values = f"{error.code}: {error.message}"
+    assert repr(values) == repr(jsonl_reference(data, path))
 
 
 # --- side files through the CLI ----------------------------------------------------------------
