@@ -272,6 +272,34 @@ MUTANTS = (
         "    if isinstance(error, ZeroDivisionError):",
         ("tests/test_cli.py::test_a_value_too_deep_to_encode_fails_as_its_record",),
     ),
+    # --- each outside value decoded once: documents parse from their value, side files share the line reader
+    Mutant(
+        "document-re-encoded", "src/ecpo/policy.py",
+        "    if isinstance(document, str):\n        try:\n",
+        "    if not isinstance(document, str):\n        document = json.dumps(document)\n    if True:\n        try:\n",
+        ("tests/test_cli.py::test_a_value_too_deep_to_encode_fails_as_its_record",
+         "tests/test_cli.py::test_an_action_type_too_deep_to_show_is_a_defect_of_its_report"),
+    ),
+    Mutant(
+        "pairs-writes-the-inline-value", "src/ecpo/cli.py",
+        "(document if isinstance(document, str) else json.dumps(document)\n",
+        "(document if isinstance(document, str) else document\n",
+        ("tests/test_cli.py::test_pairs_builds_dataset",
+         "tests/test_cli.py::test_command_output_on_bench_inputs_is_pinned"),
+    ),
+    Mutant(
+        "shown-without-fallback", "src/ecpo/errors.py",
+        "    except RecursionError:\n        return \"<a value nested too deep to show>\"\n",
+        "    except ZeroDivisionError:\n        return \"<a value nested too deep to show>\"\n",
+        ("tests/test_cli.py::test_a_value_too_deep_to_show_is_shown_as_a_marker",
+         "tests/test_cli.py::test_an_action_type_too_deep_to_show_is_a_defect_of_its_report"),
+    ),
+    Mutant(
+        "lexicon-split-at-any-line-break", "src/ecpo/policy.py",
+        '"lexicon", ConfigError).split("\\n"))',
+        '"lexicon", ConfigError).splitlines())',
+        ("tests/test_cli_boundary.py::test_only_lf_ends_a_side_file_line",),
+    ),
     # --- earlier changes
     Mutant(
         "survivor-margin-zero", "src/ecpo/store.py",
@@ -322,13 +350,8 @@ MUTANTS = (
         '                bom = bom or (offset == 0 and text.startswith("\\ufeff"))\n',
         "                bom = False\n",
         ("tests/test_cli_boundary.py::test_of_two_faults_the_whole_file_readers_wins",
-         "tests/test_cli_boundary.py::test_the_streamed_reader_equals_the_whole_file_reader"),
-    ),
-    Mutant(
-        "side-file-bom-check-removed", "src/ecpo/errors.py",
-        '        if text.startswith("\\ufeff"):',
-        "        if False:",
-        ("tests/test_cli_boundary.py::test_malformed_side_file_fails_with_its_code",),
+         "tests/test_cli_boundary.py::test_the_streamed_reader_equals_the_whole_file_reader",
+         "tests/test_cli_boundary.py::test_malformed_side_file_fails_with_its_code"),
     ),
     Mutant(
         "keywords-recompiled", "src/ecpo/policy.py",

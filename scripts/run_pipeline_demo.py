@@ -12,7 +12,6 @@ stdlib-only; run it directly:
 from __future__ import annotations
 
 import argparse
-import json
 
 from ecpo.config import RunConfig
 from ecpo.context import DriverProfile, PerceptionSummary, StrategyPrompt, VehicleProfile
@@ -138,9 +137,8 @@ def main() -> int:
     print("\n== validation ==")
     candidates = []
     for candidate_id, document in (("good", GOOD_POLICY), ("mediocre", MEDIOCRE_POLICY), ("bad", BAD_POLICY)):
-        text = json.dumps(document)
-        report = validate(text, prompt, config)
-        candidates.append(Candidate(candidate_id, text, report))
+        report = validate(document, prompt, config)
+        candidates.append(Candidate(candidate_id, document, report))
         failed = [c.check_id for c in report.checks if not c.passed]
         print(
             f"  {candidate_id:<9} ecpo={report.ecpo:.4f} core={report.s_core:.2f} "

@@ -23,7 +23,6 @@ from .context import (STRATIFY_GROUPS, StrategyPrompt, pair_mixed, prompt_from_d
                       sample_to_dict, stratum)
 from .errors import (ConfigError, InputError, ToolkitError, cut, read_int, read_lines, read_list, read_optional,
                      read_record, read_strings, shown)
-from .policy import document_text
 from .store import LexicalScorer, build_query, compress, load_store, retrieve, snippet_from_dict, to_json
 
 # Every command loads the modules above; a handler imports the validator, preference or metrics code it runs.
@@ -102,15 +101,18 @@ def _read_records(path: str, step: Callable[[object], object]) -> list:
 
 
 def _emit(lines: Sequence[str], out_path: str | None) -> None:
-    """Each line to ``out_path``, or to stdout, one at a time."""
-    if out_path is None:
-        sys.stdout.writelines(line + "\n" for line in lines)
-        return
+    """Each line to ``out_path``, or to stdout, one at a time; either one failing to take them is ``BAD_OUT``."""
     try:
+        if out_path is None:
+            sys.stdout.writelines(line + "\n" for line in lines)
+            sys.stdout.flush()
+            return
         with open(out_path, "w", encoding="utf-8") as out:
             out.writelines(line + "\n" for line in lines)
     except OSError as error:
-        raise InputError("BAD_OUT", f"cannot write {out_path}: {error}")
+        if out_path is None:  # what stdout still buffers goes nowhere, not to a second error at the final flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise InputError("BAD_OUT", f"cannot write {out_path or 'stdout'}: {error}")
 
 
 def _log(message: str) -> None:
@@ -142,16 +144,16 @@ def _vote(vote: object) -> tuple[bool, bool, bool]:
 
 
 # The records each command reads, field -> rule (see `errors.read_record`), with
-# their required fields. A document is read as text; a carried `prompt` that is
+# their required fields. A document is kept as decoded, for `parse_policy`; a carried `prompt` that is
 # absent or null stands for an empty prompt under the record's prompt_id.
-VALIDATE_FIELDS = {"prompt_id": str, "candidate_id": str, "document": document_text}
-CANDIDATE_FIELDS = {"candidate_id": str, "document": document_text}
+VALIDATE_FIELDS = {"prompt_id": str, "candidate_id": str, "document": None}
+CANDIDATE_FIELDS = {"candidate_id": str, "document": None}
 PAIRS_FIELDS = {"prompt_id": str, "prompt": read_optional(_carried_prompt), "candidates": _candidates}
 # eval records by kind: (fields, required)
 EVAL_FIELDS = {
     "strategy": (
         {"kind": None, "prompt_id": str, "prompt": read_optional(_carried_prompt),
-         "document": document_text, "ratings": read_optional(read_list(_vote)), "seed": read_int},
+         "document": None, "ratings": read_optional(read_list(_vote)), "seed": read_int},
         ("prompt_id", "document"),
     ),
     "labels": ({"kind": None, "truth": read_strings, "prediction": read_strings}, ("truth", "prediction")),
@@ -234,10 +236,11 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
         if pair is None:
             return prompt_id, None
         documents = {c.candidate_id: c.document for c in candidates}
-        # the prompt as the line carried it: an object verbatim, an absent one as null
-        return prompt_id, _dumps({"prompt_id": prompt_id, "prompt": raw.get("prompt"),
-                                  "chosen": documents[pair.plus_id], "rejected": documents[pair.minus_id],
-                                  "gap": pair.gap, "weight": pair.weight})
+        # the documents as text, an inline one as its JSON; the prompt as the line carried it, an absent one as null
+        chosen, rejected = (document if isinstance(document, str) else json.dumps(document)
+                            for document in (documents[pair.plus_id], documents[pair.minus_id]))
+        return prompt_id, _dumps({"prompt_id": prompt_id, "prompt": raw.get("prompt"), "chosen": chosen,
+                                  "rejected": rejected, "gap": pair.gap, "weight": pair.weight})
 
     taken = _Taken(pair_line, args.candidates)
     _read_jsonl(args.candidates, taken)

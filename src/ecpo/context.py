@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .errors import (ConfigError, InputError, check_count, read_as, read_file, read_list, read_object,
                      read_optional, read_pair, read_record, read_string, read_strings, shown)
-from .policy import PolicyAction, document_text, parse_action_type, parse_policy
+from .policy import PolicyAction, parse_action_type, parse_policy
 from .store import ConstraintSnippet, snippet_from_dict, to_json
 from .textnorm import dedup_preserve_order, normalize_text
 
@@ -378,7 +378,7 @@ def prompt_from_dict(raw: object, code: str = "BAD_RECORD", what: str = "prompt 
 
 
 def _reference_policy(value: object, code: str, what: str) -> PolicyAction:
-    outcome = parse_policy(document_text(value, code, what))
+    outcome = parse_policy(value)
     if not outcome.valid:
         raise InputError(code, f"{what} is not schema-valid")
     return outcome.policy

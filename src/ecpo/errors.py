@@ -40,22 +40,19 @@ class InvariantError(ToolkitError):
 
 
 def read_file(path: str | Path, code: str, what: str, error: type[ToolkitError] = InputError, parse: Callable = str):
-    """``parse`` of the file's UTF-8 text, the one way a file is read; a file that cannot be read, is not
-    UTF-8, starts with a byte order mark or does not parse (nesting too deep included) fails with ``code``."""
+    """``parse`` of the file's text, joined from ``read_lines`` so that every line decodes before ``parse`` runs; a
+    text that does not parse (nesting too deep included) fails with ``code``, as a file ``read_lines`` refuses."""
+    text = "".join(read_lines(path, code, what, error))
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        if text.startswith("\ufeff"):  # else kept as part of line 1 of a line-based file
-            raise ValueError("starts with a UTF-8 byte order mark")
         return parse(text)
-    except (OSError, ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(code, f"cannot read {what} {path}: {exc}")
 
 
-def read_lines(path: str | Path, code: str, what: str) -> Iterator[str]:
-    """Each line of the file, ended by LF only and kept with it, decoded as UTF-8 one at a time (``str.splitlines``
-    would also break at CR, U+2028, U+2029 and U+0085, which JSON strings may hold raw). The faults of ``read_file``
-    keep its order: a byte that is not UTF-8 fails with its position in the whole file, and a leading byte order
-    mark only once every later line has decoded (no line is yielded after it)."""
+def read_lines(path: str | Path, code: str, what: str, error: type[ToolkitError] = InputError) -> Iterator[str]:
+    """Each line of the file, ended by LF only (not by a CR, U+2028, U+2029 or U+0085) and kept with it, decoded as
+    UTF-8 one at a time. A file that cannot be read fails with ``code``: a byte that is not UTF-8 with its position
+    in the file, a leading byte order mark once every later line has decoded."""
     try:
         with open(path, "rb") as file:
             offset, bom = 0, False
@@ -71,7 +68,7 @@ def read_lines(path: str | Path, code: str, what: str) -> Iterator[str]:
             if bom:
                 raise ValueError("starts with a UTF-8 byte order mark")
     except (OSError, ValueError) as exc:
-        raise InputError(code, f"cannot read {what} {path}: {exc}")
+        raise error(code, f"cannot read {what} {path}: {exc}")
 
 
 def _decode_error(exc: UnicodeDecodeError, offset: int) -> str:
@@ -97,8 +94,11 @@ def cut(text: str) -> str:
 
 
 def shown(value: object) -> str:
-    """``repr(value)``, cut."""
-    return cut(repr(value))
+    """``repr(value)``, cut; a fixed marker for a value nested too deep for ``repr``, so that showing never fails."""
+    try:
+        return cut(repr(value))
+    except RecursionError:
+        return "<a value nested too deep to show>"
 
 
 def is_finite_number(value: object) -> bool:

@@ -181,8 +181,8 @@ class LowLevelMatch:
     matched_text: str
 
 
-def parse_policy(document: str | bytes, j_max: int = DEFAULT_J_MAX) -> ParseOutcome:
-    """Parse a raw policy document. Total: all failures land in the outcome."""
+def parse_policy(document: object, j_max: int = DEFAULT_J_MAX) -> ParseOutcome:
+    """Parse a policy document, JSON text (str or UTF-8 bytes) or its decoded value. Total: no failure escapes."""
     defects: list[StructuralDefect] = []
 
     def defect(code: str, path: str, message: str) -> None:
@@ -194,17 +194,18 @@ def parse_policy(document: str | bytes, j_max: int = DEFAULT_J_MAX) -> ParseOutc
         except UnicodeDecodeError:
             defect("UNPARSEABLE", "$", "document is not UTF-8 text")
             return ParseOutcome(None, tuple(defects))
-    try:
-        top = json.loads(document)
-    except (ValueError, RecursionError):
-        defect("UNPARSEABLE", "$", "document is not well-formed JSON")
-        return ParseOutcome(None, tuple(defects))
-    if not isinstance(top, dict):
+    if isinstance(document, str):
+        try:
+            document = json.loads(document)
+        except (ValueError, RecursionError):
+            defect("UNPARSEABLE", "$", "document is not well-formed JSON")
+            return ParseOutcome(None, tuple(defects))
+    if not isinstance(document, dict):
         defect("UNPARSEABLE", "$", "top-level value is not an object")
         return ParseOutcome(None, tuple(defects))
 
     doc: dict[str, object] = {}
-    for key, value in top.items():
+    for key, value in document.items():
         doc.setdefault(_norm_key(key), value)
 
     objectives = _parse_objectives(doc.get("objectives"), defect)
@@ -229,12 +230,6 @@ def parse_policy(document: str | bytes, j_max: int = DEFAULT_J_MAX) -> ParseOutc
     if any(d.code in HARD_DEFECT_CODES for d in defects):
         return ParseOutcome(None, tuple(defects))
     return ParseOutcome(PolicyAction(objectives, ledger, tuple(actions)), tuple(defects))
-
-
-def document_text(value: object, code: str, what: str) -> str:
-    """A policy payload as document text: raw text as it is, an already-parsed object as JSON; a record
-    field reader (see ``errors.read_record``)."""
-    return value if isinstance(value, str) else json.dumps(value)
 
 
 def _parse_objectives(raw: object, defect) -> str:
@@ -531,7 +526,7 @@ def compile_lexicon(lines: Iterable[str]) -> KeywordScan:
 
 
 def load_lexicon(path: str | Path) -> KeywordScan:
-    return compile_lexicon(read_file(path, "BAD_LEXICON_PATTERN", "lexicon", ConfigError).splitlines())
+    return compile_lexicon(read_file(path, "BAD_LEXICON_PATTERN", "lexicon", ConfigError).split("\n"))
 
 
 def detect_low_level_control(policy: PolicyAction, lexicon: KeywordScan) -> list[LowLevelMatch]:

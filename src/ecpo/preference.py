@@ -30,7 +30,7 @@ class Candidate:
     """One candidate policy document and its validation report."""
 
     candidate_id: str
-    document: str
+    document: object  # as ``parse_policy`` takes it: JSON text or its decoded value
     report: EcpoReport
 
 

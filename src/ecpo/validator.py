@@ -168,7 +168,7 @@ def load_hazard_rules(path: str | Path) -> tuple[HazardRule, ...]:
     all); '#' starts a comment.
     """
     rules = []
-    for lineno, raw in enumerate(read_file(path, "BAD_RULE", "rule file", ConfigError).splitlines(), start=1):
+    for lineno, raw in enumerate(read_file(path, "BAD_RULE", "rule file", ConfigError).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -585,7 +585,7 @@ def _aggregate(s_core: float, s_evd: float, s_str: float, weights: tuple[float, 
     return min(1.0, max(0.0, w_core * s_core + w_evd * s_evd + w_str * s_str))
 
 
-def validate(document: str | bytes, prompt: StrategyPrompt, config: RunConfig | None = None) -> EcpoReport:
+def validate(document: object, prompt: StrategyPrompt, config: RunConfig | None = None) -> EcpoReport:
     """Parse, check, ground, and score one candidate policy document.
 
     Total: an Invalid parse yields the all-zero report (checks not

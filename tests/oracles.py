@@ -31,7 +31,7 @@ from ecpo.context import (
 )
 from ecpo.errors import (InputError, cut, read_as, read_int, read_list, read_number, read_optional, read_string,
                          read_strings, shown)
-from ecpo.policy import ActionType, LowLevelMatch, parse_action_type
+from ecpo.policy import ActionType, LowLevelMatch, ParseOutcome, parse_action_type, parse_policy
 from ecpo.store import Assertions, ConstraintSnippet, LexicalIndex, ParameterBound, RetrievalQuery
 from ecpo.textnorm import content_tokens, normalize_text, tokenize
 from ecpo.validator import CheckResult, EcpoReport, ViolationSummary
@@ -392,6 +392,15 @@ def jsonl_reference(data: bytes, path: str) -> list | str:
         except (ValueError, RecursionError) as error:
             return f"BAD_LINE: {path}:{number}: {error}"
     return values
+
+
+# --- the policy parser before it took decoded values: an inline document encoded, then parsed as text -----
+
+
+def parse_policy_reference(value: object) -> ParseOutcome:
+    """``parse_policy`` of an inline ``document`` as it was reached before: the decoded value encoded by
+    ``json.dumps`` (NaN, the infinities and lone surrogates included), then parsed as JSON text."""
+    return parse_policy(json.dumps(value))
 
 
 # --- the snippet reader before string fields were checked in place --------------------------------

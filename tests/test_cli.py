@@ -13,7 +13,8 @@ import ecpo
 from ecpo import cli
 from ecpo.cli import main
 from ecpo.context import DEFAULT_LABEL_VOCAB, SPLITS, STRATIFY_HEADS, prompt_to_dict, sample_to_dict
-from ecpo.policy import document_text, parse_policy
+from ecpo.errors import shown
+from ecpo.policy import parse_policy
 from ecpo.store import snippet_to_dict
 from conftest import bench_inputs, make_sample
 
@@ -350,6 +351,21 @@ def test_out_is_checked_before_any_input_is_read_and_left_untouched(tmp_path, ra
     assert kept_out.read_text(encoding="utf-8") == "kept\n"  # a good --out is not truncated before the work
 
 
+def test_a_closed_stdout_is_bad_out(tmp_path, rain_prompt, rain_policy_dict):
+    # far more output than a pipe holds, so the write after the reader closes its end fails
+    prompts = write_jsonl(tmp_path / "p.jsonl", [prompt_to_dict(rain_prompt)])
+    policies = write_jsonl(tmp_path / "d.jsonl", [{"prompt_id": "rain-01", "document": rain_policy_dict}] * 300)
+    env = {**os.environ, "PYTHONPATH": str(Path(ecpo.__file__).resolve().parent.parent)}
+    argv = [sys.executable, "-m", "ecpo.cli", "validate", "--policies", policies, "--prompts", prompts]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as run:
+        assert run.stdout.read(10) == '{"candidat'
+        run.stdout.close()
+        err = run.stderr.read()
+    assert run.returncode == 1, err
+    assert err.splitlines() == ["validate: 300 records, valid_pct=100.00",
+                                "error: BAD_OUT: cannot write stdout: [Errno 32] Broken pipe"]
+
+
 # --- values nested too deep to encode again ---------------------------------------------
 
 DEEP = "@deep@"  # stands for the nested value until the line is written: json.dumps could not write it
@@ -387,17 +403,23 @@ def deep_cabin_preferences(tmp_path, rain_prompt, rain_policy_dict) -> tuple[lis
     return ["mixpair", "--in-cabin", tmp_path / "in.jsonl", "--out-of-cabin", out_path], {"in.jsonl": [in_sample]}
 
 
-@pytest.mark.parametrize("build, at_line", [(deep_validate_document, True), (deep_pairs_document, True),
-                                             (deep_pairs_prompt, True), (deep_eval_document, True),
-                                             (deep_cabin_preferences, False)],
+# A document is parsed as its decoded value, never encoded again: until its line no longer parses it gets a report.
+REPORTED, ENCODED = {"BAD_LINE"}, {"BAD_LINE", "BAD_RECORD"}
+
+
+@pytest.mark.parametrize("build, at_line, seen", [(deep_validate_document, True, REPORTED),
+                                                   (deep_pairs_document, True, ENCODED),
+                                                   (deep_pairs_prompt, True, ENCODED),
+                                                   (deep_eval_document, True, REPORTED),
+                                                   (deep_cabin_preferences, False, ENCODED)],
                          ids=["validate-document", "pairs-document", "pairs-prompt", "eval-document",
                               "mixpair-cabin-preferences"])
 def test_a_value_too_deep_to_encode_fails_as_its_record(tmp_path, rain_prompt, rain_policy_dict, build, at_line,
-                                                        capsys):
+                                                        seen, capsys):
     """Every depth from where re-encoding a parsed value starts to overflow the stack to where the line no
     longer parses: exit 0 or 1, never INTERNAL, with at most one error line. A value that a record's own step
-    encodes fails naming its file and line; mixpair encodes its merged records after pairing, so it names
-    neither, and logs no count before the error."""
+    encodes (a pair's documents and carried prompt) fails naming its file and line; mixpair encodes its merged
+    records after pairing, so it names neither, and logs no count before the error."""
     argv, files = build(tmp_path, rain_prompt, rain_policy_dict)
     (name,) = files
     too_deep = f"error: BAD_RECORD: {f'{tmp_path / name}:1: ' if at_line else ''}a record holds a value nested " \
@@ -417,7 +439,41 @@ def test_a_value_too_deep_to_encode_fails_as_its_record(tmp_path, rain_prompt, r
         if errors and "BAD_RECORD" in errors[0]:
             assert err == too_deep, depth
         failures.update(line.split(":")[1].strip() for line in errors)
-    assert failures == {"BAD_LINE", "BAD_RECORD"}  # the scan reaches both the encoder's limit and the parser's
+    assert failures == seen  # the scan reaches the parser's limit, and the encoder's where a step encodes
+
+
+TOO_DEEP_TO_SHOW = "<a value nested too deep to show>"
+
+
+def test_a_value_too_deep_to_show_is_shown_as_a_marker():
+    value = 0
+    for _ in range(100_000):
+        value = [value]
+    assert shown(value) == TOO_DEEP_TO_SHOW
+    assert shown([[0]]) == "[[0]]"
+
+
+def test_an_action_type_too_deep_to_show_is_a_defect_of_its_report(tmp_path, rain_prompt, rain_policy_dict, capsys):
+    """Every depth from well inside the limit to past it: the line parses and its report holds the
+    BAD_ACTION_TYPE defect, which quotes the type or, where ``repr`` would overflow, the marker; or the line no
+    longer parses (BAD_LINE)."""
+    prompts = write_jsonl(tmp_path / "p.jsonl", [prompt_to_dict(rain_prompt)])
+    rain_policy_dict["actions"][0]["type"] = DEEP
+    row = json.dumps({"prompt_id": "rain-01", "document": rain_policy_dict})
+    policies = tmp_path / "d.jsonl"
+    limit = sys.getrecursionlimit()
+    seen = set()
+    for depth in range(limit - 250, limit + 6):
+        policies.write_text(row.replace(json.dumps(DEEP), "[" * depth + "0" + "]" * depth) + "\n", encoding="utf-8")
+        code, lines, err = run_cli(["validate", "--policies", policies, "--prompts", prompts], capsys)
+        if code == 1:
+            assert_one_error(err, "BAD_LINE")
+            seen.add("BAD_LINE")
+            continue
+        assert code == 0 and len(lines) == 1, (depth, err)
+        (defect,) = [d for d in lines[0]["report"]["defects"] if d["code"] == "BAD_ACTION_TYPE"]
+        seen.add(TOO_DEEP_TO_SHOW if TOO_DEEP_TO_SHOW in defect["message"] else "shown")
+    assert seen == {"shown", TOO_DEEP_TO_SHOW, "BAD_LINE"}
 
 
 # --- what a run holds: one input line and its value at a time, and what it writes ---------------
@@ -997,7 +1053,7 @@ def bench_samples() -> tuple[list[dict], list[dict]]:
     references: dict[str, object] = {}
     for line in files["records.jsonl"].splitlines():
         record = json.loads(line)
-        if parse_policy(document_text(record["document"], "BAD_RECORD", "document")).valid:
+        if parse_policy(record["document"]).valid:
             references.setdefault(record["prompt_id"], record["document"])
     rng = random.Random(0)
     vocab = DEFAULT_LABEL_VOCAB

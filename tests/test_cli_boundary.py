@@ -671,6 +671,47 @@ def test_nested_set_patterns_leave_no_warning_on_stderr(tmp_path):
         {"action_index": 0, "matched_pattern": "ke[[e]p", "matched_text": "keep"}]
 
 
+# A side file's line ends at LF only, as a JSONL line does: split at the character, "(keep" would not compile and
+# "looks" would be a rule of one field. Split at LF, each fails with its file's code (the control).
+@pytest.mark.parametrize("field, data, error_code", [
+    ("lexicon_path", "(keep{}around)\n", "BAD_LEXICON_PATTERN"),
+    ("hazard_rules_path", "looks{}around\tsummaries\tglance\n", "BAD_RULE"),
+], ids=["lexicon", "rules"])
+@pytest.mark.parametrize("inside", ["\r", "\u2028", "\x85", "\n"], ids=["cr", "u2028", "u0085", "lf"])
+def test_only_lf_ends_a_side_file_line(tmp_path, field, data, error_code, inside):
+    code, out, err = side_run(tmp_path, "validate", field, data.format(inside))
+    if inside == "\n":
+        assert (code, out) == (2, "") and err.startswith(f"error: {error_code}: ")
+    else:
+        assert (code, err) == (0, "validate: 1 records, valid_pct=100.00\n")
+
+
+# A side file is read whole before it is parsed: a byte that is not UTF-8 or a leading byte order mark wins over
+# a bad pattern or rule on an earlier line.
+@pytest.mark.parametrize("field, data, error", [
+    ("lexicon_path", b"steer(\n\xff\n", "BAD_LEXICON_PATTERN: cannot read lexicon {side}: 'utf-8' codec can't "
+                                          "decode byte 0xff in position 7: invalid start byte"),
+    ("lexicon_path", BOM + b"steer(\n", "BAD_LEXICON_PATTERN: cannot read lexicon {side}: starts with a UTF-8 "
+                                         "byte order mark"),
+    ("hazard_rules_path", b"one field\n\xc3", "BAD_RULE: cannot read rule file {side}: 'utf-8' codec can't decode "
+                                               "byte 0xc3 in position 10: unexpected end of data"),
+    ("hazard_rules_path", BOM + b"one field\n", "BAD_RULE: cannot read rule file {side}: starts with a UTF-8 byte "
+                                                "order mark"),
+], ids=["lexicon-not-utf8", "lexicon-bom", "rules-utf8-cut-short", "rules-bom"])
+def test_a_side_files_whole_file_fault_wins(tmp_path, field, data, error):
+    (tmp_path / "side").write_bytes(data)
+    code, out, err = run(tmp_path, "validate", inputs("validate"), {field: "side"})
+    assert (code, out) == (2, "")
+    assert err == f"error: {error.format(side=(tmp_path / 'side').resolve())}\n"
+
+
+def test_a_json_side_file_error_counts_the_cr_of_a_crlf(tmp_path):
+    # the CRs of lines 1 and 2 count: read as its LF twin, the "}" would be char 15
+    code, out, err = side_run(tmp_path, "stratify", "label_vocab_path", '{\r\n"heads": {},\r\n}\r\n')
+    assert (code, out) == (2, "")
+    assert err.endswith(": Expecting property name enclosed in double quotes: line 3 column 1 (char 17)\n")
+
+
 @pytest.mark.parametrize("command, field, data, error_code", [
     pytest.param("validate", "lexicon_path", "keep\nsteer(\n", "BAD_LEXICON_PATTERN", id="lexicon-unbalanced"),
     pytest.param("validate", "lexicon_path", "(" * 2000 + ")" * 2000, "BAD_LEXICON_PATTERN", id="lexicon-nested-deep"),

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ecpo.config import RunConfig
 from ecpo.errors import ConfigError
 from ecpo.policy import (
+    EVIDENCE_FIELDS,
     ActionType,
     PenaltyTable,
     action_facts,
@@ -19,7 +20,7 @@ from ecpo.policy import (
     serialize_policy,
     structural_score,
 )
-from oracles import random_policy_dict
+from oracles import parse_policy_reference, random_policy_dict
 
 
 def minimal_doc(**overrides) -> dict:
@@ -297,6 +298,46 @@ def test_round_trip_property(seed):
     outcome = parse_policy(json.dumps(doc))
     canonical = serialize_policy(outcome.policy)
     assert parse_policy(canonical).policy == outcome.policy
+
+
+# --- a decoded document parses as its JSON text did -------------------------------------------
+
+# What JSON decodes to, junk for any field: NaN, the infinities, ints past the float range and lone surrogates.
+TEXTS = st.text(st.one_of(st.characters(), st.sampled_from("\ud800\udbff\udc00\udfff")), max_size=6) | st.sampled_from(
+    ["", "  ", "ease off", "throttle to 30", " HVAC "])
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.sampled_from([10**309, -(2**1024), 10**400]),
+                    st.floats(), TEXTS)
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXTS, inner, max_size=3),
+                      max_leaves=6)
+
+
+def field(strategy):
+    """A field's well-formed value, three times in four, or any JSON value in its place."""
+    return st.one_of(strategy, strategy, strategy, VALUES)
+
+
+EVIDENCE = st.dictionaries(st.sampled_from([*EVIDENCE_FIELDS, "In Cabin Text", "other"]),
+                           field(st.lists(field(TEXTS), max_size=3)), max_size=3)
+ACTION = st.fixed_dictionaries({
+    "type": field(st.sampled_from(["HVAC", "Hmi prompt", "DrivingSuggestion", " ambient light", "Steer"])),
+    "Parameters": field(st.dictionaries(TEXTS, SCALARS, max_size=3)),
+    "rationale": field(TEXTS), "evidence": field(EVIDENCE)}, optional={"note": VALUES})
+LEDGER = st.dictionaries(st.sampled_from(["legal", "Vehicle Limits", "driver", "contextual_evidence", "weather"]),
+                         field(TEXTS), max_size=3)
+POLICY = st.fixed_dictionaries({
+    "objectives": field(TEXTS | st.lists(TEXTS, max_size=3)), "Constraints": field(LEDGER | st.lists(LEDGER)),
+    "actions": field(st.lists(ACTION, min_size=1, max_size=6))}, optional={"ACTIONS": VALUES, "extra": VALUES})
+
+
+# As JSON decodes them: two escapes of a surrogate pair decode to one character. A str is text to parse, not a value.
+DECODED = field(POLICY).filter(lambda value: not isinstance(value, str)).map(lambda value: json.loads(
+    json.dumps(value)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(DECODED)
+def test_a_decoded_document_parses_as_its_json_text(value):
+    assert parse_policy(value) == parse_policy_reference(value)
 
 
 # --- low-level language lexicon ----------------------------------------------
