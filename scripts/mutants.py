@@ -300,6 +300,32 @@ MUTANTS = (
         '"lexicon", ConfigError).splitlines())',
         ("tests/test_cli_boundary.py::test_only_lf_ends_a_side_file_line",),
     ),
+    # --- start-up: only retrieve loads the store, statistics only for pstdev, no collection while modules load
+    Mutant(
+        "store-imported-by-every-command", "src/ecpo/cli.py",
+        "                      sample_to_dict, snippet_from_dict, stratum, to_json)\n",
+        "                      sample_to_dict, snippet_from_dict, stratum, to_json)\n"
+        "from .store import load_store\n",
+        ("tests/test_cli.py::test_command_loads_only_its_modules",),
+    ),
+    Mutant(
+        "per-seed-mean-regrouped", "src/ecpo/metrics.py",
+        "100.0 * (math.fsum(scores) / len(scores))",
+        "100.0 * math.fsum(scores) / len(scores)",
+        ("tests/test_cli.py::test_command_output_on_bench_inputs_is_pinned",),
+    ),
+    Mutant(
+        "collector-off-on-import", "src/ecpo/cli.py",
+        "    gc.disable()\n",
+        "    pass\ngc.disable()\n",
+        ("tests/test_cli.py::test_importing_the_cli_leaves_the_collector_as_it_was",),
+    ),
+    Mutant(
+        "collector-left-off", "src/ecpo/cli.py",
+        "    gc.freeze()\n    gc.enable()\n",
+        "    gc.freeze()\n",
+        ("tests/test_cli.py::test_the_cli_as_its_own_process_freezes_what_its_imports_built_and_collects_again",),
+    ),
     # --- earlier changes
     Mutant(
         "survivor-margin-zero", "src/ecpo/store.py",
@@ -315,7 +341,7 @@ MUTANTS = (
         ("tests/test_metrics.py::test_strategy_metrics_gates_all_six_below_the_floor",),
     ),
     Mutant(
-        "sets-unsorted-by-to-json", "src/ecpo/store.py",
+        "sets-unsorted-by-to-json", "src/ecpo/context.py",
         "        return lambda items: sorted(_items(items))\n",
         "        return _items\n",
         ("tests/test_records.py::test_to_json_pins_sets_profiles_bounds_and_policies",),

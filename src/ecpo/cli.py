@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -18,14 +19,16 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
+if __name__ == "__main__":  # a process of its own: no collection walks the heap its imports build (see the end)
+    gc.disable()
+
 from .config import RunConfig, load_config
 from .context import (STRATIFY_GROUPS, StrategyPrompt, pair_mixed, prompt_from_dict, sample_from_dict,
-                      sample_to_dict, stratum)
+                      sample_to_dict, snippet_from_dict, stratum, to_json)
 from .errors import (ConfigError, InputError, ToolkitError, cut, read_int, read_lines, read_list, read_optional,
                      read_record, read_strings, shown)
-from .store import LexicalScorer, build_query, compress, load_store, retrieve, snippet_from_dict, to_json
 
-# Every command loads the modules above; a handler imports the validator, preference or metrics code it runs.
+# Every command loads the modules above; a handler imports the validator, preference, metrics or store code it runs.
 
 
 def _dumps(payload: object) -> str:
@@ -330,6 +333,8 @@ def _snippet_view(snippet) -> dict:
 
 
 def cmd_retrieve(args, config: RunConfig) -> list[str]:
+    from .store import LexicalScorer, build_query, compress, load_store, retrieve
+
     store = load_store(_read_records(args.store, snippet_from_dict))
     by_id = {snippet.snippet_id: snippet for snippet in store.snapshot()}
     scorer = LexicalScorer()
@@ -470,4 +475,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # What the imports built lives as long as the process: frozen, no collection walks it again, while the
+    # collector, back on, still frees the cycles the command itself leaves.
+    gc.freeze()
+    gc.enable()
     sys.exit(main())

@@ -20,11 +20,10 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .context import DEFAULT_LABEL_VOCAB, load_label_vocab
+from .context import DEFAULT_LABEL_VOCAB, load_label_vocab, to_json
 from .errors import (ConfigError, check_count, is_finite_number, read_file, read_int, read_number, read_object,
                      read_string, shown)
 from .policy import DEFAULT_J_MAX, DEFAULT_LEXICON_LINES, PenaltyTable, compile_lexicon, load_lexicon
-from .store import to_json
 
 DEFAULT_WEIGHTS = (0.5, 0.3, 0.2)
 

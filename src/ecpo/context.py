@@ -1,4 +1,7 @@
-"""Perception summaries, driver/vehicle profiles, prompts, and sample records.
+"""Perception summaries, driver/vehicle profiles, constraint snippets, prompts, and sample records.
+
+Every command loads this module: it holds the records the commands decode,
+their field tables, and ``to_json``, the one writer of records.
 
 Also houses the two corpus procedures, each deciding one record at a time:
 the split-preserving mixed pairing (each in-cabin record joined with the next
@@ -15,15 +18,18 @@ bit-identically across implementations that follow this note.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import lru_cache
 from itertools import cycle, islice
+from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Collection, Sequence
 
-from .errors import (ConfigError, InputError, check_count, read_as, read_file, read_list, read_object,
-                     read_optional, read_pair, read_record, read_string, read_strings, shown)
-from .policy import PolicyAction, parse_action_type, parse_policy
-from .store import ConstraintSnippet, snippet_from_dict, to_json
+from .errors import (OPTIONAL_STRING, ConfigError, InputError, check_count, is_finite_number, read_as, read_file,
+                     read_int, read_list, read_object, read_optional, read_pair, read_record, read_string,
+                     read_strings, shown)
+from .policy import ActionType, PolicyAction, keyword_pattern, parse_action_type, parse_policy, policy_dict
 from .textnorm import dedup_preserve_order, normalize_text
 
 SPLITS = ("train", "val", "test")
@@ -39,6 +45,68 @@ def sensitivity_rank(level: str) -> int:
     if level not in SENSITIVITY_LEVELS:
         raise InputError("BAD_PROFILE", f"unknown sensitivity level {shown(level)}")
     return SENSITIVITY_LEVELS.index(level)
+
+
+# The snippet layers in compression order: legal outranks vehicle, vehicle outranks driver.
+LAYER_PRIORITY = {"legal": 0, "vehicle": 1, "driver": 2}
+
+
+@dataclass(frozen=True)
+class ParameterBound:
+    """The allowed [minimum, maximum] of one action parameter."""
+
+    action_type: ActionType
+    parameter: str
+    minimum: float
+    maximum: float
+
+    def __post_init__(self):
+        if self.minimum > self.maximum:
+            raise InputError(
+                "BAD_BOUND",
+                f"bound for {shown(self.parameter)}: min {self.minimum} exceeds max {self.maximum}",
+            )
+
+
+@dataclass(frozen=True)
+class Assertions:
+    """A snippet's machine-checkable rules: forbidden actions, bounds, modalities and keywords."""
+
+    forbidden_action_types: frozenset[ActionType] = frozenset()
+    parameter_bounds: tuple[ParameterBound, ...] = ()
+    required_modalities: frozenset[str] = frozenset()
+    forbidden_keywords: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for keyword in self.forbidden_keywords:
+            try:
+                keyword_pattern(keyword)
+            except re.error as exc:
+                raise InputError("BAD_KEYWORD", f"keyword pattern {shown(keyword)}: {exc}")
+
+
+@dataclass(frozen=True)
+class ConstraintSnippet:
+    """One constraint clause of the legal, vehicle or driver layer, with its assertions."""
+
+    snippet_id: str
+    layer: str
+    clause_id: str
+    text: str
+    jurisdiction: str | None = None
+    vehicle_config: str | None = None
+    assertions: Assertions | None = None
+    version: int = 0
+
+    def __post_init__(self):
+        if not self.snippet_id:
+            raise InputError("BAD_SNIPPET", "snippet_id must be non-empty")
+        if self.layer not in LAYER_PRIORITY:
+            raise InputError("BAD_SNIPPET", f"unknown snippet layer {shown(self.layer)}")
+        if not self.clause_id:
+            raise InputError("BAD_SNIPPET", f"snippet {shown(self.snippet_id)}: clause_id must be non-empty")
+        if not self.text.strip():
+            raise InputError("BAD_SNIPPET", f"snippet {shown(self.snippet_id)}: text must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -320,6 +388,121 @@ def stratum(record: SampleRecord, vocab: LabelVocabulary) -> str:
     if driver_side:
         return "interaction_critical" if env_side else "driver_critical"
     return "env_critical" if env_side else "nominal"
+
+
+# Types whose values are JSON values as they are.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def to_json(value: object) -> object:
+    """Any value a record holds as JSON values; the one writer of records. A dataclass is written from its
+    ``init`` fields, a tuple or list as a list, a set sorted, a dict item by item, an ``ActionType`` by its
+    value, a ``ParameterBound`` as its 4-item list and a policy as ``policy_dict`` builds it; a scalar or any
+    other value stays as it is. The encoder is chosen on the exact type, once per type."""
+    kind = type(value)
+    return value if kind in _SCALARS else _encoder(kind)(value)
+
+
+def _items(values: Collection) -> list:
+    """Each value encoded; a scalar is taken as it is, without a call. ``values`` is read twice."""
+    if _SCALARS.issuperset(map(type, values)):  # most hold scalars only: one pass in C
+        return list(values)
+    return [item if type(item) in _SCALARS else _encoder(type(item))(item) for item in values]
+
+
+@lru_cache(maxsize=None)
+def _encoder(kind: type) -> Callable[[object], object]:
+    if issubclass(kind, ParameterBound):
+        return lambda bound: [bound.action_type.value, bound.parameter, bound.minimum, bound.maximum]
+    if issubclass(kind, PolicyAction):
+        return policy_dict
+    if issubclass(kind, ActionType):
+        return attrgetter("value")
+    if is_dataclass(kind):
+        names = tuple(f.name for f in fields(kind) if f.init)
+        # attrgetter of two or more names returns their values as one tuple
+        values = attrgetter(*names) if len(names) > 1 else lambda record: [getattr(record, n) for n in names]
+        return lambda record: dict(zip(names, _items(values(record))))
+    if issubclass(kind, (tuple, list)):
+        return _items
+    if issubclass(kind, (set, frozenset)):
+        return lambda items: sorted(_items(items))
+    if issubclass(kind, dict):
+        return lambda mapping: dict(zip(mapping, _items(mapping.values())))
+    return lambda other: other
+
+
+def _action_type(name: object, what: str) -> ActionType:
+    parsed = parse_action_type(read_string(name, "BAD_SNIPPET", what))
+    if parsed is None:
+        raise InputError("BAD_SNIPPET", f"unmappable {what} {shown(name)}")
+    return parsed
+
+
+def _forbidden_action_types(value: object, code: str, what: str) -> frozenset[ActionType]:
+    return frozenset(_action_type(name, "forbidden action type") for name in read_strings(value, code, what))
+
+
+def _parameter_bound(entry: object) -> ParameterBound:
+    if not isinstance(entry, list) or len(entry) != 4:
+        raise InputError("BAD_SNIPPET", f"parameter bound {shown(entry)} is not a 4-item list")
+    action, parameter, minimum, maximum = entry
+    parameter = read_string(parameter, "BAD_SNIPPET", "bound parameter")
+    action_type = _action_type(action, "bound action type")
+    for end, value in (("minimum", minimum), ("maximum", maximum)):
+        if not is_finite_number(value):  # the label quotes the parameter: built only for the error
+            raise InputError("BAD_SNIPPET",
+                             f"{end} of bound {shown(parameter)} must be a finite number, got {shown(value)}")
+    return ParameterBound(action_type, parameter, float(minimum), float(maximum))
+
+
+ASSERTION_FIELDS = {
+    "forbidden_action_types": _forbidden_action_types,
+    "parameter_bounds": read_list(_parameter_bound),
+    "required_modalities": read_as(frozenset, read_strings),
+    "forbidden_keywords": read_strings,
+}
+
+
+def _assertions(value: object, code: str, what: str) -> Assertions | None:
+    # an empty assertions object declares nothing, like an absent one
+    if value is None or value == {}:
+        return None
+    return Assertions(**read_record(value, ASSERTION_FIELDS, code, what))
+
+
+def _version(value: object, code: str, what: str) -> int:
+    if read_int(value, code, what) < 0:
+        raise InputError(code, f"{what} must be a non-negative integer, got {shown(value)}")
+    return value
+
+
+SNIPPET_FIELDS = {
+    "snippet_id": str,
+    "layer": str,
+    "clause_id": str,
+    "text": str,
+    "jurisdiction": OPTIONAL_STRING,
+    "vehicle_config": OPTIONAL_STRING,
+    "assertions": _assertions,
+    "version": _version,
+}
+SNIPPET_REQUIRED = ("snippet_id", "layer", "clause_id", "text")
+
+
+def snippet_to_dict(snippet: ConstraintSnippet) -> dict:
+    return to_json(snippet)
+
+
+def snippet_from_dict(raw: object) -> ConstraintSnippet:
+    # Fields go one by one into a bare instance's dict, a fifth of the cost of the eight-field __init__
+    # (update() would give each instance a key table of its own); a field left out reads the class default.
+    snippet = object.__new__(ConstraintSnippet)
+    fields = snippet.__dict__
+    for name, value in read_record(raw, SNIPPET_FIELDS, "BAD_SNIPPET", "snippet record", SNIPPET_REQUIRED).items():
+        fields[name] = value
+    snippet.__post_init__()
+    return snippet
 
 
 Z_FIELDS = {

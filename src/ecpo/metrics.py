@@ -17,7 +17,6 @@ reason code; reports embed the configuration that produced them.
 from __future__ import annotations
 
 import math
-import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -96,7 +95,7 @@ class StrategyEvalRecord:
 
 @dataclass
 class MetricReport:
-    """Metric values, reasons for N/A values, record counts and the config echo; ``store.to_json`` writes it."""
+    """Metric values, reasons for N/A values, record counts and the config echo; ``context.to_json`` writes it."""
 
     values: dict[str, float | None] = field(default_factory=dict)
     reasons: dict[str, str] = field(default_factory=dict)
@@ -323,8 +322,11 @@ def has_aggregate(records: Sequence[StrategyEvalRecord]) -> tuple[float, float]:
         by_seed.setdefault(record.seed, []).append(has_score(record.ratings))
     if not by_seed:
         raise InputError(NO_RATINGS, "no rated records")
-    per_seed = [100.0 * statistics.fmean(scores) for _, scores in sorted(by_seed.items())]
-    return (statistics.fmean(per_seed), statistics.pstdev(per_seed))
+    from statistics import pstdev  # loaded only by a run with rated records
+
+    # each mean is statistics.fmean's fsum over count, parenthesized so the x100 rounds as after fmean
+    per_seed = [100.0 * (math.fsum(scores) / len(scores)) for _, scores in sorted(by_seed.items())]
+    return (math.fsum(per_seed) / len(per_seed), pstdev(per_seed))
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
@@ -349,8 +351,8 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float | None:
         raise InputError("LENGTH_MISMATCH", f"need two equal-length lists of >= 2, got {len(x)} and {len(y)}")
     rx = _average_ranks(x)
     ry = _average_ranks(y)
-    mean_x = statistics.fmean(rx)
-    mean_y = statistics.fmean(ry)
+    mean_x = math.fsum(rx) / len(rx)
+    mean_y = math.fsum(ry) / len(ry)
     var_x = sum((v - mean_x) ** 2 for v in rx)
     var_y = sum((v - mean_y) ** 2 for v in ry)
     if var_x == 0 or var_y == 0:

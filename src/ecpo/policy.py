@@ -204,9 +204,7 @@ def parse_policy(document: object, j_max: int = DEFAULT_J_MAX) -> ParseOutcome:
         defect("UNPARSEABLE", "$", "top-level value is not an object")
         return ParseOutcome(None, tuple(defects))
 
-    doc: dict[str, object] = {}
-    for key, value in document.items():
-        doc.setdefault(_norm_key(key), value)
+    doc = _by_norm_key(document, "$", defect)
 
     objectives = _parse_objectives(doc.get("objectives"), defect)
     ledger = _parse_constraints(doc.get("constraints"), defect)
@@ -230,6 +228,22 @@ def parse_policy(document: object, j_max: int = DEFAULT_J_MAX) -> ParseOutcome:
     if any(d.code in HARD_DEFECT_CODES for d in defects):
         return ParseOutcome(None, tuple(defects))
     return ParseOutcome(PolicyAction(objectives, ledger, tuple(actions)), tuple(defects))
+
+
+def _key_not_text(key: object, path: str, defect) -> None:
+    """A key that is not text, which only a library caller can pass (JSON objects are keyed by text)."""
+    defect("UNPARSEABLE", path, f"key {shown(key)} is not text")
+
+
+def _by_norm_key(raw: dict, path: str, defect) -> dict[str, object]:
+    """The object's values by normalized key; of two keys normalizing alike the first wins."""
+    fields: dict[str, object] = {}
+    for key, value in raw.items():
+        try:
+            fields.setdefault(_norm_key(key), value)
+        except AttributeError:  # only a key that is not text has no casefold
+            _key_not_text(key, path, defect)
+    return fields
 
 
 def _parse_objectives(raw: object, defect) -> str:
@@ -268,7 +282,11 @@ def _parse_constraints(raw: object, defect) -> ConstraintLedger:
 
     values: dict[str, str] = {}
     for key, value in entries:
-        layer = _LAYER_ALIASES.get(_norm_key(key))
+        try:
+            layer = _LAYER_ALIASES.get(_norm_key(key))
+        except AttributeError:
+            _key_not_text(key, "$.constraints", defect)
+            continue
         path = f"$.constraints.{cut(key)}"
         if layer is None:
             defect("UNKNOWN_CONSTRAINT_KEY", path, f"unknown constraint layer {shown(key)}")
@@ -287,9 +305,7 @@ def _parse_action(entry: object, path: str, defect) -> Action | None:
     if not isinstance(entry, dict):
         defect("BAD_ACTION_TYPE", path, "action entry is not an object")
         return None
-    fields: dict[str, object] = {}
-    for key, value in entry.items():
-        fields.setdefault(_norm_key(key), value)
+    fields = _by_norm_key(entry, path, defect)
 
     raw_type = fields.get("type", fields.get("action_type"))
     action_type = parse_action_type(raw_type) if isinstance(raw_type, str) else None
@@ -301,7 +317,11 @@ def _parse_action(entry: object, path: str, defect) -> Action | None:
     raw_params = fields.get("parameters")
     if isinstance(raw_params, dict):
         for key, value in raw_params.items():
-            name = key.strip()
+            try:
+                name = key.strip()
+            except AttributeError:
+                _key_not_text(key, f"{path}.parameters", defect)
+                continue
             if not name:
                 problem = "empty parameter key dropped"
             elif isinstance(value, bool):
@@ -333,7 +353,11 @@ def _parse_evidence(raw: object, path: str, defect) -> Evidence:
     lists: dict[str, list[str]] = {name: [] for name in EVIDENCE_FIELDS}
     if isinstance(raw, dict):
         for key, value in raw.items():
-            name = _norm_key(key)
+            try:
+                name = _norm_key(key)
+            except AttributeError:
+                _key_not_text(key, path, defect)
+                continue
             if name not in lists:
                 continue
             if not isinstance(value, list):

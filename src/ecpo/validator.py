@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import DEFAULT_CONFIG, DEFAULT_WEIGHTS, RunConfig, check_weights, load_asset
-from .context import PerceptionSummary, StrategyPrompt
+from .context import ConstraintSnippet, PerceptionSummary, StrategyPrompt, to_json
 from .errors import ConfigError, InputError, InvariantError, cut, read_file, shown
 from .policy import (
     ActionType,
@@ -48,7 +48,6 @@ from .policy import (
     scan,
     structural_score,
 )
-from .store import ConstraintSnippet, to_json
 from .textnorm import STOPWORDS, content_tokens, normalize_text, phrase_run, token_run, tokenize
 
 LAYER_SEVERITY = {"legal": 4, "vehicle": 3, "driver": 2, "contextual": 1}

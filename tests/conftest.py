@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from ecpo.context import DriverProfile, PerceptionSummary, SampleRecord, StrategyPrompt, VehicleProfile
+from ecpo.context import (Assertions, ConstraintSnippet, DriverProfile, ParameterBound, PerceptionSummary, SampleRecord,
+                          StrategyPrompt, VehicleProfile)
 from ecpo.policy import ActionType
-from ecpo.store import Assertions, ConstraintSnippet, ParameterBound
 
 RAIN_IN_CABIN = "driver shows signs of anxiety and frequent head turns"
 RAIN_OUT_OF_CABIN = "heavy rain with limited visibility and dense traffic ahead"

@@ -20,7 +20,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ecpo.context import (
+    Assertions,
+    ConstraintSnippet,
     DriverProfile,
+    ParameterBound,
     PerceptionSummary,
     SampleRecord,
     SplitMix64,
@@ -32,7 +35,7 @@ from ecpo.context import (
 from ecpo.errors import (InputError, cut, read_as, read_int, read_list, read_number, read_optional, read_string,
                          read_strings, shown)
 from ecpo.policy import ActionType, LowLevelMatch, ParseOutcome, parse_action_type, parse_policy
-from ecpo.store import Assertions, ConstraintSnippet, LexicalIndex, ParameterBound, RetrievalQuery
+from ecpo.store import LexicalIndex, RetrievalQuery
 from ecpo.textnorm import content_tokens, normalize_text, tokenize
 from ecpo.validator import CheckResult, EcpoReport, ViolationSummary
 

@@ -12,10 +12,9 @@ import pytest
 import ecpo
 from ecpo import cli
 from ecpo.cli import main
-from ecpo.context import DEFAULT_LABEL_VOCAB, SPLITS, STRATIFY_HEADS, prompt_to_dict, sample_to_dict
+from ecpo.context import DEFAULT_LABEL_VOCAB, SPLITS, STRATIFY_HEADS, prompt_to_dict, sample_to_dict, snippet_to_dict
 from ecpo.errors import shown
 from ecpo.policy import parse_policy
-from ecpo.store import snippet_to_dict
 from conftest import bench_inputs, make_sample
 
 
@@ -1123,16 +1122,53 @@ def test_command_output_on_bench_inputs_is_pinned(tmp_path, command, capsys):
     assert (code, sha256(captured.out), sha256(captured.err)) == PINNED[command]
 
 
+def test_command_output_as_its_own_process_is_pinned(tmp_path):
+    """``python -m ecpo.cli``, the path that pauses the collector while the modules load, writes the same bytes."""
+    env = {**package_env(), "PYTHONIOENCODING": "utf-8"}
+    for command in PINNED:
+        (tmp_path / command).mkdir()
+        argv = [str(arg) for arg in bench_argv(command, tmp_path / command)]
+        run = subprocess.run([sys.executable, "-m", "ecpo.cli", *argv], env=env, capture_output=True, timeout=300)
+        digests = (run.returncode, hashlib.sha256(run.stdout).hexdigest(), hashlib.sha256(run.stderr).hexdigest())
+        assert digests == PINNED[command], command
+
+
+def test_importing_the_cli_leaves_the_collector_as_it_was():
+    result = run_python(
+        "import gc, ecpo.cli\n"
+        "assert gc.isenabled() and gc.get_freeze_count() == 0, (gc.isenabled(), gc.get_freeze_count())\n"
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_the_cli_as_its_own_process_freezes_what_its_imports_built_and_collects_again(tmp_path):
+    """Run as ``__main__``, the module leaves the import-time heap frozen and the collector on for the command."""
+    argv = ["stratify", "--records", write_jsonl(tmp_path / "s.jsonl", [])]
+    result = run_python(
+        "import gc, json, runpy, sys\n"
+        "sys.argv = ['ecpo', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('ecpo.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n"
+        "    print(json.dumps({'code': exit.code, 'on': gc.isenabled(), 'frozen': gc.get_freeze_count() > 0}))\n",
+        *map(str, argv),
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"code": 0, "on": True, "frozen": True}
+
+
 # --- module loading ---------------------------------------------------------------------
 
-# Modules a command must not import: each handler imports only what it runs.
+# Modules a command must not import: each handler imports only what it runs. "eval-unrated" is an eval run of
+# label, classification and text records: with no rated strategy record to aggregate, `statistics` stays unloaded.
 NOT_LOADED = {
     "retrieve": {"ecpo.validator", "ecpo.metrics", "ecpo.preference", "statistics"},
-    "mixpair": {"ecpo.validator", "ecpo.metrics", "ecpo.preference", "statistics"},
-    "stratify": {"ecpo.validator", "ecpo.metrics", "ecpo.preference", "statistics"},
-    "validate": {"ecpo.metrics", "ecpo.preference", "statistics"},
-    "pairs": {"ecpo.metrics", "statistics"},
-    "eval": {"ecpo.preference"},
+    "mixpair": {"ecpo.validator", "ecpo.metrics", "ecpo.preference", "ecpo.store", "statistics"},
+    "stratify": {"ecpo.validator", "ecpo.metrics", "ecpo.preference", "ecpo.store", "statistics"},
+    "validate": {"ecpo.metrics", "ecpo.preference", "ecpo.store", "statistics"},
+    "pairs": {"ecpo.metrics", "ecpo.store", "statistics"},
+    "eval": {"ecpo.preference", "ecpo.store"},
+    "eval-unrated": {"ecpo.preference", "ecpo.store", "statistics"},
 }
 
 # Commands that scan no text for keywords, so build no ``policy.keyword_union``: not even the default lexicon's.
@@ -1162,6 +1198,13 @@ def command_argv(tmp_path, command, rain_prompt, rain_policy_dict):
              "ratings": [[True, True, True]]},
         ]
         return ["eval", "--records", write_jsonl(tmp_path / "r.jsonl", rows)]
+    if command == "eval-unrated":
+        rows = [
+            {"kind": "labels", "truth": ["rain"], "prediction": ["rain", "fog"]},
+            {"kind": "classification", "truth": "calm", "prediction": "calm"},
+            {"kind": "text", "reference": "slow down", "hypothesis": "slow down"},
+        ]
+        return ["eval", "--records", write_jsonl(tmp_path / "r.jsonl", rows)]
     if command == "mixpair":
         in_path, out_path = mix_inputs(tmp_path)
         return ["mixpair", "--in-cabin", in_path, "--out-of-cabin", out_path]
@@ -1170,11 +1213,16 @@ def command_argv(tmp_path, command, rain_prompt, rain_policy_dict):
     return ["stratify", "--records", write_jsonl(tmp_path / "s.jsonl", [sample_to_dict(sample)])]
 
 
+def package_env() -> dict[str, str]:
+    """The environment with this package first on ``PYTHONPATH``."""
+    paths = [str(Path(ecpo.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def run_python(code, *argv):
     """``python -c code argv...`` importing this package: the completed process."""
-    paths = [str(Path(ecpo.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=package_env(), capture_output=True, text=True,
+                          timeout=120)
 
 
 @pytest.mark.parametrize("command", sorted(NOT_LOADED))

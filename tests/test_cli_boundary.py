@@ -24,9 +24,9 @@ from hypothesis import given, settings, strategies as st
 
 import ecpo
 from ecpo.cli import CANDIDATE_FIELDS, EVAL_FIELDS, PAIRS_FIELDS, VALIDATE_FIELDS, _read_jsonl, main
-from ecpo.context import DRIVER_FIELDS, PROMPT_FIELDS, SAMPLE_FIELDS, VEHICLE_FIELDS, Z_FIELDS
+from ecpo.context import (ASSERTION_FIELDS, DRIVER_FIELDS, PROMPT_FIELDS, SAMPLE_FIELDS, SNIPPET_FIELDS, VEHICLE_FIELDS,
+                          Z_FIELDS)
 from ecpo.errors import InputError
-from ecpo.store import ASSERTION_FIELDS, SNIPPET_FIELDS
 from oracles import jsonl_reference
 
 POLICY = {

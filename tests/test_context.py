@@ -25,13 +25,13 @@ from ecpo.context import (
     sample_to_dict,
     seeded_shuffle,
     sensitivity_rank,
+    snippet_from_dict,
     vehicle_from_dict,
     stratum,
     stream_seed,
 )
 from ecpo.errors import ConfigError, InputError
 from ecpo.policy import parse_policy
-from ecpo.store import snippet_from_dict
 from oracles import (fisher_yates_reference, fnv1a64_reference, merge_pair_reference, pair_mixed_reference,
                      random_policy_dict, splitmix64_stream)
 

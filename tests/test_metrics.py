@@ -24,7 +24,7 @@ from ecpo.metrics import (
     spearman,
     strategy_metrics,
 )
-from ecpo.store import to_json
+from ecpo.context import to_json
 from oracles import (
     bleu4_reference,
     classification_reference,

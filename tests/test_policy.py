@@ -340,6 +340,69 @@ def test_a_decoded_document_parses_as_its_json_text(value):
     assert parse_policy(value) == parse_policy_reference(value)
 
 
+# --- a key that is not text, which only a library caller can pass ----------------------------------------------
+
+NOT_TEXT = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.tuples(SCALARS))
+
+
+def with_odd_keys(objects):
+    """Each object with up to two entries keyed by a value that is not text."""
+    return st.builds(lambda base, odd: {**base, **odd}, objects, st.dictionaries(NOT_TEXT, VALUES, max_size=2))
+
+
+ODD_ACTION = with_odd_keys(st.fixed_dictionaries({
+    "type": st.sampled_from(["HVAC", "Hmi prompt", "Steer"]),
+    "parameters": with_odd_keys(st.dictionaries(TEXTS, SCALARS, max_size=3)),
+    "rationale": TEXTS, "evidence": with_odd_keys(EVIDENCE)}))
+ODD_POLICY = with_odd_keys(st.fixed_dictionaries({
+    "objectives": TEXTS, "constraints": with_odd_keys(LEDGER) | st.lists(with_odd_keys(LEDGER), max_size=2),
+    "actions": st.lists(ODD_ACTION, max_size=4)}))
+ANY_KEYS = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(TEXTS | NOT_TEXT, inner, max_size=3), max_leaves=8)
+
+
+def without_odd_keys(value):
+    if isinstance(value, dict):
+        return {key: without_odd_keys(item) for key, item in value.items() if isinstance(key, str)}
+    if isinstance(value, list):
+        return [without_odd_keys(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("document, path", [
+    ({1: 2}, "$"),
+    (minimal_doc(constraints={"legal": "obey signals", None: "x"}), "$.constraints"),
+    (minimal_doc(constraints=[{"legal": "obey signals"}, {2.5: "x"}]), "$.constraints"),
+    (minimal_doc(actions=[{**minimal_doc()["actions"][0], (1,): "x"}]), "$.actions[0]"),
+    (minimal_doc(actions=[{**minimal_doc()["actions"][0], "parameters": {"text": "ease off", 7: 1}}]),
+     "$.actions[0].parameters"),
+    (minimal_doc(actions=[{**minimal_doc()["actions"][0], "evidence": {"labels": ["slowing"], False: ["x"]}}]),
+     "$.actions[0].evidence"),
+])
+def test_a_key_that_is_not_text_is_an_unparseable_defect_at_its_object(document, path):
+    outcome = parse_policy(document)
+    assert not outcome.valid
+    assert [(d.code, d.path) for d in outcome.defects if d.message.endswith("is not text")] == [("UNPARSEABLE", path)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ODD_POLICY)
+def test_keys_that_are_not_text_add_their_defects_and_change_nothing_else(value):
+    outcome, plain = parse_policy(value), parse_policy(without_odd_keys(value))
+    odd = [defect for defect in outcome.defects if defect.code == "UNPARSEABLE"]
+    assert [defect for defect in outcome.defects if defect not in odd] == list(plain.defects)
+    assert all(defect.message.endswith("is not text") for defect in odd)
+    assert outcome.policy == (None if odd else plain.policy)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_KEYS)
+def test_parse_policy_returns_on_any_value_with_any_keys(value):
+    outcome = parse_policy(value)
+    if isinstance(value, dict) and not all(isinstance(key, str) for key in value):
+        assert ("UNPARSEABLE", "$") in [(defect.code, defect.path) for defect in outcome.defects]
+
+
 # --- low-level language lexicon ----------------------------------------------
 
 

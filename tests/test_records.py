@@ -18,32 +18,30 @@ from hypothesis import given, settings, strategies as st
 from ecpo.cli import CANDIDATE_FIELDS, EVAL_FIELDS, PAIRS_FIELDS, VALIDATE_FIELDS, main
 from ecpo.config import RunConfig
 from ecpo.context import (
+    ASSERTION_FIELDS,
     DRIVER_FIELDS,
+    LAYER_PRIORITY,
     PROMPT_FIELDS,
     SAMPLE_FIELDS,
     SENSITIVITY_LEVELS,
+    SNIPPET_FIELDS,
     SPLITS,
     VEHICLE_FIELDS,
     Z_FIELDS,
+    Assertions,
+    ConstraintSnippet,
     DriverProfile,
+    ParameterBound,
     PerceptionSummary,
     SampleRecord,
     StrategyPrompt,
     VehicleProfile,
     sample_from_dict,
     sample_to_dict,
-)
-from ecpo.policy import ActionType, PenaltyTable, keyword_pattern, parse_policy, serialize_policy
-from ecpo.store import (
-    ASSERTION_FIELDS,
-    LAYER_PRIORITY,
-    SNIPPET_FIELDS,
-    Assertions,
-    ConstraintSnippet,
-    ParameterBound,
     snippet_from_dict,
     to_json,
 )
+from ecpo.policy import ActionType, PenaltyTable, keyword_pattern, parse_policy, serialize_policy
 from ecpo.validator import prompt_context, report_to_dict, validate
 from oracles import PLANT_LAYERS, build_planted_case, echo_reference, random_policy_dict, report_dict_reference
 

@@ -10,14 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 import ecpo.errors
 import ecpo.store
-from ecpo.context import DriverProfile, PerceptionSummary, VehicleProfile
+from ecpo.context import DriverProfile, ParameterBound, PerceptionSummary, VehicleProfile
 from ecpo.errors import ConfigError, InputError, shown
 from ecpo.policy import ActionType, compile_lexicon
 from ecpo.store import (
     Assertions,
     ConstraintSnippet,
     LexicalScorer,
-    ParameterBound,
     RetrievalQuery,
     build_query,
     compress,

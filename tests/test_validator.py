@@ -9,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 from ecpo import validator
 from ecpo.config import RunConfig
 from ecpo.context import (
+    Assertions,
+    ConstraintSnippet,
     DriverProfile,
+    ParameterBound,
     PerceptionSummary,
     StrategyPrompt,
     VehicleProfile,
@@ -21,7 +24,6 @@ from ecpo.context import (
 from ecpo.errors import ConfigError, InputError, InvariantError
 from ecpo.policy import (DEFAULT_LEXICON_LINES, ActionType, LexiconPattern, compile_lexicon, detect_low_level_control,
                          keyword_pattern, keyword_scan, keyword_union, parse_policy)
-from ecpo.store import Assertions, ConstraintSnippet, ParameterBound
 from ecpo.validator import (
     DEFAULT_HAZARD_RULES,
     LAYER_SEVERITY,
