@@ -315,16 +315,28 @@ MUTANTS = (
         ("tests/test_cli.py::test_command_output_on_bench_inputs_is_pinned",),
     ),
     Mutant(
-        "collector-off-on-import", "src/ecpo/cli.py",
-        "    gc.disable()\n",
-        "    pass\ngc.disable()\n",
+        "collector-off-on-import", "src/ecpo/__init__.py",
+        "import gc\n",
+        "import gc\n\ngc.disable()\n",
         ("tests/test_cli.py::test_importing_the_cli_leaves_the_collector_as_it_was",),
     ),
     Mutant(
-        "collector-left-off", "src/ecpo/cli.py",
+        "collector-left-off", "src/ecpo/__init__.py",
         "    gc.freeze()\n    gc.enable()\n",
         "    gc.freeze()\n",
         ("tests/test_cli.py::test_the_cli_as_its_own_process_freezes_what_its_imports_built_and_collects_again",),
+    ),
+    Mutant(
+        "python-m-skips-the-launcher", "src/ecpo/cli.py",
+        "    sys.exit(ecpo.run())\n",
+        "    sys.exit(ecpo.cli.main())\n",
+        ("tests/test_cli.py::test_the_cli_as_its_own_process_freezes_what_its_imports_built_and_collects_again",),
+    ),
+    Mutant(
+        "bytes-parameter-key-kept", "src/ecpo/policy.py",
+        "            if not isinstance(key, str):\n                _key_not_text(key, f\"{path}.parameters\", defect)\n",
+        "            if not hasattr(key, \"strip\"):\n                _key_not_text(key, f\"{path}.parameters\", defect)\n",
+        ("tests/test_policy.py::test_a_key_that_is_not_text_is_an_unparseable_defect_at_its_object",),
     ),
     # --- earlier changes
     Mutant(

@@ -9,18 +9,20 @@ success, 1 input error, 2 config error, 3 violated internal invariant.
 
 from __future__ import annotations
 
+import sys
+
+if __name__ == "__main__":  # ``python -m ecpo.cli`` starts as the ``ecpo`` executable does, which imports this module
+    import ecpo
+
+    sys.exit(ecpo.run())
+
 import argparse
 import dataclasses
-import gc
 import json
 import os
-import sys
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
-
-if __name__ == "__main__":  # a process of its own: no collection walks the heap its imports build (see the end)
-    gc.disable()
 
 from .config import RunConfig, load_config
 from .context import (STRATIFY_GROUPS, StrategyPrompt, pair_mixed, prompt_from_dict, sample_from_dict,
@@ -472,11 +474,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         _log(f"error: INTERNAL: {type(error).__name__}: {error}")
         return 3
     return 0
-
-
-if __name__ == "__main__":
-    # What the imports built lives as long as the process: frozen, no collection walks it again, while the
-    # collector, back on, still frees the cycles the command itself leaves.
-    gc.freeze()
-    gc.enable()
-    sys.exit(main())

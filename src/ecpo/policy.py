@@ -239,9 +239,9 @@ def _by_norm_key(raw: dict, path: str, defect) -> dict[str, object]:
     """The object's values by normalized key; of two keys normalizing alike the first wins."""
     fields: dict[str, object] = {}
     for key, value in raw.items():
-        try:
+        if isinstance(key, str):
             fields.setdefault(_norm_key(key), value)
-        except AttributeError:  # only a key that is not text has no casefold
+        else:
             _key_not_text(key, path, defect)
     return fields
 
@@ -282,11 +282,10 @@ def _parse_constraints(raw: object, defect) -> ConstraintLedger:
 
     values: dict[str, str] = {}
     for key, value in entries:
-        try:
-            layer = _LAYER_ALIASES.get(_norm_key(key))
-        except AttributeError:
+        if not isinstance(key, str):
             _key_not_text(key, "$.constraints", defect)
             continue
+        layer = _LAYER_ALIASES.get(_norm_key(key))
         path = f"$.constraints.{cut(key)}"
         if layer is None:
             defect("UNKNOWN_CONSTRAINT_KEY", path, f"unknown constraint layer {shown(key)}")
@@ -317,11 +316,10 @@ def _parse_action(entry: object, path: str, defect) -> Action | None:
     raw_params = fields.get("parameters")
     if isinstance(raw_params, dict):
         for key, value in raw_params.items():
-            try:
-                name = key.strip()
-            except AttributeError:
+            if not isinstance(key, str):
                 _key_not_text(key, f"{path}.parameters", defect)
                 continue
+            name = key.strip()
             if not name:
                 problem = "empty parameter key dropped"
             elif isinstance(value, bool):
@@ -353,11 +351,10 @@ def _parse_evidence(raw: object, path: str, defect) -> Evidence:
     lists: dict[str, list[str]] = {name: [] for name in EVIDENCE_FIELDS}
     if isinstance(raw, dict):
         for key, value in raw.items():
-            try:
-                name = _norm_key(key)
-            except AttributeError:
+            if not isinstance(key, str):
                 _key_not_text(key, path, defect)
                 continue
+            name = _norm_key(key)
             if name not in lists:
                 continue
             if not isinstance(value, list):

@@ -1122,33 +1122,52 @@ def test_command_output_on_bench_inputs_is_pinned(tmp_path, command, capsys):
     assert (code, sha256(captured.out), sha256(captured.err)) == PINNED[command]
 
 
-def test_command_output_as_its_own_process_is_pinned(tmp_path):
-    """``python -m ecpo.cli``, the path that pauses the collector while the modules load, writes the same bytes."""
+# The two ways a process starts the CLI: ``python -m ecpo.cli``, and what the ``ecpo`` console script runs.
+ENTRIES = {"python -m ecpo.cli": ["-m", "ecpo.cli"], "ecpo": ["-c", "import sys, ecpo; sys.exit(ecpo.run())"]}
+
+
+def test_the_console_script_is_the_launcher():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(ecpo.__file__).resolve().parents[2] / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("not a source checkout")
+    assert tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"] == {"ecpo": "ecpo:run"}
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_command_output_as_its_own_process_is_pinned(tmp_path, entry):
+    """Each entry, which pauses the collector while the modules load, writes the same bytes as ``main``."""
     env = {**package_env(), "PYTHONIOENCODING": "utf-8"}
     for command in PINNED:
         (tmp_path / command).mkdir()
         argv = [str(arg) for arg in bench_argv(command, tmp_path / command)]
-        run = subprocess.run([sys.executable, "-m", "ecpo.cli", *argv], env=env, capture_output=True, timeout=300)
+        run = subprocess.run([sys.executable, *ENTRIES[entry], *argv], env=env, capture_output=True, timeout=300)
         digests = (run.returncode, hashlib.sha256(run.stdout).hexdigest(), hashlib.sha256(run.stderr).hexdigest())
         assert digests == PINNED[command], command
 
 
 def test_importing_the_cli_leaves_the_collector_as_it_was():
     result = run_python(
-        "import gc, ecpo.cli\n"
+        "import gc, ecpo, ecpo.cli\n"
         "assert gc.isenabled() and gc.get_freeze_count() == 0, (gc.isenabled(), gc.get_freeze_count())\n"
     )
     assert result.returncode == 0, result.stderr
 
 
-def test_the_cli_as_its_own_process_freezes_what_its_imports_built_and_collects_again(tmp_path):
-    """Run as ``__main__``, the module leaves the import-time heap frozen and the collector on for the command."""
+# How each entry starts in a process that then reports its exit code and the collector's state.
+LAUNCHES = {"python -m ecpo.cli": "runpy.run_module('ecpo.cli', run_name='__main__', alter_sys=True)\n",
+            "ecpo": "sys.exit(ecpo.run())\n"}
+
+
+@pytest.mark.parametrize("entry", list(LAUNCHES))
+def test_the_cli_as_its_own_process_freezes_what_its_imports_built_and_collects_again(tmp_path, entry):
+    """Started by either entry, the CLI leaves the import-time heap frozen and the collector on for the command."""
     argv = ["stratify", "--records", write_jsonl(tmp_path / "s.jsonl", [])]
     result = run_python(
-        "import gc, json, runpy, sys\n"
+        "import ecpo, gc, json, runpy, sys\n"
         "sys.argv = ['ecpo', *sys.argv[1:]]\n"
         "try:\n"
-        "    runpy.run_module('ecpo.cli', run_name='__main__', alter_sys=True)\n"
+        f"    {LAUNCHES[entry]}"
         "except SystemExit as exit:\n"
         "    print(json.dumps({'code': exit.code, 'on': gc.isenabled(), 'frozen': gc.get_freeze_count() > 0}))\n",
         *map(str, argv),

@@ -342,7 +342,7 @@ def test_a_decoded_document_parses_as_its_json_text(value):
 
 # --- a key that is not text, which only a library caller can pass ----------------------------------------------
 
-NOT_TEXT = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.tuples(SCALARS))
+NOT_TEXT = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.binary(max_size=4), st.tuples(SCALARS))
 
 
 def with_odd_keys(objects):
@@ -376,6 +376,9 @@ def without_odd_keys(value):
     (minimal_doc(actions=[{**minimal_doc()["actions"][0], (1,): "x"}]), "$.actions[0]"),
     (minimal_doc(actions=[{**minimal_doc()["actions"][0], "parameters": {"text": "ease off", 7: 1}}]),
      "$.actions[0].parameters"),
+    (minimal_doc(actions=[{**minimal_doc()["actions"][0], "parameters": {"text": "ease off", b"level": 1}}]),
+     "$.actions[0].parameters"),
+    (minimal_doc(constraints={"legal": "obey signals", b"driver": "x"}), "$.constraints"),
     (minimal_doc(actions=[{**minimal_doc()["actions"][0], "evidence": {"labels": ["slowing"], False: ["x"]}}]),
      "$.actions[0].evidence"),
 ])
