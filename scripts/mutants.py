@@ -225,10 +225,8 @@ MUTANTS = (
     # --- every JSONL line streamed through its command's per-record step
     Mutant(
         "raw-values-kept", "src/ecpo/cli.py",
-        "    _read_jsonl(path, lambda value, number: records.append(step(value)))\n",
-        "    values = []\n"
-        "    _read_jsonl(path, lambda value, number: values.append(value))\n"
-        "    records.extend(map(step, values))\n",
+        "    lines = _read_jsonl(args.policies, report_line)\n",
+        "    lines = list(map(report_line, _read_jsonl(args.policies, lambda value: value)))\n",
         ("tests/test_cli.py::test_validate_holds_one_policy_line_at_a_time",),
     ),
     Mutant(
@@ -239,11 +237,19 @@ MUTANTS = (
          "tests/test_cli_boundary.py::test_the_streamed_reader_equals_the_whole_file_reader"),
     ),
     Mutant(
-        "eval-sections-in-file-order", "src/ecpo/cli.py",
-        "        sections[kind](record, number)\n",
-        "        sections[kind](record, number)\n"
-        "        if sections[kind].failure is not None:\n"
-        "            raise sections[kind].failure\n",
+        "later-failure-kept", "src/ecpo/cli.py",
+        "        if failure is None:\n",
+        "        if True:\n",
+        ("tests/test_cli_boundary.py::test_eval_steps_no_record_after_its_first_failing_one",
+         "tests/test_cli_boundary.py::test_eval_fails_as_its_first_faulty_line_alone"),
+    ),
+    Mutant(
+        "pairs-skips-logged-after-the-read", "src/ecpo/cli.py",
+        "    pairs = _read_jsonl(args.candidates, pair_line)\n",
+        "    import contextlib, io\n"
+        "    with contextlib.redirect_stderr(io.StringIO()) as held:\n"
+        "        pairs = _read_jsonl(args.candidates, pair_line)\n"
+        "    sys.stderr.write(held.getvalue())\n",
         ("tests/test_cli_boundary.py::test_of_two_faults_the_whole_file_readers_wins",),
     ),
     Mutant(
@@ -268,8 +274,8 @@ MUTANTS = (
     ),
     Mutant(
         "nesting-guard-dropped", "src/ecpo/cli.py",
-        "    if isinstance(error, RecursionError):",
-        "    if isinstance(error, ZeroDivisionError):",
+        "            except RecursionError:  # a value that parsed",
+        "            except ZeroDivisionError:  # a value that parsed",
         ("tests/test_cli.py::test_a_value_too_deep_to_encode_fails_as_its_record",),
     ),
     # --- each outside value decoded once: documents parse from their value, side files share the line reader

@@ -41,13 +41,14 @@ _JSON_SPACE = " \t\r\n"  # JSON whitespace, the LF that ends a line included; a 
 _scan = json.JSONDecoder().scan_once
 
 
-def _read_jsonl(path: str, take: Callable[[object, int], object]) -> None:
-    """``take(value, line number)`` of each non-blank line's value as soon as the line parses, so a file is held one
-    line at a time. Of its faults the first in this order wins, as when the whole file was read first: a byte that is
-    not UTF-8, a leading byte order mark, the first ``BAD_LINE``, the first failure of ``take``."""
+def _read_jsonl(path: str, step: Callable[[object], object]) -> list:
+    """``step`` of each non-blank line's value as soon as the line parses, so a file is held one line at a time; the
+    list of what it returned. Once every line has parsed, the first of the file's faults in this order is raised: a
+    byte that is not UTF-8, a leading byte order mark, the first ``BAD_LINE``, the first record whose step fails. No
+    record after that one is stepped."""
     if not os.path.exists(path):
         raise InputError("MISSING_FILE", f"no such file: {path}")
-    bad_line = failure = None
+    results, bad_line, failure = [], None, None
     for number, line in enumerate(read_lines(path, "BAD_FILE", "input"), start=1):
         start = len(line) - len(line.lstrip(_JSON_SPACE))
         if bad_line is not None or start == len(line):
@@ -64,45 +65,15 @@ def _read_jsonl(path: str, take: Callable[[object, int], object]) -> None:
                 continue
         if failure is None:
             try:
-                take(value, number)
+                results.append(step(value))
+            except RecursionError:  # a value that parsed, too deep for the step to encode again
+                failure = InputError("BAD_RECORD",
+                                     f"{path}:{number}: a record holds a value nested too deep to encode")
             except Exception as error:  # any failure, INTERNAL ones too, waits until every line has parsed
-                failure = _record_failure(error, path, number)
+                failure = error
     if bad_line or failure:
         raise bad_line or failure
-
-
-def _record_failure(error: Exception, path: str, number: int) -> Exception:
-    """What a record's failure is raised as: a value too deep to encode names its line."""
-    if isinstance(error, RecursionError):
-        return InputError("BAD_RECORD", f"{path}:{number}: a record holds a value nested too deep to encode")
-    return error
-
-
-class _Taken:
-    """``step`` of each record handed in with its line number, kept in order; the first failure stops the step and
-    waits to be raised by ``kept()``, for a command that raises it later than the read."""
-
-    def __init__(self, step: Callable[[object], object], path: str):
-        self.step, self.path, self.items, self.failure = step, path, [], None
-
-    def __call__(self, value: object, number: int) -> None:
-        if self.failure is None:
-            try:
-                self.items.append(self.step(value))
-            except Exception as error:
-                self.failure = _record_failure(error, self.path, number)
-
-    def kept(self) -> list:
-        if self.failure is not None:
-            raise self.failure
-        return self.items
-
-
-def _read_records(path: str, step: Callable[[object], object]) -> list:
-    """``step`` of each record of a JSONL file, in order (see ``_read_jsonl``)."""
-    records = []
-    _read_jsonl(path, lambda value, number: records.append(step(value)))
-    return records
+    return results
 
 
 def _emit(lines: Sequence[str], out_path: str | None) -> None:
@@ -181,7 +152,7 @@ def _strategy_prompt(record: dict, path: str) -> StrategyPrompt:
 def _load_prompts(path: str) -> dict[str, StrategyPrompt]:
     prompts: dict[str, StrategyPrompt] = {}
 
-    def take(record: object, number: int) -> None:
+    def take(record: object) -> None:
         prompt = _prompt_of(record)
         if prompt.prompt_id in prompts:
             raise InputError("DUPLICATE_ID", f"{path}: prompt {shown(prompt.prompt_id)} appears twice")
@@ -212,7 +183,7 @@ def cmd_validate(args, config: RunConfig) -> list[str]:
         return _dumps({"kind": "report", "prompt_id": prompt_id, "candidate_id": candidate_id,
                        "report": report_to_dict(report), "config": echo})
 
-    lines = _read_records(args.policies, report_line)
+    lines = _read_jsonl(args.policies, report_line)
     if lines:
         _log(f"validate: {len(lines)} records, valid_pct={100.0 * valid_count / len(lines):.2f}")
     else:
@@ -226,8 +197,8 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
 
     seen, where = set(), f"{args.candidates}: record"
 
-    def pair_line(raw: object) -> tuple[str, str | None]:
-        """(prompt_id, the pair's line), or (prompt_id, None) for a set whose pair is skipped."""
+    def pair_line(raw: object) -> tuple[str, str] | None:
+        """(prompt_id, the pair's line), or None for a set whose pair is skipped, logged as it is decided."""
         record = read_record(raw, PAIRS_FIELDS, "BAD_RECORD", where, ("prompt_id", "candidates"))
         prompt_id = record["prompt_id"]
         if prompt_id in seen:
@@ -239,7 +210,8 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
                       for index, entry in enumerate(record["candidates"])]
         pair = select_pair(CandidateSet(prompt_id=prompt_id, candidates=tuple(candidates)), config)
         if pair is None:
-            return prompt_id, None
+            _log(f"pairs: skip prompt {shown(prompt_id)} (score gap <= {config.gap_min})")
+            return None
         documents = {c.candidate_id: c.document for c in candidates}
         # the documents as text, an inline one as its JSON; the prompt as the line carried it, an absent one as null
         chosen, rejected = (document if isinstance(document, str) else json.dumps(document)
@@ -247,20 +219,15 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
         return prompt_id, _dumps({"prompt_id": prompt_id, "prompt": raw.get("prompt"), "chosen": chosen,
                                   "rejected": rejected, "gap": pair.gap, "weight": pair.weight})
 
-    taken = _Taken(pair_line, args.candidates)
-    _read_jsonl(args.candidates, taken)
-    for prompt_id, line in taken.items:
-        if line is None:
-            _log(f"pairs: skip prompt {shown(prompt_id)} (score gap <= {config.gap_min})")
-    # the skips of the sets before a failing one still come before its error; prompt ids are unique
-    lines = [line for _, line in sorted(taken.kept(), key=itemgetter(0)) if line is not None]
+    pairs = _read_jsonl(args.candidates, pair_line)
+    lines = [line for _, line in sorted(filter(None, pairs))]  # in prompt_id order: prompt ids are unique
     _log(f"pairs: {len(lines)} pairs from {len(seen)} candidate sets")
     return lines
 
 
 def cmd_eval(args, config: RunConfig) -> list[str]:
     from .metrics import (LabelSetSample, MetricReport, StrategyEvalRecord, bleu4, classification_metrics,
-                          multilabel_metrics, rouge_l, strategy_metrics, text_tokens)
+                          multilabel_metrics, rouge_l, strategy_metrics)
     from .validator import validate
 
     path = args.records
@@ -271,27 +238,28 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
         return StrategyEvalRecord.from_report(record["prompt_id"], report, ratings=ratings, seed=seed)
 
     # What each kind's section reads of a record: a strategy record is validated as it is read, so its prompt and
-    # validation context live only while it is scored. A section's first failure is raised where the section runs.
+    # validation context live only while it is scored.
     keeps = {"labels": lambda record: LabelSetSample.from_lists(record["truth"], record["prediction"]),
              "classification": itemgetter("truth", "prediction"), "text": itemgetter("reference", "hypothesis"),
              "strategy": strategy_record}
-    sections: dict[str, _Taken] = {}
+    readers = {kind: (fields, required, f"{path}: {kind} record", keeps[kind])
+               for kind, (fields, required) in EVAL_FIELDS.items()}
+    sections: dict[str, list] = {}
 
-    def take(record: object, number: int) -> None:
+    def take(record: object) -> None:
+        """The record decoded by its kind's table, then kept in its kind's section as that section reads it."""
         kind = record.get("kind") if isinstance(record, dict) else None
-        if not isinstance(kind, str) or kind not in EVAL_FIELDS:
+        if not isinstance(kind, str) or kind not in readers:
             raise InputError("BAD_RECORD", f"{path}: unknown record kind {shown(kind)}")
-        if kind not in sections:  # each record decoded by its kind's table, then kept as its section reads it
-            (fields, required), where, keep = EVAL_FIELDS[kind], f"{path}: {kind} record", keeps[kind]
-            sections[kind] = _Taken(lambda row: keep(read_record(row, fields, "BAD_RECORD", where, required)), path)
-        sections[kind](record, number)
+        fields, required, where, keep = readers[kind]
+        sections.setdefault(kind, []).append(keep(read_record(record, fields, "BAD_RECORD", where, required)))
 
     _read_jsonl(path, take)
     report = MetricReport(config=config.echo())
-    report.counts["records"] = sum(len(section.items) for section in sections.values())
+    report.counts["records"] = sum(map(len, sections.values()))
 
     if "labels" in sections:
-        samples = sections["labels"].kept()
+        samples = sections["labels"]
         report.counts["labels"] = len(samples)
         try:
             iou, emr, f1 = multilabel_metrics(samples, epsilon=config.epsilon)
@@ -304,22 +272,20 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
             report.set("labels_f1", f1)
 
     if "classification" in sections:
-        rows = sections["classification"].kept()
-        report.counts["classification"] = len(rows)
-        accuracy, macro_f1 = classification_metrics([truth for truth, _ in rows], [pred for _, pred in rows])
+        truths, predictions = zip(*sections["classification"])
+        report.counts["classification"] = len(truths)
+        accuracy, macro_f1 = classification_metrics(truths, predictions)
         report.set("cls_accuracy", accuracy)
         report.set("cls_macro_f1", macro_f1)
 
     if "text" in sections:
-        rows = sections["text"].kept()
-        references = [text_tokens(reference) for reference, _ in rows]
-        hypotheses = [text_tokens(hypothesis) for _, hypothesis in rows]
+        references, hypotheses = zip(*sections["text"])
         report.counts["text"] = len(references)
         report.set("text_bleu4", bleu4(references, hypotheses, epsilon=config.epsilon))
         report.set("text_rouge_l", rouge_l(references, hypotheses))
 
     if "strategy" in sections:
-        strategy = strategy_metrics(sections["strategy"].kept(), epsilon=config.epsilon)
+        strategy = strategy_metrics(sections["strategy"], epsilon=config.epsilon)
         report.values.update(strategy.values)
         report.reasons.update(strategy.reasons)
         report.counts.update(strategy=strategy.counts["records"], schema_valid=strategy.counts["schema_valid"])
@@ -337,7 +303,7 @@ def _snippet_view(snippet) -> dict:
 def cmd_retrieve(args, config: RunConfig) -> list[str]:
     from .store import LexicalScorer, build_query, compress, load_store, retrieve
 
-    store = load_store(_read_records(args.store, snippet_from_dict))
+    store = load_store(_read_jsonl(args.store, snippet_from_dict))
     by_id = {snippet.snippet_id: snippet for snippet in store.snapshot()}
     scorer = LexicalScorer()
     echo = config.echo()
@@ -358,12 +324,12 @@ def cmd_retrieve(args, config: RunConfig) -> list[str]:
             "config": echo,
         })
 
-    return _read_records(args.prompt, retrieval_line)
+    return _read_jsonl(args.prompt, retrieval_line)
 
 
 def cmd_mixpair(args, config: RunConfig) -> list[str]:
-    in_samples = _read_records(args.in_cabin, sample_from_dict)
-    out_samples = _read_records(args.out_of_cabin, sample_from_dict)
+    in_samples = _read_jsonl(args.in_cabin, sample_from_dict)
+    out_samples = _read_jsonl(args.out_of_cabin, sample_from_dict)
     seed = config.seeds[0]
     paired = pair_mixed(in_samples, out_samples, seed=seed, block_size=config.block_size)
     lines = [_dumps(sample_to_dict(record)) for record in paired]
@@ -372,7 +338,7 @@ def cmd_mixpair(args, config: RunConfig) -> list[str]:
 
 
 def cmd_stratify(args, config: RunConfig) -> list[str]:
-    records = _read_records(args.records, sample_from_dict)
+    records = _read_jsonl(args.records, sample_from_dict)
     vocab = config.label_vocab()
     groups = [stratum(record, vocab) for record in records]
     _log(f"stratify: {_dumps({group: groups.count(group) for group in STRATIFY_GROUPS})}")

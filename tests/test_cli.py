@@ -1257,6 +1257,37 @@ def test_command_loads_only_its_modules(tmp_path, rain_prompt, rain_policy_dict,
         assert loaded["unions"] == 0
 
 
+# How many ``ecpo`` dataclasses each command defines before it reads a record: every one created by a module it
+# loads, run on empty inputs. Creating a record class costs about 1 ms, so a change that defines more, or moves one
+# into a module a command loads, moves these numbers on purpose.
+DATACLASSES_DEFINED = {"validate": 22, "pairs": 25, "eval": 25, "retrieve": 23, "mixpair": 18, "stratify": 18}
+EMPTY_INPUTS = {"validate": ("--policies", "--prompts"), "pairs": ("--candidates",), "eval": ("--records",),
+                "retrieve": ("--store", "--prompt"), "mixpair": ("--in-cabin", "--out-of-cabin"),
+                "stratify": ("--records",)}
+
+_RUN_AND_COUNT_DATACLASSES = (
+    "import dataclasses, json, sys\n"
+    "from ecpo.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "count = sum(isinstance(value, type) and dataclasses.is_dataclass(value) and value.__module__ == name\n"
+    "            for name, module in list(sys.modules.items()) if name.split('.')[0] == 'ecpo'\n"
+    "            for value in vars(module).values())\n"
+    "print(json.dumps({'code': code, 'dataclasses': count}))\n"
+)
+
+
+@pytest.mark.parametrize("command", sorted(DATACLASSES_DEFINED))
+def test_command_defines_its_pinned_number_of_dataclasses(tmp_path, command):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    argv = ["--out", str(tmp_path / "out.jsonl"), command]
+    for option in EMPTY_INPUTS[command]:
+        argv += [option, str(empty)]
+    result = run_python(_RUN_AND_COUNT_DATACLASSES, *argv)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"code": 0, "dataclasses": DATACLASSES_DEFINED[command]}
+
+
 # Runs main with -I (no PYTHONPATH, no user site) and -S (no site-packages), so
 # only the standard library and this package can load; lists what did.
 _RUN_ON_STDLIB_ALONE = (

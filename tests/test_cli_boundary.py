@@ -462,8 +462,9 @@ def test_json_whitespace_around_a_value_is_read_past(tmp_path):
     assert plain[0] == 0
 
 
-# Two faults in one input: every command reads each line as it parses and does its record's work there, yet
-# raises the fault that it raised when it read the whole file first (expectations taken from that reader).
+# Two faults in one input: every command reads each line as it parses and does its record's work there. One rule
+# for every command picks the fault raised: a byte that is not UTF-8, a leading byte order mark, the first BAD_LINE,
+# then the first record whose step fails; no later record is stepped. Log lines of earlier records come first.
 def rec(**fields) -> str:
     return json.dumps(fields)
 
@@ -498,24 +499,27 @@ FAULT_ORDER = [
                  "error: DUPLICATE_ID: {dir}/candidates.jsonl: prompt 'p1' appears twice",
                  id="pairs-skip-then-duplicate"),
     pytest.param("pairs", {"candidates": lines_file([SKIPPED_SET, "{oops"])},
+                 "pairs: skip prompt 'p1' (score gap <= 0.0)\n"  # logged as the set is read
                  f"error: BAD_LINE: {{dir}}/candidates.jsonl:2: {NOT_ONE_VALUE}", id="pairs-skip-then-bad-line"),
     pytest.param("pairs", {"candidates": lines_file([SKIPPED_SET]) + b"\xff\n"},
-                 NOT_UTF8 % "candidates" + "byte 0xff in position 2651: invalid start byte",
+                 "pairs: skip prompt 'p1' (score gap <= 0.0)\n"
+                 + NOT_UTF8 % "candidates" + "byte 0xff in position 2651: invalid start byte",
                  id="pairs-skip-then-not-utf8"),
     pytest.param("pairs", {"candidates": lines_file([
         rec(prompt_id="p1", candidates=[]), rec(prompt_id="p2", prompt=PROMPT, candidates=[{"document": POLICY}])])},
                  "error: BAD_RECORD: candidates must be a non-empty list",
                  id="pairs-no-candidates-then-prompt-mismatch"),
     pytest.param("eval", {"records": lines_file([rec(kind="labels", truth=5, prediction=[]), rec(kind="nope")])},
-                 "error: BAD_RECORD: {dir}/records.jsonl: unknown record kind 'nope'",
+                 "error: BAD_RECORD: truth must be a list of strings, got 5",
                  id="eval-labels-fault-then-unknown-kind"),
     pytest.param("eval", {"records": lines_file([rec(kind="strategy", prompt_id="p2", prompt=PROMPT, document=POLICY),
                                                  rec(kind="labels", truth=["a"], prediction=5)])},
-                 "error: BAD_RECORD: prediction must be a list of strings, got 5",
+                 "error: BAD_RECORD: {dir}/records.jsonl: record prompt_id 'p2' differs from its prompt's 'p1'",
                  id="eval-strategy-fault-then-labels-fault"),
     pytest.param("eval", {"records": lines_file([rec(kind="text", reference=5, hypothesis="x"),
                                                  rec(kind="classification", truth=5, prediction="a")])},
-                 "error: BAD_RECORD: truth must be a string, got 5", id="eval-text-fault-then-classification-fault"),
+                 "error: BAD_RECORD: reference must be a string, got 5",
+                 id="eval-text-fault-then-classification-fault"),
     pytest.param("eval", {"records": lines_file([rec(kind="strategy", prompt_id="p2", prompt=PROMPT, document=POLICY),
                                                  rec(kind="strategy", prompt_id="p1", prompt=PROMPT)])},
                  "error: BAD_RECORD: {dir}/records.jsonl: record prompt_id 'p2' differs from its prompt's 'p1'",
@@ -543,6 +547,57 @@ def test_of_two_faults_the_whole_file_readers_wins(tmp_path, command, files, std
     code, out, err = run(tmp_path, command, {**inputs(command), **files})
     assert (code, out) == (1, "")
     assert err == stderr.replace("{dir}", str(tmp_path)) + "\n"
+
+
+def test_eval_steps_no_record_after_its_first_failing_one(tmp_path, monkeypatch):
+    """A labels fault on line 1 is raised, and none of the 50 valid strategy records after it is validated."""
+    from ecpo import validator
+
+    calls, validate = [], validator.validate
+    monkeypatch.setattr(validator, "validate", lambda *args, **kwargs: calls.append(1) or validate(*args, **kwargs))
+    strategy = [{"kind": "strategy", "prompt_id": "p1", "prompt": PROMPT, "document": POLICY}] * 50
+    assert run(tmp_path, "eval", {"records": strategy})[0] == 0
+    assert len(calls) == 50  # the counter sees every strategy record of a file without a fault
+    calls.clear()
+    fault = {"kind": "labels", "truth": ["a"], "prediction": 5}
+    assert run(tmp_path, "eval", {"records": [fault, *strategy]}) == (
+        1, "", "error: BAD_RECORD: prediction must be a list of strings, got 5\n")
+    assert calls == []
+
+
+# eval records of every kind, each line valid JSON, with whether its record fails: eval has no rule across records.
+EVAL_LINES = [(rec(**record), False) for record in COMMANDS["eval"][1]["records"]] + [
+    (rec(kind="strategy", prompt_id="p2", document=POLICY), False),
+    (rec(kind="labels", truth=[], prediction=[]), False),
+    (rec(kind="text", reference="", hypothesis="keep"), False),
+    (rec(kind="nope"), True),
+    (rec(kind=5), True),
+    (json.dumps([1]), True),
+    ("null", True),
+    (rec(kind="labels", truth=5, prediction=[]), True),
+    (rec(kind="labels", truth=["a"]), True),
+    (rec(kind="classification", truth=5, prediction="a"), True),
+    (rec(kind="classification", truth="a", prediction="b", extra=1), True),
+    (rec(kind="text", reference=5, hypothesis="x"), True),
+    (rec(kind="text", reference="x", hypothesis=None), True),
+    (rec(kind="strategy", prompt_id="p2", prompt=PROMPT, document=POLICY), True),
+    (rec(kind="strategy", prompt_id="p1", prompt=PROMPT), True),
+    (rec(kind="strategy", prompt_id="p1", document=POLICY, ratings=[[1, 2]]), True),
+    (rec(kind="strategy", prompt_id="p1", document=POLICY, seed=1.5), True),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(EVAL_LINES), max_size=8))
+def test_eval_fails_as_its_first_faulty_line_alone(lines):
+    with tempfile.TemporaryDirectory() as directory:
+        result = run(Path(directory), "eval", {"records": lines_file([line for line, _ in lines])})
+        faulty = [line for line, fails in lines if fails]
+        if not faulty:
+            assert result[0] == 0, result
+            return
+        assert result == run(Path(directory), "eval", {"records": lines_file(faulty[:1])})
+        assert result[0] == 1
 
 
 # A line ends at LF only: a lone CR is JSON whitespace, like the CR of a CRLF ending.
@@ -583,12 +638,11 @@ LINE_PIECES = [b"\n", b"\r", b"\r\n", b" ", b"\t", BOM, b"\xff", b"\xc3", b"\xe2
 @given(st.booleans(), st.lists(st.one_of(st.sampled_from(LINE_PIECES), st.binary(max_size=3)), max_size=24))
 def test_the_streamed_reader_equals_the_whole_file_reader(leading_bom, pieces):
     data = (BOM if leading_bom else b"") + b"".join(pieces)
-    values = []
     with tempfile.TemporaryDirectory() as directory:
         path = str(Path(directory) / "input.jsonl")
         Path(path).write_bytes(data)
         try:
-            _read_jsonl(path, lambda value, number: values.append(value))
+            values = _read_jsonl(path, lambda value: value)
         except InputError as error:
             values = f"{error.code}: {error.message}"
     assert repr(values) == repr(jsonl_reference(data, path))
