@@ -241,7 +241,21 @@ MUTANTS = (
         "        if failure is None:\n",
         "        if True:\n",
         ("tests/test_cli_boundary.py::test_eval_steps_no_record_after_its_first_failing_one",
-         "tests/test_cli_boundary.py::test_eval_fails_as_its_first_faulty_line_alone"),
+         "tests/test_cli_boundary.py::test_each_file_fails_as_its_first_faulty_line_alone"),
+    ),
+    # --- one writer of a record fault's location; stratify groups each sample as it reads it
+    Mutant(
+        "location-dropped", "src/ecpo/cli.py",
+        '                failure = InputError(error.code, f"{path}:{number}: {error.message}")\n',
+        "                failure = error\n",
+        ("tests/test_cli_boundary.py::test_extra_key_fails_with_its_records_code",
+         "tests/test_cli_boundary.py::test_each_file_fails_as_its_first_faulty_line_alone"),
+    ),
+    Mutant(
+        "stratify-groups-after-the-read", "src/ecpo/cli.py",
+        "    lines = _read_jsonl(args.records, stratum_line)\n",
+        "    lines = list(map(stratum_line, _read_jsonl(args.records, lambda raw: sample_from_dict(raw) and raw)))\n",
+        ("tests/test_cli_boundary.py::test_of_two_faults_the_whole_file_readers_wins",),
     ),
     Mutant(
         "pairs-skips-logged-after-the-read", "src/ecpo/cli.py",
@@ -274,8 +288,8 @@ MUTANTS = (
     ),
     Mutant(
         "nesting-guard-dropped", "src/ecpo/cli.py",
-        "            except RecursionError:  # a value that parsed",
-        "            except ZeroDivisionError:  # a value that parsed",
+        "            except RecursionError:  # a value that parsed, too deep for the step to encode again\n",
+        "            except ZeroDivisionError:  # a value that parsed, too deep for the step to encode again\n",
         ("tests/test_cli.py::test_a_value_too_deep_to_encode_fails_as_its_record",),
     ),
     # --- each outside value decoded once: documents parse from their value, side files share the line reader

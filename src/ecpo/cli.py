@@ -45,7 +45,8 @@ def _read_jsonl(path: str, step: Callable[[object], object]) -> list:
     """``step`` of each non-blank line's value as soon as the line parses, so a file is held one line at a time; the
     list of what it returned. Once every line has parsed, the first of the file's faults in this order is raised: a
     byte that is not UTF-8, a leading byte order mark, the first ``BAD_LINE``, the first record whose step fails. No
-    record after that one is stepped."""
+    record after that one is stepped. The one writer of a record's location: an ``InputError`` a step raises gains
+    ``<path>:<line>: ``; any other error, a side file's ``ConfigError`` included, is raised as it is."""
     if not os.path.exists(path):
         raise InputError("MISSING_FILE", f"no such file: {path}")
     results, bad_line, failure = [], None, None
@@ -67,8 +68,9 @@ def _read_jsonl(path: str, step: Callable[[object], object]) -> list:
             try:
                 results.append(step(value))
             except RecursionError:  # a value that parsed, too deep for the step to encode again
-                failure = InputError("BAD_RECORD",
-                                     f"{path}:{number}: a record holds a value nested too deep to encode")
+                failure = InputError("BAD_RECORD", f"{path}:{number}: a record holds a value nested too deep to encode")
+            except InputError as error:
+                failure = InputError(error.code, f"{path}:{number}: {error.message}")
             except Exception as error:  # any failure, INTERNAL ones too, waits until every line has parsed
                 failure = error
     if bad_line or failure:
@@ -138,13 +140,12 @@ EVAL_FIELDS = {
 }
 
 
-def _strategy_prompt(record: dict, path: str) -> StrategyPrompt:
-    """The prompt a decoded strategy record carries, which must have the record's
-    own prompt_id, or an empty prompt under its prompt_id."""
+def _strategy_prompt(record: dict) -> StrategyPrompt:
+    """The prompt a strategy record carries, which must have the record's own prompt_id, or an empty one under it."""
     prompt_id = record["prompt_id"]
     prompt = record.get("prompt") or StrategyPrompt(prompt_id)
     if prompt.prompt_id != prompt_id:
-        raise InputError("BAD_RECORD", f"{path}: record prompt_id {shown(prompt_id)} differs from its prompt's "
+        raise InputError("BAD_RECORD", f"record prompt_id {shown(prompt_id)} differs from its prompt's "
                                        f"{shown(prompt.prompt_id)}")
     return prompt
 
@@ -155,7 +156,7 @@ def _load_prompts(path: str) -> dict[str, StrategyPrompt]:
     def take(record: object) -> None:
         prompt = _prompt_of(record)
         if prompt.prompt_id in prompts:
-            raise InputError("DUPLICATE_ID", f"{path}: prompt {shown(prompt.prompt_id)} appears twice")
+            raise InputError("DUPLICATE_ID", f"prompt {shown(prompt.prompt_id)} appears twice")
         prompts[prompt.prompt_id] = prompt
 
     _read_jsonl(path, take)
@@ -167,16 +168,16 @@ def cmd_validate(args, config: RunConfig) -> list[str]:
 
     prompts = _load_prompts(args.prompts)
     echo = config.echo()
-    where, index, valid_count = f"{args.policies}: record", 0, 0
+    index, valid_count = 0, 0
 
     def report_line(raw: object) -> str:
         nonlocal index, valid_count
-        record = read_record(raw, VALIDATE_FIELDS, "BAD_RECORD", where, ("prompt_id", "document"))
+        record = read_record(raw, VALIDATE_FIELDS, "BAD_RECORD", "record", ("prompt_id", "document"))
         prompt_id = record["prompt_id"]
         candidate_id = record.get("candidate_id", str(index))
         prompt = prompts.get(prompt_id)
         if prompt is None:
-            raise InputError("UNKNOWN_PROMPT", f"{args.policies}: no prompt {shown(prompt_id)}")
+            raise InputError("UNKNOWN_PROMPT", f"no prompt {shown(prompt_id)}")
         report = validate(record["document"], prompt, config)
         index += 1
         valid_count += report.schema_valid
@@ -195,16 +196,16 @@ def cmd_pairs(args, config: RunConfig) -> list[str]:
     from .preference import Candidate, CandidateSet, select_pair
     from .validator import validate
 
-    seen, where = set(), f"{args.candidates}: record"
+    seen = set()
 
     def pair_line(raw: object) -> tuple[str, str] | None:
         """(prompt_id, the pair's line), or None for a set whose pair is skipped, logged as it is decided."""
-        record = read_record(raw, PAIRS_FIELDS, "BAD_RECORD", where, ("prompt_id", "candidates"))
+        record = read_record(raw, PAIRS_FIELDS, "BAD_RECORD", "record", ("prompt_id", "candidates"))
         prompt_id = record["prompt_id"]
         if prompt_id in seen:
-            raise InputError("DUPLICATE_ID", f"{args.candidates}: prompt {shown(prompt_id)} appears twice")
+            raise InputError("DUPLICATE_ID", f"prompt {shown(prompt_id)} appears twice")
         seen.add(prompt_id)
-        prompt = _strategy_prompt(record, args.candidates)
+        prompt = _strategy_prompt(record)
         candidates = [Candidate(entry.get("candidate_id", str(index)), entry["document"],
                                 validate(entry["document"], prompt, config))
                       for index, entry in enumerate(record["candidates"])]
@@ -230,10 +231,8 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
                           multilabel_metrics, rouge_l, strategy_metrics)
     from .validator import validate
 
-    path = args.records
-
     def strategy_record(record: dict) -> StrategyEvalRecord:
-        report = validate(record["document"], _strategy_prompt(record, path), config)
+        report = validate(record["document"], _strategy_prompt(record), config)
         ratings, seed = record.get("ratings"), record.get("seed", 0)
         return StrategyEvalRecord.from_report(record["prompt_id"], report, ratings=ratings, seed=seed)
 
@@ -242,19 +241,18 @@ def cmd_eval(args, config: RunConfig) -> list[str]:
     keeps = {"labels": lambda record: LabelSetSample.from_lists(record["truth"], record["prediction"]),
              "classification": itemgetter("truth", "prediction"), "text": itemgetter("reference", "hypothesis"),
              "strategy": strategy_record}
-    readers = {kind: (fields, required, f"{path}: {kind} record", keeps[kind])
-               for kind, (fields, required) in EVAL_FIELDS.items()}
     sections: dict[str, list] = {}
 
     def take(record: object) -> None:
         """The record decoded by its kind's table, then kept in its kind's section as that section reads it."""
         kind = record.get("kind") if isinstance(record, dict) else None
-        if not isinstance(kind, str) or kind not in readers:
-            raise InputError("BAD_RECORD", f"{path}: unknown record kind {shown(kind)}")
-        fields, required, where, keep = readers[kind]
-        sections.setdefault(kind, []).append(keep(read_record(record, fields, "BAD_RECORD", where, required)))
+        if not isinstance(kind, str) or kind not in EVAL_FIELDS:
+            raise InputError("BAD_RECORD", f"unknown record kind {shown(kind)}")
+        fields, required = EVAL_FIELDS[kind]
+        sections.setdefault(kind, []).append(keeps[kind](read_record(record, fields, "BAD_RECORD", f"{kind} record",
+                                                                     required)))
 
-    _read_jsonl(path, take)
+    _read_jsonl(args.records, take)
     report = MetricReport(config=config.echo())
     report.counts["records"] = sum(map(len, sections.values()))
 
@@ -338,14 +336,19 @@ def cmd_mixpair(args, config: RunConfig) -> list[str]:
 
 
 def cmd_stratify(args, config: RunConfig) -> list[str]:
-    records = _read_jsonl(args.records, sample_from_dict)
     vocab = config.label_vocab()
-    groups = [stratum(record, vocab) for record in records]
-    _log(f"stratify: {_dumps({group: groups.count(group) for group in STRATIFY_GROUPS})}")
-    return [
-        _dumps({"kind": "stratum", "prompt_id": record.prompt.prompt_id, "split": record.split, "group": group})
-        for record, group in zip(records, groups)
-    ]
+    counts = dict.fromkeys(STRATIFY_GROUPS, 0)
+
+    def stratum_line(raw: object) -> str:
+        """The sample's group line, counted as it is decided: only the output lines are kept."""
+        record = sample_from_dict(raw)
+        group = stratum(record, vocab)
+        counts[group] += 1
+        return _dumps({"kind": "stratum", "prompt_id": record.prompt.prompt_id, "split": record.split, "group": group})
+
+    lines = _read_jsonl(args.records, stratum_line)
+    _log(f"stratify: {_dumps(counts)}")
+    return lines
 
 
 HANDLERS = {

@@ -322,7 +322,7 @@ def out_in_a_missing_folder(tmp_path, rain_files) -> list:
 
 
 @pytest.mark.parametrize("build, exit_code, error", [
-    (empty_candidates, 1, "error: BAD_RECORD: candidates must be a non-empty list"),
+    (empty_candidates, 1, "error: BAD_RECORD: {tmp_path}/c.jsonl:1: candidates must be a non-empty list"),
     (blank_triggers, 2, "error: BAD_RULE: hazard rule needs a hazard id and at least one trigger"),
     (out_is_a_directory, 1, "error: BAD_OUT: cannot write "),
     (out_in_a_missing_folder, 1, "error: BAD_OUT: cannot write "),
@@ -332,7 +332,7 @@ def test_error_branch_fails_with_its_code(tmp_path, rain_files, build, exit_code
     assert (code, lines) == (exit_code, [])
     # one line: a bad --out fails before validate reads its input and logs its record count
     assert len(err.splitlines()) == 1
-    assert err.startswith(error)
+    assert err.startswith(error.format(tmp_path=tmp_path))
 
 
 def test_out_is_checked_before_any_input_is_read_and_left_untouched(tmp_path, rain_files, capsys):
@@ -663,7 +663,7 @@ def test_pairs_repeated_candidate_id_exits_1(tmp_path, rain_policy_dict, capsys)
             {"prompt_id": "p2", "candidates": [{"candidate_id": "c", "document": rain_policy_dict}] * 2}]
     code, lines, err = run_cli(["pairs", "--candidates", write_jsonl(tmp_path / "c.jsonl", rows)], capsys)
     assert (code, lines) == (1, [])
-    assert err == "error: DUPLICATE_ID: prompt 'p2' repeats a candidate_id\n"
+    assert err == f"error: DUPLICATE_ID: {tmp_path / 'c.jsonl'}:2: prompt 'p2' repeats a candidate_id\n"
 
 
 def pairs_corpus() -> list[dict]:

@@ -3,9 +3,10 @@
 A value of the wrong JSON type in any record or config field fails with exit
 1 (input) or 2 (config) and one ``error: CODE: message`` line naming the
 field's code; it is never converted and never reaches the scorer. A key that
-is not a field of its record fails with the record's code. A file that cannot
-be read, is not UTF-8 or is nested too deep fails the same way, with the code
-of that file.
+is not a field of its record fails with the record's code. A record's fault
+names its file and line (``error: CODE: <path>:<line>: message``). A file
+that cannot be read, is not UTF-8 or is nested too deep fails the same way,
+with the code of that file.
 """
 
 import copy
@@ -202,7 +203,9 @@ def run(directory: Path, command: str, files: dict, config: object = None, optio
 
 
 def inputs(command: str) -> dict:
-    return copy.deepcopy(COMMANDS[command][1])
+    """A copy of the command's valid inputs in which no two records share a nested value (the in-cabin and
+    out-of-cabin samples share PROMPT's), so that a change to one record reaches no other."""
+    return {name: [copy.deepcopy(record) for record in records] for name, records in COMMANDS[command][1].items()}
 
 
 def test_every_valid_input_runs_clean(tmp_path):
@@ -321,7 +324,7 @@ def test_mistyped_value_is_shown_cut_short(tmp_path, objects, shown_whole):
     code, out, err = run(tmp_path, "retrieve", files)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: BAD_RECORD: objects must be a list of strings, got ")
+    assert err.startswith(f"error: BAD_RECORD: {tmp_path / 'prompts.jsonl'}:1: objects must be a list of strings, got ")
     assert len(err.encode("utf-8")) < 300
     assert err.endswith(f"got {objects!r}\n") == shown_whole
 
@@ -429,7 +432,7 @@ STORE_FAULTS = [
                  "BAD_LINE: {store}:5: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
                  id="bad-snippet-2-unparseable-5"),
     pytest.param([GOOD_LINES[0], GOOD_LINES[1], GOOD_LINES[0], store_line(snippet_id="b", layer="weather")],
-                 "BAD_SNIPPET: unknown snippet layer 'weather'", id="duplicate-then-bad-snippet"),
+                 "BAD_SNIPPET: {store}:4: unknown snippet layer 'weather'", id="duplicate-then-bad-snippet"),
     pytest.param([GOOD_LINES[0], GOOD_LINES[1] + " x"], "BAD_LINE: {store}:2: Extra data: line 1 column 348 (char 347)",
                  id="trailing-data"),
     pytest.param([GOOD_LINES[0], GOOD_LINES[1] + " \t{}"],
@@ -438,7 +441,7 @@ STORE_FAULTS = [
                  id="whitespace-around-bad-value"),
     pytest.param([GOOD_LINES[0], '{"snippet_id": Nan}'],
                  "BAD_LINE: {store}:2: Expecting value: line 1 column 16 (char 15)", id="misspelt-nan"),
-    pytest.param([GOOD_LINES[0], "NaN"], "BAD_SNIPPET: snippet record must be an object, got nan", id="nan"),
+    pytest.param([GOOD_LINES[0], "NaN"], "BAD_SNIPPET: {store}:2: snippet record must be an object, got nan", id="nan"),
     pytest.param([GOOD_LINES[0], "[" * 100_000 + "]" * 100_000],
                  "BAD_LINE: {store}:2: maximum recursion depth exceeded while decoding a JSON array from a unicode "
                  "string", id="deep-nesting"),
@@ -474,13 +477,14 @@ SKIPPED_SET = rec(prompt_id="p1", prompt=PROMPT, candidates=[{"document": POLICY
 BOM = b"\xef\xbb\xbf"
 NOT_ONE_VALUE = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
 NOT_UTF8 = "error: BAD_FILE: cannot read input {dir}/%s.jsonl: 'utf-8' codec can't decode "
+HEADLESS = {**sample("r2"), "ground_truth_labels": {**LABELS, "emotion": ["anger", "neutral"]}}
 FAULT_ORDER = [
     pytest.param("validate", {"policies": lines_file([rec(prompt_id="p1", document=5), GOOD_POLICY, "{oops"])},
                  f"error: BAD_LINE: {{dir}}/policies.jsonl:3: {NOT_ONE_VALUE}",
                  id="validate-bad-record-then-bad-line"),
     pytest.param("validate", {"policies": lines_file([rec(prompt_id="nope", document=POLICY),
                                                       rec(prompt_id="p1", document=POLICY, extra=1)])},
-                 "error: UNKNOWN_PROMPT: {dir}/policies.jsonl: no prompt 'nope'",
+                 "error: UNKNOWN_PROMPT: {dir}/policies.jsonl:1: no prompt 'nope'",
                  id="validate-unknown-prompt-then-bad-record"),
     pytest.param("validate", {"policies": lines_file(["{oops", *[GOOD_POLICY] * 20]) + b'{"prompt_id": "p\xff"}\n'},
                  NOT_UTF8 % "policies" + "byte 0xff in position 17242: invalid start byte",
@@ -492,11 +496,11 @@ FAULT_ORDER = [
                  "error: BAD_LINE: {dir}/prompts.jsonl:3: Expecting value: line 1 column 4 (char 3)",
                  id="validate-duplicate-prompt-then-bad-line"),
     pytest.param("validate", {"prompts": lines_file([json.dumps(PROMPT), json.dumps(PROMPT), rec(prompt_id=5)])},
-                 "error: DUPLICATE_ID: {dir}/prompts.jsonl: prompt 'p1' appears twice",
+                 "error: DUPLICATE_ID: {dir}/prompts.jsonl:2: prompt 'p1' appears twice",
                  id="validate-duplicate-prompt-then-bad-prompt"),
     pytest.param("pairs", {"candidates": lines_file([SKIPPED_SET, SKIPPED_SET])},
                  "pairs: skip prompt 'p1' (score gap <= 0.0)\n"  # logged before the error, as it was
-                 "error: DUPLICATE_ID: {dir}/candidates.jsonl: prompt 'p1' appears twice",
+                 "error: DUPLICATE_ID: {dir}/candidates.jsonl:2: prompt 'p1' appears twice",
                  id="pairs-skip-then-duplicate"),
     pytest.param("pairs", {"candidates": lines_file([SKIPPED_SET, "{oops"])},
                  "pairs: skip prompt 'p1' (score gap <= 0.0)\n"  # logged as the set is read
@@ -507,22 +511,22 @@ FAULT_ORDER = [
                  id="pairs-skip-then-not-utf8"),
     pytest.param("pairs", {"candidates": lines_file([
         rec(prompt_id="p1", candidates=[]), rec(prompt_id="p2", prompt=PROMPT, candidates=[{"document": POLICY}])])},
-                 "error: BAD_RECORD: candidates must be a non-empty list",
+                 "error: BAD_RECORD: {dir}/candidates.jsonl:1: candidates must be a non-empty list",
                  id="pairs-no-candidates-then-prompt-mismatch"),
     pytest.param("eval", {"records": lines_file([rec(kind="labels", truth=5, prediction=[]), rec(kind="nope")])},
-                 "error: BAD_RECORD: truth must be a list of strings, got 5",
+                 "error: BAD_RECORD: {dir}/records.jsonl:1: truth must be a list of strings, got 5",
                  id="eval-labels-fault-then-unknown-kind"),
     pytest.param("eval", {"records": lines_file([rec(kind="strategy", prompt_id="p2", prompt=PROMPT, document=POLICY),
                                                  rec(kind="labels", truth=["a"], prediction=5)])},
-                 "error: BAD_RECORD: {dir}/records.jsonl: record prompt_id 'p2' differs from its prompt's 'p1'",
+                 "error: BAD_RECORD: {dir}/records.jsonl:1: record prompt_id 'p2' differs from its prompt's 'p1'",
                  id="eval-strategy-fault-then-labels-fault"),
     pytest.param("eval", {"records": lines_file([rec(kind="text", reference=5, hypothesis="x"),
                                                  rec(kind="classification", truth=5, prediction="a")])},
-                 "error: BAD_RECORD: reference must be a string, got 5",
+                 "error: BAD_RECORD: {dir}/records.jsonl:1: reference must be a string, got 5",
                  id="eval-text-fault-then-classification-fault"),
     pytest.param("eval", {"records": lines_file([rec(kind="strategy", prompt_id="p2", prompt=PROMPT, document=POLICY),
                                                  rec(kind="strategy", prompt_id="p1", prompt=PROMPT)])},
-                 "error: BAD_RECORD: {dir}/records.jsonl: record prompt_id 'p2' differs from its prompt's 'p1'",
+                 "error: BAD_RECORD: {dir}/records.jsonl:1: record prompt_id 'p2' differs from its prompt's 'p1'",
                  id="eval-two-strategy-faults"),
     pytest.param("eval", {"records": lines_file([rec(kind="labels", truth=5, prediction=[]), "{oops"])},
                  f"error: BAD_LINE: {{dir}}/records.jsonl:2: {NOT_ONE_VALUE}", id="eval-labels-fault-then-bad-line"),
@@ -531,14 +535,21 @@ FAULT_ORDER = [
                  id="eval-unknown-kind-then-utf8-cut-short-by-the-end"),
     pytest.param("retrieve", {"store": lines_file([store_line(), store_line(snippet_id="s2", layer="weather")]),
                               "prompts": lines_file(["{oops"])},
-                 "error: BAD_SNIPPET: unknown snippet layer 'weather'", id="retrieve-bad-snippet-then-bad-prompt-line"),
+                 "error: BAD_SNIPPET: {dir}/store.jsonl:2: unknown snippet layer 'weather'",
+                 id="retrieve-bad-snippet-then-bad-prompt-line"),
     pytest.param("retrieve", {"prompts": lines_file([rec(prompt_id=5), rec(prompt_id="p2", z=5)])},
-                 "error: BAD_RECORD: prompt_id must be a string, got 5", id="retrieve-two-bad-prompts"),
+                 "error: BAD_RECORD: {dir}/prompts.jsonl:1: prompt_id must be a string, got 5",
+                 id="retrieve-two-bad-prompts"),
     pytest.param("retrieve", {"prompts": lines_file([rec(prompt_id=5), "{oops"])},
                  f"error: BAD_LINE: {{dir}}/prompts.jsonl:2: {NOT_ONE_VALUE}", id="retrieve-bad-prompt-then-bad-line"),
     pytest.param("retrieve", {"store": BOM + lines_file([store_line(), "{oops"])},
                  "error: BAD_FILE: cannot read input {dir}/store.jsonl: starts with a UTF-8 byte order mark",
                  id="retrieve-bom-then-bad-line"),
+    # stratify groups each sample as it reads it: a head missing on line 2 wins over a split on line 3
+    pytest.param("stratify", {"records": lines_file([json.dumps(sample("r1")), json.dumps(HEADLESS),
+                                                     json.dumps({**sample("r3"), "split": "holdout"})])},
+                 "error: MISSING_HEAD: {dir}/records.jsonl:2: record lacks a single label for head 'emotion'",
+                 id="stratify-missing-head-then-bad-split"),
 ]
 
 
@@ -561,11 +572,13 @@ def test_eval_steps_no_record_after_its_first_failing_one(tmp_path, monkeypatch)
     calls.clear()
     fault = {"kind": "labels", "truth": ["a"], "prediction": 5}
     assert run(tmp_path, "eval", {"records": [fault, *strategy]}) == (
-        1, "", "error: BAD_RECORD: prediction must be a list of strings, got 5\n")
+        1, "", f"error: BAD_RECORD: {tmp_path / 'records.jsonl'}:1: prediction must be a list of strings, got 5\n")
     assert calls == []
 
 
-# eval records of every kind, each line valid JSON, with whether its record fails: eval has no rule across records.
+# Lines of one input file, each valid JSON, with whether its record fails; the command's other files are its valid
+# inputs. No two lines of a table share an id and every sample is of the train split, so no rule across records or
+# files is met: each fault is its line's own.
 EVAL_LINES = [(rec(**record), False) for record in COMMANDS["eval"][1]["records"]] + [
     (rec(kind="strategy", prompt_id="p2", document=POLICY), False),
     (rec(kind="labels", truth=[], prediction=[]), False),
@@ -585,19 +598,103 @@ EVAL_LINES = [(rec(**record), False) for record in COMMANDS["eval"][1]["records"
     (rec(kind="strategy", prompt_id="p1", document=POLICY, ratings=[[1, 2]]), True),
     (rec(kind="strategy", prompt_id="p1", document=POLICY, seed=1.5), True),
 ]
+POLICY_LINES = [
+    (GOOD_POLICY, False),
+    (rec(prompt_id="p1", document="not a policy"), False),
+    (rec(prompt_id="p1", candidate_id="c2", document={"actions": []}), False),
+    (rec(prompt_id="nope", document=POLICY), True),
+    (rec(prompt_id=5, document=POLICY), True),
+    (rec(prompt_id="p1"), True),
+    (rec(prompt_id="p1", candidate_id=[1], document=POLICY), True),
+    (rec(prompt_id="p1", document=POLICY, extra=1), True),
+    ("null", True),
+]
+SNIPPET_LINES = [
+    (store_line(snippet_id="s1"), False),
+    (store_line(snippet_id="s2", layer="vehicle", text="keep right"), False),
+    (store_line(snippet_id="s3", assertions={}), False),
+    (store_line(snippet_id="b1", layer="weather"), True),
+    (store_line(snippet_id="b2", text=5), True),
+    (store_line(snippet_id="b3", text=" "), True),
+    (store_line(snippet_id="b4", assertions={"forbidden_keywords": ["x?"]}), True),
+    (store_line(snippet_id="b5", extra=1), True),
+    ("NaN", True),
+]
+PROMPT_LINES = [
+    (json.dumps(PROMPT), False),
+    (rec(prompt_id="p2", z={"scene_labels": ["rain"]}), False),
+    (json.dumps(sample("p3")), False),
+    (rec(prompt_id=5), True),
+    (rec(prompt_id="p4", z=5), True),
+    (rec(prompt_id="p5", driver={"alert_frequency": 5}), True),
+    (rec(prompt_id="p6", constraints=[{**SNIPPET, "layer": "weather"}]), True),
+    (json.dumps({**sample("p7"), "split": "holdout"}), True),
+    ("[]", True),
+]
+SAMPLE_LINES = [
+    (json.dumps(sample("r1")), False),
+    (json.dumps({**sample("r2"), "reference_policy": None}), False),
+    (json.dumps({**sample("r3"), "split": "holdout"}), True),
+    (json.dumps({**sample("r4"), "prompt": 5}), True),
+    (json.dumps({**sample("r5"), "ground_truth_labels": {**LABELS, "emotion": 5}}), True),
+    (json.dumps({**sample("r6"), "extra": 1}), True),
+    ("null", True),
+]
+FILE_LINES = {
+    ("eval", "records"): EVAL_LINES,
+    ("validate", "policies"): POLICY_LINES,
+    ("retrieve", "store"): SNIPPET_LINES,
+    ("retrieve", "prompts"): PROMPT_LINES,
+    ("mixpair", "in"): SAMPLE_LINES + [(json.dumps(HEADLESS), False)],
+    ("mixpair", "out"): SAMPLE_LINES + [(json.dumps(HEADLESS), False)],
+    ("stratify", "records"): SAMPLE_LINES + [(json.dumps(HEADLESS), True)],  # only stratify reads every head
+}
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.sampled_from(EVAL_LINES), max_size=8))
-def test_eval_fails_as_its_first_faulty_line_alone(lines):
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FILE_LINES)).flatmap(lambda target: st.tuples(
+    st.just(target), st.lists(st.sampled_from(FILE_LINES[target]), min_size=1, max_size=8, unique=True))))
+def test_each_file_fails_as_its_first_faulty_line_alone(drawn):
+    """The error a file gives is the error its first faulty line gives alone, at that line's number."""
+    (command, name), lines = drawn
     with tempfile.TemporaryDirectory() as directory:
-        result = run(Path(directory), "eval", {"records": lines_file([line for line, _ in lines])})
-        faulty = [line for line, fails in lines if fails]
+        directory, files = Path(directory), inputs(command)
+        result = run(directory, command, {**files, name: lines_file([line for line, _ in lines])})
+        faulty = [number for number, (_, fails) in enumerate(lines, start=1) if fails]
         if not faulty:
             assert result[0] == 0, result
             return
-        assert result == run(Path(directory), "eval", {"records": lines_file(faulty[:1])})
-        assert result[0] == 1
+        code, out, err = run(directory, command, {**files, name: lines_file([lines[faulty[0] - 1][0]])})
+        path = directory / f"{name}.jsonl"
+        assert (code, out) == (1, "") and f" {path}:1: " in err, err
+        assert result == (code, out, err.replace(f" {path}:1: ", f" {path}:{faulty[0]}: ", 1))
+
+
+# Faults found across records or files. A repeated id names the line that repeats it, and an empty store the first
+# prompt it fails; a duplicate snippet (found once the whole store has decoded) and an empty split name no line.
+def candidate_set(prompt_id: str) -> dict:
+    return {"prompt_id": prompt_id, "candidates": [{"document": POLICY}]}
+
+
+CROSS_RECORD_FAULTS = [
+    pytest.param("validate", {"prompts": [PROMPT, {**PROMPT, "prompt_id": "p2"}, PROMPT]},
+                 "DUPLICATE_ID: {dir}/prompts.jsonl:3: prompt 'p1' appears twice", id="duplicate-prompt"),
+    pytest.param("pairs", {"candidates": [candidate_set("p1"), candidate_set("p2"), candidate_set("p1")]},
+                 "DUPLICATE_ID: {dir}/candidates.jsonl:3: prompt 'p1' appears twice", id="duplicate-candidate-set"),
+    pytest.param("retrieve", {"store": [], "prompts": [PROMPT, PROMPT]},
+                 "EMPTY_STORE: {dir}/prompts.jsonl:1: no snippets in the selected store version", id="empty-store"),
+    pytest.param("retrieve", {"store": [SNIPPET, {**SNIPPET, "snippet_id": "s2"}, SNIPPET]},
+                 "DUPLICATE_ID: snippet id 's1' already present", id="duplicate-snippet"),
+    pytest.param("mixpair", {"out": [{**sample("out-1"), "split": "val"}]},
+                 "EMPTY_SPLIT: split 'train' has no out-of-cabin samples", id="empty-split"),
+]
+
+
+@pytest.mark.parametrize("command, files, error", CROSS_RECORD_FAULTS)
+def test_a_fault_across_records_names_the_line_it_is_found_on_if_any(tmp_path, command, files, error):
+    code, out, err = run(tmp_path, command, {**inputs(command), **files})
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == f"error: {error.format(dir=tmp_path)}"  # after the skip lines of pairs
 
 
 # A line ends at LF only: a lone CR is JSON whitespace, like the CR of a CRLF ending.
@@ -759,6 +856,14 @@ def test_a_side_files_whole_file_fault_wins(tmp_path, field, data, error):
     assert err == f"error: {error.format(side=(tmp_path / 'side').resolve())}\n"
 
 
+def test_a_bad_vocabulary_wins_over_a_bad_records_line(tmp_path):
+    # stratify loads its vocabulary before it reads a record, as every command loads its config file
+    (tmp_path / "side").write_text("{", encoding="utf-8")
+    code, out, err = run(tmp_path, "stratify", {"records": lines_file(["{oops"])}, {"label_vocab_path": "side"})
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: BAD_VOCAB: ")
+
+
 def test_a_json_side_file_error_counts_the_cr_of_a_crlf(tmp_path):
     # the CRs of lines 1 and 2 count: read as its LF twin, the "}" would be char 15
     code, out, err = side_run(tmp_path, "stratify", "label_vocab_path", '{\r\n"heads": {},\r\n}\r\n')
@@ -918,7 +1023,7 @@ def test_extra_key_fails_with_its_records_code(tmp_path, command, name, index, p
     code, out, err = run(tmp_path, command, files)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
-    assert err.startswith(f"error: {error_code}: ") and repr(EXTRA) in err
+    assert err.startswith(f"error: {error_code}: {tmp_path / f'{name}.jsonl'}:{index + 1}: ") and repr(EXTRA) in err
 
 
 @pytest.mark.parametrize("command, name, path, key, value, error_code", [
