@@ -358,6 +358,36 @@ MUTANTS = (
         "            if not hasattr(key, \"strip\"):\n                _key_not_text(key, f\"{path}.parameters\", defect)\n",
         ("tests/test_policy.py::test_a_key_that_is_not_text_is_an_unparseable_defect_at_its_object",),
     ),
+    # --- one byte-table tokenizer pass; each retrieval query tokenized in one scan of its parts
+    Mutant(
+        "tokenizer-drops-non-ascii", "src/ecpo/textnorm.py",
+        "    return text.casefold().encode(\"ascii\", \"replace\").translate(_TABLE).decode(\"ascii\").split()\n",
+        "    return text.casefold().encode(\"ascii\", \"ignore\").translate(_TABLE).decode(\"ascii\").split()\n",
+        ("tests/test_textnorm.py::test_tokenize_splits_on_non_alphanumerics",
+         "tests/test_textnorm.py::test_tokenize_equals_split_and_drop_empty"),
+    ),
+    Mutant(
+        "tokenizer-keeps-underscore", "src/ecpo/textnorm.py",
+        "b\"0123456789abcdefghijklmnopqrstuvwxyz\"",
+        "b\"0123456789_abcdefghijklmnopqrstuvwxyz\"",
+        ("tests/test_textnorm.py::test_tokenize_splits_on_non_alphanumerics",
+         "tests/test_textnorm.py::test_tokenize_equals_split_and_drop_empty"),
+    ),
+    Mutant(
+        "text-break-glued", "src/ecpo/textnorm.py",
+        "text.replace(TEXT_BREAK, \" \") + \" \\x00 \" for text in texts",
+        "text.replace(TEXT_BREAK, \" \") + \"\\x00\" for text in texts",
+        ("tests/test_textnorm.py::test_tokenize_texts_equals_each_text_then_a_break",
+         "tests/test_store.py::test_tokenize_texts_breaks_after_each_text",
+         "tests/test_store.py::test_chunked_index_equals_per_text_reference"),
+    ),
+    Mutant(
+        "query-parts-joined-without-space", "src/ecpo/store.py",
+        "        return content_tokens(\" \".join([self.jurisdiction,",
+        "        return content_tokens(\"\".join([self.jurisdiction,",
+        ("tests/test_store.py::test_query_tokens_equal_the_per_part_reference",
+         "tests/test_store.py::test_duplicate_text_ranks_first_with_full_score"),
+    ),
     # --- earlier changes
     Mutant(
         "survivor-margin-zero", "src/ecpo/store.py",

@@ -57,13 +57,9 @@ class RetrievalQuery:
             raise InputError("EMPTY_QUERY", "at least one term list must be non-empty")
 
     def tokens(self) -> list[str]:
-        parts = [self.jurisdiction, self.operating_mode]
-        parts.extend(self.sensitivity_terms)
-        parts.extend(self.situation_terms)
-        out: list[str] = []
-        for part in parts:
-            out.extend(content_tokens(part))
-        return out
+        """The content tokens of every part in turn, from one scan: a space ends each part's last token."""
+        return content_tokens(" ".join([self.jurisdiction, self.operating_mode, *self.sensitivity_terms,
+                                        *self.situation_terms]))
 
 
 @dataclass(frozen=True)
@@ -280,16 +276,9 @@ def build_query(
     summary stages, deduplicated in source order. An all-empty context falls
     back to the single term "general" so the query invariant holds.
     """
-    sensitivity = driver.query_sensitivities()
-    for preference in (driver.alert_modality_preference, driver.style_preference):
-        sensitivity.extend(content_tokens(preference))
-
-    situation: list[str] = []
-    for text in (*z.all_labels(), *z.summary_stages()):
-        situation.extend(content_tokens(text))
-
-    sensitivity = dedup_preserve_order(sensitivity)
-    situation = dedup_preserve_order(situation)
+    preferences = content_tokens(f"{driver.alert_modality_preference} {driver.style_preference}")
+    sensitivity = dedup_preserve_order(driver.query_sensitivities() + preferences)
+    situation = dedup_preserve_order(content_tokens(" ".join([*z.all_labels(), *z.summary_stages()])))
     if not sensitivity and not situation:
         situation = ["general"]
     return RetrievalQuery(

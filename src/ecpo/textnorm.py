@@ -2,18 +2,24 @@
 
 A single tokenizer keeps lexical scores, evidence grounding, and hazard
 trigger matching consistent: lowercase via ``str.casefold``, then take each
-maximal run of ASCII letters and digits as a token. Digits stay (bounds and
-temperatures are meaningful tokens).
+maximal run of ASCII letters and digits as a token. Every other character
+separates tokens, and so does every character that is still non-ASCII after
+the casefold (a non-ASCII letter or digit such as "\u00e9" or "\u0663" is never
+part of a token; "\u00df" and "\ufb00" casefold to ASCII first). Digits stay
+(bounds and temperatures are meaningful tokens). The scan runs in C: the
+casefolded text is encoded as ASCII with each other character replaced by
+"?", every byte but ``0-9a-z`` is mapped to a space by one byte table, and
+the result is split on spaces.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from itertools import filterfalse
 from typing import Iterable, Sequence
 
-_TOKEN = re.compile(r"[0-9a-z]+")
+# every byte but ASCII 0-9a-z becomes a space
+_TABLE = bytes(byte if byte in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32 for byte in range(256))
 
 # Fixed stopword list; retrieval scores and evidence matching depend on it,
 # so additions change published numbers.
@@ -34,7 +40,7 @@ def normalize_text(text: str) -> str:
 
 def tokenize(text: str) -> list[str]:
     """Normalized token list; empty input yields an empty list."""
-    return _TOKEN.findall(text.casefold())
+    return text.casefold().encode("ascii", "replace").translate(_TABLE).decode("ascii").split()
 
 
 def content_tokens(text: str) -> list[str]:
@@ -43,13 +49,15 @@ def content_tokens(text: str) -> list[str]:
 
 
 TEXT_BREAK = "\x00"  # ends each text's tokens in ``tokenize_texts``: no token character, so never in a token
-_TOKEN_OR_BREAK = re.compile(f"{_TOKEN.pattern}|{TEXT_BREAK}")
+_BREAK_TABLE = b"\x00" + _TABLE[1:]  # ``_TABLE``, but the break byte stays
 
 
 def tokenize_texts(texts: Iterable[str]) -> list[str]:
     """The ``tokenize`` tokens of each text in turn, each text's followed by ``TEXT_BREAK``, from one casefold
-    (which maps each character on its own) and one scan; a ``TEXT_BREAK`` inside a text reads as a space."""
-    return _TOKEN_OR_BREAK.findall("".join([text.replace(TEXT_BREAK, " ") + TEXT_BREAK for text in texts]).casefold())
+    (which maps each character on its own) and one byte-table pass; each break is padded with spaces, so it
+    splits out as a token of its own, and a ``TEXT_BREAK`` inside a text reads as a space."""
+    joined = "".join([text.replace(TEXT_BREAK, " ") + " \x00 " for text in texts])  # each break padded
+    return joined.casefold().encode("ascii", "replace").translate(_BREAK_TABLE).decode("ascii").split()
 
 
 def dedup_preserve_order(items: Iterable[str]) -> list[str]:

@@ -36,7 +36,7 @@ from ecpo.errors import (InputError, cut, read_as, read_int, read_list, read_num
                          read_strings, shown)
 from ecpo.policy import ActionType, LowLevelMatch, ParseOutcome, parse_action_type, parse_policy
 from ecpo.store import LexicalIndex, RetrievalQuery
-from ecpo.textnorm import content_tokens, normalize_text, tokenize
+from ecpo.textnorm import STOPWORDS, content_tokens, normalize_text, tokenize
 from ecpo.validator import CheckResult, EcpoReport, ViolationSummary
 
 MASK64 = (1 << 64) - 1
@@ -283,6 +283,16 @@ def lexical_cosine(left, right) -> float:
     lsq = sum(count * count for count in left_counts.values())
     rsq = sum(count * count for count in right_counts.values())
     return dot / math.sqrt(lsq * rsq)
+
+
+def query_tokens_reference(query: RetrievalQuery) -> list[str]:
+    """A query's content tokens, one part at a time: the jurisdiction, the operating mode, then each
+    sensitivity and situation term, each part's maximal runs of ASCII 0-9a-z after casefold, stopwords
+    dropped."""
+    tokens = []
+    for part in (query.jurisdiction, query.operating_mode, *query.sensitivity_terms, *query.situation_terms):
+        tokens.extend(token for token in re.findall(r"[0-9a-z]+", part.casefold()) if token not in STOPWORDS)
+    return tokens
 
 
 def lexical_ranking_reference(

@@ -6,7 +6,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ecpo.errors
 import ecpo.store
@@ -30,7 +30,7 @@ from ecpo.store import (
 from ecpo.textnorm import TEXT_BREAK, tokenize, tokenize_texts
 from conftest import bench_inputs
 from oracles import (lexical_index_reference, lexical_ranking_reference, lexical_survivors_reference,
-                     snippet_fields_reference, snippet_from_dict_reference, term_counts)
+                     query_tokens_reference, snippet_fields_reference, snippet_from_dict_reference, term_counts)
 
 
 def snippet(snippet_id: str, text: str, layer: str = "legal", **kwargs) -> ConstraintSnippet:
@@ -155,6 +155,36 @@ def test_build_query_fields():
 def test_build_query_fallback_term():
     query = build_query(PerceptionSummary(), DriverProfile(), VehicleProfile())
     assert query.situation_terms == ("general",)
+
+
+# query parts: ASCII words, stopwords, separators, NUL, a lone surrogate and non-ASCII characters that stay
+# non-ASCII or casefold to ASCII, so a token ending one part could only join the next one's by mistake
+query_parts = st.lists(st.sampled_from(["rain", "Lane", "the", "x1", "-", "_", " ", "\x00", "\u00df", "\u212a",
+                                        "\u20ac", "\u0663", "\ud800"]), max_size=4).map("".join)
+
+
+@given(query_parts, query_parts, st.lists(query_parts, max_size=4), st.lists(query_parts, min_size=1, max_size=4))
+@example("EU", "assist", ["noise"], ["lane", "merge"])
+def test_query_tokens_equal_the_per_part_reference(jurisdiction, mode, sensitivity, situation):
+    query = RetrievalQuery(jurisdiction, mode, tuple(sensitivity), tuple(situation))
+    assert query.tokens() == query_tokens_reference(query)
+
+
+@given(st.lists(query_parts, max_size=3), st.lists(query_parts, max_size=3), query_parts, query_parts,
+       st.tuples(query_parts, query_parts, query_parts), st.sampled_from(["high", "low"]))
+def test_build_query_terms_equal_the_per_text_reference(driver_labels, scene_labels, modality, style, stages, level):
+    z = PerceptionSummary(driver_labels=tuple(driver_labels), scene_labels=tuple(scene_labels),
+                          summary_initial=stages[0], summary_transition=stages[1], summary_final=stages[2])
+    driver = DriverProfile(alert_modality_preference=modality, style_preference=style, sensitivities={"noise": level})
+    query = build_query(z, driver, VehicleProfile())
+
+    def terms(texts):
+        return tuple(dict.fromkeys(query_tokens_reference(RetrievalQuery("", "", (), tuple(texts)))))
+
+    sensitivity = terms(["noise"] * (level == "high") + [modality, style])
+    situation = terms([*driver_labels, *scene_labels, *stages])
+    assert query.sensitivity_terms == sensitivity
+    assert query.situation_terms == (situation if sensitivity or situation else ("general",))
 
 
 # --- retrieval ----------------------------------------------------------------------
@@ -488,10 +518,12 @@ def test_repeat_query_does_not_retokenize_snippets(monkeypatch):
 
 
 # The chunked build tokenizes many texts joined by "\x00" with one casefold: texts holding "\x00", casefold
-# expanders (sharp s, the fi ligature, the Kelvin sign, dotted capital I), stopword-only texts and every
-# position of a text relative to the chunk boundaries must index as one text at a time does.
+# expanders (sharp s, the fi ligature, the Kelvin sign, dotted capital I), characters that stay non-ASCII (a
+# lone surrogate, the euro sign, an Arabic-Indic digit), stopword-only texts and every position of a text
+# relative to the chunk boundaries must index as one text at a time does.
 INDEX_PIECES = ("rain", "LANE", "merge", "the", "and", "of", "\x00", "a\x00b", "\x00\x00", "Stra\u00dfe",
-                "\ufb01eld", "\u212aelvin", "\u0130stanbul", "x1", "42", "-", " ", "\t", "\u00a0")
+                "\ufb01eld", "\u212aelvin", "\u0130stanbul", "x1", "42", "-", " ", "\t", "\u00a0", "\ud800", "\u20ac",
+                "\u0663")
 index_texts = st.lists(st.sampled_from(INDEX_PIECES), min_size=1, max_size=10).map("".join).filter(str.strip)
 INDEX_FIELDS = ("snippet_ids", "id_order", "squared_norms", "groups", "postings", "peaks", "columns")
 

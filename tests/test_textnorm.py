@@ -1,16 +1,19 @@
 import math
 import re
+import string
 
 from hypothesis import example, given, strategies as st
 
 from ecpo.textnorm import (
     STOPWORDS,
+    TEXT_BREAK,
     content_tokens,
     dedup_preserve_order,
     normalize_text,
     phrase_run,
     token_run,
     tokenize,
+    tokenize_texts,
 )
 from oracles import contains_phrase, jaccard, lexical_cosine
 
@@ -23,6 +26,10 @@ def test_normalize_collapses_whitespace_and_case():
 
 def test_tokenize_splits_on_non_alphanumerics():
     assert tokenize("Set speed to 80 km/h!") == ["set", "speed", "to", "80", "km", "h"]
+    assert tokenize("x_y") == ["x", "y"]
+    # each character that stays non-ASCII after casefold separates tokens; some casefold to ASCII first
+    assert tokenize("a\u20acb a\u0663b a\ud800b") == ["a", "b", "a", "b", "a", "b"]
+    assert tokenize("\ufb00 Stra\u00dfe") == ["ff", "strasse"]
 
 
 def test_content_tokens_drop_stopwords():
@@ -78,21 +85,43 @@ def test_jaccard_symmetric_and_bounded(a, b):
     assert value == jaccard(set(b), set(a))
 
 
-# ASCII word characters, separators, stopwords, and characters that casefold
-# into ASCII letters (German sharp s, the Kelvin sign) or next to them.
+# ASCII word characters, every ASCII punctuation character, separators, NUL, stopwords, characters that
+# casefold into ASCII letters (German sharp s, the Kelvin sign, the ff ligature) or next to them, a lone
+# surrogate, and non-ASCII digits, letters and symbols that stay non-ASCII (Arabic-Indic three, Roman
+# twelve, a titlecase digraph, the euro sign).
 mixed_text = st.lists(
-    st.sampled_from([*"aZ09_ -/.\t\n", "\u00df", "\u212a", "\u0130", "\u00e9", "the", "Rain"])
+    st.sampled_from([*"aZ09 \t\n\x00", *string.punctuation, "\u00df", "\u212a", "\u0130", "\u00e9", "\ufb00",
+                     "\ud800", "\u0663", "\u216b", "\u01c5", "\u20ac", "the", "Rain"])
 ).map("".join)
+any_text = st.one_of(mixed_text, st.text(st.characters(exclude_categories=())))
 
 
-@given(st.one_of(mixed_text, st.text()))
+@given(any_text)
 @example("")
 @example("--80 km/h--")
 @example("Stra\u00dfe \u212aelvin \u0130stanbul")
+@example("a\x00b a\u20acb \ud800x y\udfff")
+@example("\u0663\u216b\u01c5 \ufb00 1\u0663 x\u01c5y")
+@example(string.punctuation + "a" + string.punctuation)
 def test_tokenize_equals_split_and_drop_empty(text):
     expected = [piece for piece in re.split(r"[^0-9a-z]+", text.casefold()) if piece]
     assert tokenize(text) == expected
     assert content_tokens(text) == [token for token in expected if token not in STOPWORDS]
+
+
+@given(st.lists(any_text, max_size=6))
+@example(["rain", "lane"])
+@example(["a\x00b", "", "\x00", "Stra\u00dfe"])
+def test_tokenize_texts_equals_each_text_then_a_break(texts):
+    assert tokenize_texts(texts) == [token for text in texts for token in [*tokenize(text), TEXT_BREAK]]
+
+
+@given(st.lists(any_text, max_size=6))
+@example(["rain", "lane"])
+@example(["stop", "the", "car"])
+def test_content_tokens_of_space_joined_parts_equal_each_part_in_turn(parts):
+    # a retrieval query is tokenized in one scan of its parts joined by spaces
+    assert content_tokens(" ".join(parts)) == [token for part in parts for token in content_tokens(part)]
 
 
 @given(st.text())
