@@ -388,6 +388,41 @@ MUTANTS = (
         ("tests/test_store.py::test_query_tokens_equal_the_per_part_reference",
          "tests/test_store.py::test_duplicate_text_ranks_first_with_full_score"),
     ),
+    # --- retrieve's top k found value by value in a one-byte view of the dot products
+    Mutant(
+        "byte-walk-at-a-bound-of-256", "src/ecpo/store.py",
+        "_BYTE_LIMIT = 256\n",
+        "_BYTE_LIMIT = 257\n",
+        ("tests/test_store.py::test_the_byte_walk_runs_below_a_bound_of_256",),
+    ),
+    Mutant(
+        "held-search-skips-the-next-byte", "src/ecpo/store.py",
+        "            position = view.find(value, position + 1)\n",
+        "            position = view.find(value, position + 2)\n",
+        ("tests/test_store.py::test_byte_walk_survivors_equal_brute_force",
+         "tests/test_store.py::test_byte_walk_equals_group_walk_on_the_seed_workload"),
+    ),
+    Mutant(
+        "survivor-search-skips-the-next-byte", "src/ecpo/store.py",
+        "view.find(value, position + 1, end)",
+        "view.find(value, position + 2, end)",
+        ("tests/test_store.py::test_byte_walk_survivors_equal_brute_force",
+         "tests/test_store.py::test_byte_walk_equals_group_walk_on_the_seed_workload"),
+    ),
+    Mutant(
+        "survivor-cut-without-slack", "src/ecpo/store.py",
+        "(value / floor) ** 2 + 1)",
+        "(value / floor) ** 2)",
+        ("tests/test_store.py::test_the_survivor_cut_keeps_a_product_at_the_floor_without_the_margin",
+         "tests/test_store.py::test_byte_walk_equals_group_walk_on_the_seed_workload"),
+    ),
+    Mutant(
+        "survivors-from-the-last-value-found", "src/ecpo/store.py",
+        "        if position >= 0 and not top:\n",
+        "        if position >= 0:\n",
+        ("tests/test_store.py::test_byte_walk_survivors_equal_brute_force",
+         "tests/test_store.py::test_byte_walk_equals_group_walk_on_the_seed_workload"),
+    ),
     # --- earlier changes
     Mutant(
         "survivor-margin-zero", "src/ecpo/store.py",

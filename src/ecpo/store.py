@@ -17,9 +17,12 @@ group sharing one inverse norm, and holds postings per token plus one packed
 int per common token holding its term frequency in every snippet. A query
 sums the packed columns of its tokens as plain ints and adds its rare tokens
 through their postings. It then preselects the top ``top_k`` by a float
-product a few ulps from the cosine: groups are visited best first by their
-largest dot product, and the walk stops at the first group that cannot beat
-the k products already held. Only the survivors are scored exactly.
+product a few ulps from the cosine. When the query's largest possible dot
+product is below 256, every dot product fits in one byte: the walk searches a
+byte view of them with ``bytes.find``, value by value from that bound down,
+and stops at the first value that cannot beat the k products already held.
+A larger bound walks the norm groups instead, best first by their largest dot
+product. Only the survivors are scored exactly.
 ``retrieve`` takes any scorer with a ``kind`` and a
 ``rank(store, version, query, top_k)`` method; the toolkit ships only
 ``LexicalScorer``.
@@ -27,6 +30,7 @@ the k products already held. Only the survivors are scored exactly.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -86,6 +90,10 @@ _SLOT_LIMIT = 1 << 16
 # Relative margin under the k-th approximate score that still survives to the
 # exact rescoring; approximate and exact scores differ by a few ulps.
 _SURVIVOR_MARGIN = 1e-9
+# A query whose largest possible dot product is below this walks the dot products value by value through the low
+# byte of each array("H") item, which then holds the whole product.
+_BYTE_LIMIT = 256
+_LOW_BYTE = 0 if sys.byteorder == "little" else 1
 _TOKENIZE_CHUNK = 256  # texts per scan: one scan of a whole large store would hold all its tokens at once
 
 
@@ -173,17 +181,26 @@ def _build_lexical_index(snippets: Sequence[ConstraintSnippet]) -> LexicalIndex:
     )
 
 
-def _dot_products(index: LexicalIndex, query_frequencies: Counter) -> Sequence[int]:
+def _dot_bound(index: LexicalIndex, query_frequencies: Counter) -> int:
+    """The largest dot product any snippet can have with the query: each token's multiplicity times its largest
+    term frequency, summed."""
+    peaks = index.peaks
+    return sum(m * peaks.get(token, 0) for token, m in query_frequencies.items())
+
+
+def _dot_products(index: LexicalIndex, query_frequencies: Counter, bound: int | None = None) -> Sequence[int]:
     """Each snippet's exact integer dot product with the query, by position.
 
     The packed columns of the query's tokens are summed as plain ints, so
     every slot adds up in C; rare tokens add in through their postings. When
-    some dot product could reach 2**16 and carry into the next slot, every
-    token goes through its postings instead.
+    the query's ``bound`` (``_dot_bound``, computed when not given) could
+    reach 2**16 and carry into the next slot, every token goes through its
+    postings instead.
     """
     size = len(index.snippet_ids)
-    peaks = index.peaks
-    if sum(m * peaks.get(token, 0) for token, m in query_frequencies.items()) < _SLOT_LIMIT:
+    if bound is None:
+        bound = _dot_bound(index, query_frequencies)
+    if bound < _SLOT_LIMIT:
         columns = index.columns
         # a multiplicity of 1 adds the column itself: `1 * column` copies it
         packed = sum(
@@ -203,6 +220,94 @@ def _dot_products(index: LexicalIndex, query_frequencies: Counter) -> Sequence[i
             for position, count in zip(*entry):
                 dots[position] += multiplicity * count
     return dots
+
+
+def _floor(held: list[float], top_k: int) -> float:
+    """The survivor floor under the k-th largest product held; 0.0 when fewer than ``top_k`` are held, so the
+    k-th largest is a 0.0."""
+    return held[0] * (1 - _SURVIVOR_MARGIN) if len(held) == top_k else 0.0
+
+
+def _hold(held: list[float], top_k: int, product: float) -> bool:
+    """Keep ``product`` among the ``top_k`` largest held; False when it cannot beat them."""
+    if len(held) < top_k:
+        heapq.heappush(held, product)
+    elif product > held[0]:
+        heapq.heapreplace(held, product)
+    else:
+        return False
+    return True
+
+
+def _walk_values(dots: array, index: LexicalIndex, bound: int, top_k: int) -> Iterable[int]:
+    """The survivors of dot products below 256, found value by value in a one-byte view of them.
+
+    Positions ascend by squared norm, so within one value the first matches
+    hold the largest products: each value yields matches until one cannot
+    beat the k products held, and the walk stops at the first value whose
+    product at the smallest nonzero norm cannot. The survivor pass then
+    searches each value only up to the last squared norm that can reach the
+    floor and checks each match exactly.
+    """
+    view = dots.tobytes()[_LOW_BYTE::2]
+    norms = index.squared_norms
+    largest = index.groups[0][2] if index.groups else 0.0
+    held: list[float] = []
+    top = 0  # the largest dot product
+    for value in range(bound, 0, -1):
+        if len(held) == top_k and value * largest <= held[0]:
+            break
+        position = view.find(value)
+        if position >= 0 and not top:
+            top = value
+        while position >= 0 and _hold(held, top_k, value * (1 / math.sqrt(norms[position]))):
+            position = view.find(value, position + 1)
+    floor = _floor(held, top_k)
+    if not floor:
+        return itertools.compress(range(len(dots)), dots)
+    survivors = []
+    for value in range(top, 0, -1):
+        if value * largest < floor:
+            break
+        # + 1 covers the float error of the square for any squared norm below 2**49
+        end = bisect.bisect_right(norms, (value / floor) ** 2 + 1)
+        position = view.find(value, 0, end)
+        while position >= 0:
+            if value * (1 / math.sqrt(norms[position])) >= floor:
+                survivors.append(position)
+            position = view.find(value, position + 1, end)
+    return survivors
+
+
+def _walk_groups(dots: Sequence[int], index: LexicalIndex, top_k: int) -> Iterable[int]:
+    """The survivors of any dot products, found norm group by norm group.
+
+    Groups are visited in descending order of their best product (largest
+    dot times inverse norm), stopping at the first whose best cannot beat the
+    k products already held; only the groups whose best reaches the floor are
+    scanned for survivors.
+    """
+    bests = sorted(
+        ((max(dots[start:end]) * inverse, start, end, inverse) for start, end, inverse in index.groups),
+        reverse=True,
+    )
+    held: list[float] = []
+    for best, start, end, inverse in bests:
+        if len(held) == top_k and best <= held[0]:
+            break
+        for dot in heapq.nlargest(top_k, dots[start:end]):
+            if not _hold(held, top_k, dot * inverse):
+                break
+    floor = _floor(held, top_k)
+    if not floor:
+        return itertools.compress(range(len(dots)), dots)
+    return [
+        position
+        for best, start, end, inverse in bests
+        if best >= floor
+        for position in range(start, end)
+        if dots[position] * inverse >= floor
+    ]
 
 
 @dataclass(frozen=True)
@@ -304,43 +409,24 @@ class LexicalScorer:
         1e-9 of the k-th largest product survives and is scored exactly. Every
         snippet left out scores 0.0 or ranks below the k best.
 
-        The k-th largest product is found group by group, in descending order
-        of each norm group's best product, stopping at the first group whose
-        best cannot beat the k products already held; only the groups whose
-        best reaches the floor are scanned for survivors.
+        When the query's largest possible dot product is below 256, the k-th
+        largest product is found by searching the dot products value by value
+        from that bound down, in a one-byte view of them; otherwise norm group
+        by norm group, best first. Either walk stops at the first value or
+        group that cannot beat the k products already held, and every product
+        is the same float ``dot * (1 / sqrt(squared_norm))``.
         """
         check_count(top_k, "BAD_TOP_K", "top_k")
         query_frequencies = Counter(query.tokens())
         query_sq = sum(count * count for count in query_frequencies.values())
-        dots = _dot_products(index, query_frequencies)
-        survivors: Iterable[int] = itertools.compress(range(len(dots)), dots)
-        if top_k < len(dots):
-            bests = sorted(
-                ((max(dots[start:end]) * inverse, start, end, inverse) for start, end, inverse in index.groups),
-                reverse=True,
-            )
-            held: list[float] = []
-            for best, start, end, inverse in bests:
-                if len(held) == top_k and best <= held[0]:
-                    break
-                for dot in heapq.nlargest(top_k, dots[start:end]):
-                    product = dot * inverse
-                    if len(held) < top_k:
-                        heapq.heappush(held, product)
-                    elif product > held[0]:
-                        heapq.heapreplace(held, product)
-                    else:
-                        break
-            # fewer held products than top_k: the k-th largest is a stopword snippet's 0.0
-            floor = held[0] * (1 - _SURVIVOR_MARGIN) if len(held) == top_k else 0.0
-            if floor > 0:
-                survivors = [
-                    position
-                    for best, start, end, inverse in bests
-                    if best >= floor
-                    for position in range(start, end)
-                    if dots[position] * inverse >= floor
-                ]
+        bound = _dot_bound(index, query_frequencies)
+        dots = _dot_products(index, query_frequencies, bound)
+        if top_k >= len(dots):
+            survivors: Iterable[int] = itertools.compress(range(len(dots)), dots)
+        elif bound < _BYTE_LIMIT:
+            survivors = _walk_values(dots, index, bound, top_k)
+        else:
+            survivors = _walk_groups(dots, index, top_k)
         norms = index.squared_norms
         return {
             position: cosine_from_counts(dots[position], norms[position], query_sq)

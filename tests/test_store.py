@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ecpo.errors
 import ecpo.store
-from ecpo.context import DriverProfile, ParameterBound, PerceptionSummary, VehicleProfile
+from ecpo.context import DriverProfile, ParameterBound, PerceptionSummary, VehicleProfile, prompt_from_dict
 from ecpo.errors import ConfigError, InputError, shown
 from ecpo.policy import ActionType, compile_lexicon
 from ecpo.store import (
@@ -456,6 +456,89 @@ def test_overflow_fallback_survivors_equal_brute_force():
     for top_k in range(2, size):
         assert scored_ids(store, query, top_k) == lexical_survivors_reference(store.snapshot(), query, top_k)
         assert ranking(retrieve(store, query, top_k)) == lexical_ranking_reference(store.snapshot(), query, top_k)
+
+
+def walks_run(store, query, top_k):
+    """``scored_ids`` of the store's latest version, and the names of the top-k walks ``scores`` ran."""
+    with mock.patch.object(ecpo.store, "_walk_values", wraps=ecpo.store._walk_values) as values, \
+            mock.patch.object(ecpo.store, "_walk_groups", wraps=ecpo.store._walk_groups) as groups:
+        hits = scored_ids(store, query, top_k)
+    return hits, {name for name, walk in (("values", values), ("groups", groups)) if walk.called}
+
+
+# Each word repeated up to 40 times, from a small pool of texts: dot products up to 255 in one byte, few
+# distinct squared norms, and many exact ties within each norm group.
+@st.composite
+def byte_walk_stores_and_queries(draw):
+    shapes = st.tuples(st.integers(0, 40) | st.integers(32, 40), st.integers(0, 9) | st.just(9), st.integers(0, 1))
+    pool = [" ".join(["lane"] * lanes + ["fog"] * fogs + ["merge"] * merges) or "the of"
+            for lanes, fogs, merges in draw(st.lists(shapes, min_size=1, max_size=5))]
+    texts_drawn = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    snippets = [snippet(f"s{i:02d}", text) for i, text in enumerate(texts_drawn)]
+    # multiplicities of at most 5, 6 and 1: the bound, at most 40 * 5 + 9 * 6 + 1, stays below 256
+    lanes, fogs, merges = draw(st.integers(1, 5) | st.just(5)), draw(st.integers(0, 6)), draw(st.integers(0, 1))
+    query = query_for(" ".join(["lane"] * lanes + ["fog"] * fogs + ["merge"] * merges + ["zebra"]))
+    return snippets, query, draw(st.integers(1, len(snippets) + 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(byte_walk_stores_and_queries())
+@example(([snippet(f"s{i:02d}", "lane " * 40 + "fog " * 9 + "merge " * (i % 2)) for i in range(12)]
+          + [snippet("t", "lane " * 39 + "fog " * 9)],
+          query_for("lane " * 5 + "fog " * 6 + "merge"), 4))
+def test_byte_walk_survivors_equal_brute_force(case):
+    snippets, query, top_k = case
+    store = load_store(snippets)
+    hits, walks = walks_run(store, query, top_k)
+    assert hits == lexical_survivors_reference(store.snapshot(), query, top_k)
+    assert ranking(retrieve(store, query, top_k)) == lexical_ranking_reference(store.snapshot(), query, top_k)
+    assert walks == ({"values"} if top_k < len(snippets) else set())
+
+
+@pytest.mark.parametrize("peak, multiplicity, walk", [(51, 5, "values"), (64, 4, "groups")])
+def test_the_byte_walk_runs_below_a_bound_of_256(peak, multiplicity, walk):
+    # the bound, 255 or 256, is the dot product of "a": 256 has a low byte of 0
+    store = load_store([snippet("a", "lane " * peak), snippet("b", "lane"), snippet("c", "lane lane fog"),
+                        snippet("d", "lane fog merge"), snippet("e", "lane fog merge"), snippet("f", "fog"),
+                        snippet("g", "the of")])
+    query = query_for("lane " * multiplicity + "zebra")
+    assert ecpo.store._dot_bound(store.lexical_index(), term_counts(query.tokens())) == peak * multiplicity
+    for top_k in range(1, len(store.snapshot())):
+        hits, walks = walks_run(store, query, top_k)
+        assert walks == {walk}
+        assert hits == lexical_survivors_reference(store.snapshot(), query, top_k)
+        assert ranking(retrieve(store, query, top_k)) == lexical_ranking_reference(store.snapshot(), query, top_k)
+
+
+def test_the_survivor_cut_keeps_a_product_at_the_floor_without_the_margin(monkeypatch):
+    # 1 / (1 * (1/sqrt(3))) ** 2 rounds below 3: without its slack the cut would end before "b"'s squared norm
+    assert (1 / (1 * (1 / math.sqrt(3)))) ** 2 < 3
+    store = load_store([snippet("a", "lane fog merge rain"), snippet("b", "lane fog merge"), snippet("c", "fog")])
+    monkeypatch.setattr(ecpo.store, "_SURVIVOR_MARGIN", 0.0)
+    assert walks_run(store, query_for("lane"), 1) == ({"b": 1 / math.sqrt(3)}, {"values"})
+
+
+def retrieve_5k_queries() -> list[RetrievalQuery]:
+    """The seed-0 queries of the benchmark's retrieve_5k workload."""
+    prompts = [prompt_from_dict(json.loads(line)) for line in bench_inputs("retrieve_5k")["records.jsonl"].splitlines()]
+    return [build_query(prompt.z, prompt.driver, prompt.vehicle) for prompt in prompts]
+
+
+@pytest.mark.parametrize("margin", [ecpo.store._SURVIVOR_MARGIN, 0.0])
+def test_byte_walk_equals_group_walk_on_the_seed_workload(monkeypatch, margin):
+    store = load_store(snippet_from_dict(record) for record in seed_store_records())
+    index = store.lexical_index()
+    queries = retrieve_5k_queries()
+    assert max(ecpo.store._dot_bound(index, term_counts(query.tokens())) for query in queries) < 256
+    monkeypatch.setattr(ecpo.store, "_SURVIVOR_MARGIN", margin)
+    for top_k in (1, 5, 40):
+        by_value = [LexicalScorer().scores(index, query, top_k) for query in queries]
+        with monkeypatch.context() as patched:
+            patched.setattr(ecpo.store, "_BYTE_LIMIT", 0)
+            by_group = [LexicalScorer().scores(index, query, top_k) for query in queries]
+        assert by_value == by_group
+        # every tenth query shares no token with the store
+        assert [i for i, hits in enumerate(by_value) if not hits] == list(range(9, 100, 10))
 
 
 def test_load_store_builds_no_index(monkeypatch):
