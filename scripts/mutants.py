@@ -423,6 +423,19 @@ MUTANTS = (
         ("tests/test_store.py::test_byte_walk_survivors_equal_brute_force",
          "tests/test_store.py::test_byte_walk_equals_group_walk_on_the_seed_workload"),
     ),
+    # --- retrieve's term columns one byte per snippet, 16-bit columns packed on a wide query's first use and kept
+    Mutant(
+        "byte-column-at-a-peak-of-256", "src/ecpo/store.py",
+        " and peaks[token] < _BYTE_LIMIT}",
+        " and peaks[token] <= _BYTE_LIMIT}",
+        ("tests/test_store.py::test_a_common_token_has_a_byte_column_only_with_a_peak_below_256",),
+    ),
+    Mutant(
+        "wide-column-never-stored", "src/ecpo/store.py",
+        "                columns[token] = _pack(postings[token], array(\"H\", bytes(2 * size)))\n",
+        "                _pack(postings[token], array(\"H\", bytes(2 * size)))\n",
+        ("tests/test_store.py::test_a_wide_bound_packs_each_16_bit_column_once_and_keeps_it",),
+    ),
     # --- earlier changes
     Mutant(
         "survivor-margin-zero", "src/ecpo/store.py",

@@ -14,15 +14,16 @@ Queries run through an index of each version's snippet texts, built on the
 first query against that version and kept on the store. It numbers the
 snippets by squared norm, so the snippets of one norm form one contiguous
 group sharing one inverse norm, and holds postings per token plus one packed
-int per common token holding its term frequency in every snippet. A query
-sums the packed columns of its tokens as plain ints and adds its rare tokens
-through their postings. It then preselects the top ``top_k`` by a float
-product a few ulps from the cosine. When the query's largest possible dot
-product is below 256, every dot product fits in one byte: the walk searches a
-byte view of them with ``bytes.find``, value by value from that bound down,
+int per common token holding its term frequency in every snippet, a byte
+each. A query sums the packed columns of its tokens as plain ints and adds
+its rare tokens through their postings, then preselects the top ``top_k`` by
+a float product a few ulps from the cosine. When the query's largest
+possible dot product is below 256, the sum's bytes are the dot products: the
+walk searches them with ``bytes.find``, value by value from that bound down,
 and stops at the first value that cannot beat the k products already held.
-A larger bound walks the norm groups instead, best first by their largest dot
-product. Only the survivors are scored exactly.
+A larger bound sums 16-bit columns, packed on first use and kept, and walks
+the norm groups instead, best first by their largest dot product. Only the
+survivors are scored exactly.
 ``retrieve`` takes any scorer with a ``kind`` and a
 ``rank(store, version, query, top_k)`` method; the toolkit ships only
 ``LexicalScorer``.
@@ -83,17 +84,16 @@ class RetrievalResult:
     store_version: int
 
 
-# Packed term columns: a token held by at least 1/32 of a version's snippets
-# is one int holding an unsigned 16-bit slot (an array("H") item) per snippet.
+# Packed term columns: a token held by at least 1/32 of a version's snippets is one int holding a slot per
+# snippet: a byte when its peak is below _BYTE_LIMIT, and an array("H") item for a bound below _SLOT_LIMIT.
 _PACKED_SHARE = 32
 _SLOT_LIMIT = 1 << 16
 # Relative margin under the k-th approximate score that still survives to the
 # exact rescoring; approximate and exact scores differ by a few ulps.
 _SURVIVOR_MARGIN = 1e-9
-# A query whose largest possible dot product is below this walks the dot products value by value through the low
-# byte of each array("H") item, which then holds the whole product.
+# A query whose largest possible dot product is below this sums the byte columns, and walks the bytes of that sum
+# value by value.
 _BYTE_LIMIT = 256
-_LOW_BYTE = 0 if sys.byteorder == "little" else 1
 _TOKENIZE_CHUNK = 256  # texts per scan: one scan of a whole large store would hold all its tokens at once
 
 
@@ -112,8 +112,9 @@ class LexicalIndex:
     belong to no group. ``postings`` maps each content token to the positions
     of the snippets holding it and its term frequency in each, ``peaks`` to
     its largest term frequency. ``columns`` maps each token held by at least
-    1/32 of the snippets to one int whose 16-bit slot ``p`` is its term
-    frequency in snippet ``p``.
+    1/32 of the snippets with a peak below 256 to one int whose byte ``p`` is
+    its term frequency in snippet ``p``; ``_wide_columns``, filled and kept by
+    ``_dot_products``, the same with 16-bit slots, whatever the peak.
     """
 
     snippet_ids: tuple[str, ...]
@@ -123,6 +124,14 @@ class LexicalIndex:
     postings: dict[str, tuple[array, array]]
     peaks: dict[str, int]
     columns: dict[str, int]
+    _wide_columns: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _pack(entry: tuple[array, array], slots: bytearray | array) -> int:
+    """The zeroed ``slots`` with each posting's term frequency stored at its position, as one native-order int."""
+    for position, count in zip(*entry):
+        slots[position] = count
+    return int.from_bytes(slots, sys.byteorder)
 
 
 def _build_lexical_index(snippets: Sequence[ConstraintSnippet]) -> LexicalIndex:
@@ -163,13 +172,8 @@ def _build_lexical_index(snippets: Sequence[ConstraintSnippet]) -> LexicalIndex:
             groups.append((start, end, 1 / math.sqrt(sq)))
         start = end
     peaks = {token: max(counts) for token, (_, counts) in postings.items()}
-    columns: dict[str, int] = {}
-    for token, (positions, counts) in postings.items():
-        if len(positions) * _PACKED_SHARE >= size and peaks[token] < _SLOT_LIMIT:
-            slots = array("H", bytes(2 * size))
-            for position, count in zip(positions, counts):
-                slots[position] = count
-            columns[token] = int.from_bytes(slots, sys.byteorder)
+    columns = {token: _pack(entry, bytearray(size)) for token, entry in postings.items()
+               if len(entry[0]) * _PACKED_SHARE >= size and peaks[token] < _BYTE_LIMIT}
     return LexicalIndex(
         snippet_ids=tuple(ordered[id_rank].snippet_id for id_rank in by_norm),
         id_order=array("i", id_order),
@@ -192,33 +196,40 @@ def _dot_products(index: LexicalIndex, query_frequencies: Counter, bound: int | 
     """Each snippet's exact integer dot product with the query, by position.
 
     The packed columns of the query's tokens are summed as plain ints, so
-    every slot adds up in C; rare tokens add in through their postings. When
-    the query's ``bound`` (``_dot_bound``, computed when not given) could
-    reach 2**16 and carry into the next slot, every token goes through its
-    postings instead.
+    every slot adds up in C; rare tokens add in through their postings. The
+    query's ``bound`` (``_dot_bound``, computed when not given) caps every
+    slot: below 256 the byte columns are summed, and the sum's bytes are the
+    dot products; below 2**16 the 16-bit columns, each packed on first use
+    and kept on the index; from 2**16 every token goes through its postings.
     """
     size = len(index.snippet_ids)
     if bound is None:
         bound = _dot_bound(index, query_frequencies)
-    if bound < _SLOT_LIMIT:
+    postings = index.postings
+    if bound < _BYTE_LIMIT:
         columns = index.columns
-        # a multiplicity of 1 adds the column itself: `1 * column` copies it
-        packed = sum(
-            columns[token] if m == 1 else m * columns[token]
-            for token, m in query_frequencies.items()
-            if token in columns
-        )
-        dots: Sequence[int] = array("H", packed.to_bytes(2 * size, sys.byteorder))
-        rare = [(token, m) for token, m in query_frequencies.items() if token not in columns]
+    elif bound < _SLOT_LIMIT:
+        columns = index._wide_columns
+        for token in (query_frequencies.keys() & postings.keys()) - columns.keys():
+            if len(postings[token][0]) * _PACKED_SHARE >= size:
+                columns[token] = _pack(postings[token], array("H", bytes(2 * size)))
+    else:
+        columns = {}
+    # a multiplicity of 1 adds the column itself: `1 * column` copies it
+    packed = sum(columns[token] if m == 1 else m * columns[token] for token, m in query_frequencies.items()
+                 if token in columns)
+    rare = [(postings[token], m) for token, m in query_frequencies.items()
+            if token not in columns and token in postings]
+    dots: Sequence[int]
+    if bound < _BYTE_LIMIT:  # the rare tokens add into a copy
+        dots = (bytearray if rare else bytes)(packed.to_bytes(size, sys.byteorder))
+    elif bound < _SLOT_LIMIT:
+        dots = array("H", packed.to_bytes(2 * size, sys.byteorder))
     else:
         dots = [0] * size
-        rare = list(query_frequencies.items())
-    postings = index.postings
-    for token, multiplicity in rare:
-        entry = postings.get(token)
-        if entry is not None:
-            for position, count in zip(*entry):
-                dots[position] += multiplicity * count
+    for (positions, counts), multiplicity in rare:
+        for position, count in zip(positions, counts):
+            dots[position] += multiplicity * count
     return dots
 
 
@@ -239,8 +250,8 @@ def _hold(held: list[float], top_k: int, product: float) -> bool:
     return True
 
 
-def _walk_values(dots: array, index: LexicalIndex, bound: int, top_k: int) -> Iterable[int]:
-    """The survivors of dot products below 256, found value by value in a one-byte view of them.
+def _walk_values(view: bytes, index: LexicalIndex, bound: int, top_k: int) -> Iterable[int]:
+    """The survivors of dot products below 256, one byte each in ``view``, found value by value.
 
     Positions ascend by squared norm, so within one value the first matches
     hold the largest products: each value yields matches until one cannot
@@ -249,7 +260,6 @@ def _walk_values(dots: array, index: LexicalIndex, bound: int, top_k: int) -> It
     searches each value only up to the last squared norm that can reach the
     floor and checks each match exactly.
     """
-    view = dots.tobytes()[_LOW_BYTE::2]
     norms = index.squared_norms
     largest = index.groups[0][2] if index.groups else 0.0
     held: list[float] = []
@@ -264,7 +274,7 @@ def _walk_values(dots: array, index: LexicalIndex, bound: int, top_k: int) -> It
             position = view.find(value, position + 1)
     floor = _floor(held, top_k)
     if not floor:
-        return itertools.compress(range(len(dots)), dots)
+        return itertools.compress(range(len(view)), view)
     survivors = []
     for value in range(top, 0, -1):
         if value * largest < floor:
@@ -410,9 +420,9 @@ class LexicalScorer:
         snippet left out scores 0.0 or ranks below the k best.
 
         When the query's largest possible dot product is below 256, the k-th
-        largest product is found by searching the dot products value by value
-        from that bound down, in a one-byte view of them; otherwise norm group
-        by norm group, best first. Either walk stops at the first value or
+        largest product is found by searching the bytes of the summed byte
+        columns value by value from that bound down; otherwise norm group by
+        norm group, best first. Either walk stops at the first value or
         group that cannot beat the k products already held, and every product
         is the same float ``dot * (1 / sqrt(squared_norm))``.
         """

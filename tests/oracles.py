@@ -336,7 +336,8 @@ def lexical_survivors_reference(snippets, query: RetrievalQuery, top_k: int) -> 
 def lexical_index_reference(snippets) -> LexicalIndex:
     """The lexical index built one text at a time, as ``store._build_lexical_index`` built it before it
     tokenized texts in chunks: each snippet's ``content_tokens`` counted on their own, postings appended in
-    snippet_id order, then renumbered by (squared norm, snippet_id)."""
+    snippet_id order, then renumbered by (squared norm, snippet_id). Each token held by at least 1/32 of the
+    snippets with a peak below 256 gets a column of one byte per snippet, filled slot by slot."""
     ordered = sorted(snippets, key=lambda snippet: snippet.snippet_id)
     norms_by_id: list[int] = []
     postings: dict[str, tuple[array, array]] = {}
@@ -365,8 +366,8 @@ def lexical_index_reference(snippets) -> LexicalIndex:
     peaks = {token: max(counts) for token, (_, counts) in postings.items()}
     columns = {}
     for token, (positions, counts) in postings.items():
-        if len(positions) * 32 >= size and peaks[token] < 1 << 16:
-            slots = array("H", bytes(2 * size))
+        if len(positions) * 32 >= size and peaks[token] < 256:
+            slots = bytearray(size)
             for position, count in zip(positions, counts):
                 slots[position] = count
             columns[token] = int.from_bytes(slots, sys.byteorder)

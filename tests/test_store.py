@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import sys
+from array import array
 from unittest import mock
 
 import pytest
@@ -508,6 +509,65 @@ def test_the_byte_walk_runs_below_a_bound_of_256(peak, multiplicity, walk):
         assert walks == {walk}
         assert hits == lexical_survivors_reference(store.snapshot(), query, top_k)
         assert ranking(retrieve(store, query, top_k)) == lexical_ranking_reference(store.snapshot(), query, top_k)
+
+
+@pytest.mark.parametrize("peak", [255, 256])
+def test_a_common_token_has_a_byte_column_only_with_a_peak_below_256(peak):
+    store = load_store([snippet("a", "lane " * peak), snippet("b", "lane fog"), snippet("c", "fog merge"),
+                        snippet("d", "merge lane"), snippet("e", "the of")])
+    index = store.lexical_index()
+    assert index.peaks["lane"] == peak
+    assert set(index.columns) == ({"lane", "fog", "merge"} if peak < 256 else {"fog", "merge"})
+    # "lane zebra" has a bound of `peak`: a byte slot of 255, or a token with no byte column in the 16-bit sum
+    for words in ("lane zebra", "lane fog", "fog merge merge"):
+        query = query_for(words)
+        bound = ecpo.store._dot_bound(index, term_counts(query.tokens()))
+        for top_k in range(1, len(store.snapshot())):
+            hits, walks = walks_run(store, query, top_k)
+            assert walks == {"values" if bound < 256 else "groups"}
+            assert hits == lexical_survivors_reference(store.snapshot(), query, top_k)
+            assert ranking(retrieve(store, query, top_k)) == lexical_ranking_reference(store.snapshot(), query, top_k)
+
+
+def test_a_wide_bound_packs_each_16_bit_column_once_and_keeps_it():
+    store = load_store([snippet(f"s{i:02d}", f"lane fog clause{i}" + " merge" * (i % 2)) for i in range(40)]
+                       + [snippet("x", "lane " * 100 + "merge")])
+    index = store.lexical_index()
+    size = len(index.snippet_ids)
+    first, second = query_for("lane lane lane fog clause3"), query_for("lane lane lane merge clause4")
+    with mock.patch.object(ecpo.store, "_pack", wraps=ecpo.store._pack) as pack:
+        hits = scored_ids(store, first, 3)
+        # the common tokens of the query, not its rare "clause3"; each slot is the token's term frequency
+        assert pack.call_count == 2 and set(index._wide_columns) == {"lane", "fog"}
+        for token, column in index._wide_columns.items():
+            slots = [0] * size
+            for position, count in zip(*index.postings[token]):
+                slots[position] = count
+            assert list(array("H", column.to_bytes(2 * size, sys.byteorder))) == slots
+        kept = dict(index._wide_columns)
+        assert scored_ids(store, first, 3) == hits
+        assert scored_ids(store, second, 3) == lexical_survivors_reference(store.snapshot(), second, 3)
+    # the second query packs only "merge"; "lane" and "fog" are the same ints as after the first
+    assert pack.call_count == 3 and set(index._wide_columns) == {"lane", "fog", "merge"}
+    assert all(index._wide_columns[token] is column for token, column in kept.items())
+    for query in (first, second):
+        assert ecpo.store._dot_bound(index, term_counts(query.tokens())) == 302
+        for top_k in (1, 3, 41):
+            assert scored_ids(store, query, top_k) == lexical_survivors_reference(store.snapshot(), query, top_k)
+            assert ranking(retrieve(store, query, top_k)) == lexical_ranking_reference(store.snapshot(), query, top_k)
+
+
+def test_a_byte_path_query_packs_no_16_bit_column():
+    store = load_store([snippet(f"s{i:02d}", f"lane fog clause{i}" + " merge" * (i % 3)) for i in range(40)])
+    index = store.lexical_index()
+    query = query_for("lane lane fog merge clause3 zebra")
+    with mock.patch.object(ecpo.store, "_pack", wraps=ecpo.store._pack) as pack:
+        for top_k in (1, 3, 40):
+            hits, walks = walks_run(store, query, top_k)
+            assert walks == ({"values"} if top_k < 40 else set())
+            assert hits == lexical_survivors_reference(store.snapshot(), query, top_k)
+            assert ranking(retrieve(store, query, top_k)) == lexical_ranking_reference(store.snapshot(), query, top_k)
+    assert not pack.called and index._wide_columns == {}
 
 
 def test_the_survivor_cut_keeps_a_product_at_the_floor_without_the_margin(monkeypatch):
